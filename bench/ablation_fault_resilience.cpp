@@ -45,17 +45,7 @@ fault::ResilienceReport run_arm(bool resilience) {
     const std::string email = "viewer-" + std::to_string(i) + "@example.com";
     d.add_user(email, "pw");
     net::AsyncClient& client = d.add_client(email, "pw", region);
-    bool done = false;
-    client.login([&](core::DrmError err) {
-      if (err != core::DrmError::kOk) {
-        done = true;
-        return;
-      }
-      client.switch_channel(kChannel, [&](core::DrmError) { done = true; });
-    });
-    const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-    while (!done && d.sim().now() < deadline && d.sim().step()) {
-    }
+    d.run_op(client, net::login_and_switch(client, kChannel), 5 * util::kMinute);
     d.announce(client);
     client.enable_auto_renewal();
   }
@@ -94,12 +84,9 @@ int main(int argc, char** argv) {
 
   std::printf("\n--- per-round availability delta ---\n");
   std::printf("%-8s %14s %14s\n", "round", "off", "on");
-  static constexpr client::Round kRounds[] = {
-      client::Round::kLogin1, client::Round::kLogin2, client::Round::kSwitch1,
-      client::Round::kSwitch2, client::Round::kJoin};
-  for (const client::Round round : kRounds) {
+  for (const core::Round round : core::kAllRounds) {
     std::printf("%-8s %13.2f%% %13.2f%%\n",
-                std::string(client::to_string(round)).c_str(),
+                std::string(core::to_string(round)).c_str(),
                 off.round(round).availability() * 100.0,
                 on.round(round).availability() * 100.0);
   }
@@ -117,8 +104,8 @@ int main(int argc, char** argv) {
   const auto emit_arm = [&j](const char* name, const fault::ResilienceReport& r) {
     j.key(name).begin_object();
     j.key("availability").begin_object();
-    for (const client::Round round : kRounds) {
-      j.kv(std::string(client::to_string(round)),
+    for (const core::Round round : core::kAllRounds) {
+      j.kv(std::string(core::to_string(round)),
            r.round(round).availability());
     }
     j.end_object();

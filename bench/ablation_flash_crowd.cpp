@@ -39,10 +39,10 @@ int main(int argc, char** argv) {
   std::printf("\n%-6s %12s %12s | %12s %12s | %12s %12s\n", "hour", "users(base)",
               "users(crowd)", "LOGIN2 base", "LOGIN2 crowd", "JOIN base",
               "JOIN crowd");
-  const auto login2_base = without.round(sim::ProtocolRound::kLogin2).hourly_median();
-  const auto login2_crowd = with.round(sim::ProtocolRound::kLogin2).hourly_median();
-  const auto join_base = without.round(sim::ProtocolRound::kJoin).hourly_median();
-  const auto join_crowd = with.round(sim::ProtocolRound::kJoin).hourly_median();
+  const auto login2_base = without.round(core::Round::kLogin2).hourly_median();
+  const auto login2_crowd = with.round(core::Round::kLogin2).hourly_median();
+  const auto join_base = without.round(core::Round::kJoin).hourly_median();
+  const auto join_crowd = with.round(core::Round::kJoin).hourly_median();
   for (std::size_t h = 40; h < 48; ++h) {  // day 1, 16:00-24:00
     std::printf("d1/%-4zu %12.0f %12.0f | %11.3fs %11.3fs | %11.3fs %11.3fs\n",
                 h % 24, without.hourly_concurrency[h], with.hourly_concurrency[h],
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
 
   const sim::MacroSimResult queued = sim::run_macro_sim(strained);
   const sim::MacroSimResult shed = sim::run_macro_sim(admitted);
-  const auto login2_queued = queued.round(sim::ProtocolRound::kLogin2).hourly_median();
-  const auto login2_shed = shed.round(sim::ProtocolRound::kLogin2).hourly_median();
+  const auto login2_queued = queued.round(core::Round::kLogin2).hourly_median();
+  const auto login2_shed = shed.round(core::Round::kLogin2).hourly_median();
 
   bench::print_header("Undersized UM farm (1 server): admission control off vs on");
   std::printf("queued:   ");

@@ -22,22 +22,10 @@ struct Outcome {
 };
 
 Outcome run_one_viewer(net::Deployment& d, net::AsyncClient& client) {
-  std::optional<core::DrmError> login_result;
-  std::optional<core::DrmError> switch_result;
   const util::SimTime started = d.sim().now();
-  client.login([&](core::DrmError err) {
-    login_result = err;
-    if (err != core::DrmError::kOk) {
-      switch_result = err;
-      return;
-    }
-    client.switch_channel(1, [&](core::DrmError err2) { switch_result = err2; });
-  });
-  const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-  while (!switch_result && d.sim().now() < deadline && d.sim().step()) {
-  }
   Outcome out;
-  out.ok = switch_result && *switch_result == core::DrmError::kOk;
+  out.ok = d.run_op(client, net::login_and_switch(client, 1), 5 * util::kMinute) ==
+           core::DrmError::kOk;
   out.seconds = util::to_seconds(d.sim().now() - started);
   return out;
 }

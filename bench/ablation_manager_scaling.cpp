@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     cfg = run.finalize(cfg);
 
     const sim::MacroSimResult result = sim::run_macro_sim(cfg);
-    const auto& trace = result.round(sim::ProtocolRound::kLogin2);
+    const auto& trace = result.round(core::Round::kLogin2);
     const auto corr = analysis::pearson(trace.hourly_median(),
                                         result.hourly_concurrency);
     const double r = corr.value_or(0.0);

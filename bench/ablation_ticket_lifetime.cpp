@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
     cfg.channel_ticket_lifetime = ct;
     cfg = run.finalize(cfg);
     const sim::MacroSimResult result = sim::run_macro_sim(cfg);
-    const auto& sw2 = result.round(sim::ProtocolRound::kSwitch2);
+    const auto& sw2 = result.round(core::Round::kSwitch2);
     const double horizon_s = cfg.days * 86400.0;
     const double cm_rps =
-        static_cast<double>(result.round(sim::ProtocolRound::kSwitch1).count +
+        static_cast<double>(result.round(core::Round::kSwitch1).count +
                             sw2.count) /
         horizon_s;
     std::printf("%6lldmin %14.1f %14llu %15.3fs %17llds\n",
@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
     const sim::MacroSimResult result = sim::run_macro_sim(cfg);
     const double horizon_s = cfg.days * 86400.0;
     const double um_rps =
-        static_cast<double>(result.round(sim::ProtocolRound::kLogin1).count +
-                            result.round(sim::ProtocolRound::kLogin2).count) /
+        static_cast<double>(result.round(core::Round::kLogin1).count +
+                            result.round(core::Round::kLogin2).count) /
         horizon_s;
     std::printf("%6lldmin %14.1f %14llu %17lldmin\n",
                 static_cast<long long>(ut / util::kMinute), um_rps,

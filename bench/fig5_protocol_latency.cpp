@@ -21,7 +21,7 @@ namespace {
 /// (bucketed histograms over the full population — the reservoirs they
 /// replaced sampled 3000 per hour). Hours with no samples report 0.
 std::vector<double> hourly_median(const sim::MacroSimResult& result,
-                                  sim::ProtocolRound r) {
+                                  core::Round r) {
   std::vector<double> out;
   out.reserve(result.hourly_concurrency.size());
   for (std::size_t h = 0; h < result.hourly_concurrency.size(); ++h) {
@@ -32,8 +32,8 @@ std::vector<double> hourly_median(const sim::MacroSimResult& result,
   return out;
 }
 
-void print_series(const sim::MacroSimResult& result, sim::ProtocolRound a,
-                  sim::ProtocolRound b, bool has_b, const char* fig) {
+void print_series(const sim::MacroSimResult& result, core::Round a,
+                  core::Round b, bool has_b, const char* fig) {
   std::printf("\n--- Fig. 5%s: hour-of-week series ---\n", fig);
   std::printf("%-6s %-5s %12s %14s", "day", "hour", "concurrent",
               to_string(a).data());
@@ -49,7 +49,7 @@ void print_series(const sim::MacroSimResult& result, sim::ProtocolRound a,
   }
 }
 
-double print_correlation(const sim::MacroSimResult& result, sim::ProtocolRound r,
+double print_correlation(const sim::MacroSimResult& result, core::Round r,
                          double paper_lo, double paper_hi) {
   const auto corr =
       analysis::pearson(hourly_median(result, r), result.hourly_concurrency);
@@ -86,24 +86,24 @@ int main(int argc, char** argv) {
   const sim::MacroSimResult result = sim::run_macro_sim(cfg);
   bench::print_run_summary(result);
 
-  print_series(result, sim::ProtocolRound::kLogin1, sim::ProtocolRound::kLogin2, true,
+  print_series(result, core::Round::kLogin1, core::Round::kLogin2, true,
                "(a) login");
-  print_series(result, sim::ProtocolRound::kSwitch1, sim::ProtocolRound::kSwitch2, true,
+  print_series(result, core::Round::kSwitch1, core::Round::kSwitch2, true,
                "(b) channel switching");
-  print_series(result, sim::ProtocolRound::kJoin, sim::ProtocolRound::kJoin, false,
+  print_series(result, core::Round::kJoin, core::Round::kJoin, false,
                "(c) join");
 
   std::printf("\n--- In-text: Pearson correlation, median latency vs #users ---\n");
   const double r_login1 =
-      print_correlation(result, sim::ProtocolRound::kLogin1, -0.03, 0.08);
+      print_correlation(result, core::Round::kLogin1, -0.03, 0.08);
   const double r_login2 =
-      print_correlation(result, sim::ProtocolRound::kLogin2, -0.03, 0.08);
+      print_correlation(result, core::Round::kLogin2, -0.03, 0.08);
   const double r_switch1 =
-      print_correlation(result, sim::ProtocolRound::kSwitch1, -0.03, 0.08);
+      print_correlation(result, core::Round::kSwitch1, -0.03, 0.08);
   const double r_switch2 =
-      print_correlation(result, sim::ProtocolRound::kSwitch2, -0.03, 0.08);
+      print_correlation(result, core::Round::kSwitch2, -0.03, 0.08);
   const double r_join =
-      print_correlation(result, sim::ProtocolRound::kJoin, 0.13, 0.13);
+      print_correlation(result, core::Round::kJoin, 0.13, 0.13);
 
   // Headline check: latency flat while concurrency swings.
   const double max_c = *std::max_element(result.hourly_concurrency.begin(),

@@ -5,6 +5,7 @@
 // finds the two curves "virtually identical" for every protocol — load does
 // not shift the latency distribution. We print the same probability grid
 // and report the maximum peak-vs-off-peak divergence per round.
+#include <array>
 #include <cmath>
 #include <cstdio>
 
@@ -14,7 +15,7 @@ using namespace p2pdrm;
 
 namespace {
 
-double print_cdf_pair(const sim::MacroSimResult& result, sim::ProtocolRound r) {
+double print_cdf_pair(const sim::MacroSimResult& result, core::Round r) {
   // Read the paper's split from the run's metrics registry: bucketed
   // histograms over every recorded round, not a sampling reservoir.
   const obs::LatencyHistogram* peak_hist =
@@ -54,13 +55,11 @@ int main(int argc, char** argv) {
   const sim::MacroSimResult result = sim::run_macro_sim(cfg);
   bench::print_run_summary(result);
 
-  static constexpr sim::ProtocolRound kRounds[] = {
-      sim::ProtocolRound::kLogin1,  sim::ProtocolRound::kLogin2,
-      sim::ProtocolRound::kSwitch1, sim::ProtocolRound::kSwitch2,
-      sim::ProtocolRound::kJoin};
-  double gaps[5] = {};
+  std::array<double, core::kNumRounds> gaps{};
   // Fig. 6(a): login, (b): channel switching, (c): join.
-  for (std::size_t i = 0; i < 5; ++i) gaps[i] = print_cdf_pair(result, kRounds[i]);
+  for (const core::Round r : core::kAllRounds) {
+    gaps[static_cast<std::size_t>(r)] = print_cdf_pair(result, r);
+  }
 
   bench::print_obs_reports(obs, !run.trace_out().empty(), run.trace_out(),
                            run.timeseries_out());
@@ -71,8 +70,8 @@ int main(int argc, char** argv) {
   j.kv("sessions", result.sessions);
   j.kv("events", result.events);
   j.key("max_peak_offpeak_gap_seconds").begin_object();
-  for (std::size_t i = 0; i < 5; ++i) {
-    j.kv(std::string(to_string(kRounds[i])), gaps[i]);
+  for (const core::Round r : core::kAllRounds) {
+    j.kv(std::string(to_string(r)), gaps[static_cast<std::size_t>(r)]);
   }
   j.end_object();
   j.end_object();

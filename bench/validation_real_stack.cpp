@@ -22,8 +22,8 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
-#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +60,10 @@ std::size_t arg_size(int argc, char** argv, const char* flag,
 }
 
 // --- threaded mode: concurrent sessions against the live transport ---
+
+/// Wall-clock bound on one session's login + switch; generous enough for
+/// sanitizer builds, where a lost completion must still end the run.
+constexpr util::SimTime kSessionTimeout = 5 * util::kMinute;
 
 int run_thread(int argc, char** argv) {
   const std::size_t drivers =
@@ -122,32 +126,20 @@ int run_thread(int argc, char** argv) {
   // Each driver walks its stride of the session list, keeping exactly one
   // of its sessions in flight at a time — so the deployment sees `drivers`
   // concurrent full-protocol sessions. All protocol work runs on the
-  // owning client's event loop; the driver only posts the kickoff and
-  // waits on the completion future.
+  // owning client's event loop; the driver only waits on run_op.
   const auto drive = [&](std::size_t start) {
     for (std::size_t i = start; i < sessions; i += drivers) {
       net::AsyncClient* c = clients[i].get();
-      std::promise<core::DrmError> done;
-      std::future<core::DrmError> fut = done.get_future();
-      d.network().post(c->config().node, 0, [c, &d, &done] {
-        c->login([c, &d, &done](core::DrmError err) {
-          if (err != core::DrmError::kOk) {
-            done.set_value(err);
-            return;
-          }
-          c->switch_channel(1, [c, &d, &done](core::DrmError err2) {
-            if (err2 == core::DrmError::kOk) d.announce(*c);
-            done.set_value(err2);
-          });
-        });
-      });
-      const core::DrmError result = fut.get();
+      const std::optional<core::DrmError> result = d.run_op(
+          *c, net::login_and_switch(*c, 1, [c, &d] { d.announce(*c); }),
+          kSessionTimeout);
       if (result == core::DrmError::kOk) {
         completed.fetch_add(1, std::memory_order_relaxed);
       } else {
         protocol_errors.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr, "session %zu failed: %s\n", i,
-                     std::string(core::to_string(result)).c_str());
+                     result ? std::string(core::to_string(*result)).c_str()
+                            : "never completed");
       }
     }
   };
@@ -173,11 +165,11 @@ int run_thread(int argc, char** argv) {
     sched = threaded->sched_latency();
   }
 
-  std::array<std::vector<double>, 5> lat;
+  std::array<std::vector<double>, core::kNumRounds> lat;
   std::uint64_t rounds_ok = 0, rounds_failed = 0, retransmits = 0;
   for (const std::unique_ptr<net::AsyncClient>& c : clients) {
     retransmits += c->retransmits();
-    for (const client::LatencySample& s : c->feedback_log()) {
+    for (const core::LatencySample& s : c->feedback_log()) {
       if (!s.success) {
         ++rounds_failed;
         continue;
@@ -199,12 +191,11 @@ int run_thread(int argc, char** argv) {
               wall_s, rps, static_cast<unsigned long long>(rounds_ok));
   std::printf("%-8s %8s %10s %10s %10s\n", "round", "count", "p50(ms)",
               "p95(ms)", "p99(ms)");
-  for (std::size_t r = 0; r < 5; ++r) {
-    std::printf("%-8s %8zu %10.2f %10.2f %10.2f\n",
-                to_string(static_cast<client::Round>(r)).data(), lat[r].size(),
-                analysis::quantile(lat[r], 0.50),
-                analysis::quantile(lat[r], 0.95),
-                analysis::quantile(lat[r], 0.99));
+  for (const core::Round r : core::kAllRounds) {
+    const std::vector<double>& l = lat[static_cast<std::size_t>(r)];
+    std::printf("%-8s %8zu %10.2f %10.2f %10.2f\n", to_string(r).data(), l.size(),
+                analysis::quantile(l, 0.50), analysis::quantile(l, 0.95),
+                analysis::quantile(l, 0.99));
   }
 
   if (!loop_stats.empty()) {
@@ -262,13 +253,14 @@ int run_thread(int argc, char** argv) {
       .kv("p99", sched.p99())
       .end_object();
   j.key("rounds").begin_array();
-  for (std::size_t r = 0; r < 5; ++r) {
+  for (const core::Round r : core::kAllRounds) {
+    const std::vector<double>& l = lat[static_cast<std::size_t>(r)];
     j.begin_object()
-        .kv("round", std::string(to_string(static_cast<client::Round>(r))))
-        .kv("count", static_cast<std::uint64_t>(lat[r].size()))
-        .kv("p50_ms", analysis::quantile(lat[r], 0.50))
-        .kv("p95_ms", analysis::quantile(lat[r], 0.95))
-        .kv("p99_ms", analysis::quantile(lat[r], 0.99))
+        .kv("round", std::string(to_string(r)))
+        .kv("count", static_cast<std::uint64_t>(l.size()))
+        .kv("p50_ms", analysis::quantile(l, 0.50))
+        .kv("p95_ms", analysis::quantile(l, 0.95))
+        .kv("p99_ms", analysis::quantile(l, 0.99))
         .end_object();
   }
   j.end_array().end_object();
@@ -392,11 +384,11 @@ int run_sim() {
   track(horizon, 0);
 
   // Harvest feedback logs into per-bucket reservoirs per round.
-  std::array<std::vector<std::vector<double>>, 5> lat;
+  std::array<std::vector<std::vector<double>>, core::kNumRounds> lat;
   for (auto& per_round : lat) per_round.assign(buckets, {});
   std::uint64_t total_rounds = 0;
   for (const Session& s : sessions) {
-    for (const client::LatencySample& sample : s.client->feedback_log()) {
+    for (const core::LatencySample& sample : s.client->feedback_log()) {
       if (!sample.success) continue;
       const std::size_t b =
           static_cast<std::size_t>(sample.started / (10 * util::kMinute));
@@ -424,16 +416,16 @@ int run_sim() {
   std::printf("\ncorrelation of median latency with concurrency (expect ~0, as "
               "in Fig. 5;\nsmall-sample buckets excluded — at this scale r is "
               "noisy, the flat table above\nis the result):\n");
-  for (std::size_t r = 0; r < 5; ++r) {
+  for (const core::Round r : core::kAllRounds) {
+    const std::vector<std::vector<double>>& per_bucket = lat[static_cast<std::size_t>(r)];
     std::vector<double> medians, conc;
     for (std::size_t b = 0; b < buckets; ++b) {
-      if (lat[r][b].size() < 20) continue;  // too thin to trust a median
-      medians.push_back(analysis::median(lat[r][b]));
+      if (per_bucket[b].size() < 20) continue;  // too thin to trust a median
+      medians.push_back(analysis::median(per_bucket[b]));
       conc.push_back(bucket_conc[b]);
     }
     const auto corr = analysis::pearson(medians, conc);
-    std::printf("  %-8s r = %+.3f   (%zu buckets)\n",
-                to_string(static_cast<client::Round>(r)).data(),
+    std::printf("  %-8s r = %+.3f   (%zu buckets)\n", to_string(r).data(),
                 corr.value_or(0.0), medians.size());
   }
   std::printf("\nconcurrency swing over the run: %.0f .. %.0f users\n",

@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -87,46 +86,6 @@ core::ChannelRecord make_global_channel(const net::Deployment& d) {
     rec.policies.push_back(std::move(accept));
   }
   return rec;
-}
-
-/// Log in + switch + announce one honest viewer, driven to completion on
-/// the sim backend (mirrors chaos_demo's provisioning loop).
-void provision_viewer_sim(net::Deployment& d, net::AsyncClient& client) {
-  bool done = false;
-  client.login([&](core::DrmError err) {
-    if (err != core::DrmError::kOk) {
-      done = true;
-      return;
-    }
-    client.switch_channel(kChannel, [&](core::DrmError) { done = true; });
-  });
-  const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-  while (!done && d.sim().now() < deadline && d.sim().step()) {
-  }
-  d.announce(client);
-  client.enable_auto_renewal();
-}
-
-/// Live-transport provisioning: every protocol call must run on the
-/// client's own event loop; the caller only waits on the future.
-std::future<core::DrmError> post_join(net::Deployment& d, net::AsyncClient& c) {
-  auto done = std::make_shared<std::promise<core::DrmError>>();
-  std::future<core::DrmError> fut = done->get_future();
-  net::AsyncClient* cp = &c;
-  net::Deployment* dp = &d;
-  d.network().post(c.config().node, 0, [cp, dp, done] {
-    cp->login([cp, dp, done](core::DrmError err) {
-      if (err != core::DrmError::kOk) {
-        done->set_value(err);
-        return;
-      }
-      cp->switch_channel(kChannel, [cp, dp, done](core::DrmError err2) {
-        if (err2 == core::DrmError::kOk) dp->announce(*cp);
-        done->set_value(err2);
-      });
-    });
-  });
-  return fut;
 }
 
 /// The built-in schedule. Ordering matters: the rogue parents arrive before
@@ -207,16 +166,19 @@ RunResult run_scenario(const adversary::AdversaryPlan& plan, bool live,
     d.add_user(email, "pw");
     viewers.push_back(&d.add_client(email, "pw", region));
   }
+  // Honest viewers log in, join, announce and keep renewing. The whole op
+  // runs on the viewer's own loop under run_op: announce and auto-renewal
+  // touch loop-confined client state on the live transport.
+  const util::SimTime renew_margin =
+      live ? live_scale() * 3 * util::kSecond : 2 * util::kMinute;
   std::size_t provisioned = 0;
-  if (live) {
-    std::vector<std::future<core::DrmError>> joins;
-    for (net::AsyncClient* c : viewers) joins.push_back(post_join(d, *c));
-    for (std::future<core::DrmError>& f : joins) {
-      if (f.get() == core::DrmError::kOk) ++provisioned;
-    }
-  } else {
-    for (net::AsyncClient* c : viewers) provision_viewer_sim(d, *c);
-    provisioned = kViewers;
+  for (net::AsyncClient* c : viewers) {
+    const auto on_joined = [&d, c, renew_margin] {
+      d.announce(*c);
+      c->enable_auto_renewal(renew_margin);
+    };
+    const auto join = net::login_and_switch(*c, kChannel, on_joined);
+    if (d.run_op(*c, join, 5 * util::kMinute) == core::DrmError::kOk) ++provisioned;
   }
 
   // Late honest viewers arrive mid-attack, inside the fuzz window and after

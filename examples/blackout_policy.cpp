@@ -9,42 +9,63 @@
 //   ./blackout_policy
 #include <cstdio>
 
-#include "client/testbed.h"
+#include "net/deployment.h"
 
 using namespace p2pdrm;
 
 namespace {
 
-void try_watch(client::Client& viewer, const char* when) {
-  const core::DrmError err = viewer.switch_channel(1);
-  std::printf("%-22s switch_channel -> %s\n", when, to_string(err).data());
+/// One operation driven to completion; false if it failed or never ended.
+bool run(net::Deployment& d, net::AsyncClient& viewer,
+         std::function<void(net::AsyncClient::Callback)> op, const char* what,
+         const char* when) {
+  const std::optional<core::DrmError> result =
+      d.run_op(viewer, std::move(op), util::kMinute);
+  if (when != nullptr) {
+    std::printf("%-22s %s -> %s\n", when, what,
+                result ? to_string(*result).data() : "no answer");
+  }
+  return result == core::DrmError::kOk;
+}
+
+bool login(net::Deployment& d, net::AsyncClient& viewer, const char* when = nullptr) {
+  return run(d, viewer, [&viewer](auto done) { viewer.login(done); }, "login", when);
+}
+
+/// The viewer tunes in, signing in again first if its User Ticket lapsed.
+void try_watch(net::Deployment& d, net::AsyncClient& viewer, const char* when) {
+  if (viewer.user_ticket()->ticket.expired_at(d.now()) && !login(d, viewer, when)) {
+    return;
+  }
+  run(d, viewer, [&viewer](auto done) { viewer.switch_channel(1, done); },
+      "switch_channel", when);
 }
 
 }  // namespace
 
 int main() {
-  client::TestbedConfig config;
+  net::DeploymentConfig config;
   config.seed = 7;
-  client::Testbed provider(config);
+  net::Deployment provider(config);
   provider.add_user("fan@example.com", "pw");
   const geo::RegionId region = provider.geo().region_at(0);
   provider.add_regional_channel(1, "sports-one", region);
   provider.start_channel_server(1);
 
-  client::Client& fan = provider.add_client("fan@example.com", "pw", region);
-  if (fan.login() != core::DrmError::kOk) return 1;
+  net::AsyncClient& fan = provider.add_client("fan@example.com", "pw", region);
+  if (!login(provider, fan)) return 1;
 
   // 18:30 — normal viewing.
-  provider.clock().set(18 * util::kHour + 30 * util::kMinute);
-  try_watch(fan, "18:30 (before)");
+  provider.run_until(18 * util::kHour + 30 * util::kMinute);
+  try_watch(provider, fan, "18:30 (before)");
 
   // The operator deploys the blackout for 20:00-21:00. Note the lead time:
   // it must go in at least one User Ticket lifetime before 20:00, or
   // already-issued tickets would outlive the policy change (§IV-C).
   const util::SimTime start = 20 * util::kHour;
   const util::SimTime end = 21 * util::kHour;
-  provider.policy_manager().blackout(1, start, end, provider.clock().now());
-  std::printf("19:00 operator deploys blackout for 20:00-21:00\n");
+  provider.policy_manager().blackout(1, start, end, provider.now());
+  std::printf("18:30 operator deploys blackout for 20:00-21:00\n");
   const core::ChannelRecord* record = provider.policy_manager().find_channel(1);
   for (const core::Policy& p : record->policies) {
     std::printf("  policy: %s\n", p.to_string().c_str());
@@ -52,23 +73,22 @@ int main() {
 
   // The client re-logins (ticket renewal); the new User Ticket carries a
   // fresher utime on the Region attribute, prompting a channel-list refetch.
-  provider.clock().set(19 * util::kHour);
-  if (fan.login() != core::DrmError::kOk) return 1;
+  provider.run_until(19 * util::kHour);
+  if (!login(provider, fan)) return 1;
   std::printf("19:00 client refreshed channel list via utime comparison\n");
 
-  provider.clock().set(19 * util::kHour + 55 * util::kMinute);
-  try_watch(fan, "19:55 (pre-window)");
+  provider.run_until(19 * util::kHour + 55 * util::kMinute);
+  try_watch(provider, fan, "19:55 (pre-window)");
 
-  provider.clock().set(20 * util::kHour + 10 * util::kMinute);
-  try_watch(fan, "20:10 (blacked out)");
+  provider.run_until(20 * util::kHour + 10 * util::kMinute);
+  try_watch(provider, fan, "20:10 (blacked out)");
 
-  provider.clock().set(20 * util::kHour + 59 * util::kMinute);
-  try_watch(fan, "20:59 (blacked out)");
+  provider.run_until(20 * util::kHour + 59 * util::kMinute);
+  try_watch(provider, fan, "20:59 (blacked out)");
 
   // After the window (the User Ticket expired meanwhile; renew first).
-  provider.clock().set(21 * util::kHour + 5 * util::kMinute);
-  if (fan.login() != core::DrmError::kOk) return 1;
-  try_watch(fan, "21:05 (after)");
+  provider.run_until(21 * util::kHour + 5 * util::kMinute);
+  try_watch(provider, fan, "21:05 (after)");
 
   std::printf("\nnote: tickets issued before 20:00 remain valid into the "
               "window for up to one\nChannel Ticket lifetime — which is why "

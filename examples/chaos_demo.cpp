@@ -53,11 +53,12 @@
 // Channel Manager clock, and throws a churn storm at the overlay — all
 // deterministic, all survivable with client resilience on.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <future>
+#include <functional>
 #include <sstream>
 #include <thread>
 
@@ -93,17 +94,7 @@ void provision_viewers(net::Deployment& d, geo::RegionId region,
     const std::string email = "viewer-" + std::to_string(i) + "@example.com";
     d.add_user(email, "pw");
     net::AsyncClient& client = d.add_client(email, "pw", region);
-    bool done = false;
-    client.login([&](core::DrmError err) {
-      if (err != core::DrmError::kOk) {
-        done = true;
-        return;
-      }
-      client.switch_channel(kChannel, [&](core::DrmError) { done = true; });
-    });
-    const util::SimTime deadline = d.sim().now() + 5 * util::kMinute;
-    while (!done && d.sim().now() < deadline && d.sim().step()) {
-    }
+    d.run_op(client, net::login_and_switch(client, kChannel), 5 * util::kMinute);
     d.announce(client);
     client.enable_auto_renewal();
   }
@@ -337,43 +328,19 @@ int run_flash_crowd() {
   return ok ? 0 : 1;
 }
 
-/// Step the simulation until `done` flips or `budget` sim-time elapses.
-bool pump_until(net::Deployment& d, const bool& done, util::SimTime budget) {
-  const util::SimTime deadline = d.sim().now() + budget;
-  while (!done && d.sim().now() < deadline && d.sim().step()) {
-  }
-  return done;
-}
-
 /// Log in `client` and switch it onto kChannel; true iff both succeeded.
 bool join_channel(net::Deployment& d, net::AsyncClient& client,
                   util::SimTime budget) {
-  bool done = false;
-  bool ok = false;
-  client.login([&](core::DrmError err) {
-    if (err != core::DrmError::kOk) {
-      done = true;
-      return;
-    }
-    client.switch_channel(kChannel, [&](core::DrmError err2) {
-      ok = err2 == core::DrmError::kOk;
-      done = true;
-    });
-  });
-  pump_until(d, done, budget);
-  return ok;
+  return d.run_op(client, net::login_and_switch(client, kChannel), budget) ==
+         core::DrmError::kOk;
 }
 
 /// One synchronous renewal; true iff it completed with kOk.
 bool renew(net::Deployment& d, net::AsyncClient& client, util::SimTime budget) {
-  bool done = false;
-  bool ok = false;
-  client.renew_channel_ticket([&](core::DrmError err) {
-    ok = err == core::DrmError::kOk;
-    done = true;
-  });
-  pump_until(d, done, budget);
-  return ok;
+  const auto op = [&client](net::AsyncClient::Callback done) {
+    client.renew_channel_ticket(std::move(done));
+  };
+  return d.run_op(client, op, budget) == core::DrmError::kOk;
 }
 
 /// The crash-recovery durability gate (journaled farm state, src/store).
@@ -584,40 +551,33 @@ int run_crash_recovery() {
   return ok ? 0 : 1;
 }
 
-/// Post a full login + switch (+ announce) chain onto `c`'s own event loop
-/// and return a future for its outcome. On the live transport every
-/// protocol call must run loop-confined; the caller only waits.
-std::future<core::DrmError> post_join(net::Deployment& d, net::AsyncClient& c,
-                                      bool announce) {
-  auto done = std::make_shared<std::promise<core::DrmError>>();
-  std::future<core::DrmError> fut = done->get_future();
-  net::AsyncClient* cp = &c;
-  net::Deployment* dp = &d;
-  d.network().post(c.config().node, 0, [cp, dp, announce, done] {
-    cp->login([cp, dp, announce, done](core::DrmError err) {
-      if (err != core::DrmError::kOk) {
-        done->set_value(err);
-        return;
-      }
-      cp->switch_channel(kChannel, [cp, dp, announce, done](core::DrmError err2) {
-        if (err2 == core::DrmError::kOk && announce) dp->announce(*cp);
-        done->set_value(err2);
-      });
+/// Wall-clock bound on one live protocol op: a lost completion fails its
+/// gate instead of hanging the demo.
+constexpr util::SimTime kLiveOpTimeout = 60 * util::kSecond;
+
+/// Run `op` on every viewer at once — one waiting thread per viewer, the op
+/// itself on the viewer's own loop — and count the kOk completions.
+std::size_t run_wave(
+    net::Deployment& d, const std::vector<net::AsyncClient*>& viewers,
+    const std::function<std::function<void(net::AsyncClient::Callback)>(
+        net::AsyncClient&)>& make_op) {
+  std::atomic<std::size_t> ok{0};
+  std::vector<std::thread> waiters;
+  waiters.reserve(viewers.size());
+  for (net::AsyncClient* c : viewers) {
+    waiters.emplace_back([&d, &ok, c, op = make_op(*c)] {
+      if (d.run_op(*c, op, kLiveOpTimeout) == core::DrmError::kOk) ok.fetch_add(1);
     });
-  });
-  return fut;
+  }
+  for (std::thread& t : waiters) t.join();
+  return ok.load();
 }
 
-/// One channel re-switch on `c`'s loop (the storm-driving round).
-std::future<core::DrmError> post_switch(net::Deployment& d, net::AsyncClient& c) {
-  auto done = std::make_shared<std::promise<core::DrmError>>();
-  std::future<core::DrmError> fut = done->get_future();
-  net::AsyncClient* cp = &c;
-  d.network().post(c.config().node, 0, [cp, done] {
-    cp->switch_channel(kChannel,
-                       [done](core::DrmError err) { done->set_value(err); });
-  });
-  return fut;
+/// One channel re-switch (the storm-driving round).
+std::function<void(net::AsyncClient::Callback)> switch_op(net::AsyncClient& c) {
+  return [&c](net::AsyncClient::Callback done) {
+    c.switch_channel(kChannel, std::move(done));
+  };
 }
 
 /// Packet-level chaos against the multithreaded live transport: a latency
@@ -665,14 +625,10 @@ int run_live_chaos() {
     d.add_user(email, "pw");
     viewers.push_back(&d.add_client(email, "pw", region));
   }
-  std::size_t provisioned = 0;
-  {
-    std::vector<std::future<core::DrmError>> joins;
-    for (net::AsyncClient* c : viewers) joins.push_back(post_join(d, *c, true));
-    for (std::future<core::DrmError>& f : joins) {
-      if (f.get() == core::DrmError::kOk) ++provisioned;
-    }
-  }
+  // Announce runs on each viewer's own loop: it touches loop-confined state.
+  const std::size_t provisioned = run_wave(d, viewers, [&d](net::AsyncClient& c) {
+    return net::login_and_switch(c, kChannel, [&d, &c] { d.announce(c); });
+  });
   std::printf("%zu/%zu viewers joined on the live transport\n", provisioned,
               kViewers);
 
@@ -692,24 +648,12 @@ int run_live_chaos() {
   const util::SimTime storm_end = d.now() + 6500 * util::kMillisecond;
   std::uint64_t storm_rounds = 0, storm_failures = 0;
   while (d.now() < storm_end) {
-    std::vector<std::future<core::DrmError>> wave;
-    wave.reserve(viewers.size());
-    for (net::AsyncClient* c : viewers) wave.push_back(post_switch(d, *c));
-    for (std::future<core::DrmError>& f : wave) {
-      ++storm_rounds;
-      if (f.get() != core::DrmError::kOk) ++storm_failures;
-    }
+    storm_rounds += viewers.size();
+    storm_failures += viewers.size() - run_wave(d, viewers, switch_op);
   }
 
   // Calm weather again: one final wave after the rules expired.
-  std::size_t recovered = 0;
-  {
-    std::vector<std::future<core::DrmError>> wave;
-    for (net::AsyncClient* c : viewers) wave.push_back(post_switch(d, *c));
-    for (std::future<core::DrmError>& f : wave) {
-      if (f.get() == core::DrmError::kOk) ++recovered;
-    }
-  }
+  const std::size_t recovered = run_wave(d, viewers, switch_op);
 
   d.transport().shutdown();  // quiesce before reading loop-confined state
 
@@ -767,7 +711,8 @@ int run_crash_test() {
   d.start_channel_server(kChannel);
   d.add_user("crash@example.com", "pw");
   net::AsyncClient& c = d.add_client("crash@example.com", "pw", region);
-  if (post_join(d, c, false).get() != core::DrmError::kOk) {
+  if (d.run_op(c, net::login_and_switch(c, kChannel), kLiveOpTimeout) !=
+      core::DrmError::kOk) {
     std::fprintf(stderr, "crash test: provisioning session failed\n");
     return 1;
   }

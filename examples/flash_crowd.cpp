@@ -8,21 +8,19 @@
 // ever do cheap stateless ticket work, and every viewer ends up decrypting
 // the stream.
 //
+// The managers sit behind bounded worker queues, so the burst is admitted
+// or shed with BUSY. The same code runs on either backend:
+//
 //   ./flash_crowd [viewers]                    (default 120, virtual clock)
-//   ./flash_crowd --transport=thread [viewers] (default 64; the stampede
-//       arrives from real driver threads against an overload-protected
-//       deployment on the multithreaded transport — joins are admitted or
-//       shed with BUSY, and the kickoff packet crosses the overlay live)
+//   ./flash_crowd --transport=thread [viewers] (default 64, real event loops)
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <map>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "client/testbed.h"
 #include "net/deployment.h"
 #include "obs/flight_recorder.h"
 
@@ -31,14 +29,19 @@ using namespace p2pdrm;
 namespace {
 
 constexpr util::ChannelId kChannel = 1;
+/// Every fan arrives within this window of the kick-off.
+constexpr util::SimTime kBurst = 100 * util::kMillisecond;
 
-/// The stampede on the live transport: `viewers` brand-new sessions arrive
-/// from 8 driver threads at once. The farm runs with bounded worker queues
-/// and admission control, so the burst is either absorbed or shed with
-/// BUSY (never silently); BUSY-deferred resends land the stragglers.
-int run_live(std::size_t viewers) {
-  std::printf("flash crowd (threaded transport): %zu viewers stampeding\n",
-              viewers);
+/// The stampede: `viewers` brand-new sessions arrive within kBurst
+/// against an overload-protected farm, so the burst is either absorbed or
+/// shed with BUSY (never silently) and BUSY-deferred resends land the
+/// stragglers. Every accepted viewer becomes a parent candidate, so the
+/// crowd feeds itself peer-to-peer. `kind` picks the backend and nothing
+/// else.
+int run(net::TransportKind kind, std::size_t viewers) {
+  const bool live = kind == net::TransportKind::kThread;
+  std::printf("flash crowd (%s transport): %zu viewers stampeding\n",
+              live ? "threaded" : "simulated", viewers);
 
   // Crash post-mortem opt-in (P2PDRM_FLIGHT_OUT): a clean stampede writes
   // no dump; a crash leaves the per-thread event rings behind.
@@ -49,7 +52,7 @@ int run_live(std::size_t viewers) {
 
   net::DeploymentConfig cfg;
   cfg.seed = 23;
-  cfg.transport = net::TransportKind::kThread;
+  cfg.transport = kind;
   cfg.transport_threads = 4;
   cfg.default_link.latency.floor = 1 * util::kMillisecond;
   cfg.default_link.latency.median = 3 * util::kMillisecond;
@@ -65,15 +68,14 @@ int run_live(std::size_t viewers) {
   cfg.overload.queue_capacity = 64;
   cfg.overload.high_water = 4;
   cfg.overload.busy_retry_after = 100 * util::kMillisecond;
-  cfg.root_peer_capacity = viewers + 8;
   net::Deployment d(cfg);
 
   const geo::RegionId region = d.geo().region_at(0);
   d.add_regional_channel(kChannel, "the-big-game", region);
   d.start_channel_server(kChannel);
 
-  // Accounts and clients exist before the event (control plane, main
-  // thread only); the stampede is purely protocol traffic.
+  // Accounts and clients exist before the event (control plane); the
+  // stampede is purely protocol traffic.
   std::vector<net::AsyncClient*> crowd;
   crowd.reserve(viewers);
   for (std::size_t i = 0; i < viewers; ++i) {
@@ -82,55 +84,50 @@ int run_live(std::size_t viewers) {
     crowd.push_back(&d.add_client(email, "pw", region));
   }
 
+  // Kick-off: the whole stampede is one op for run_op. Each fan's login +
+  // switch runs on that fan's own loop; the last one to finish completes
+  // the op.
   std::atomic<std::size_t> joined{0}, denied{0};
-  const std::size_t drivers = 8;
-  const auto stampede = [&](std::size_t start) {
-    for (std::size_t i = start; i < viewers; i += drivers) {
+  const auto stampede = [&](net::AsyncClient::Callback done) {
+    auto pending = std::make_shared<std::atomic<std::size_t>>(viewers);
+    const auto finish = [&joined, &denied, pending, done](core::DrmError err) {
+      (err == core::DrmError::kOk ? joined : denied).fetch_add(1);
+      if (pending->fetch_sub(1) == 1) done(core::DrmError::kOk);
+    };
+    for (std::size_t i = 0; i < viewers; ++i) {
       net::AsyncClient* c = crowd[i];
-      auto done = std::make_shared<std::promise<core::DrmError>>();
-      std::future<core::DrmError> fut = done->get_future();
-      net::Deployment* dp = &d;
-      d.network().post(c->config().node, 0, [c, dp, done] {
-        c->login([c, dp, done](core::DrmError err) {
-          if (err != core::DrmError::kOk) {
-            done->set_value(err);
-            return;
-          }
-          c->switch_channel(kChannel, [c, dp, done](core::DrmError err2) {
-            if (err2 == core::DrmError::kOk) dp->announce(*c);
-            done->set_value(err2);
-          });
-        });
-      });
-      if (fut.get() == core::DrmError::kOk) {
-        joined.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        denied.fetch_add(1, std::memory_order_relaxed);
-      }
+      const util::SimTime arrival = static_cast<util::SimTime>(i) * kBurst /
+                                    static_cast<util::SimTime>(viewers);
+      const auto join = net::login_and_switch(*c, kChannel, [c, &d] { d.announce(*c); });
+      d.network().post(c->config().node, arrival, [join, finish] { join(finish); });
     }
   };
-  std::vector<std::thread> pool;
-  for (std::size_t t = 0; t < drivers; ++t) pool.emplace_back(stampede, t);
-  for (std::thread& t : pool) t.join();
+  if (!d.run_op(*crowd.front(), stampede, 5 * util::kMinute)) {
+    d.transport().shutdown();  // stragglers must not outlive the counters
+    std::fprintf(stderr, "FAIL: the stampede never completed\n");
+    return 1;
+  }
 
-  // Kickoff: one content packet, produced on the root's own loop (the
-  // channel server's rotation state lives there) and fanned out live.
+  // One content packet, produced on the root's own loop (the channel
+  // server's rotation state lives there) and fanned out through the tree.
   d.network().post(net::Deployment::kChannelRootBase + kChannel, 0,
                    [&d] { d.broadcast(kChannel, util::bytes_of("KICKOFF!")); });
   d.run_for(500 * util::kMillisecond);  // let the packet cross the tree
   d.transport().shutdown();             // quiesce before reading client state
 
-  std::printf("flash crowd: %zu joined, %zu failed out of %zu\n",
-              joined.load(), denied.load(), viewers);
+  std::printf("flash crowd: %zu joined, %zu failed out of %zu\n", joined.load(),
+              denied.load(), viewers);
   std::printf("tracker now lists %zu peers on the channel (utilization %.2f)\n",
               d.tracker().peer_count(kChannel), d.tracker().utilization(kChannel));
 
   std::uint64_t busy_received = 0, busy_resends = 0;
   std::size_t reached = 0;
+  std::map<util::NodeId, const net::AsyncClient*> by_node;
   for (const auto& c : d.clients()) {
     busy_received += c->busy_received();
     busy_resends += c->busy_deferred_resends();
     if (c->content_decrypted() > 0) ++reached;
+    by_node[c->config().node] = c.get();
   }
   const obs::Counter* busy_sent = d.registry().find_counter("server.busy_sent");
   std::printf("overload: server sent %llu BUSY; clients absorbed %llu "
@@ -139,82 +136,19 @@ int run_live(std::size_t viewers) {
                   busy_sent != nullptr ? busy_sent->value() : 0),
               static_cast<unsigned long long>(busy_received),
               static_cast<unsigned long long>(busy_resends));
-  std::printf("content reached %zu/%zu viewers through the live overlay\n",
-              reached, joined.load());
-  std::printf("\nkeys and content flowed peer-to-peer; the managers only "
-              "issued %zu tickets'\nworth of stateless signing work.\n",
-              joined.load() * 2);
+  std::printf("content reached %zu/%zu viewers through the overlay\n", reached,
+              joined.load());
 
-  if (joined.load() == 0 || reached == 0) {
-    std::fprintf(stderr, "FAIL: the stampede never landed\n");
-    return 1;
-  }
-  return 0;
-}
-
-/// The original virtual-clock stampede on the synchronous Testbed.
-int run_sim(std::size_t viewers) {
-  client::TestbedConfig config;
-  config.seed = 23;
-  config.cm.peer_list_size = 12;
-  client::Testbed provider(config);
-  const geo::RegionId region = provider.geo().region_at(0);
-  provider.add_regional_channel(kChannel, "the-big-game", region);
-  provider.start_channel_server(kChannel);
-
-  // Pre-register the audience (accounts exist before the event).
-  std::vector<client::Client*> crowd;
-  for (std::size_t i = 0; i < viewers; ++i) {
-    const std::string email = "fan" + std::to_string(i) + "@example.com";
-    provider.add_user(email, "pw");
-    crowd.push_back(&provider.add_client(email, "pw", region));
-  }
-
-  // Kick-off: everyone logs in and tunes to channel 1 within seconds.
-  std::size_t joined = 0, denied = 0;
-  for (client::Client* fan : crowd) {
-    provider.clock().advance(50 * util::kMillisecond);  // arrivals in a burst
-    if (fan->login() != core::DrmError::kOk) {
-      ++denied;
-      continue;
-    }
-    if (fan->switch_channel(kChannel) == core::DrmError::kOk) {
-      ++joined;
-      provider.announce(*fan);  // becomes a parent candidate immediately
-    } else {
-      ++denied;
-    }
-  }
-  std::printf("flash crowd: %zu joined, %zu failed out of %zu\n", joined, denied,
-              viewers);
-  std::printf("tracker now lists %zu peers on the channel (utilization %.2f)\n",
-              provider.tracker().peer_count(kChannel),
-              provider.tracker().utilization(kChannel));
-
-  // The whole tree really decrypts the stream.
-  const auto received = provider.broadcast(kChannel, util::bytes_of("KICKOFF!"));
-  std::printf("content reached %zu/%zu viewers through the overlay\n",
-              received.size(), joined);
-
-  // Depth distribution of the resulting tree: the crowd absorbed itself —
-  // the Channel Server's own upload budget (64 children) did not grow.
+  // Depth distribution of the resulting tree: hops from the Channel Server,
+  // walking up recorded parents until a non-client (the root) is reached.
   std::map<std::size_t, std::size_t> depth_histogram;
-  for (client::Client* fan : crowd) {
+  for (const auto& [node, fan] : by_node) {
     if (!fan->parent()) continue;
-    // Walk up via recorded parents (each client has a single parent here).
     std::size_t depth = 1;
-    util::NodeId cursor = *fan->parent();
-    while (cursor >= 1000) {  // client nodes start at 1000; roots below
+    auto up = by_node.find(*fan->parent());
+    while (up != by_node.end() && up->second->parent() && depth <= viewers) {
       ++depth;
-      client::Client* up = nullptr;
-      for (client::Client* c : crowd) {
-        if (c->config().node == cursor) {
-          up = c;
-          break;
-        }
-      }
-      if (up == nullptr || !up->parent()) break;
-      cursor = *up->parent();
+      up = by_node.find(*up->second->parent());
     }
     ++depth_histogram[depth];
   }
@@ -224,7 +158,12 @@ int run_sim(std::size_t viewers) {
   }
   std::printf("\nkeys and content flowed peer-to-peer; the managers only "
               "issued %zu tickets'\nworth of stateless signing work.\n",
-              joined * 2);
+              joined.load() * 2);
+
+  if (joined.load() == 0 || reached == 0) {
+    std::fprintf(stderr, "FAIL: the stampede never landed\n");
+    return 1;
+  }
   return 0;
 }
 
@@ -241,11 +180,12 @@ int main(int argc, char** argv) {
       viewers = std::strtoul(arg.c_str(), nullptr, 10);
     }
   }
-  if (transport == "thread") return run_live(viewers != 0 ? viewers : 64);
-  if (transport != "sim") {
+  if (transport != "sim" && transport != "thread") {
     std::fprintf(stderr, "flash_crowd: unknown --transport=%s (want sim|thread)\n",
                  transport.c_str());
     return 1;
   }
-  return run_sim(viewers != 0 ? viewers : 120);
+  const bool live = transport == "thread";
+  return run(live ? net::TransportKind::kThread : net::TransportKind::kSim,
+             viewers != 0 ? viewers : (live ? 64 : 120));
 }

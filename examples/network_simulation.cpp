@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
               "p50 JOIN");
   for (net::AsyncClient* v : viewers) {
     std::vector<double> join_lat;
-    for (const client::LatencySample& s : v->feedback_log()) {
-      if (s.round == client::Round::kJoin && s.success) {
+    for (const core::LatencySample& s : v->feedback_log()) {
+      if (s.round == core::Round::kJoin && s.success) {
         join_lat.push_back(util::to_seconds(s.latency));
       }
     }

@@ -10,13 +10,34 @@
 //   ./roaming_viewer
 #include <cstdio>
 
-#include "client/testbed.h"
+#include "net/deployment.h"
 
 using namespace p2pdrm;
 
 namespace {
 
-void show_lineup(const char* label, client::Client& c) {
+std::optional<core::DrmError> run(net::Deployment& d, net::AsyncClient& c,
+                                  std::function<void(net::AsyncClient::Callback)> op) {
+  return d.run_op(c, std::move(op), util::kMinute);
+}
+
+const char* name(const std::optional<core::DrmError>& result) {
+  return result ? to_string(*result).data() : "no answer";
+}
+
+std::optional<core::DrmError> login(net::Deployment& d, net::AsyncClient& c) {
+  return run(d, c, [&c](auto done) { c.login(done); });
+}
+
+const char* watch(net::Deployment& d, net::AsyncClient& c, util::ChannelId channel) {
+  return name(run(d, c, [&c, channel](auto done) { c.switch_channel(channel, done); }));
+}
+
+const char* renew(net::Deployment& d, net::AsyncClient& c) {
+  return name(run(d, c, [&c](auto done) { c.renew_channel_ticket(done); }));
+}
+
+void show_lineup(const char* label, const net::AsyncClient& c) {
   std::printf("%s sees channels: ", label);
   for (util::ChannelId id : c.viewable_channels()) std::printf("%u ", id);
   std::printf("\n");
@@ -25,10 +46,10 @@ void show_lineup(const char* label, client::Client& c) {
 }  // namespace
 
 int main() {
-  client::TestbedConfig config;
+  net::DeploymentConfig config;
   config.seed = 11;
   config.geo_plan.num_regions = 2;
-  client::Testbed provider(config);
+  net::Deployment provider(config);
 
   const geo::RegionId home = provider.geo().region_at(0);    // "Region 100"
   const geo::RegionId abroad = provider.geo().region_at(1);  // "Region 101"
@@ -43,44 +64,40 @@ int main() {
   for (util::ChannelId id : {1u, 2u, 3u}) provider.start_channel_server(id);
 
   // At home: the home lineup, including the subscribed premium channel.
-  client::Client& at_home = provider.add_client("traveler@example.com", "pw", home);
-  if (at_home.login() != core::DrmError::kOk) return 1;
+  net::AsyncClient& at_home = provider.add_client("traveler@example.com", "pw", home);
+  if (login(provider, at_home) != core::DrmError::kOk) return 1;
   show_lineup("at home   ", at_home);
-  std::printf("premium channel 2 -> %s\n",
-              to_string(at_home.switch_channel(2)).data());
+  std::printf("premium channel 2 -> %s\n", watch(provider, at_home, 2));
 
   // Traveling: same account connects from a region-101 address. The User
   // Manager infers the new region from the connection; the lineup flips.
-  client::Client& abroad_client =
+  net::AsyncClient& abroad_client =
       provider.add_client("traveler@example.com", "pw", abroad);
-  if (abroad_client.login() != core::DrmError::kOk) return 1;
+  if (login(provider, abroad_client) != core::DrmError::kOk) return 1;
   show_lineup("abroad    ", abroad_client);
   std::printf("home channel 1 from abroad -> %s (regional rights)\n",
-              to_string(abroad_client.switch_channel(1)).data());
-  std::printf("abroad channel 3 -> %s\n",
-              to_string(abroad_client.switch_channel(3)).data());
+              watch(provider, abroad_client, 1));
+  std::printf("abroad channel 3 -> %s\n", watch(provider, abroad_client, 3));
 
   // Single-session rule: the abroad machine also tunes to premium channel
   // 2? It cannot (wrong region). But watch what happens when a second
   // machine at home takes over channel 2.
-  client::Client& second_home =
-      provider.add_client("traveler@example.com", "pw", home);
-  if (second_home.login() != core::DrmError::kOk) return 1;
+  net::AsyncClient& second_home = provider.add_client("traveler@example.com", "pw", home);
+  if (login(provider, second_home) != core::DrmError::kOk) return 1;
   std::printf("\nsecond home machine joins channel 2 -> %s\n",
-              to_string(second_home.switch_channel(2)).data());
+              watch(provider, second_home, 2));
 
   // Near ticket expiry both machines try to renew: the log's latest entry
   // points at the second machine, so only it succeeds (§IV-D).
-  provider.clock().advance(8 * util::kMinute);
-  std::printf("first  machine renewal -> %s\n",
-              to_string(at_home.renew_channel_ticket()).data());
-  std::printf("second machine renewal -> %s\n",
-              to_string(second_home.renew_channel_ticket()).data());
+  provider.run_for(8 * util::kMinute);
+  std::printf("first  machine renewal -> %s\n", renew(provider, at_home));
+  std::printf("second machine renewal -> %s\n", renew(provider, second_home));
 
-  // Past expiry, peers sever the unrenewed first machine.
-  provider.clock().advance(3 * util::kMinute);
-  const std::size_t severed = provider.evict_expired();
-  std::printf("peering severed at expiry for %zu client(s)\n", severed);
+  // Past expiry, the Channel Server's root peer severs the unrenewed first
+  // machine at its next eviction sweep; the renewed one stays attached.
+  provider.run_for(3 * util::kMinute);
+  std::printf("channel 2 root still serves %zu of the 2 home machine(s)\n",
+              provider.root_node(2)->peer().child_count());
   std::printf("\nthe account was never able to watch one channel from two "
               "places at once,\nand the user never re-entered credentials "
               "after the initial sign-on.\n");

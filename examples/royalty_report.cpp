@@ -10,14 +10,28 @@
 //   ./royalty_report
 #include <cstdio>
 
-#include "client/testbed.h"
+#include "net/deployment.h"
 
 using namespace p2pdrm;
 
+namespace {
+
+std::optional<core::DrmError> login(net::Deployment& d, net::AsyncClient& c) {
+  return d.run_op(c, [&c](auto done) { c.login(done); }, util::kMinute);
+}
+
+const char* watch(net::Deployment& d, net::AsyncClient& c, util::ChannelId channel) {
+  const std::optional<core::DrmError> result = d.run_op(
+      c, [&c, channel](auto done) { c.switch_channel(channel, done); }, util::kMinute);
+  return result ? to_string(*result).data() : "no answer";
+}
+
+}  // namespace
+
 int main() {
-  client::TestbedConfig config;
+  net::DeploymentConfig config;
   config.seed = 99;
-  client::Testbed provider(config);
+  net::Deployment provider(config);
   const geo::RegionId region = provider.geo().region_at(0);
 
   provider.add_regional_channel(1, "fight-night", region);
@@ -41,37 +55,33 @@ int main() {
   }
   provider.accounts().subscribe("paula@example.com", {"ppv-main-event", start, end});
 
-  client::Client& paula = provider.add_client("paula@example.com", "pw", region);
-  client::Client& fred = provider.add_client("fred@example.com", "pw", region);
-  client::Client& casual = provider.add_client("ad-watcher@example.com", "pw", region);
+  net::AsyncClient& paula = provider.add_client("paula@example.com", "pw", region);
+  net::AsyncClient& fred = provider.add_client("fred@example.com", "pw", region);
+  net::AsyncClient& casual = provider.add_client("ad-watcher@example.com", "pw", region);
+  const auto everyone_tunes_in = [&](const char* label) {
+    for (net::AsyncClient* c : {&paula, &fred, &casual}) {
+      if (login(provider, *c) != core::DrmError::kOk) return false;
+    }
+    const char* p = watch(provider, paula, 1);
+    const char* f = watch(provider, fred, 1);
+    const char* a = watch(provider, casual, 1);
+    std::printf("%s: paula=%s fred=%s casual=%s\n", label, p, f, a);
+    return true;
+  };
 
   // 20:00 — pre-show: everyone can watch channel 1.
-  provider.clock().set(20 * util::kHour);
-  for (client::Client* c : {&paula, &fred, &casual}) {
-    if (c->login() != core::DrmError::kOk) return 1;
-  }
-  std::printf("20:00 pre-show: paula=%s fred=%s casual=%s\n",
-              to_string(paula.switch_channel(1)).data(),
-              to_string(fred.switch_channel(1)).data(),
-              to_string(casual.switch_channel(1)).data());
+  provider.run_until(20 * util::kHour);
+  if (!everyone_tunes_in("20:00 pre-show")) return 1;
 
   // 21:05 — the main event: only the purchaser stays.
-  provider.clock().set(21 * util::kHour + 5 * util::kMinute);
-  for (client::Client* c : {&paula, &fred, &casual}) (void)c->login();
-  std::printf("21:05 main event: paula=%s fred=%s casual=%s\n",
-              to_string(paula.switch_channel(1)).data(),
-              to_string(fred.switch_channel(1)).data(),
-              to_string(casual.switch_channel(1)).data());
-  std::printf("      fred retreats to channel 2: %s\n",
-              to_string(fred.switch_channel(2)).data());
+  provider.run_until(21 * util::kHour + 5 * util::kMinute);
+  if (!everyone_tunes_in("21:05 main event")) return 1;
+  std::printf("      fred retreats to channel 2: %s\n", watch(provider, fred, 2));
 
   // 23:05 — after the program, free viewing resumes.
-  provider.clock().set(23 * util::kHour + 5 * util::kMinute);
-  for (client::Client* c : {&paula, &fred, &casual}) (void)c->login();
-  std::printf("23:05 post-show: paula=%s fred=%s casual=%s\n\n",
-              to_string(paula.switch_channel(1)).data(),
-              to_string(fred.switch_channel(1)).data(),
-              to_string(casual.switch_channel(1)).data());
+  provider.run_until(23 * util::kHour + 5 * util::kMinute);
+  if (!everyone_tunes_in("23:05 post-show")) return 1;
+  std::printf("\n");
 
   // --- operator reports from the viewing-activity log ---
   const services::ViewingLog& log = provider.channel_manager().log();

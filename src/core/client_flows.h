@@ -1,7 +1,7 @@
-// Pure client-side protocol steps, shared by every client implementation
-// (the synchronous library client and the event-driven network client):
-// opening the LOGIN1 payload with the password hash, building the LOGIN2
-// answer (checksum + signature), and answering SWITCH challenges.
+// Pure client-side protocol steps, kept free of transport state so they
+// can be tested alone: opening the LOGIN1 payload with the password hash,
+// building the LOGIN2 answer (checksum + signature), and answering SWITCH
+// challenges.
 #pragma once
 
 #include <optional>

@@ -52,7 +52,7 @@ ResilienceReport ResilienceReport::collect(const net::Deployment& deployment) {
         }
       }
     }
-    for (const client::LatencySample& sample : client->feedback_log()) {
+    for (const core::LatencySample& sample : client->feedback_log()) {
       RoundStats& stats = report.round(sample.round);
       ++stats.attempts;
       if (sample.success) ++stats.successes;
@@ -80,21 +80,17 @@ ResilienceReport ResilienceReport::collect(const net::Deployment& deployment) {
 }
 
 std::string ResilienceReport::to_string() const {
-  static constexpr client::Round kRounds[] = {
-      client::Round::kLogin1, client::Round::kLogin2, client::Round::kSwitch1,
-      client::Round::kSwitch2, client::Round::kJoin};
-
   std::ostringstream out;
   out << "=== resilience report ===\n";
   out << "clients: total=" << clients_total << " departed=" << clients_departed
       << " logged-in=" << clients_logged_in << " joined=" << clients_joined
       << " current=" << clients_current << "\n";
   out << "rounds:\n";
-  for (const client::Round r : kRounds) {
+  for (const core::Round r : core::kAllRounds) {
     const RoundStats& stats = round(r);
     char line[128];
     std::snprintf(line, sizeof(line), "  %-8s attempts=%-6llu ok=%-6llu availability=",
-                  std::string(client::to_string(r)).c_str(),
+                  std::string(core::to_string(r)).c_str(),
                   static_cast<unsigned long long>(stats.attempts),
                   static_cast<unsigned long long>(stats.successes));
     out << line << pct(stats.availability()) << "\n";

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "client/client.h"
+#include "core/round.h"
 #include "net/deployment.h"
 #include "services/metrics.h"
 
@@ -29,8 +29,8 @@ struct RoundStats {
 };
 
 struct ResilienceReport {
-  /// Indexed by client::Round (kLogin1..kJoin).
-  std::array<RoundStats, 5> rounds{};
+  /// Indexed by core::Round (kLogin1..kJoin).
+  std::array<RoundStats, core::kNumRounds> rounds{};
 
   std::size_t clients_total = 0;
   std::size_t clients_departed = 0;
@@ -57,8 +57,8 @@ struct ResilienceReport {
   /// vs epochs delivered, plus the worst peer key staleness observed.
   services::OpsCounters key_ops;
 
-  RoundStats& round(client::Round r) { return rounds[static_cast<std::size_t>(r)]; }
-  const RoundStats& round(client::Round r) const {
+  RoundStats& round(core::Round r) { return rounds[static_cast<std::size_t>(r)]; }
+  const RoundStats& round(core::Round r) const {
     return rounds[static_cast<std::size_t>(r)];
   }
 

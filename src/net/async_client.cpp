@@ -6,8 +6,9 @@
 
 namespace p2pdrm::net {
 
-using client::Round;
 using core::DrmError;
+using core::Round;
+using core::is_permanent_failure;
 
 AsyncClient::AsyncClient(Config config, Network& network, crypto::SecureRandom rng)
     : config_(std::move(config)), network_(network), rng_(std::move(rng)),
@@ -154,10 +155,9 @@ void AsyncClient::bind_observability(obs::Registry* registry,
   tracer_ = tracer;
   slo_ = slo;
   if (registry_ != nullptr) {
-    for (const Round r : {Round::kLogin1, Round::kLogin2, Round::kSwitch1,
-                          Round::kSwitch2, Round::kJoin}) {
+    for (const Round r : core::kAllRounds) {
       round_hist_[static_cast<std::size_t>(r)] = &registry_->histogram(
-          "client.round." + std::string(client::to_string(r)));
+          "client.round." + std::string(to_string(r)));
     }
     keys_delivered_ = &registry_->counter("keys.epochs_delivered");
     key_margin_hist_ = &registry_->histogram("keys.delivery_margin_us");
@@ -177,7 +177,7 @@ void AsyncClient::record(Round round, util::SimTime started, bool success) {
     round_hist_[static_cast<std::size_t>(round)]->record(latency);
   }
   if (success && slo_ != nullptr) {
-    slo_->observe(client::to_string(round), network_.now(), latency);
+    slo_->observe(to_string(round), network_.now(), latency);
   }
 }
 
@@ -244,7 +244,7 @@ void AsyncClient::send_request(util::NodeId to, MsgKind kind, util::Bytes payloa
     // One span for the whole request, one child per transmission attempt;
     // the binding lets the network's trace interceptor and the serving node
     // parent their spans under the in-flight attempt.
-    pending.span = tracer_->begin_span("client", std::string(client::to_string(round)),
+    pending.span = tracer_->begin_span("client", std::string(to_string(round)),
                                        config_.node, pending.started);
     tracer_->tag(pending.span, "kind", std::string(to_string(kind)));
     tracer_->tag(pending.span, "to", std::to_string(to));
@@ -423,10 +423,6 @@ void AsyncClient::handle_busy(const Envelope& env) {
 // ---------------------------------------------------------------------------
 // Resilience: operation-level failover and session recovery
 
-bool AsyncClient::permanent_failure(core::DrmError err) {
-  return client::is_permanent_failure(err);
-}
-
 util::SimTime AsyncClient::recovery_backoff(int attempt) {
   double delay = static_cast<double>(config_.recovery_delay);
   for (int i = 0; i < attempt; ++i) delay *= 2.0;
@@ -445,7 +441,7 @@ void AsyncClient::run_resilient(std::function<void(Callback)> op, int attempt,
   auto self_op = op;  // keep a copy for the retry closure
   op([this, op = std::move(self_op), attempt, done](DrmError err) {
     if (err == DrmError::kOk || departed_ || !config_.resilience ||
-        permanent_failure(err) || attempt + 1 >= config_.max_recovery_attempts) {
+        is_permanent_failure(err) || attempt + 1 >= config_.max_recovery_attempts) {
       done(err);
       return;
     }
@@ -490,7 +486,7 @@ void AsyncClient::recover_session_attempt(util::SimTime started, int attempt,
   const util::ChannelId channel = current_channel_;
   do_login([this, started, attempt, channel, done](DrmError err) {
     const auto retry = [this, started, attempt, done](DrmError failure) {
-      if (permanent_failure(failure)) {
+      if (is_permanent_failure(failure)) {
         session_recovery_active_ = false;
         done(failure);
         return;
@@ -566,7 +562,7 @@ void AsyncClient::renew_channel_ticket(Callback done) {
     return;
   }
   do_renew_channel_ticket([this, done](DrmError err) {
-    if (err == DrmError::kOk || departed_ || permanent_failure(err)) {
+    if (err == DrmError::kOk || departed_ || is_permanent_failure(err)) {
       done(err);
       return;
     }
@@ -748,6 +744,18 @@ void AsyncClient::maybe_fetch_channel_list(std::vector<std::string> stale,
 
 // ---------------------------------------------------------------------------
 // Channel switching + join
+
+std::vector<util::ChannelId> AsyncClient::viewable_channels() const {
+  std::vector<util::ChannelId> out;
+  if (!user_ticket_) return out;
+  const util::SimTime now = network_.now();
+  for (const core::ChannelRecord& c : channels_) {
+    if (core::channel_accessible(c, user_ticket_->ticket.attributes, now)) {
+      out.push_back(c.id);
+    }
+  }
+  return out;
+}
 
 std::uint32_t AsyncClient::partition_of(util::ChannelId channel) const {
   for (const core::ChannelRecord& c : channels_) {
@@ -951,7 +959,7 @@ void AsyncClient::join_striped(std::shared_ptr<StripedJoin> state, Callback done
     return;
   }
   if (state->candidate >= state->peers.size()) {
-    record(client::Round::kJoin, state->started, false);
+    record(Round::kJoin, state->started, false);
     done(DrmError::kNoCapacity);
     return;
   }
@@ -972,7 +980,7 @@ void AsyncClient::join_striped(std::shared_ptr<StripedJoin> state, Callback done
       peer_node_->peer().make_join_request(*channel_ticket_, mask);
   send_request(
       target.node, MsgKind::kJoinRequest, req.encode(), MsgKind::kJoinResponse,
-      client::Round::kJoin,
+      Round::kJoin,
       [this, state, target, mask, done](const Envelope& env) mutable {
         core::JoinResponse resp;
         bool accepted = false;

@@ -1,12 +1,13 @@
 // Event-driven client for the simulated network deployment.
 //
-// Runs the same protocol sequence as client::Client (redirect → LOGIN1/2 →
-// channel list → SWITCH1/2 → JOIN → renewals) but asynchronously over the
-// lossy datagram network: every request carries a request id, is timed out
-// and retransmitted up to a retry budget, and completions are delivered via
-// callbacks inside the discrete-event simulation. Peer-side duties (serving
-// joins, relaying keys, forwarding content) are delegated to an embedded
-// PeerNode, so a fleet of AsyncClients forms a real working overlay.
+// Runs the viewer's protocol sequence (redirect → LOGIN1/2 → channel list →
+// SWITCH1/2 → JOIN → renewals) asynchronously over the lossy datagram
+// network: every request carries a request id, is timed out and
+// retransmitted up to a retry budget, and completions are delivered via
+// callbacks on the client's transport loop (Deployment::run_op blocks on
+// one). Peer-side duties (serving joins, relaying keys, forwarding content)
+// are delegated to an embedded PeerNode, so a fleet of AsyncClients forms a
+// real working overlay.
 #pragma once
 
 #include <atomic>
@@ -14,7 +15,7 @@
 #include <map>
 #include <memory>
 
-#include "client/client.h"  // Round / LatencySample vocabulary
+#include "core/round.h"
 #include "net/service_nodes.h"
 #include "obs/registry.h"
 #include "obs/slo.h"
@@ -160,8 +161,15 @@ class AsyncClient final : public Node {
   const std::optional<core::SignedChannelTicket>& channel_ticket() const {
     return channel_ticket_;
   }
-  const std::vector<client::LatencySample>& feedback_log() const { return feedback_; }
+  const std::vector<core::LatencySample>& feedback_log() const { return feedback_; }
+  /// The Channel List cached from the last full or partial fetch (§IV-B).
+  const std::vector<core::ChannelRecord>& cached_channels() const { return channels_; }
+  /// Channels the cached list's policies admit under the current User
+  /// Ticket's attributes right now (empty before login).
+  std::vector<util::ChannelId> viewable_channels() const;
   const Config& config() const { return config_; }
+  /// The key the User Ticket certifies (§IV-B).
+  const crypto::RsaPublicKey& public_key() const { return keys_.pub; }
   std::optional<util::NodeId> parent() const { return parent_; }
 
   /// The overlay half (null until the first successful switch).
@@ -199,7 +207,7 @@ class AsyncClient final : public Node {
     int retries_left = 0;
     int busy_defers = 0;        // BUSY responses absorbed so far
     std::uint64_t attempt = 0;  // invalidates stale timeout events
-    client::Round round;
+    core::Round round;
     util::SimTime started = 0;
     std::function<void(const Envelope&)> on_response;
     Callback on_fail;
@@ -212,7 +220,7 @@ class AsyncClient final : public Node {
                            const char* outcome);
 
   void send_request(util::NodeId to, MsgKind kind, util::Bytes payload,
-                    MsgKind expect, client::Round round,
+                    MsgKind expect, core::Round round,
                     std::function<void(const Envelope&)> on_response,
                     Callback on_fail);
   void arm_timeout(std::uint64_t request_id);
@@ -221,11 +229,11 @@ class AsyncClient final : public Node {
   /// defers / the round's retry budget is dry.
   void handle_busy(const Envelope& env);
   /// Spend one retry token for `round`; false = budget dry.
-  bool spend_retry_token(client::Round round);
+  bool spend_retry_token(core::Round round);
   CircuitBreaker& breaker_for(util::NodeId node);
   void fail_pending(std::uint64_t request_id, Pending pending,
                     const char* outcome, core::DrmError err);
-  void record(client::Round round, util::SimTime started, bool success);
+  void record(core::Round round, util::SimTime started, bool success);
   /// Overlay fan-out delivered a rotated key epoch to our embedded peer.
   void on_key_installed(const core::ContentKey& key);
 
@@ -255,7 +263,6 @@ class AsyncClient final : public Node {
   void arm_starvation_watchdog();
 
   // resilience machinery
-  static bool permanent_failure(core::DrmError err);
   util::SimTime recovery_backoff(int attempt);
   /// Run `op`; on a recoverable failure, fail over (drop cached redirect +
   /// channel list so the next attempt re-resolves both) and retry after a
@@ -281,7 +288,7 @@ class AsyncClient final : public Node {
   obs::Registry* registry_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::SloMonitor* slo_ = nullptr;
-  obs::LatencyHistogram* round_hist_[5] = {};  // indexed by client::Round
+  obs::LatencyHistogram* round_hist_[core::kNumRounds] = {};
   obs::Counter* keys_delivered_ = nullptr;
   obs::LatencyHistogram* key_margin_hist_ = nullptr;
   obs::Gauge* key_staleness_gauge_ = nullptr;
@@ -290,8 +297,8 @@ class AsyncClient final : public Node {
   std::map<std::uint64_t, Pending> pending_;
   std::uint64_t next_request_id_ = 1;
 
-  /// One retry budget per protocol round (indexed by client::Round).
-  TokenBucket retry_budgets_[5];
+  /// One retry budget per protocol round.
+  TokenBucket retry_budgets_[core::kNumRounds];
   /// One breaker per destination we have sent to (created on first send).
   std::map<util::NodeId, CircuitBreaker> breakers_;
 
@@ -306,7 +313,7 @@ class AsyncClient final : public Node {
   std::unique_ptr<p2p::SubstreamRouter> router_;
   std::unique_ptr<p2p::SubstreamBuffer> reassembly_;
   std::uint64_t content_in_order_ = 0;
-  std::vector<client::LatencySample> feedback_;
+  std::vector<core::LatencySample> feedback_;
   std::uint64_t content_decrypted_ = 0;
   std::uint64_t content_undecryptable_ = 0;
 

@@ -1,7 +1,9 @@
 #include "net/deployment.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
 
 #include "services/durable_ops.h"
@@ -150,6 +152,48 @@ sim::Simulation& Deployment::sim() {
     std::abort();
   }
   return sim_;
+}
+
+std::function<void(AsyncClient::Callback)> login_and_switch(
+    AsyncClient& client, util::ChannelId channel, std::function<void()> on_joined) {
+  return [&client, channel, on_joined](AsyncClient::Callback done) {
+    client.login([&client, channel, on_joined, done](core::DrmError err) {
+      if (err != core::DrmError::kOk) {
+        done(err);
+        return;
+      }
+      client.switch_channel(channel, [on_joined, done](core::DrmError err2) {
+        if (err2 == core::DrmError::kOk && on_joined) on_joined();
+        done(err2);
+      });
+    });
+  };
+}
+
+std::optional<core::DrmError> Deployment::run_op(
+    AsyncClient& client, std::function<void(AsyncClient::Callback)> op,
+    util::SimTime timeout) {
+  // Both branches share the result slot with the callback: one that fires
+  // after the deadline must write into live memory, not a dead stack frame.
+  if (config_.transport == TransportKind::kSim) {
+    auto result = std::make_shared<std::optional<core::DrmError>>();
+    op([result](core::DrmError err) { *result = err; });
+    // Rotation timers keep the queue non-empty forever, so stepping is
+    // bounded by the virtual deadline rather than by an empty queue.
+    const util::SimTime deadline = sim_.now() + timeout;
+    while (!*result && sim_.now() < deadline && sim_.step()) {
+    }
+    return *result;
+  }
+  auto done = std::make_shared<std::promise<core::DrmError>>();
+  std::future<core::DrmError> fut = done->get_future();
+  network_->post(client.config().node, 0, [op = std::move(op), done] {
+    op([done](core::DrmError err) { done->set_value(err); });
+  });
+  if (fut.wait_for(std::chrono::microseconds(timeout)) != std::future_status::ready) {
+    return std::nullopt;
+  }
+  return fut.get();
 }
 
 void Deployment::init_durable_state() {
@@ -374,6 +418,10 @@ void Deployment::readvertise_partition(std::uint32_t partition) {
   cpm_->set_partition_info(info);
 }
 
+services::UserManager& Deployment::user_manager(std::size_t instance) {
+  return *um_instances_.at(instance).um;
+}
+
 services::ChannelManager& Deployment::channel_manager(std::uint32_t partition) {
   if (partition >= cm_instances_.size()) throw std::out_of_range("Deployment: partition");
   return *cm_instances_[partition][0].cm;
@@ -398,6 +446,15 @@ void Deployment::add_subscription_channel(util::ChannelId id, const std::string&
   cpm_->add_channel(
       services::make_subscription_channel(id, name, region, package, partition),
       now());
+}
+
+std::string Deployment::load_catalog(std::string_view text) {
+  services::CatalogParseResult parsed = services::parse_catalog(text);
+  if (!parsed.ok()) return parsed.error;
+  for (core::ChannelRecord& channel : parsed.channels) {
+    cpm_->add_channel(std::move(channel), now());
+  }
+  return {};
 }
 
 void Deployment::start_channel_server(util::ChannelId id,

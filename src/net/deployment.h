@@ -1,7 +1,8 @@
 // Full networked deployment over a swappable transport: every manager is a
 // network node, every client is an AsyncClient, all protocol bytes cross
-// the lossy wire with latency. The message-passing sibling of
-// client::Testbed.
+// the lossy wire with latency. This is the one harness behind the tests,
+// examples and benches: run_op() turns any client operation into a blocking
+// call on either backend.
 //
 // The default backend is the discrete-event simulator (deterministic,
 // virtual time). With DeploymentConfig::transport = TransportKind::kThread
@@ -12,8 +13,10 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,6 +124,13 @@ struct DeploymentConfig {
   std::size_t root_peer_capacity = 64;
 };
 
+/// The viewer's start-up sequence as one op for Deployment::run_op: log in,
+/// then switch to `channel`. `on_joined`, when set, runs on the client's own
+/// loop right after a successful switch and before the op completes (e.g.
+/// to announce the new peer, which touches loop-confined client state).
+std::function<void(AsyncClient::Callback)> login_and_switch(
+    AsyncClient& client, util::ChannelId channel, std::function<void()> on_joined = {});
+
 class Deployment {
  public:
   explicit Deployment(DeploymentConfig config = {});
@@ -139,6 +149,10 @@ class Deployment {
   void add_subscription_channel(util::ChannelId id, const std::string& name,
                                 geo::RegionId region, const std::string& package,
                                 std::uint32_t partition = 0);
+
+  /// Deploy a whole lineup from catalog-config text (services::parse_catalog
+  /// format). Returns the parse error, empty on success.
+  std::string load_catalog(std::string_view text);
 
   /// Start the channel's ingest: a ChannelServer plus a root PeerNode on
   /// the network. Key rotations self-schedule in the simulation and push
@@ -255,11 +269,21 @@ class Deployment {
   /// sleeps until the monotonic clock passes t on the thread backend.
   void run_until(util::SimTime t) { transport_->run_until(t); }
   void run_for(util::SimTime dt) { transport_->run_until(now() + dt); }
+  /// Run one client operation to completion and return its result; nullopt
+  /// when the callback did not fire within `timeout`. On kSim `op` runs
+  /// inline and the simulation steps until the callback fires or the
+  /// virtual deadline passes (other events keep running meanwhile). On
+  /// kThread `op` is posted onto the client's own loop and the caller —
+  /// never that loop itself — waits up to `timeout` of wall-clock time.
+  std::optional<core::DrmError> run_op(AsyncClient& client,
+                                       std::function<void(AsyncClient::Callback)> op,
+                                       util::SimTime timeout);
 
   // --- component access ---
 
   services::AccountManager& accounts() { return *accounts_; }
   services::ChannelPolicyManager& policy_manager() { return *cpm_; }
+  services::UserManager& user_manager(std::size_t instance = 0);
   services::ChannelManager& channel_manager(std::uint32_t partition = 0);
   p2p::Tracker& tracker() { return *tracker_; }
   const geo::SyntheticGeo& geo() const { return *geo_; }

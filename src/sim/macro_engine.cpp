@@ -265,7 +265,7 @@ void MacroEngine::coordinate(util::SimTime t0, util::SimTime t1, double load) {
       util::SimTime when;
       std::uint32_t shard;
       std::uint32_t idx;
-      ProtocolRound round;
+      core::Round round;
       util::SimTime latency;
     };
     std::vector<Tagged> samples;
@@ -402,7 +402,7 @@ MacroSimResult MacroEngine::merge_results() {
   // one shard the merge degenerates to an exact copy.
   std::vector<const analysis::Reservoir*> parts(shards_.size());
   const std::size_t hours = static_cast<std::size_t>(cfg_.days) * 24;
-  for (std::size_t r = 0; r < kNumRounds; ++r) {
+  for (std::size_t r = 0; r < core::kNumRounds; ++r) {
     RoundTrace& trace = result.rounds[r];
     trace.hourly.reserve(hours);
     const std::uint64_t stream = static_cast<std::uint64_t>(r) << 20;

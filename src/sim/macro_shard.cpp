@@ -46,10 +46,10 @@ MacroShard::MacroShard(const MacroSimConfig& cfg,
   if (rate > 0) arrivals_.emplace(cfg_.profile, rate);
 
   const std::size_t hours = static_cast<std::size_t>(cfg_.days) * 24;
-  for (std::size_t r = 0; r < kNumRounds; ++r) {
+  for (std::size_t r = 0; r < core::kNumRounds; ++r) {
     RoundTrace& trace = rounds_[r];
     trace.hourly.reserve(hours);
-    const std::uint64_t stream = (index_ * kNumRounds + r) << 20;
+    const std::uint64_t stream = (index_ * core::kNumRounds + r) << 20;
     for (std::size_t h = 0; h < hours; ++h) {
       trace.hourly.emplace_back(
           cfg_.reservoir_per_hour,
@@ -64,7 +64,7 @@ MacroShard::MacroShard(const MacroSimConfig& cfg,
         cfg_.reservoir_cdf,
         util::split_seed(cfg_.seed, util::lane::kReservoir + stream + 0xFFFFE));
 
-    const ProtocolRound round = static_cast<ProtocolRound>(r);
+    const core::Round round = static_cast<core::Round>(r);
     hist_hourly_[r].reserve(hours);
     for (std::size_t h = 0; h < hours; ++h) {
       hist_hourly_[r].push_back(
@@ -168,33 +168,33 @@ util::SimTime MacroShard::lognormal_around(util::SimTime median, double sigma) {
   return std::max<util::SimTime>(1, static_cast<util::SimTime>(draw));
 }
 
-util::SimTime MacroShard::service_time(ProtocolRound r, double scale) {
+util::SimTime MacroShard::service_time(core::Round r, double scale) {
   const ServiceCosts& c = cfg_.costs;
   util::SimTime base = 0;
   switch (r) {
-    case ProtocolRound::kLogin1: base = c.login1; break;
-    case ProtocolRound::kLogin2: base = c.login2; break;
-    case ProtocolRound::kSwitch1: base = c.switch1; break;
-    case ProtocolRound::kSwitch2: base = c.switch2; break;
-    case ProtocolRound::kJoin: base = c.join; break;
+    case core::Round::kLogin1: base = c.login1; break;
+    case core::Round::kLogin2: base = c.login2; break;
+    case core::Round::kSwitch1: base = c.switch1; break;
+    case core::Round::kSwitch2: base = c.switch2; break;
+    case core::Round::kJoin: base = c.join; break;
   }
   return scaled(lognormal_around(base, c.dispersion), scale);
 }
 
-util::SimTime MacroShard::client_time(ProtocolRound r) {
+util::SimTime MacroShard::client_time(core::Round r) {
   const ClientCosts& c = cfg_.client_costs;
   util::SimTime base = 0;
   switch (r) {
-    case ProtocolRound::kLogin1: base = c.login1; break;
-    case ProtocolRound::kLogin2: base = c.login2; break;
-    case ProtocolRound::kSwitch1: base = c.switch1; break;
-    case ProtocolRound::kSwitch2: base = c.switch2; break;
-    case ProtocolRound::kJoin: base = c.join; break;
+    case core::Round::kLogin1: base = c.login1; break;
+    case core::Round::kLogin2: base = c.login2; break;
+    case core::Round::kSwitch1: base = c.switch1; break;
+    case core::Round::kSwitch2: base = c.switch2; break;
+    case core::Round::kJoin: base = c.join; break;
   }
   return lognormal_around(base, c.dispersion);
 }
 
-void MacroShard::record(std::uint32_t s, ProtocolRound r,
+void MacroShard::record(std::uint32_t s, core::Round r,
                         util::SimTime latency) {
   const std::size_t ri = static_cast<std::size_t>(r);
   RoundTrace& trace = rounds_[ri];
@@ -217,7 +217,7 @@ void MacroShard::record(std::uint32_t s, ProtocolRound r,
   }
 }
 
-void MacroShard::start_round(std::uint32_t s, ProtocolRound r,
+void MacroShard::start_round(std::uint32_t s, core::Round r,
                              Phase arrive_phase, const LatencyModel& net) {
   Session& session = pool_[s];
   session.round_start = now_;
@@ -236,7 +236,7 @@ void MacroShard::start_round(std::uint32_t s, ProtocolRound r,
   schedule(arrive, s, arrive_phase);
 }
 
-void MacroShard::serve_and_respond(std::uint32_t s, ProtocolRound r,
+void MacroShard::serve_and_respond(std::uint32_t s, core::Round r,
                                    QueueStation& station, double scale,
                                    Phase resp_phase) {
   Session& session = pool_[s];
@@ -303,35 +303,35 @@ void MacroShard::dispatch(const Event& ev) {
     case Phase::kCrowdArrival: on_arrival(false, ev.session); return;
     case Phase::kLogin1Arrive:
       if (shed_login(ev.session, Phase::kLogin1Arrive)) return;
-      serve_and_respond(ev.session, ProtocolRound::kLogin1, um_, um_scale_,
+      serve_and_respond(ev.session, core::Round::kLogin1, um_, um_scale_,
                         Phase::kLogin1Resp);
       return;
     case Phase::kLogin1Resp: {
-      record(ev.session, ProtocolRound::kLogin1,
+      record(ev.session, core::Round::kLogin1,
              now_ - pool_[ev.session].round_start);
-      start_round(ev.session, ProtocolRound::kLogin2, Phase::kLogin2Arrive,
+      start_round(ev.session, core::Round::kLogin2, Phase::kLogin2Arrive,
                   cfg_.manager_net);
       return;
     }
     case Phase::kLogin2Arrive:
       if (shed_login(ev.session, Phase::kLogin2Arrive)) return;
-      serve_and_respond(ev.session, ProtocolRound::kLogin2, um_, um_scale_,
+      serve_and_respond(ev.session, core::Round::kLogin2, um_, um_scale_,
                         Phase::kLogin2Resp);
       return;
     case Phase::kLogin2Resp: on_login_complete(ev.session); return;
     case Phase::kSwitch1Arrive:
-      serve_and_respond(ev.session, ProtocolRound::kSwitch1, cm_, cm_scale_,
+      serve_and_respond(ev.session, core::Round::kSwitch1, cm_, cm_scale_,
                         Phase::kSwitch1Resp);
       return;
     case Phase::kSwitch1Resp: {
-      record(ev.session, ProtocolRound::kSwitch1,
+      record(ev.session, core::Round::kSwitch1,
              now_ - pool_[ev.session].round_start);
-      start_round(ev.session, ProtocolRound::kSwitch2, Phase::kSwitch2Arrive,
+      start_round(ev.session, core::Round::kSwitch2, Phase::kSwitch2Arrive,
                   cfg_.manager_net);
       return;
     }
     case Phase::kSwitch2Arrive:
-      serve_and_respond(ev.session, ProtocolRound::kSwitch2, cm_, cm_scale_,
+      serve_and_respond(ev.session, core::Round::kSwitch2, cm_, cm_scale_,
                         Phase::kSwitch2Resp);
       return;
     case Phase::kSwitch2Resp: on_switch_complete(ev.session); return;
@@ -362,13 +362,13 @@ void MacroShard::on_arrival(bool background, std::uint32_t channel) {
   session.end_time = now_ + cfg_.session.sample_duration(rng_);
   ++totals_.sessions;
   change_concurrency(+1);
-  start_round(s, ProtocolRound::kLogin1, Phase::kLogin1Arrive,
+  start_round(s, core::Round::kLogin1, Phase::kLogin1Arrive,
               cfg_.manager_net);
 }
 
 void MacroShard::on_login_complete(std::uint32_t s) {
   Session& session = pool_[s];
-  record(s, ProtocolRound::kLogin2, now_ - session.round_start);
+  record(s, core::Round::kLogin2, now_ - session.round_start);
   session.ut_expiry = now_ + cfg_.user_ticket_lifetime;
   if (session.relogging_in) {
     session.relogging_in = false;
@@ -378,13 +378,13 @@ void MacroShard::on_login_complete(std::uint32_t s) {
   }
   // Fresh login: tune to the first channel.
   session.renewing_ct = false;
-  start_round(s, ProtocolRound::kSwitch1, Phase::kSwitch1Arrive,
+  start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive,
               cfg_.manager_net);
 }
 
 void MacroShard::on_switch_complete(std::uint32_t s) {
   Session& session = pool_[s];
-  record(s, ProtocolRound::kSwitch2, now_ - session.round_start);
+  record(s, core::Round::kSwitch2, now_ - session.round_start);
   session.ct_expiry =
       std::min(now_ + cfg_.channel_ticket_lifetime, session.ut_expiry);
   if (session.renewing_ct) {
@@ -394,7 +394,7 @@ void MacroShard::on_switch_complete(std::uint32_t s) {
     return;
   }
   session.join_attempts = 0;
-  start_round(s, ProtocolRound::kJoin, Phase::kJoinArrive, cfg_.peer_net);
+  start_round(s, core::Round::kJoin, Phase::kJoinArrive, cfg_.peer_net);
 }
 
 void MacroShard::on_join_arrive(std::uint32_t s) {
@@ -427,7 +427,7 @@ void MacroShard::on_join_arrive(std::uint32_t s) {
   // Accepted: peer-side processing (ticket verify + RSA-encrypt session
   // key), then the response travels back. Peers are individuals, not a
   // farm slice — no service scaling.
-  const util::SimTime svc = service_time(ProtocolRound::kJoin, 1.0);
+  const util::SimTime svc = service_time(core::Round::kJoin, 1.0);
   if (session.round_span != 0) {
     // Pseudo-actor 4 = the accepting peer.
     const obs::SpanId serve =
@@ -442,7 +442,7 @@ void MacroShard::on_join_arrive(std::uint32_t s) {
 
 void MacroShard::on_join_complete(std::uint32_t s) {
   Session& session = pool_[s];
-  record(s, ProtocolRound::kJoin, now_ - session.round_start);
+  record(s, core::Round::kJoin, now_ - session.round_start);
   if (!session.joined_once) {
     session.joined_once = true;
   } else {
@@ -479,7 +479,7 @@ void MacroShard::on_action(std::uint32_t s) {
 
   if (now_ >= ut_renew) {
     session.relogging_in = true;
-    start_round(s, ProtocolRound::kLogin1, Phase::kLogin1Arrive,
+    start_round(s, core::Round::kLogin1, Phase::kLogin1Arrive,
                 cfg_.manager_net);
     return;
   }
@@ -488,13 +488,13 @@ void MacroShard::on_action(std::uint32_t s) {
     // (the conditional Zipf draw), then a fresh SWITCH + JOIN.
     session.channel = static_cast<std::uint32_t>(part_.sample(index_, rng_));
     session.renewing_ct = false;
-    start_round(s, ProtocolRound::kSwitch1, Phase::kSwitch1Arrive,
+    start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive,
                 cfg_.manager_net);
     return;
   }
   if (now_ >= ct_renew) {
     session.renewing_ct = true;
-    start_round(s, ProtocolRound::kSwitch1, Phase::kSwitch1Arrive,
+    start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive,
                 cfg_.manager_net);
     return;
   }

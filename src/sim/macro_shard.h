@@ -64,7 +64,7 @@ class MacroShard {
 
   struct SloSample {
     util::SimTime when;
-    ProtocolRound round;
+    core::Round round;
     util::SimTime latency;
   };
   /// Observations buffered since the last drain (coordinator clears).
@@ -148,13 +148,13 @@ class MacroShard {
   void change_concurrency(int delta);
 
   util::SimTime lognormal_around(util::SimTime median, double sigma);
-  util::SimTime service_time(ProtocolRound r, double scale);
-  util::SimTime client_time(ProtocolRound r);
-  void record(std::uint32_t s, ProtocolRound r, util::SimTime latency);
+  util::SimTime service_time(core::Round r, double scale);
+  util::SimTime client_time(core::Round r);
+  void record(std::uint32_t s, core::Round r, util::SimTime latency);
 
-  void start_round(std::uint32_t s, ProtocolRound r, Phase arrive_phase,
+  void start_round(std::uint32_t s, core::Round r, Phase arrive_phase,
                    const LatencyModel& net);
-  void serve_and_respond(std::uint32_t s, ProtocolRound r,
+  void serve_and_respond(std::uint32_t s, core::Round r,
                          QueueStation& station, double scale,
                          Phase resp_phase);
   bool shed_login(std::uint32_t s, Phase arrive_phase);
@@ -203,14 +203,14 @@ class MacroShard {
   std::vector<double> concurrency_integral_;
   double local_peak_ = 0;
 
-  std::array<RoundTrace, kNumRounds> rounds_;
+  std::array<RoundTrace, core::kNumRounds> rounds_;
   obs::Registry registry_;
   /// Cached pointers into registry_ — record() is far too hot for name
   /// lookups.
-  std::array<std::vector<obs::LatencyHistogram*>, kNumRounds> hist_hourly_;
-  std::array<obs::LatencyHistogram*, kNumRounds> hist_peak_ = {};
-  std::array<obs::LatencyHistogram*, kNumRounds> hist_offpeak_ = {};
-  std::array<obs::LatencyHistogram*, kNumRounds> hist_all_ = {};
+  std::array<std::vector<obs::LatencyHistogram*>, core::kNumRounds> hist_hourly_;
+  std::array<obs::LatencyHistogram*, core::kNumRounds> hist_peak_ = {};
+  std::array<obs::LatencyHistogram*, core::kNumRounds> hist_offpeak_ = {};
+  std::array<obs::LatencyHistogram*, core::kNumRounds> hist_all_ = {};
 
   Totals totals_;
   std::vector<SloSample> slo_buffer_;

@@ -7,29 +7,18 @@
 
 namespace p2pdrm::sim {
 
-std::string_view to_string(ProtocolRound r) {
-  switch (r) {
-    case ProtocolRound::kLogin1: return "LOGIN1";
-    case ProtocolRound::kLogin2: return "LOGIN2";
-    case ProtocolRound::kSwitch1: return "SWITCH1";
-    case ProtocolRound::kSwitch2: return "SWITCH2";
-    case ProtocolRound::kJoin: return "JOIN";
-  }
-  return "?";
-}
-
-std::string hourly_histogram_name(ProtocolRound r, std::size_t hour) {
+std::string hourly_histogram_name(core::Round r, std::size_t hour) {
   char hour_tag[16];
   std::snprintf(hour_tag, sizeof(hour_tag), ".hour%03zu", hour);
   return "macro.round." + std::string(to_string(r)) + hour_tag;
 }
 
-std::string split_histogram_name(ProtocolRound r, bool peak) {
+std::string split_histogram_name(core::Round r, bool peak) {
   return "macro.round." + std::string(to_string(r)) +
          (peak ? ".peak" : ".offpeak");
 }
 
-std::string round_histogram_name(ProtocolRound r) {
+std::string round_histogram_name(core::Round r) {
   return "macro.round." + std::string(to_string(r));
 }
 

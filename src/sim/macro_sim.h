@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "analysis/stats.h"
+#include "core/round.h"
 #include "obs/registry.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
@@ -32,16 +33,6 @@
 #include "workload/workload.h"
 
 namespace p2pdrm::sim {
-
-enum class ProtocolRound : std::uint8_t {
-  kLogin1 = 0,
-  kLogin2 = 1,
-  kSwitch1 = 2,
-  kSwitch2 = 3,
-  kJoin = 4,
-};
-constexpr std::size_t kNumRounds = 5;
-std::string_view to_string(ProtocolRound r);
 
 /// Mean server-side service time per request type. Defaults were calibrated
 /// with bench/microbench_crypto and bench/microbench_protocol (1024-bit
@@ -194,9 +185,9 @@ struct RoundTrace {
 /// Registry metric names used by the macro-sim (and the Fig. 5/6 benches):
 /// per-round per-hour latency histograms, the paper's peak/off-peak split,
 /// and a whole-run histogram per round. Values are recorded in microseconds.
-std::string hourly_histogram_name(ProtocolRound r, std::size_t hour);
-std::string split_histogram_name(ProtocolRound r, bool peak);
-std::string round_histogram_name(ProtocolRound r);
+std::string hourly_histogram_name(core::Round r, std::size_t hour);
+std::string split_histogram_name(core::Round r, bool peak);
+std::string round_histogram_name(core::Round r);
 
 /// Engine runtime telemetry: where the sharded run spent its wall-clock
 /// and how evenly the load spread across shards. The event-count fields
@@ -229,7 +220,7 @@ struct MacroRuntimeStats {
 };
 
 struct MacroSimResult {
-  std::array<RoundTrace, kNumRounds> rounds;
+  std::array<RoundTrace, core::kNumRounds> rounds;
   /// Bucketed latency histograms for every round (hourly + peak/off-peak +
   /// whole-run, see the *_histogram_name helpers): the registry-backed twin
   /// of the sampling reservoirs above. Quantiles agree with the reservoirs
@@ -261,7 +252,7 @@ struct MacroSimResult {
   /// which fields are deterministic).
   MacroRuntimeStats runtime;
 
-  const RoundTrace& round(ProtocolRound r) const {
+  const RoundTrace& round(core::Round r) const {
     return rounds[static_cast<std::size_t>(r)];
   }
 };

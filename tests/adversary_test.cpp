@@ -5,13 +5,12 @@
 // single-session rule must leave exactly one survivor.
 #include <gtest/gtest.h>
 
-#include <future>
 #include <stdexcept>
 
 #include "adversary/abuse_report.h"
 #include "adversary/adversary_engine.h"
 #include "adversary/adversary_plan.h"
-#include "net/deployment.h"
+#include "client_ops.h"
 #include "services/catalog.h"
 
 namespace p2pdrm::adversary {
@@ -196,20 +195,6 @@ core::ChannelRecord two_region_channel(const net::Deployment& d) {
   return rec;
 }
 
-/// Run one protocol op on the client's own event loop (live-transport
-/// control rule) and wait for its result.
-DrmError on_loop(net::Deployment& d, net::AsyncClient& c,
-                 const std::function<void(net::AsyncClient&,
-                                          net::AsyncClient::Callback)>& op) {
-  auto done = std::make_shared<std::promise<DrmError>>();
-  std::future<DrmError> fut = done->get_future();
-  net::AsyncClient* cp = &c;
-  d.network().post(c.config().node, 0, [cp, done, op] {
-    op(*cp, [done](DrmError err) { done->set_value(err); });
-  });
-  return fut.get();
-}
-
 TEST(AdversaryCredShareTest, SecondSessionEvictsFirstOnThreadTransport) {
   net::DeploymentConfig cfg;
   cfg.seed = 11;
@@ -236,31 +221,21 @@ TEST(AdversaryCredShareTest, SecondSessionEvictsFirstOnThreadTransport) {
   net::AsyncClient& second =
       d.add_client("shared@abuse.example", "pw-shared", d.geo().region_at(1));
 
-  const auto login = [](net::AsyncClient& c, net::AsyncClient::Callback cb) {
-    c.login(std::move(cb));
-  };
-  const auto watch = [](net::AsyncClient& c, net::AsyncClient::Callback cb) {
-    c.switch_channel(1, std::move(cb));
-  };
-  const auto renew = [](net::AsyncClient& c, net::AsyncClient::Callback cb) {
-    c.renew_channel_ticket(std::move(cb));
-  };
-
-  ASSERT_EQ(on_loop(d, first, login), DrmError::kOk);
-  ASSERT_EQ(on_loop(d, first, watch), DrmError::kOk);
+  // Each op runs on its client's own event loop (the live-transport control
+  // rule); run_op waits for the result.
+  ASSERT_EQ(net::login(d, first), DrmError::kOk);
+  ASSERT_EQ(net::switch_to(d, first, 1), DrmError::kOk);
   const util::UserIN user_in = first.user_ticket()->ticket.user_in;
 
   // The second session starts while the first is still watching.
-  ASSERT_EQ(on_loop(d, second, login), DrmError::kOk);
-  ASSERT_EQ(on_loop(d, second, watch), DrmError::kOk);
+  ASSERT_EQ(net::login(d, second), DrmError::kOk);
+  ASSERT_EQ(net::switch_to(d, second, 1), DrmError::kOk);
 
   // Renewal is the adjudication point: the journal's latest fresh-issue
   // entry now belongs to the second session, so the first is evicted and
   // the second survives. Exactly one of the two renews.
-  const DrmError first_renew = on_loop(d, first, renew);
-  const DrmError second_renew = on_loop(d, second, renew);
-  EXPECT_EQ(first_renew, DrmError::kRenewalRefused);
-  EXPECT_EQ(second_renew, DrmError::kOk);
+  EXPECT_EQ(net::renew(d, first), DrmError::kRenewalRefused);
+  EXPECT_EQ(net::renew(d, second), DrmError::kOk);
 
   d.transport().shutdown();
 

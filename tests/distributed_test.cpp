@@ -3,7 +3,7 @@
 // interleaving, and content/key delivery as real network events.
 #include <gtest/gtest.h>
 
-#include "net/deployment.h"
+#include "client_ops.h"
 
 namespace p2pdrm::net {
 namespace {
@@ -34,38 +34,26 @@ class DistributedTest : public ::testing::Test {
     d_.start_channel_server(1);
   }
 
-  /// Run an operation to completion inside the simulation.
-  DrmError wait(const std::function<void(AsyncClient::Callback)>& op) {
-    std::optional<DrmError> result;
-    op([&result](DrmError err) { result = err; });
-    // Drain events until the callback fires (rotation timers keep the queue
-    // non-empty forever, so step bounded by a generous virtual deadline).
-    const util::SimTime deadline = d_.sim().now() + 10 * kMinute;
-    while (!result && d_.sim().now() < deadline && d_.sim().step()) {
-    }
-    return result.value_or(DrmError::kNoCapacity);
-  }
-
   Deployment d_;
   geo::RegionId region_ = 0;
 };
 
 TEST_F(DistributedTest, LoginOverTheWire) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  EXPECT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(d_, alice), DrmError::kOk);
   ASSERT_TRUE(alice.user_ticket().has_value());
   EXPECT_GT(d_.network().packets_delivered(), 4u);  // 3 request/response pairs
 }
 
 TEST_F(DistributedTest, WrongPasswordFailsOverTheWire) {
   AsyncClient& mallory = d_.add_client("alice@example.com", "wrong", region_);
-  EXPECT_EQ(wait([&](auto cb) { mallory.login(cb); }), DrmError::kBadCredentials);
+  EXPECT_EQ(login(d_, mallory), DrmError::kBadCredentials);
 }
 
 TEST_F(DistributedTest, FullWatchSequence) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   ASSERT_TRUE(alice.channel_ticket().has_value());
   ASSERT_TRUE(alice.parent().has_value());
 
@@ -78,9 +66,9 @@ TEST_F(DistributedTest, FullWatchSequence) {
 
 TEST_F(DistributedTest, FeedbackLatenciesReflectNetworkAndProcessing) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
-  for (const client::LatencySample& s : alice.feedback_log()) {
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
+  for (const core::LatencySample& s : alice.feedback_log()) {
     EXPECT_TRUE(s.success);
     EXPECT_GE(s.latency, 20 * kMillisecond) << to_string(s.round);  // 2x floor/2 ways
   }
@@ -88,14 +76,14 @@ TEST_F(DistributedTest, FeedbackLatenciesReflectNetworkAndProcessing) {
 
 TEST_F(DistributedTest, RelayTreeOverTheWire) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   d_.announce(alice);
   // Saturate the root so Bob must attach under Alice... instead, simply
   // verify Bob can join *someone* and the tree delivers to both.
   AsyncClient& bob = d_.add_client("bob@example.com", "pw-b", region_);
-  ASSERT_EQ(wait([&](auto cb) { bob.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { bob.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, bob), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, bob, 1), DrmError::kOk);
 
   d_.broadcast(1, util::bytes_of("both"));
   d_.run_for(5 * kSecond);
@@ -105,8 +93,8 @@ TEST_F(DistributedTest, RelayTreeOverTheWire) {
 
 TEST_F(DistributedTest, KeyRotationPropagatesThroughNetworkTree) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
 
   // Cross two rotation intervals; the new keys travel as kKeyBlob packets.
   d_.run_for(2 * kMinute + 10 * kSecond);
@@ -131,13 +119,13 @@ TEST_F(StripedDistributedTest, StripesAcrossTwoParents) {
   // Alice (single parent: the root) announces; Bob stripes sub-stream 0
   // and 1 across {root, alice}.
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   d_.announce(alice);
 
   AsyncClient& bob = d_.add_client("bob@example.com", "pw-b", region_);
-  ASSERT_EQ(wait([&](auto cb) { bob.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { bob.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, bob), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, bob, 1), DrmError::kOk);
 
   ASSERT_NE(bob.router(), nullptr);
   ASSERT_TRUE(bob.router()->parent_of(0).has_value());
@@ -160,8 +148,8 @@ TEST_F(StripedDistributedTest, SingleParentStillCarriesBothSubstreams) {
   // With only the root available, both sub-streams land on one parent —
   // the mask union path.
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   ASSERT_NE(alice.router(), nullptr);
   EXPECT_EQ(alice.router()->parents().size(), 1u);
 
@@ -179,12 +167,12 @@ TEST_F(StripedDistributedTest, LosingOneParentHalvesTheFeed) {
   // packets keep arriving (exactly the failure PDM was built to survive —
   // the receiver re-joins for the missing sub-streams).
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   d_.announce(alice);
   AsyncClient& bob = d_.add_client("bob@example.com", "pw-b", region_);
-  ASSERT_EQ(wait([&](auto cb) { bob.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { bob.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, bob), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, bob, 1), DrmError::kOk);
   ASSERT_NE(bob.router(), nullptr);
   if (bob.router()->parents().size() < 2) {
     GTEST_SKIP() << "both sub-streams landed on one parent";
@@ -216,8 +204,8 @@ class LossyDistributedTest : public DistributedTest {
 
 TEST_F(LossyDistributedTest, RetransmissionDefeatsLoss) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   EXPECT_GT(d_.network().packets_dropped(), 0u);  // loss actually happened
   ASSERT_TRUE(alice.channel_ticket().has_value());
   EXPECT_TRUE(alice.channel_ticket()->verify(d_.channel_manager().public_key()));
@@ -227,36 +215,34 @@ TEST_F(LossyDistributedTest, DuplicatedResponsesIgnored) {
   // Retransmitted requests can produce duplicate responses (the server
   // answers every copy); the request-id match must consume exactly one.
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
   // One ticket, no crash, consistent state.
   ASSERT_TRUE(alice.user_ticket().has_value());
   const std::size_t login2_samples = static_cast<std::size_t>(std::count_if(
       alice.feedback_log().begin(), alice.feedback_log().end(),
-      [](const client::LatencySample& s) {
-        return s.round == client::Round::kLogin2;
+      [](const core::LatencySample& s) {
+        return s.round == core::Round::kLogin2;
       }));
   EXPECT_GE(login2_samples, 1u);
 }
 
 TEST_F(DistributedTest, OperationsBeforeLoginFailCleanly) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  EXPECT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kBadTicket);
-  EXPECT_EQ(wait([&](auto cb) { alice.renew_channel_ticket(cb); }),
-            DrmError::kBadTicket);
+  EXPECT_EQ(switch_to(d_, alice, 1), DrmError::kBadTicket);
+  EXPECT_EQ(renew(d_, alice), DrmError::kBadTicket);
 }
 
 TEST_F(DistributedTest, SwitchToUnknownChannelDenied) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
   // Channel 99 is not in the catalog: partition defaults to 0, the Channel
   // Manager knows no such channel.
-  EXPECT_EQ(wait([&](auto cb) { alice.switch_channel(99, cb); }),
-            DrmError::kUnknownChannel);
+  EXPECT_EQ(switch_to(d_, alice, 99), DrmError::kUnknownChannel);
 }
 
 TEST_F(DistributedTest, UnknownUserRejectedOverTheWire) {
   AsyncClient& ghost = d_.add_client("ghost@example.com", "pw", region_);
-  EXPECT_EQ(wait([&](auto cb) { ghost.login(cb); }), DrmError::kUnknownUser);
+  EXPECT_EQ(login(d_, ghost), DrmError::kUnknownUser);
 }
 
 TEST_F(DistributedTest, TotalServiceOutageTimesOutCleanly) {
@@ -264,11 +250,7 @@ TEST_F(DistributedTest, TotalServiceOutageTimesOutCleanly) {
   // fails instead of hanging the simulation.
   d_.network().detach(Deployment::kRedirectionNode);
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  std::optional<DrmError> result;
-  alice.login([&](DrmError err) { result = err; });
-  const util::SimTime deadline = d_.sim().now() + 10 * kMinute;
-  while (!result && d_.sim().now() < deadline && d_.sim().step()) {
-  }
+  const std::optional<DrmError> result = login(d_, alice);
   ASSERT_TRUE(result.has_value());
   EXPECT_NE(*result, DrmError::kOk);
   // The failed round was recorded as such in the feedback log.
@@ -318,8 +300,8 @@ TEST_F(DistributedTest, ConcurrentClientsInterleave) {
 TEST_F(DistributedTest, AutoRenewalSurvivesMultipleLifetimes) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
   alice.enable_auto_renewal();
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
 
   // 45 minutes: ~4 channel-ticket renewals and at least one fresh login,
   // all self-driven. The root's minute-by-minute eviction sweep must never
@@ -339,8 +321,8 @@ TEST_F(DistributedTest, AutoRenewalSurvivesMultipleLifetimes) {
 
 TEST_F(DistributedTest, WithoutRenewalRootSeversAtExpiry) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   PeerNode* root = d_.root_node(1);
   EXPECT_EQ(root->peer().child_count(), 1u);
 
@@ -355,8 +337,8 @@ TEST_F(DistributedTest, WithoutRenewalRootSeversAtExpiry) {
 
 TEST_F(DistributedTest, ClientDepartureDetachesCleanly) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   d_.announce(alice);
   EXPECT_EQ(d_.tracker().peer_count(1), 2u);  // root + alice
 
@@ -400,8 +382,8 @@ TEST_F(DistributedTest, GarbageSpeakingPeerSkipped) {
   }
 
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   // The join succeeded against an honest peer despite the poisoned list...
   ASSERT_TRUE(alice.parent().has_value());
   EXPECT_NE(*alice.parent(), 666u);
@@ -415,8 +397,8 @@ TEST_F(DistributedTest, StarvationRecoveryAfterParentChurn) {
   // topology is deterministic); Alice departs; Bob's starvation watchdog
   // notices the dead feed and re-switches onto a live parent.
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   d_.announce(alice);
 
   PeerNode* root = d_.root_node(1);
@@ -424,8 +406,8 @@ TEST_F(DistributedTest, StarvationRecoveryAfterParentChurn) {
 
   AsyncClient& bob = d_.add_client("bob@example.com", "pw-b", region_);
   bob.enable_starvation_recovery(8 * kSecond);
-  ASSERT_EQ(wait([&](auto cb) { bob.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { bob.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, bob), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, bob, 1), DrmError::kOk);
   ASSERT_EQ(bob.parent(), alice.config().node);
 
   // Restore the root as a parent candidate, then kill Bob's parent.
@@ -450,8 +432,8 @@ TEST_F(DistributedTest, ForwardSecrecyAfterEvictionOverTheWire) {
   // receiving rotations: fresh traffic is beyond its key material — the
   // §IV-E forward-secrecy property, end to end.
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
 
   d_.broadcast(1, util::bytes_of("while authorized"));
   d_.run_for(5 * kSecond);
@@ -473,12 +455,12 @@ TEST_F(DistributedTest, ForwardSecrecyAfterEvictionOverTheWire) {
 
 TEST_F(DistributedTest, RenewalOverTheWireKeepsPeering) {
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
 
   // Advance near ticket expiry (10 min lifetime, renewal window 3 min).
   d_.run_for(8 * kMinute);
-  ASSERT_EQ(wait([&](auto cb) { alice.renew_channel_ticket(cb); }), DrmError::kOk);
+  ASSERT_EQ(renew(d_, alice), DrmError::kOk);
   EXPECT_TRUE(alice.channel_ticket()->ticket.renewal);
 
   // Past the original expiry the root peer must still keep Alice attached.
@@ -503,8 +485,8 @@ TEST_F(DistributedTest, KeyEpochGapAfterParentCrashIsBoundedByWatchdog) {
   d_.start_channel_server(2, fast);
 
   AsyncClient& alice = d_.add_client("alice@example.com", "pw-a", region_);
-  ASSERT_EQ(wait([&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { alice.switch_channel(2, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, alice, 2), DrmError::kOk);
   d_.announce(alice);
 
   PeerNode* root = d_.root_node(2);
@@ -512,8 +494,8 @@ TEST_F(DistributedTest, KeyEpochGapAfterParentCrashIsBoundedByWatchdog) {
 
   AsyncClient& bob = d_.add_client("bob@example.com", "pw-b", region_);
   bob.enable_starvation_recovery(12 * kSecond);
-  ASSERT_EQ(wait([&](auto cb) { bob.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait([&](auto cb) { bob.switch_channel(2, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d_, bob), DrmError::kOk);
+  ASSERT_EQ(switch_to(d_, bob, 2), DrmError::kOk);
   ASSERT_EQ(bob.parent(), alice.config().node);
   d_.tracker().register_peer(
       2, core::PeerInfo{root->id(), *d_.network().addr_of(root->id())}, 64);

@@ -6,10 +6,10 @@
 
 #include <set>
 
+#include "client_ops.h"
 #include "fault/fault_engine.h"
 #include "fault/fault_plan.h"
 #include "fault/report.h"
-#include "net/deployment.h"
 
 namespace p2pdrm::fault {
 namespace {
@@ -191,24 +191,12 @@ class FaultScenarioTest : public ::testing::Test {
       // All in the channel's own region: it is regional, and the point of
       // these tests is fault recovery, not policy denial.
       net::AsyncClient& client = dep->add_client(email, "pw", region);
-      wait(*dep, [&client](net::AsyncClient::Callback cb) { client.login(cb); });
-      wait(*dep, [&client](net::AsyncClient::Callback cb) {
-        client.switch_channel(kChannel, cb);
-      });
+      net::login(*dep, client);
+      net::switch_to(*dep, client, kChannel);
       dep->announce(client);
       client.enable_auto_renewal();
     }
     return dep;
-  }
-
-  static DrmError wait(net::Deployment& dep,
-                       const std::function<void(net::AsyncClient::Callback)>& op) {
-    std::optional<DrmError> result;
-    op([&result](DrmError err) { result = err; });
-    const util::SimTime deadline = dep.sim().now() + 10 * kMinute;
-    while (!result && dep.sim().now() < deadline && dep.sim().step()) {
-    }
-    return result.value_or(DrmError::kNoCapacity);
   }
 };
 
@@ -227,7 +215,7 @@ TEST_F(FaultScenarioTest, PartitionBlocksAndHealsOverTheWire) {
 
   net::AsyncClient& fresh = dep->add_client("viewer-0@example.com", "pw",
                                             dep->geo().region_at(0));
-  EXPECT_EQ(wait(*dep, [&](auto cb) { fresh.login(cb); }), DrmError::kNoCapacity);
+  EXPECT_EQ(login(*dep, fresh), DrmError::kNoCapacity);
   EXPECT_GE(fresh.timeout_exhaustions(), 1u);
   EXPECT_GT(engine.packets_dropped(), 0u);
 }
@@ -245,11 +233,11 @@ TEST_F(FaultScenarioTest, LatencySpikeDelaysButDelivers) {
   dep->add_user("late@example.com", "pw");
   net::AsyncClient& late = dep->add_client("late@example.com", "pw",
                                            dep->geo().region_at(0));
-  EXPECT_EQ(wait(*dep, [&](auto cb) { late.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(*dep, late), DrmError::kOk);
   EXPECT_GT(engine.packets_delayed(), 0u);
   // Every round now pays >= 2 * 400ms of injected one-way delay.
-  for (const client::LatencySample& s : late.feedback_log()) {
-    EXPECT_GE(s.latency, 800 * kMillisecond) << client::to_string(s.round);
+  for (const core::LatencySample& s : late.feedback_log()) {
+    EXPECT_GE(s.latency, 800 * kMillisecond) << core::to_string(s.round);
   }
 }
 
@@ -269,16 +257,18 @@ TEST_F(FaultScenarioTest, ClockSkewOnManagerBreaksLogins) {
 
   net::AsyncClient& victim = dep->add_client("victim@example.com", "pw",
                                              dep->geo().region_at(0));
-  const DrmError err = wait(*dep, [&](auto cb) { victim.login(cb); });
+  const std::optional<DrmError> err =
+      login(*dep, victim);
+  ASSERT_TRUE(err.has_value());
   // Heal the clock: the same client can then log in.
   dep->network().set_clock_skew(net::Deployment::kUserManagerNode, 0);
-  if (err == DrmError::kOk) {
+  if (*err == DrmError::kOk) {
     // Skew may still produce a ticket (expiry windows are generous); what
     // must hold is that the ticket's stamps came from the skewed clock.
     ASSERT_TRUE(victim.user_ticket().has_value());
     EXPECT_GE(victim.user_ticket()->ticket.start_time, util::kDay);
   } else {
-    EXPECT_EQ(wait(*dep, [&](auto cb) { victim.login(cb); }), DrmError::kOk);
+    EXPECT_EQ(login(*dep, victim), DrmError::kOk);
   }
 }
 
@@ -298,7 +288,7 @@ TEST_F(FaultScenarioTest, RetryBudgetExhaustsUnderTotalLoss) {
   net::AsyncClient& lost = dep->add_client("lost@example.com", "pw",
                                            dep->geo().region_at(0));
   const util::SimTime start = dep->sim().now();
-  EXPECT_EQ(wait(*dep, [&](auto cb) { lost.login(cb); }), DrmError::kNoCapacity);
+  EXPECT_EQ(login(*dep, lost), DrmError::kNoCapacity);
   EXPECT_EQ(lost.timeout_exhaustions(), 1u);  // first round died; chain stopped
   EXPECT_EQ(lost.retransmits(), static_cast<std::uint64_t>(cfg.max_retries));
   // Exhaustion must walk the whole backoff ladder — 3+6+12+24 seconds of
@@ -321,7 +311,7 @@ TEST_F(FaultScenarioTest, LossBurstEndingMidBudgetIsSurvived) {
 
   net::AsyncClient& survivor = dep->add_client("survivor@example.com", "pw",
                                                dep->geo().region_at(0));
-  EXPECT_EQ(wait(*dep, [&](auto cb) { survivor.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(*dep, survivor), DrmError::kOk);
   // The first request and its ~3s retransmit fell inside the burst; the
   // ~9s retransmit got through.
   EXPECT_GE(survivor.retransmits(), 2u);

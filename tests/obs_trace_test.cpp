@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "client_ops.h"
 #include "fault/fault_engine.h"
 #include "fault/fault_plan.h"
-#include "net/deployment.h"
 #include "net/envelope.h"
 #include "obs/export.h"
 
@@ -34,16 +34,6 @@ DeploymentConfig traced_config() {
   cfg.processing.light = 1 * kMillisecond;
   cfg.processing.heavy = 8 * kMillisecond;
   return cfg;
-}
-
-DrmError wait(Deployment& dep,
-              const std::function<void(AsyncClient::Callback)>& op) {
-  std::optional<DrmError> result;
-  op([&result](DrmError err) { result = err; });
-  const util::SimTime deadline = dep.sim().now() + 10 * kMinute;
-  while (!result && dep.sim().now() < deadline && dep.sim().step()) {
-  }
-  return result.value_or(DrmError::kNoCapacity);
 }
 
 /// Drops the first `drops` packets of one message kind; sees everything.
@@ -105,7 +95,7 @@ TEST(TracingTest, RetransmittedLoginTracesEndToEnd) {
 
   AsyncClient& alice =
       dep->add_client("alice@example.com", "pw", dep->geo().region_at(0));
-  EXPECT_EQ(wait(*dep, [&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(*dep, alice), DrmError::kOk);
   EXPECT_EQ(alice.retransmits(), 1u);
   dep->network().remove_interceptor(&dropper);
   EXPECT_GT(dropper.seen(), 0u);
@@ -195,13 +185,13 @@ TEST(TracingTest, ChainDelaysAddAndEveryInterceptorSeesEveryPacket) {
 
   AsyncClient& bob =
       dep->add_client("bob@example.com", "pw", dep->geo().region_at(0));
-  EXPECT_EQ(wait(*dep, [&](auto cb) { bob.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(*dep, bob), DrmError::kOk);
 
   // Both verdicts applied to both directions: every round pays at least
   // 2 * (150 + 250) ms on top of the link latency.
   ASSERT_FALSE(bob.feedback_log().empty());
-  for (const client::LatencySample& s : bob.feedback_log()) {
-    EXPECT_GE(s.latency, 800 * kMillisecond) << client::to_string(s.round);
+  for (const core::LatencySample& s : bob.feedback_log()) {
+    EXPECT_GE(s.latency, 800 * kMillisecond) << core::to_string(s.round);
   }
   EXPECT_GT(slow_a.seen(), 0u);
   EXPECT_EQ(slow_a.seen(), slow_b.seen());
@@ -224,7 +214,7 @@ TEST(TracingTest, DropCauseSplitAccountsForEveryLoss) {
   dep->add_user("carol@example.com", "pw");
   AsyncClient& carol =
       dep->add_client("carol@example.com", "pw", dep->geo().region_at(0));
-  EXPECT_EQ(wait(*dep, [&](auto cb) { carol.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(*dep, carol), DrmError::kOk);
 
   // An injected loss burst on top: both causes must be distinguishable. A
   // second client logs in *during* the burst — its first attempts are
@@ -237,7 +227,7 @@ TEST(TracingTest, DropCauseSplitAccountsForEveryLoss) {
   dep->run_for(2 * kSecond);  // burst active
   AsyncClient& dave =
       dep->add_client("dave@example.com", "pw", dep->geo().region_at(0));
-  EXPECT_EQ(wait(*dep, [&](auto cb) { dave.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(*dep, dave), DrmError::kOk);
   dep->run_for(1 * kMinute);
 
   const Network& net = dep->network();
@@ -276,9 +266,8 @@ TEST(TracingTest, KeyRotationFansOutAsSpanTreeWithMetrics) {
     const std::string email = "peer-" + std::to_string(i) + "@example.com";
     dep->add_user(email, "pw");
     AsyncClient& client = dep->add_client(email, "pw", region);
-    EXPECT_EQ(wait(*dep, [&](auto cb) { client.login(cb); }), DrmError::kOk);
-    EXPECT_EQ(wait(*dep, [&](auto cb) { client.switch_channel(1, cb); }),
-              DrmError::kOk);
+    EXPECT_EQ(login(*dep, client), DrmError::kOk);
+    EXPECT_EQ(switch_to(*dep, client, 1), DrmError::kOk);
     dep->announce(client);
     client.enable_auto_renewal();
   }
@@ -357,9 +346,8 @@ TracedRun run_traced_scenario() {
     const std::string email = "viewer-" + std::to_string(i) + "@example.com";
     dep->add_user(email, "pw");
     AsyncClient& client = dep->add_client(email, "pw", region);
-    wait(*dep, [&client](AsyncClient::Callback cb) { client.login(cb); });
-    wait(*dep,
-         [&client](AsyncClient::Callback cb) { client.switch_channel(1, cb); });
+    login(*dep, client);
+    switch_to(*dep, client, 1);
     dep->announce(client);
     client.enable_auto_renewal();
   }

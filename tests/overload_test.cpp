@@ -5,7 +5,7 @@
 // SWITCH rounds keep completing, and shedding is never silent.
 #include <gtest/gtest.h>
 
-#include "net/deployment.h"
+#include "client_ops.h"
 #include "net/overload.h"
 
 namespace p2pdrm::net {
@@ -225,16 +225,6 @@ DeploymentConfig overload_config() {
   return cfg;
 }
 
-/// Run one client operation to completion inside the simulation.
-DrmError wait(Deployment& d, const std::function<void(AsyncClient::Callback)>& op) {
-  std::optional<DrmError> result;
-  op([&result](DrmError err) { result = err; });
-  const SimTime deadline = d.sim().now() + 10 * kMinute;
-  while (!result && d.sim().now() < deadline && d.sim().step()) {
-  }
-  return result.value_or(DrmError::kNoCapacity);
-}
-
 TEST(OverloadDeploymentTest, SaturationShedsFreshLoginsButServesRenewals) {
   Deployment d(overload_config());
   d.add_user("alice@example.com", "pw-a");
@@ -244,8 +234,8 @@ TEST(OverloadDeploymentTest, SaturationShedsFreshLoginsButServesRenewals) {
 
   // Alice establishes a session before the storm.
   AsyncClient& alice = d.add_client("alice@example.com", "pw-a", region);
-  ASSERT_EQ(wait(d, [&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  ASSERT_EQ(wait(d, [&](auto cb) { alice.switch_channel(1, cb); }), DrmError::kOk);
+  ASSERT_EQ(login(d, alice), DrmError::kOk);
+  ASSERT_EQ(switch_to(d, alice, 1), DrmError::kOk);
   // Advance into the renewal window (10 min ticket lifetime, 3 min window)
   // so the mid-storm renewal below is legal.
   d.run_for(8 * kMinute);
@@ -270,8 +260,7 @@ TEST(OverloadDeploymentTest, SaturationShedsFreshLoginsButServesRenewals) {
 
   // Mid-storm, Alice's protected renewal (SWITCH rounds) completes: session
   // continuity beats new admissions.
-  EXPECT_EQ(wait(d, [&](auto cb) { alice.renew_channel_ticket(cb); }),
-            DrmError::kOk);
+  EXPECT_EQ(renew(d, alice), DrmError::kOk);
 
   // Drain until every storm login resolved. BUSY-deferred resends let shed
   // viewers in as the backlog clears, so all of them eventually succeed.
@@ -323,8 +312,8 @@ TEST(OverloadDeploymentTest, BreakerOpensOnTimeoutsAndReclosesAfterProbe) {
   d.network().set_link(Deployment::kUserManagerNode, lossy);
 
   // Two timed-out logins reach the failure threshold.
-  EXPECT_NE(wait(d, [&](auto cb) { alice.login(cb); }), DrmError::kOk);
-  EXPECT_NE(wait(d, [&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(d, alice), DrmError::kNoCapacity);
+  EXPECT_EQ(login(d, alice), DrmError::kNoCapacity);
   const CircuitBreaker* breaker = alice.breaker(Deployment::kUserManagerNode);
   ASSERT_NE(breaker, nullptr);
   EXPECT_EQ(breaker->state(), CircuitBreaker::State::kOpen);
@@ -332,7 +321,7 @@ TEST(OverloadDeploymentTest, BreakerOpensOnTimeoutsAndReclosesAfterProbe) {
 
   // While open, requests fast-fail without touching the network.
   const std::uint64_t retransmits_before = alice.retransmits();
-  EXPECT_NE(wait(d, [&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(d, alice), DrmError::kNoCapacity);
   EXPECT_GE(alice.breaker_fast_fails(), 1u);
   EXPECT_EQ(alice.retransmits(), retransmits_before);
 
@@ -340,7 +329,7 @@ TEST(OverloadDeploymentTest, BreakerOpensOnTimeoutsAndReclosesAfterProbe) {
   // it succeeds, and the breaker re-closes.
   d.network().set_link(Deployment::kUserManagerNode, cfg.default_link);
   d.run_for(cfg.client_breaker_cooldown + kSecond);
-  EXPECT_EQ(wait(d, [&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(d, alice), DrmError::kOk);
   EXPECT_EQ(breaker->state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(breaker->recloses(), 1u);
   EXPECT_TRUE(alice.logged_in());
@@ -365,7 +354,7 @@ TEST(OverloadDeploymentTest, RetryBudgetDryFailsInsteadOfRetryStorm) {
   lossy.loss = 1.0;
   d.network().set_link(Deployment::kUserManagerNode, lossy);
 
-  EXPECT_NE(wait(d, [&](auto cb) { alice.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(d, alice), DrmError::kNoCapacity);
   // The budget, not the per-request retry cap, ended the attempt: out of 8
   // allowed retransmissions only the budgeted 2 went out.
   EXPECT_EQ(alice.retry_budget_exhaustions(), 1u);

@@ -50,7 +50,7 @@ void expect_identical(const MacroSimResult& a, const MacroSimResult& b,
     EXPECT_EQ(a.hourly_concurrency[h], b.hourly_concurrency[h])
         << label << " hour " << h;
   }
-  for (std::size_t r = 0; r < kNumRounds; ++r) {
+  for (std::size_t r = 0; r < core::kNumRounds; ++r) {
     const RoundTrace& ta = a.rounds[r];
     const RoundTrace& tb = b.rounds[r];
     EXPECT_EQ(ta.count, tb.count) << label;

@@ -184,8 +184,8 @@ MacroSimConfig small_config() {
 TEST(MacroSimTest, ProducesSamplesForAllRounds) {
   const MacroSimResult result = run_macro_sim(small_config());
   EXPECT_GT(result.sessions, 1000u);
-  for (std::size_t r = 0; r < kNumRounds; ++r) {
-    EXPECT_GT(result.rounds[r].count, 0u) << to_string(static_cast<ProtocolRound>(r));
+  for (std::size_t r = 0; r < core::kNumRounds; ++r) {
+    EXPECT_GT(result.rounds[r].count, 0u) << to_string(static_cast<core::Round>(r));
   }
   EXPECT_GT(result.ct_renewals, 0u);
   EXPECT_GT(result.ut_renewals, 0u);
@@ -206,15 +206,15 @@ TEST(MacroSimTest, DeterministicForSeed) {
   const MacroSimResult b = run_macro_sim(small_config());
   EXPECT_EQ(a.sessions, b.sessions);
   EXPECT_EQ(a.rounds[0].count, b.rounds[0].count);
-  EXPECT_EQ(a.round(ProtocolRound::kJoin).peak.samples(),
-            b.round(ProtocolRound::kJoin).peak.samples());
+  EXPECT_EQ(a.round(core::Round::kJoin).peak.samples(),
+            b.round(core::Round::kJoin).peak.samples());
 }
 
 TEST(MacroSimTest, LatencyUncorrelatedWithLoadWhenProvisioned) {
   // The paper's headline: manager latency is flat across the diurnal swing.
   const MacroSimResult result = run_macro_sim(small_config());
   const std::vector<double> medians =
-      result.round(ProtocolRound::kLogin2).hourly_median();
+      result.round(core::Round::kLogin2).hourly_median();
   const auto r = analysis::pearson(medians, result.hourly_concurrency);
   ASSERT_TRUE(r.has_value());
   EXPECT_LT(std::abs(*r), 0.3);
@@ -248,21 +248,21 @@ TEST(MacroSimTest, RoundCountsConsistent) {
   const auto near = [](std::uint64_t a, std::uint64_t b) {
     return (a > b ? a - b : b - a) <= 10;
   };
-  EXPECT_TRUE(near(r.round(ProtocolRound::kSwitch1).count,
-                   r.round(ProtocolRound::kSwitch2).count));
-  EXPECT_TRUE(near(r.round(ProtocolRound::kLogin1).count,
-                   r.round(ProtocolRound::kLogin2).count));
+  EXPECT_TRUE(near(r.round(core::Round::kSwitch1).count,
+                   r.round(core::Round::kSwitch2).count));
+  EXPECT_TRUE(near(r.round(core::Round::kLogin1).count,
+                   r.round(core::Round::kLogin2).count));
   // JOINs = initial joins (one per session reaching the overlay) + channel
   // switches; renewals go through SWITCH rounds but never re-join.
-  EXPECT_GT(r.round(ProtocolRound::kJoin).count, r.channel_switches);
-  EXPECT_LE(r.round(ProtocolRound::kJoin).count, r.sessions + r.channel_switches);
-  EXPECT_GE(r.round(ProtocolRound::kSwitch2).count, r.round(ProtocolRound::kJoin).count);
+  EXPECT_GT(r.round(core::Round::kJoin).count, r.channel_switches);
+  EXPECT_LE(r.round(core::Round::kJoin).count, r.sessions + r.channel_switches);
+  EXPECT_GE(r.round(core::Round::kSwitch2).count, r.round(core::Round::kJoin).count);
 }
 
 TEST(MacroSimTest, Login2SlowerThanLogin1) {
   const MacroSimResult result = run_macro_sim(small_config());
-  EXPECT_GT(result.round(ProtocolRound::kLogin2).peak.median(),
-            result.round(ProtocolRound::kLogin1).peak.median());
+  EXPECT_GT(result.round(core::Round::kLogin2).peak.median(),
+            result.round(core::Round::kLogin1).peak.median());
 }
 
 TEST(MacroSimTest, FlashCrowdInflatesSessions) {
@@ -295,8 +295,8 @@ TEST(MacroSimTest, RegistryHistogramsAgreeWithReservoirs) {
   // bucket midpoint plus reservoir sampling noise.
   const MacroSimResult result = run_macro_sim(small_config());
   ASSERT_NE(result.registry, nullptr);
-  for (std::size_t ri = 0; ri < kNumRounds; ++ri) {
-    const auto r = static_cast<ProtocolRound>(ri);
+  for (std::size_t ri = 0; ri < core::kNumRounds; ++ri) {
+    const auto r = static_cast<core::Round>(ri);
     const RoundTrace& trace = result.rounds[ri];
 
     const obs::LatencyHistogram* all =
@@ -346,7 +346,7 @@ TEST(MacroSimTest, UndersizedFarmSaturates) {
   // trough; the saturation shows up at peak hours (and in the correlation).
   EXPECT_GT(result.um_utilization, 0.2);
   const auto r = analysis::pearson(
-      result.round(ProtocolRound::kLogin2).hourly_median(), result.hourly_concurrency);
+      result.round(core::Round::kLogin2).hourly_median(), result.hourly_concurrency);
   ASSERT_TRUE(r.has_value());
   EXPECT_GT(*r, 0.4);
 }

@@ -5,7 +5,7 @@
 // gap the store subsystem closes.
 #include <gtest/gtest.h>
 
-#include "net/deployment.h"
+#include "client_ops.h"
 #include "services/channel_manager.h"
 
 namespace p2pdrm::net {
@@ -45,21 +45,12 @@ class StoreRecoveryTest : public ::testing::Test {
     d_.start_channel_server(1);
   }
 
-  DrmError wait(const std::function<void(AsyncClient::Callback)>& op) {
-    std::optional<DrmError> result;
-    op([&result](DrmError err) { result = err; });
-    const util::SimTime deadline = d_.sim().now() + 10 * kMinute;
-    while (!result && d_.sim().now() < deadline && d_.sim().step()) {
-    }
-    return result.value_or(DrmError::kNoCapacity);
-  }
-
   /// login + switch_channel(1); clients are non-resilient by default, so a
   /// refused renewal stays refused instead of escalating to re-login.
-  DrmError join(AsyncClient& c) {
-    const DrmError err = wait([&](auto cb) { c.login(cb); });
+  std::optional<DrmError> join(AsyncClient& c) {
+    const std::optional<DrmError> err = login(d_, c);
     if (err != DrmError::kOk) return err;
-    return wait([&](auto cb) { c.switch_channel(1, cb); });
+    return switch_to(d_, c, 1);
   }
 
   Deployment d_;
@@ -89,9 +80,9 @@ TEST_F(StoreRecoveryTest, WriteThroughPreventsDualAdmissionAfterWorstMomentCrash
 
   ASSERT_TRUE(dev_a.channel_ticket().has_value());
   d_.run_until(dev_a.channel_ticket()->ticket.expiry_time - kMinute);
-  EXPECT_EQ(wait([&](auto cb) { dev_a.renew_channel_ticket(cb); }),
+  EXPECT_EQ(renew(d_, dev_a),
             DrmError::kRenewalRefused);  // zero dual admissions
-  EXPECT_EQ(wait([&](auto cb) { dev_b.renew_channel_ticket(cb); }), DrmError::kOk);
+  EXPECT_EQ(renew(d_, dev_b), DrmError::kOk);
 }
 
 class NoReplicationTest : public StoreRecoveryTest {
@@ -138,7 +129,7 @@ TEST_F(NoReplicationTest, WorstMomentCrashWithoutWriteThroughDualAdmits) {
   // while B's ticket is still live.
   ASSERT_TRUE(dev_a.channel_ticket().has_value());
   d_.run_until(dev_a.channel_ticket()->ticket.expiry_time - kMinute);
-  EXPECT_EQ(wait([&](auto cb) { dev_a.renew_channel_ticket(cb); }), DrmError::kOk);
+  EXPECT_EQ(renew(d_, dev_a), DrmError::kOk);
   ASSERT_TRUE(dev_b.channel_ticket().has_value());
   EXPECT_GT(dev_b.channel_ticket()->ticket.expiry_time, d_.now());
 
@@ -170,7 +161,7 @@ TEST_F(StoreRecoveryTest, OutageEraSignupSurvivesViaAntiEntropy) {
   d_.crash_um_instance(0);
   ASSERT_TRUE(d_.add_user("late@example.com", "pw-late"));
   AsyncClient& late = d_.add_client("late@example.com", "pw-late", region_);
-  EXPECT_EQ(wait([&](auto cb) { late.login(cb); }), DrmError::kOk);
+  EXPECT_EQ(login(d_, late), DrmError::kOk);
 
   d_.restart_um_instance(0);
   d_.run_for(kSecond);
@@ -187,7 +178,7 @@ TEST_F(StoreRecoveryTest, AsyncAuditEntriesDurableWithinOneReplicationInterval) 
   ASSERT_EQ(join(viewer), DrmError::kOk);
   ASSERT_TRUE(viewer.channel_ticket().has_value());
   d_.run_until(viewer.channel_ticket()->ticket.expiry_time - kMinute);
-  ASSERT_EQ(wait([&](auto cb) { viewer.renew_channel_ticket(cb); }), DrmError::kOk);
+  ASSERT_EQ(renew(d_, viewer), DrmError::kOk);
 
   d_.run_for(2 * 500 * kMillisecond + 100 * kMillisecond);  // > one interval
   EXPECT_EQ(d_.cm_store(0, 0)->unsynced_ops(), 0u);

@@ -1,11 +1,13 @@
 // Threat-model scenarios (§IV-G): ticket capture and replay, peer-list
 // substitution, stolen credentials, and compromised-client boundaries —
-// each exercised end-to-end against the real service stack.
+// each exercised end-to-end against the real service stack. Attacker
+// requests go straight to the service handlers: the attacker controls its
+// own bytes and address, not the transport.
 #include <gtest/gtest.h>
 
-#include "client/testbed.h"
+#include "client_ops.h"
 
-namespace p2pdrm::client {
+namespace p2pdrm::net {
 namespace {
 
 using core::DrmError;
@@ -13,29 +15,37 @@ using util::kMinute;
 
 class ThreatModelTest : public ::testing::Test {
  protected:
-  ThreatModelTest() : tb_(make_config()) {
-    tb_.add_user("victim@example.com", "victims-password");
-    tb_.add_user("attacker@example.com", "attackers-password");
-    region_ = tb_.geo().region_at(0);
-    tb_.add_regional_channel(1, "news", region_);
-    tb_.start_channel_server(1);
+  ThreatModelTest() : d_(make_config()) {
+    d_.add_user("victim@example.com", "victims-password");
+    d_.add_user("attacker@example.com", "attackers-password");
+    region_ = d_.geo().region_at(0);
+    d_.add_regional_channel(1, "news", region_);
+    d_.start_channel_server(1);
   }
 
-  static TestbedConfig make_config() {
-    TestbedConfig cfg;
+  static DeploymentConfig make_config() {
+    DeploymentConfig cfg;
     cfg.seed = 1337;
     return cfg;
   }
 
-  Testbed tb_;
+  AsyncClient& watching_victim() {
+    AsyncClient& victim =
+        d_.add_client("victim@example.com", "victims-password", region_);
+    EXPECT_EQ(login(d_, victim), DrmError::kOk);
+    EXPECT_EQ(switch_to(d_, victim, 1), DrmError::kOk);
+    return victim;
+  }
+
+  Deployment d_;
   geo::RegionId region_ = 0;
 };
 
 // §IV-G1: "an attacker that has a client's User Ticket but not the client's
 // private key cannot do much with the ticket."
 TEST_F(ThreatModelTest, StolenUserTicketUselessWithoutPrivateKey) {
-  Client& victim = tb_.add_client("victim@example.com", "victims-password", region_);
-  ASSERT_EQ(victim.login(), DrmError::kOk);
+  AsyncClient& victim = d_.add_client("victim@example.com", "victims-password", region_);
+  ASSERT_EQ(login(d_, victim), DrmError::kOk);
 
   // Attacker captures the victim's User Ticket bytes off the wire and
   // presents them from the victim's own address (strongest position).
@@ -43,8 +53,9 @@ TEST_F(ThreatModelTest, StolenUserTicketUselessWithoutPrivateKey) {
   core::Switch1Request r1;
   r1.user_ticket = stolen;
   r1.channel_id = 1;
+  services::ChannelManager& cm = d_.channel_manager(0);
   const core::Switch1Response resp1 =
-      tb_.switch1(0, r1, victim.config().addr);
+      cm.handle_switch1(r1, victim.config().addr, d_.now());
   ASSERT_EQ(resp1.error, DrmError::kOk);  // challenge is issued...
 
   // ...but SWITCH2 requires a signature with the private key certified in
@@ -56,25 +67,21 @@ TEST_F(ThreatModelTest, StolenUserTicketUselessWithoutPrivateKey) {
   r2.channel_id = 1;
   r2.challenge = resp1.challenge;
   r2.proof = crypto::rsa_sign(attacker_keys.priv, resp1.challenge.nonce);
-  EXPECT_EQ(tb_.switch2(0, r2, victim.config().addr).error,
+  EXPECT_EQ(cm.handle_switch2(r2, victim.config().addr, d_.now()).error,
             DrmError::kBadCredentials);
 }
 
 // §IV-G1: a Channel Ticket captured during the join procedure cannot yield
 // content keys without the victim's private key.
 TEST_F(ThreatModelTest, CapturedChannelTicketYieldsNoKeys) {
-  Client& victim = tb_.add_client("victim@example.com", "victims-password", region_);
-  ASSERT_EQ(victim.login(), DrmError::kOk);
-  ASSERT_EQ(victim.switch_channel(1), DrmError::kOk);
+  AsyncClient& victim = watching_victim();
 
   // The attacker captured the ticket bytes (peers see them during join) and
   // replays the join — even spoofing the victim's network address.
-  const util::Bytes stolen = victim.channel_ticket()->encode();
   core::JoinRequest req;
-  req.channel_ticket = stolen;
-  const core::JoinResponse resp =
-      tb_.join(1 + 1 /* root node of channel 1 */, req, victim.config().addr,
-               /*self=*/4242);
+  req.channel_ticket = victim.channel_ticket()->encode();
+  const core::JoinResponse resp = d_.root_node(1)->peer().handle_join(
+      req, victim.config().addr, /*self=*/4242, d_.now());
   // The peer accepts (it cannot distinguish), but the session key is
   // encrypted under the *victim's* certified public key.
   ASSERT_EQ(resp.error, DrmError::kOk);
@@ -84,31 +91,46 @@ TEST_F(ThreatModelTest, CapturedChannelTicketYieldsNoKeys) {
                    .has_value());
 }
 
-// §IV-G1: the peer list is deliberately unsigned; an attacker who controls
-// the victim's traffic substitutes itself. The damage is bounded: it can
-// capture the (useless, see above) ticket or deny service — it cannot mint
-// decryptable keys without being an authorized peer itself.
-TEST_F(ThreatModelTest, SubstitutedPeerListBoundedDamage) {
-  Client& victim = tb_.add_client("victim@example.com", "victims-password", region_);
-  ASSERT_EQ(victim.login(), DrmError::kOk);
-  ASSERT_EQ(victim.switch_channel(1), DrmError::kOk);
+/// Rewrites every SWITCH2 response's peer list to one bogus peer — what an
+/// attacker on the victim's path can do, since the list is unsigned.
+class PeerListSubstituter final : public SendInterceptor {
+ public:
+  Verdict on_send(const SendContext& ctx) override {
+    Verdict v;
+    std::optional<Envelope> env = Envelope::decode(*ctx.data);
+    if (!env || env->kind != MsgKind::kSwitch2Response) return v;
+    core::Switch2Response resp = core::Switch2Response::decode(env->payload);
+    resp.peers = {core::PeerInfo{999999, util::NetAddr{0x0a0b0c0d}}};
+    env->payload = resp.encode();
+    v.replace = env->encode();
+    return v;
+  }
+};
 
-  // A fake "peer" (node id that maps to nothing in the overlay) is what a
-  // substituted list would point the client at: the join simply fails and
-  // the client can fall back to other peers — denial, not compromise.
-  core::JoinRequest req;
-  req.channel_ticket = victim.channel_ticket()->encode();
-  const core::JoinResponse resp =
-      tb_.join(/*target=*/999999, req, victim.config().addr, victim.config().node);
-  EXPECT_NE(resp.error, DrmError::kOk);
+// §IV-G1: the peer list is deliberately unsigned; an attacker who controls
+// the victim's traffic substitutes it. The damage is bounded: it can deny
+// service — it cannot mint decryptable keys without being an authorized
+// peer itself.
+TEST_F(ThreatModelTest, SubstitutedPeerListBoundedDamage) {
+  AsyncClient& victim = d_.add_client("victim@example.com", "victims-password", region_);
+  ASSERT_EQ(login(d_, victim), DrmError::kOk);
+
+  // The substituted list points at a node that maps to nothing in the
+  // overlay: the join simply fails — denial, not compromise.
+  PeerListSubstituter substituter;
+  d_.network().add_interceptor(&substituter);
+  EXPECT_EQ(switch_to(d_, victim, 1), DrmError::kNoCapacity);
+  d_.network().remove_interceptor(&substituter);
+  EXPECT_TRUE(victim.channel_ticket().has_value());  // the ticket itself is fine
+  EXPECT_FALSE(victim.parent().has_value());
 }
 
 // Replaying a whole captured LOGIN2 gets the attacker a ticket bound to the
 // victim's public key — which it cannot use (no private key). Verified via
 // the ticket's certified key.
 TEST_F(ThreatModelTest, ReplayedLogin2YieldsUnusableTicket) {
-  Client& victim = tb_.add_client("victim@example.com", "victims-password", region_);
-  ASSERT_EQ(victim.login(), DrmError::kOk);
+  AsyncClient& victim = d_.add_client("victim@example.com", "victims-password", region_);
+  ASSERT_EQ(login(d_, victim), DrmError::kOk);
   // The replayed response would carry the same certified key.
   EXPECT_EQ(victim.user_ticket()->ticket.client_public_key, victim.public_key());
 }
@@ -122,8 +144,8 @@ TEST_F(ThreatModelTest, Login1EavesdropperLearnsNoNonce) {
   req.email = "victim@example.com";
   req.client_public_key = attacker_keys.pub;
   req.client_version = 1;
-  const core::Login1Response resp =
-      tb_.login1(req, tb_.geo().sample_address(rng, region_));
+  const core::Login1Response resp = d_.user_manager().handle_login1(
+      req, d_.geo().sample_address(rng, region_), d_.now());
   ASSERT_EQ(resp.error, DrmError::kOk);
   // The clear part of the response carries no nonce...
   EXPECT_TRUE(resp.challenge.nonce.empty());
@@ -136,61 +158,64 @@ TEST_F(ThreatModelTest, Login1EavesdropperLearnsNoNonce) {
 // Account sharing across regions: credentials shared with someone in
 // another region do not unlock region-locked channels there.
 TEST_F(ThreatModelTest, SharedCredentialsDontCrossRegions) {
-  TestbedConfig cfg = make_config();
+  DeploymentConfig cfg = make_config();
   cfg.geo_plan.num_regions = 2;
-  Testbed tb(cfg);
-  tb.add_user("victim@example.com", "pw");
-  tb.add_regional_channel(1, "region0-only", tb.geo().region_at(0));
-  tb.start_channel_server(1);
+  Deployment d(cfg);
+  d.add_user("victim@example.com", "pw");
+  d.add_regional_channel(1, "region0-only", d.geo().region_at(0));
+  d.start_channel_server(1);
 
-  Client& foreign = tb.add_client("victim@example.com", "pw", tb.geo().region_at(1));
-  ASSERT_EQ(foreign.login(), DrmError::kOk);
-  EXPECT_EQ(foreign.switch_channel(1), DrmError::kAccessDenied);
+  AsyncClient& foreign = d.add_client("victim@example.com", "pw", d.geo().region_at(1));
+  ASSERT_EQ(login(d, foreign), DrmError::kOk);
+  EXPECT_EQ(switch_to(d, foreign, 1), DrmError::kAccessDenied);
 }
 
 // A client whose binary was patched fails attestation at the next login —
 // the per-login random window makes precomputed checksums useless.
 TEST_F(ThreatModelTest, PatchedClientEventuallyCaughtByRandomWindows) {
-  Client& victim = tb_.add_client("victim@example.com", "victims-password", region_);
-  ASSERT_EQ(victim.login(), DrmError::kOk);
+  AsyncClient& victim = d_.add_client("victim@example.com", "victims-password", region_);
+  ASSERT_EQ(login(d_, victim), DrmError::kOk);
 
   // Attacker runs a patched binary under the victim's credentials.
-  ClientConfig cc = victim.config();
+  AsyncClient::Config cc =
+      d_.make_client_config("victim@example.com", "victims-password", region_);
   cc.client_binary[cc.client_binary.size() / 2] ^= 0xff;  // one patched byte
-  cc.node = 777;
-  crypto::SecureRandom rng(4);
-  Client patched(cc, tb_, tb_.clock(), std::move(rng));
+  AsyncClient patched(cc, d_.network(), crypto::SecureRandom(4));
 
   // A single-byte patch escapes some windows; repeated logins (fresh random
   // windows each time) catch it with overwhelming probability.
   int failures = 0;
   for (int i = 0; i < 30; ++i) {
-    if (patched.login() == DrmError::kAttestationFailed) ++failures;
+    const std::optional<DrmError> result = login(d_, patched);
+    ASSERT_TRUE(result.has_value());
+    if (*result == DrmError::kAttestationFailed) ++failures;
   }
   EXPECT_GT(failures, 0);
 }
 
 // Ticket lifetimes bound how long any captured ticket is worth anything.
 TEST_F(ThreatModelTest, ExpiredTicketsRejectedEverywhere) {
-  Client& victim = tb_.add_client("victim@example.com", "victims-password", region_);
-  ASSERT_EQ(victim.login(), DrmError::kOk);
-  ASSERT_EQ(victim.switch_channel(1), DrmError::kOk);
+  AsyncClient& victim = watching_victim();
   const util::Bytes user_ticket = victim.user_ticket()->encode();
   const util::Bytes channel_ticket = victim.channel_ticket()->encode();
 
-  tb_.clock().advance(31 * kMinute);  // past both lifetimes
+  d_.run_for(31 * kMinute);  // past both lifetimes
 
   core::Switch1Request r1;
   r1.user_ticket = user_ticket;
   r1.channel_id = 1;
-  EXPECT_EQ(tb_.switch1(0, r1, victim.config().addr).error,
-            DrmError::kTicketExpired);
+  EXPECT_EQ(
+      d_.channel_manager(0).handle_switch1(r1, victim.config().addr, d_.now()).error,
+      DrmError::kTicketExpired);
 
   core::JoinRequest jr;
   jr.channel_ticket = channel_ticket;
-  EXPECT_EQ(tb_.join(2, jr, victim.config().addr, victim.config().node).error,
+  EXPECT_EQ(d_.root_node(1)
+                ->peer()
+                .handle_join(jr, victim.config().addr, victim.config().node, d_.now())
+                .error,
             DrmError::kTicketExpired);
 }
 
 }  // namespace
-}  // namespace p2pdrm::client
+}  // namespace p2pdrm::net

@@ -250,9 +250,7 @@ TEST(SimTransportTest, DelegatesToTheSimulation) {
   EXPECT_GE(st.now(), 5 * kSecond);
 }
 
-/// The full five-round protocol (LOGIN1/LOGIN2/SWITCH1/SWITCH2/JOIN) must
-/// complete on either backend through the identical protocol code.
-void run_five_rounds(net::TransportKind kind) {
+net::DeploymentConfig two_node_config(net::TransportKind kind) {
   net::DeploymentConfig cfg;
   cfg.seed = 7;
   cfg.transport = kind;
@@ -260,38 +258,30 @@ void run_five_rounds(net::TransportKind kind) {
   cfg.default_link.latency.floor = 1 * kMillisecond;
   cfg.default_link.latency.median = 3 * kMillisecond;
   cfg.default_link.latency.sigma = 0.3;
-  net::Deployment d(cfg);
+  return cfg;
+}
+
+/// The full five-round protocol (LOGIN1/LOGIN2/SWITCH1/SWITCH2/JOIN) must
+/// complete on either backend through the identical protocol code, driven
+/// by the one blocking entry point, Deployment::run_op.
+void run_five_rounds(net::TransportKind kind) {
+  net::Deployment d(two_node_config(kind));
   const geo::RegionId region = d.geo().region_at(0);
   d.add_regional_channel(1, "equiv", region);
   d.start_channel_server(1);
   d.add_user("e@example.com", "pw");
   net::AsyncClient& c = d.add_client("e@example.com", "pw", region);
 
-  std::atomic<int> result{-1};
-  d.network().post(c.config().node, 0, [&c, &result] {
-    c.login([&c, &result](core::DrmError err) {
-      if (err != core::DrmError::kOk) {
-        result = static_cast<int>(err);
-        return;
-      }
-      c.switch_channel(1, [&result](core::DrmError err2) {
-        result = static_cast<int>(err2);
-      });
-    });
-  });
-  if (kind == net::TransportKind::kSim) {
-    d.run_until(2 * util::kMinute);
-  } else {
-    ASSERT_TRUE(eventually([&] { return result.load() != -1; }));
-  }
+  const std::optional<core::DrmError> result =
+      d.run_op(c, net::login_and_switch(c, 1), 2 * util::kMinute);
   d.transport().shutdown();  // quiesce before reading loop-confined state
 
-  EXPECT_EQ(result.load(), static_cast<int>(core::DrmError::kOk));
+  EXPECT_EQ(result, core::DrmError::kOk);
   EXPECT_TRUE(c.logged_in());
   ASSERT_TRUE(c.channel_ticket().has_value());
   EXPECT_EQ(c.channel_ticket()->ticket.channel_id, 1u);
   bool seen[5] = {};
-  for (const client::LatencySample& s : c.feedback_log()) {
+  for (const core::LatencySample& s : c.feedback_log()) {
     EXPECT_TRUE(s.success);
     seen[static_cast<std::size_t>(s.round)] = true;
   }
@@ -306,6 +296,32 @@ TEST(CrossBackendTest, FiveRoundProtocolCompletesOnSim) {
 
 TEST(CrossBackendTest, FiveRoundProtocolCompletesOnThread) {
   run_five_rounds(net::TransportKind::kThread);
+}
+
+/// An op against a backend that never answers: run_op must give up at its
+/// deadline with nullopt — neither hang nor invent a result — while the
+/// client's own retry ladder (3 s timeout, 4 retries) is still running.
+void run_op_times_out(net::TransportKind kind) {
+  net::Deployment d(two_node_config(kind));
+  d.add_user("e@example.com", "pw");
+  net::AsyncClient& c = d.add_client("e@example.com", "pw", d.geo().region_at(0));
+  d.network().detach(net::Deployment::kRedirectionNode);
+
+  const util::SimTime before = d.now();
+  const std::optional<core::DrmError> result =
+      d.run_op(c, [&c](auto done) { c.login(std::move(done)); }, 500 * kMillisecond);
+  EXPECT_FALSE(result.has_value());
+  EXPECT_GE(d.now() - before, 500 * kMillisecond);
+  d.transport().shutdown();
+  EXPECT_FALSE(c.logged_in());
+}
+
+TEST(CrossBackendTest, RunOpReturnsNulloptAtDeadlineOnSim) {
+  run_op_times_out(net::TransportKind::kSim);
+}
+
+TEST(CrossBackendTest, RunOpReturnsNulloptAtDeadlineOnThread) {
+  run_op_times_out(net::TransportKind::kThread);
 }
 
 TEST(CrossBackendTest, ShutdownJoinsCleanlyUnderProtocolLoad) {
