@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
               on.clients_current, on.clients_total - on.clients_departed);
 
   run.begin_artifact();
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_object();
   const auto emit_arm = [&j](const char* name, const fault::ResilienceReport& r) {
     j.key(name).begin_object();

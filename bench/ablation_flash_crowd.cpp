@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
               "admitted logins keep the\nwell-provisioned median.\n");
 
   run.begin_artifact(crowded);
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_object();
   j.kv("extra_users_at_event_hour", extra_at_peak);
   j.kv("login2_median_shift_ms", login2_shift * 1000);

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   const util::SimTime lead = 3 * util::kSecond;
 
   run.begin_artifact();
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_array();
   for (const double loss : {0.0, 0.02, 0.05, 0.15}) {
     for (const int parents : {1, 2}) {

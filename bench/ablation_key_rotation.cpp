@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
               "blobs/h", "key bytes/h", "relay CPU", "exposure window");
 
   run.begin_artifact();
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_array();
   for (const util::SimTime interval :
        {10 * util::kSecond, 30 * util::kSecond, util::kMinute, 5 * util::kMinute,

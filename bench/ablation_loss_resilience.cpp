@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
               "p50 time", "p95 time", "retransmits");
 
   run.begin_artifact();
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_array();
   for (const double loss : {0.0, 0.02, 0.05, 0.10, 0.20}) {
     net::DeploymentConfig cfg;

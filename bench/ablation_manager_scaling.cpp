@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
               "p95 LOGIN2", "p99 LOGIN2", "mean util", "corr(r)", "verdict");
 
   run.begin_artifact();
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_array();
   for (const std::size_t farm : {1u, 2u, 4u, 8u}) {
     sim::MacroSimConfig cfg = bench::paper_config();

@@ -15,7 +15,7 @@ using namespace p2pdrm;
 int main(int argc, char** argv) {
   bench::SimRun run("ablation_ticket_lifetime", argc, argv);
   run.begin_artifact();
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_object();
 
   bench::print_header("Ablation — Channel Ticket lifetime");

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
               tick.p99 > 0 ? trad.p99 / tick.p99 : 0.0);
 
   run.begin_artifact();
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   const auto emit_arm = [&j](const char* name, const ArmResult& a,
                              std::size_t requests) {
     j.key(name).begin_object();

@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   }
 
   run.begin_artifact(cfg);
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_object();
   j.kv("hardware_concurrency", static_cast<std::uint64_t>(cores));
   j.key("runs").begin_array();

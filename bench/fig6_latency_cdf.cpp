@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
                            run.timeseries_out());
 
   run.begin_artifact(cfg);
-  bench::JsonWriter& j = run.json();
+  obs::JsonWriter& j = run.json();
   j.begin_object();
   j.kv("sessions", result.sessions);
   j.kv("events", result.events);

@@ -136,7 +136,7 @@ class SimRun {
     write_file(path, obs::registry_to_prometheus(registry));
   }
 
-  JsonWriter& json() { return json_; }
+  obs::JsonWriter& json() { return json_; }
 
   /// Open the artifact envelope for a macro-sim bench: emits schema, bench
   /// name, and the run's config block, then leaves the writer positioned at
@@ -175,7 +175,7 @@ class SimRun {
 
   /// Serialize one MacroRuntimeStats as a JSON object value. Shared by the
   /// envelope and by benches that emit per-run runtime blocks.
-  static void write_runtime_json(JsonWriter& j,
+  static void write_runtime_json(obs::JsonWriter& j,
                                  const sim::MacroRuntimeStats& rt) {
     j.begin_object();
     j.key("shard_events").begin_array();
@@ -236,7 +236,7 @@ class SimRun {
 
   std::string name_;
   std::vector<Flag> flags_;
-  JsonWriter json_;
+  obs::JsonWriter json_;
   sim::MacroRuntimeStats runtime_;
   bool have_runtime_ = false;
   std::chrono::steady_clock::time_point started_;

@@ -216,7 +216,7 @@ int run_thread(int argc, char** argv) {
                 static_cast<unsigned long long>(sched.count()));
   }
 
-  bench::JsonWriter j;
+  obs::JsonWriter j;
   j.begin_object()
       .kv("bench", "validation_real_stack")
       .kv("transport", "thread")

@@ -2,51 +2,9 @@
 
 #include <set>
 
+#include "obs/json_writer.h"
+
 namespace p2pdrm::adversary {
-
-namespace {
-
-/// Tiny fixed-shape JSON builder. The report's field order is part of the
-/// artifact contract (byte-stable across runs), so everything is appended
-/// explicitly — no map iteration, no locale-dependent formatting.
-class Json {
- public:
-  void raw(const std::string& s) { out_ += s; }
-  void quoted(const std::string& s) {
-    out_ += '"';
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out_ += '\\';
-      out_ += c;
-    }
-    out_ += '"';
-  }
-  void kv(const char* key, std::uint64_t v, bool last = false) {
-    pair(key);
-    out_ += std::to_string(v);
-    if (!last) out_ += ", ";
-  }
-  void kv(const char* key, const std::string& v, bool last = false) {
-    pair(key);
-    quoted(v);
-    if (!last) out_ += ", ";
-  }
-  void kv(const char* key, bool v, bool last = false) {
-    pair(key);
-    out_ += v ? "true" : "false";
-    if (!last) out_ += ", ";
-  }
-  void pair(const char* key) {
-    out_ += '"';
-    out_ += key;
-    out_ += "\": ";
-  }
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-}  // namespace
 
 AbuseReport AbuseReport::collect(net::Deployment& deployment,
                                  const AdversaryEngine& engine,
@@ -116,87 +74,72 @@ AbuseReport AbuseReport::collect(net::Deployment& deployment,
 }
 
 std::string AbuseReport::to_json() const {
-  Json j;
-  j.raw("{");
-  j.kv("schema", std::string("p2pdrm.abuse.v1"));
+  // The field order is part of the artifact contract (byte-stable across
+  // runs): everything is written explicitly, no map iteration.
+  obs::JsonWriter j;
+  j.begin_object();
+  j.kv("schema", "p2pdrm.abuse.v1");
   j.kv("seed", seed);
   j.kv("transport", transport);
 
-  j.pair("forgery");
-  j.raw("{");
+  j.key("forgery").begin_object();
   j.kv("sent", probes_sent);
   j.kv("accepted", probes_accepted);
   j.kv("rejected", probes_rejected);
   j.kv("timed_out", probes_timed_out);
-  j.pair("probes");
-  j.raw("[");
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    if (i != 0) j.raw(", ");
-    j.raw("{");
-    j.kv("probe", probes[i].probe);
-    j.kv("outcome", probes[i].outcome, /*last=*/true);
-    j.raw("}");
+  j.key("probes").begin_array();
+  for (const ProbeOutcome& p : probes) {
+    j.begin_object().kv("probe", p.probe).kv("outcome", p.outcome).end_object();
   }
-  j.raw("]}, ");
+  j.end_array().end_object();
 
-  j.pair("fuzz");
-  j.raw("{");
+  j.key("fuzz").begin_object();
   j.kv("mutations", fuzz_mutations);
   j.kv("packets_mutated", packets_mutated);
-  j.kv("malformed_drops", malformed_drops, /*last=*/true);
-  j.raw("}, ");
+  j.kv("malformed_drops", malformed_drops);
+  j.end_object();
 
-  j.pair("rogue");
-  j.raw("{");
+  j.key("rogue").begin_object();
   j.kv("peers", rogue_peers);
   j.kv("joins_granted", rogue_joins_granted);
-  j.kv("keys_withheld", rogue_keys_withheld, /*last=*/true);
-  j.raw("}, ");
+  j.kv("keys_withheld", rogue_keys_withheld);
+  j.end_object();
 
-  j.pair("sybil");
-  j.raw("{");
+  j.key("sybil").begin_object();
   j.kv("attempted", sybil_attempted);
   j.kv("admitted", sybil_admitted);
   j.kv("rejected_rate", tracker_rejected_rate);
-  j.kv("rejected_capacity", tracker_rejected_capacity, /*last=*/true);
-  j.raw("}, ");
+  j.kv("rejected_capacity", tracker_rejected_capacity);
+  j.end_object();
 
-  j.pair("cred_share");
-  j.raw("{");
+  j.key("cred_share").begin_object();
   j.kv("members", ring_members);
   j.kv("logins_ok", ring_logins_ok);
   j.kv("switches_ok", ring_switches_ok);
   j.kv("renewals_ok", ring_renewals_ok);
   j.kv("renewals_refused", ring_renewals_refused);
-  j.pair("outcomes");
-  j.raw("[");
-  for (std::size_t i = 0; i < ring_outcomes.size(); ++i) {
-    if (i != 0) j.raw(", ");
-    j.quoted(ring_outcomes[i]);
-  }
-  j.raw("], ");
-  j.kv("viewing_entries", viewing_entries, /*last=*/true);
-  j.raw("}, ");
+  j.key("outcomes").begin_array();
+  for (const std::string& outcome : ring_outcomes) j.value(outcome);
+  j.end_array();
+  j.kv("viewing_entries", viewing_entries);
+  j.end_object();
 
-  j.pair("collateral");
-  j.raw("{");
+  j.key("collateral").begin_object();
   j.kv("honest_clients", honest_clients);
   j.kv("with_ticket", honest_with_ticket);
   j.kv("content_decrypted", honest_content_decrypted);
-  j.kv("timeout_exhaustions", honest_timeout_exhaustions, /*last=*/true);
-  j.raw("}, ");
+  j.kv("timeout_exhaustions", honest_timeout_exhaustions);
+  j.end_object();
 
-  j.pair("gates");
-  j.raw("{");
+  j.key("gates").begin_object();
   j.kv("no_forgery", gate_no_forgery);
   j.kv("single_session", gate_single_session);
   j.kv("bounded_collateral", gate_bounded_collateral);
-  j.kv("pass", pass(), /*last=*/true);
-  j.raw("}}");
+  j.kv("pass", pass());
+  j.end_object();
 
-  std::string out = j.take();
-  out += '\n';
-  return out;
+  j.end_object();
+  return j.str();
 }
 
 }  // namespace p2pdrm::adversary

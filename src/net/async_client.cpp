@@ -10,52 +10,61 @@ using core::DrmError;
 using core::Round;
 using core::is_permanent_failure;
 
+namespace {
+
+// Session-recovery backoff: the first retry waits kRecoveryDelay, every
+// later one twice as long, capped at kMaxRecoveryDelay.
+constexpr int kMaxRecoveryAttempts = 6;  // per operation; recover_session is unbounded
+constexpr util::SimTime kRecoveryDelay = 1 * util::kSecond;
+constexpr util::SimTime kMaxRecoveryDelay = 30 * util::kSecond;
+
+/// nullopt when `payload` does not decode as a `Message`.
+template <typename Message>
+std::optional<Message> decode_as(util::BytesView payload) {
+  try {
+    return Message::decode(payload);
+  } catch (const util::WireError&) {
+    return std::nullopt;
+  }
+}
+
+/// Send one request through `tx` and decode its typed response. A malformed
+/// response fails `done` with kBadTicket, a refusal (`error != kOk`) with
+/// the server's error, a transmission failure with the transmitter's;
+/// `on_ok` sees only accepted responses.
+template <typename Response>
+void request(Transmitter& tx, util::NodeId to, MsgKind kind, util::Bytes payload,
+             MsgKind expect, Round round, AsyncClient::Callback done,
+             std::function<void(Response)> on_ok) {
+  tx.send(
+      to, kind, std::move(payload), expect, round,
+      [done, on_ok = std::move(on_ok)](const Envelope& env) {
+        std::optional<Response> resp = decode_as<Response>(env.payload);
+        if (!resp) {
+          done(DrmError::kBadTicket);
+          return;
+        }
+        if constexpr (requires { resp->error; }) {
+          if (resp->error != DrmError::kOk) {
+            done(resp->error);
+            return;
+          }
+        }
+        on_ok(std::move(*resp));
+      },
+      done);
+}
+
+}  // namespace
+
 AsyncClient::AsyncClient(Config config, Network& network, crypto::SecureRandom rng)
     : config_(std::move(config)), network_(network), rng_(std::move(rng)),
-      keys_(crypto::generate_rsa_keypair(rng_, config_.key_bits)) {
-  if (config_.retry_budget > 0) {
-    for (auto& bucket : retry_budgets_) {
-      bucket = TokenBucket(config_.retry_budget,
-                           config_.retry_budget_refill_per_second);
-    }
-  }
+      keys_(crypto::generate_rsa_keypair(rng_, config_.key_bits)),
+      tx_(config_.transmit, config_.node, network_, rng_) {
   network_.attach(config_.node, config_.addr, this);
 }
 
-bool AsyncClient::spend_retry_token(Round round) {
-  return retry_budgets_[static_cast<std::size_t>(round)].try_take(
-      network_.now());
-}
-
-CircuitBreaker& AsyncClient::breaker_for(util::NodeId node) {
-  const auto it = breakers_.find(node);
-  if (it != breakers_.end()) return it->second;
-  CircuitBreaker::Policy policy;
-  policy.failure_threshold = config_.breaker_failure_threshold;
-  policy.cooldown = config_.breaker_cooldown;
-  return breakers_.emplace(node, CircuitBreaker(policy)).first->second;
-}
-
-void AsyncClient::fail_pending(std::uint64_t request_id, Pending pending,
-                               const char* outcome, DrmError err) {
-  close_request_spans(request_id, pending, /*ok=*/false, outcome);
-  record(pending.round, pending.started, false);
-  if (pending.on_fail) pending.on_fail(err);
-}
-
-AsyncClient::~AsyncClient() {
-  *alive_ = false;
-  leave();
-}
-
-void AsyncClient::schedule(util::SimTime delay, std::function<void()> action) {
-  // Timers post to this client's own transport group, so they are
-  // serialized with the client's packet deliveries on both backends.
-  network_.post(config_.node, delay,
-                [alive = alive_, action = std::move(action)] {
-    if (*alive) action();
-  });
-}
+AsyncClient::~AsyncClient() { leave(); }
 
 void AsyncClient::leave() {
   if (departed_) return;
@@ -63,15 +72,32 @@ void AsyncClient::leave() {
   ++renew_epoch_;  // cancel outstanding renewal timers
   auto_renew_ = false;
   starvation_recovery_ = false;
-  // Drop every in-flight request: the retransmit-timeout and BUSY-deferred
-  // resend closures key off pending_, so clearing it here guarantees no
-  // timer can fire a send from (or re-arm for) a dead session. on_fail is
-  // deliberately not invoked — the session is over, nobody is listening.
-  for (auto& [request_id, pending] : pending_) {
-    close_request_spans(request_id, pending, /*ok=*/false, "departed");
-  }
-  pending_.clear();
+  // Drop every in-flight request, so no timer can fire a send from (or
+  // re-arm for) a dead session.
+  tx_.cancel();
   if (network_.attached(config_.node)) network_.detach(config_.node);
+}
+
+void AsyncClient::on_packet(const Packet& packet) {
+  const auto env = Envelope::decode(packet.data);
+  if (!env) return;
+  switch (env->kind) {
+    // Peer-plane messages are served by the embedded overlay half.
+    case MsgKind::kJoinRequest:
+    case MsgKind::kRenewalPresent:
+    case MsgKind::kKeyBlob:
+    case MsgKind::kContent:
+      if (peer_node_) peer_node_->on_packet(packet);
+      return;
+    default:
+      tx_.on_envelope(packet.from, *env);
+  }
+}
+
+void AsyncClient::forget_routes() {
+  redirect_.reset();
+  channels_.clear();
+  partitions_.clear();
 }
 
 void AsyncClient::enable_starvation_recovery(util::SimTime gap) {
@@ -84,7 +110,7 @@ void AsyncClient::enable_starvation_recovery(util::SimTime gap) {
 void AsyncClient::arm_starvation_watchdog() {
   if (!starvation_recovery_ || departed_ || watchdog_armed_) return;
   watchdog_armed_ = true;
-  schedule(starvation_gap_, [this] {
+  tx_.schedule(starvation_gap_, [this] {
     watchdog_armed_ = false;
     if (departed_ || !starvation_recovery_) return;
     if (!channel_ticket_ || recovering_) {
@@ -118,7 +144,7 @@ void AsyncClient::schedule_auto_renewal() {
   const std::uint64_t epoch = ++renew_epoch_;
   const util::SimTime due = std::max(
       channel_ticket_->ticket.expiry_time - renew_margin_, network_.now() + 1);
-  schedule(due - network_.now(), [this, epoch] {
+  tx_.schedule(due - network_.now(), [this, epoch] {
     if (departed_ || epoch != renew_epoch_ || !channel_ticket_) return;
     // Keep the User Ticket ahead of the Channel Ticket: re-login first when
     // it would expire before the renewed Channel Ticket needs it.
@@ -151,34 +177,12 @@ void AsyncClient::schedule_auto_renewal() {
 void AsyncClient::bind_observability(obs::Registry* registry,
                                      obs::Tracer* tracer,
                                      obs::SloMonitor* slo) {
-  registry_ = registry;
-  tracer_ = tracer;
-  slo_ = slo;
-  if (registry_ != nullptr) {
-    for (const Round r : core::kAllRounds) {
-      round_hist_[static_cast<std::size_t>(r)] = &registry_->histogram(
-          "client.round." + std::string(to_string(r)));
-    }
-    keys_delivered_ = &registry_->counter("keys.epochs_delivered");
-    key_margin_hist_ = &registry_->histogram("keys.delivery_margin_us");
-    key_staleness_gauge_ = &registry_->gauge("keys.max_staleness_us");
-  } else {
-    for (auto& h : round_hist_) h = nullptr;
-    keys_delivered_ = nullptr;
-    key_margin_hist_ = nullptr;
-    key_staleness_gauge_ = nullptr;
-  }
-}
-
-void AsyncClient::record(Round round, util::SimTime started, bool success) {
-  const util::SimTime latency = network_.now() - started;
-  feedback_.push_back({round, started, latency, success});
-  if (success && round_hist_[static_cast<std::size_t>(round)] != nullptr) {
-    round_hist_[static_cast<std::size_t>(round)]->record(latency);
-  }
-  if (success && slo_ != nullptr) {
-    slo_->observe(to_string(round), network_.now(), latency);
-  }
+  tx_.bind_observability(registry, tracer, slo);
+  const bool bound = registry != nullptr;
+  keys_delivered_ = bound ? &registry->counter("keys.epochs_delivered") : nullptr;
+  key_margin_hist_ =
+      bound ? &registry->histogram("keys.delivery_margin_us") : nullptr;
+  key_staleness_gauge_ = bound ? &registry->gauge("keys.max_staleness_us") : nullptr;
 }
 
 void AsyncClient::on_key_installed(const core::ContentKey& key) {
@@ -195,244 +199,18 @@ void AsyncClient::on_key_installed(const core::ContentKey& key) {
   if (key_delivery_hook_) key_delivery_hook_(key, now);
 }
 
-void AsyncClient::close_request_spans(std::uint64_t request_id, Pending& pending,
-                                      bool ok, const char* outcome) {
-  if (tracer_ == nullptr) return;
-  const util::SimTime now = network_.now();
-  tracer_->end_span(pending.attempt_span, now, ok);
-  tracer_->tag(pending.span, "outcome", outcome);
-  tracer_->end_span(pending.span, now, ok);
-  tracer_->unbind_request(config_.node, request_id);
-}
-
-void AsyncClient::send_request(util::NodeId to, MsgKind kind, util::Bytes payload,
-                               MsgKind expect, Round round,
-                               std::function<void(const Envelope&)> on_response,
-                               Callback on_fail) {
-  if (config_.breaker_failure_threshold > 0 &&
-      !breaker_for(to).allow(network_.now())) {
-    // The breaker is open: this destination keeps timing out, so fail fast
-    // instead of burning a full timeout ladder. The resilience layer treats
-    // it like any other failed round (failover to an alternate instance).
-    ++breaker_fast_fails_;
-    if (registry_ != nullptr) {
-      registry_->counter("client.breaker.fast_fail").inc();
-    }
-    const util::SimTime started = network_.now();
-    schedule(0, [this, round, started, on_fail = std::move(on_fail)] {
-      record(round, started, false);
-      if (on_fail) on_fail(DrmError::kNoCapacity);
-    });
-    return;
-  }
-  const std::uint64_t request_id = next_request_id_++;
-  Envelope env;
-  env.kind = kind;
-  env.request_id = request_id;
-  env.payload = std::move(payload);
-
-  Pending pending;
-  pending.expect = expect;
-  pending.to = to;
-  pending.wire = env.encode();
-  pending.retries_left = config_.max_retries;
-  pending.round = round;
-  pending.started = network_.now();
-  pending.on_response = std::move(on_response);
-  pending.on_fail = std::move(on_fail);
-  if (tracer_ != nullptr) {
-    // One span for the whole request, one child per transmission attempt;
-    // the binding lets the network's trace interceptor and the serving node
-    // parent their spans under the in-flight attempt.
-    pending.span = tracer_->begin_span("client", std::string(to_string(round)),
-                                       config_.node, pending.started);
-    tracer_->tag(pending.span, "kind", std::string(to_string(kind)));
-    tracer_->tag(pending.span, "to", std::to_string(to));
-    pending.attempt_span = tracer_->begin_span("client", "attempt", config_.node,
-                                               pending.started, pending.span);
-    tracer_->bind_request(config_.node, request_id, pending.attempt_span);
-  }
-  const util::Bytes wire = pending.wire;
-  pending_.emplace(request_id, std::move(pending));
-
-  network_.send(config_.node, to, wire);
-  arm_timeout(request_id);
-}
-
-void AsyncClient::arm_timeout(std::uint64_t request_id) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  const std::uint64_t attempt = it->second.attempt;
-
-  // Exponential backoff with jitter: attempt k waits factor^k times the
-  // base timeout (capped), stretched by up to `jitter` so clients that all
-  // lost the same manager do not hammer its replacement in lockstep.
-  const int step = config_.max_retries - it->second.retries_left;
-  double timeout = static_cast<double>(config_.request_timeout);
-  for (int i = 0; i < step; ++i) timeout *= config_.backoff_factor;
-  timeout = std::min(timeout, static_cast<double>(config_.max_timeout));
-  if (config_.jitter > 0) timeout *= 1.0 + config_.jitter * rng_.uniform_real();
-
-  schedule(static_cast<util::SimTime>(timeout), [this, request_id, attempt] {
-    const auto p = pending_.find(request_id);
-    if (p == pending_.end() || p->second.attempt != attempt) return;  // resolved
-    if (p->second.retries_left > 0) {
-      if (!spend_retry_token(p->second.round)) {
-        // Retries remain but the round's budget is dry: a fleet-wide outage
-        // must not multiply the offered load. Fail the operation instead.
-        ++retry_budget_exhaustions_;
-        if (registry_ != nullptr) {
-          registry_->counter("client.retry_budget.exhausted").inc();
-        }
-        Pending failed = std::move(p->second);
-        pending_.erase(p);
-        if (config_.breaker_failure_threshold > 0) {
-          breaker_for(failed.to).record_failure(network_.now());
-        }
-        fail_pending(request_id, std::move(failed), "budget",
-                     DrmError::kNoCapacity);
-        return;
-      }
-      --p->second.retries_left;
-      ++p->second.attempt;
-      ++retransmits_;
-      if (tracer_ != nullptr) {
-        // The old attempt timed out; open a fresh child span and rebind the
-        // request id to it so later hops/serves parent under the right one.
-        const util::SimTime now = network_.now();
-        tracer_->end_span(p->second.attempt_span, now, /*ok=*/false);
-        tracer_->event(p->second.span, now, "retransmit",
-                       "attempt " + std::to_string(p->second.attempt));
-        p->second.attempt_span = tracer_->begin_span(
-            "client", "attempt", config_.node, now, p->second.span);
-        tracer_->bind_request(config_.node, request_id, p->second.attempt_span);
-      }
-      network_.send(config_.node, p->second.to, p->second.wire);
-      arm_timeout(request_id);
-      return;
-    }
-    // Give up: record the failed round and fail the operation.
-    ++timeout_exhaustions_;
-    Pending failed = std::move(p->second);
-    pending_.erase(p);
-    if (config_.breaker_failure_threshold > 0) {
-      breaker_for(failed.to).record_failure(network_.now());
-    }
-    fail_pending(request_id, std::move(failed), "timeout", DrmError::kNoCapacity);
-  });
-}
-
-void AsyncClient::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
-  if (!env) return;
-
-  // Peer-plane messages are served by the embedded overlay half.
-  switch (env->kind) {
-    case MsgKind::kJoinRequest:
-    case MsgKind::kRenewalPresent:
-    case MsgKind::kKeyBlob:
-    case MsgKind::kContent:
-      if (peer_node_) peer_node_->on_packet(packet);
-      return;
-    default:
-      break;
-  }
-
-  if (env->kind == MsgKind::kBusy) {
-    handle_busy(*env);
-    return;
-  }
-
-  const auto it = pending_.find(env->request_id);
-  if (it == pending_.end()) return;           // stale duplicate
-  if (it->second.expect != env->kind) return; // mismatched response kind
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
-  if (config_.breaker_failure_threshold > 0) {
-    breaker_for(pending.to).record_success();
-  }
-  close_request_spans(env->request_id, pending, /*ok=*/true, "ok");
-  record(pending.round, pending.started, true);
-  pending.on_response(*env);
-}
-
-void AsyncClient::handle_busy(const Envelope& env) {
-  const auto it = pending_.find(env.request_id);
-  if (it == pending_.end()) return;  // stale (the retransmit already won)
-  BusyPayload busy;
-  try {
-    busy = BusyPayload::decode(env.payload);
-  } catch (const util::WireError&) {
-    return;  // corrupt BUSY; let the timeout machinery handle the request
-  }
-  Pending& pending = it->second;
-  ++busy_received_;
-  ++pending.attempt;  // the armed timeout is for a dead attempt now
-  ++pending.busy_defers;
-  if (registry_ != nullptr) registry_->counter("client.busy.received").inc();
-  // A BUSY proves the destination is alive — it answered — so the breaker
-  // sees a success even though the operation has not completed yet.
-  if (config_.breaker_failure_threshold > 0) {
-    breaker_for(pending.to).record_success();
-  }
-  if (pending.busy_defers > config_.busy_max_defers ||
-      !spend_retry_token(pending.round)) {
-    const bool budget_dry = pending.busy_defers <= config_.busy_max_defers;
-    if (budget_dry) {
-      ++retry_budget_exhaustions_;
-      if (registry_ != nullptr) {
-        registry_->counter("client.retry_budget.exhausted").inc();
-      }
-    }
-    Pending failed = std::move(pending);
-    pending_.erase(it);
-    fail_pending(env.request_id, std::move(failed),
-                 budget_dry ? "budget" : "busy", DrmError::kNoCapacity);
-    return;
-  }
-  ++busy_deferred_resends_;
-  if (registry_ != nullptr) registry_->counter("client.busy.deferred").inc();
-  // Honor the server's hint, stretched by jitter so the shed cohort does
-  // not re-arrive as one synchronized wave.
-  double delay = static_cast<double>(std::max<util::SimTime>(
-      busy.retry_after, config_.request_timeout / 4));
-  if (config_.jitter > 0) delay *= 1.0 + config_.jitter * rng_.uniform_real();
-  const std::uint64_t attempt = pending.attempt;
-  const std::uint64_t request_id = env.request_id;
-  if (tracer_ != nullptr) {
-    const util::SimTime now = network_.now();
-    tracer_->end_span(pending.attempt_span, now, /*ok=*/false);
-    tracer_->event(pending.span, now, "busy",
-                   "retry-after " + std::to_string(busy.retry_after) +
-                       " depth " + std::to_string(busy.queue_depth));
-  }
-  schedule(static_cast<util::SimTime>(delay), [this, request_id, attempt] {
-    const auto p = pending_.find(request_id);
-    if (p == pending_.end() || p->second.attempt != attempt) return;
-    if (tracer_ != nullptr) {
-      const util::SimTime now = network_.now();
-      p->second.attempt_span = tracer_->begin_span(
-          "client", "attempt", config_.node, now, p->second.span);
-      tracer_->bind_request(config_.node, request_id, p->second.attempt_span);
-    }
-    network_.send(config_.node, p->second.to, p->second.wire);
-    arm_timeout(request_id);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Resilience: operation-level failover and session recovery
 
 util::SimTime AsyncClient::recovery_backoff(int attempt) {
-  double delay = static_cast<double>(config_.recovery_delay);
+  double delay = static_cast<double>(kRecoveryDelay);
   for (int i = 0; i < attempt; ++i) delay *= 2.0;
-  delay = std::min(delay, static_cast<double>(config_.max_recovery_delay));
-  if (config_.jitter > 0) {
-    // Equal-jitter: spread the wait over [delay/2, delay*(1 + jitter)) with
-    // a single draw, so a cohort recovering from the same outage fans out
-    // across half the backoff window instead of clustering near its top.
-    delay = delay * 0.5 + delay * (0.5 + config_.jitter) * rng_.uniform_real();
-  }
+  delay = std::min(delay, static_cast<double>(kMaxRecoveryDelay));
+  // Equal-jitter: spread the wait over [delay/2, delay*(1 + jitter)) with
+  // a single draw, so a cohort recovering from the same outage fans out
+  // across half the backoff window instead of clustering near its top.
+  delay = delay * 0.5 +
+          delay * (0.5 + Transmitter::kJitter) * rng_.uniform_real();
   return static_cast<util::SimTime>(delay);
 }
 
@@ -441,7 +219,7 @@ void AsyncClient::run_resilient(std::function<void(Callback)> op, int attempt,
   auto self_op = op;  // keep a copy for the retry closure
   op([this, op = std::move(self_op), attempt, done](DrmError err) {
     if (err == DrmError::kOk || departed_ || !config_.resilience ||
-        is_permanent_failure(err) || attempt + 1 >= config_.max_recovery_attempts) {
+        is_permanent_failure(err) || attempt + 1 >= kMaxRecoveryAttempts) {
       done(err);
       return;
     }
@@ -450,10 +228,8 @@ void AsyncClient::run_resilient(std::function<void(Callback)> op, int attempt,
     // around dead farm instances) and refetches partition info (the CPM
     // re-points a partition at a surviving Channel Manager instance).
     ++failovers_;
-    redirect_.reset();
-    channels_.clear();
-    partitions_.clear();
-    schedule(recovery_backoff(attempt), [this, op, attempt, done] {
+    forget_routes();
+    tx_.schedule(recovery_backoff(attempt), [this, op, attempt, done] {
       if (departed_) {
         done(DrmError::kNoCapacity);
         return;
@@ -480,43 +256,34 @@ void AsyncClient::recover_session_attempt(util::SimTime started, int attempt,
     return;
   }
   // Start from scratch: fresh redirect, fresh channel list, fresh login.
-  redirect_.reset();
-  channels_.clear();
-  partitions_.clear();
+  forget_routes();
   const util::ChannelId channel = current_channel_;
   do_login([this, started, attempt, channel, done](DrmError err) {
-    const auto retry = [this, started, attempt, done](DrmError failure) {
-      if (is_permanent_failure(failure)) {
+    const auto finish = [this, started, attempt, done](DrmError result) {
+      if (result == DrmError::kOk) {
         session_recovery_active_ = false;
-        done(failure);
-        return;
+        ++rejoins_;
+        rejoin_latencies_.push_back(network_.now() - started);
+        done(DrmError::kOk);
+      } else if (is_permanent_failure(result)) {
+        session_recovery_active_ = false;
+        done(result);
+      } else {
+        tx_.schedule(recovery_backoff(attempt), [this, started, attempt, done] {
+          recover_session_attempt(started, std::min(attempt + 1, 16), done);
+        });
       }
-      schedule(recovery_backoff(attempt), [this, started, attempt, done] {
-        recover_session_attempt(started, std::min(attempt + 1, 16), done);
-      });
     };
     if (err != DrmError::kOk) {
-      retry(err);
+      finish(err);
       return;
     }
     ++relogins_;
     if (channel == 0) {  // never watched anything: logged in again is enough
-      session_recovery_active_ = false;
-      ++rejoins_;
-      rejoin_latencies_.push_back(network_.now() - started);
-      done(DrmError::kOk);
+      finish(DrmError::kOk);
       return;
     }
-    do_switch_channel(channel, [this, started, retry, done](DrmError err2) {
-      if (err2 != DrmError::kOk) {
-        retry(err2);
-        return;
-      }
-      session_recovery_active_ = false;
-      ++rejoins_;
-      rejoin_latencies_.push_back(network_.now() - started);
-      done(DrmError::kOk);
-    });
+    do_switch_channel(channel, finish);
   });
 }
 
@@ -524,24 +291,17 @@ void AsyncClient::recover_session_attempt(util::SimTime started, int attempt,
 // Login
 
 void AsyncClient::login(Callback done) {
-  if (!config_.resilience) {
-    do_login(std::move(done));
-    return;
-  }
   run_resilient([this](Callback cb) { do_login(std::move(cb)); }, 0,
                 std::move(done));
 }
 
 void AsyncClient::switch_channel(util::ChannelId channel, Callback done) {
-  if (!config_.resilience) {
-    do_switch_channel(channel, std::move(done));
-    return;
-  }
   run_resilient(
       [this, channel](Callback cb) {
-        // After a failover the cached session may be gone; re-login first
-        // when the channel list (with its partition info) was dropped.
-        if (!user_ticket_ || channels_.empty()) {
+        // After a failover the cached session may be gone; a resilient
+        // client re-logs in first when the channel list (with its partition
+        // info) was dropped.
+        if (config_.resilience && (!user_ticket_ || channels_.empty())) {
           do_login([this, channel, cb](DrmError err) {
             if (err != DrmError::kOk) {
               cb(err);
@@ -557,47 +317,37 @@ void AsyncClient::switch_channel(util::ChannelId channel, Callback done) {
 }
 
 void AsyncClient::renew_channel_ticket(Callback done) {
-  if (!config_.resilience) {
-    do_renew_channel_ticket(std::move(done));
-    return;
-  }
   do_renew_channel_ticket([this, done](DrmError err) {
-    if (err == DrmError::kOk || departed_ || is_permanent_failure(err)) {
+    if (err == DrmError::kOk || !config_.resilience || departed_ ||
+        is_permanent_failure(err)) {
       done(err);
       return;
     }
     // The renewal window closed, the manager lost our viewing-log entry in
     // a crash, or the farm is unreachable: the session is as good as lost.
-    // Re-login and re-join instead of clinging to the expiring ticket.
+    // A resilient client re-logs in and re-joins instead of clinging to the
+    // expiring ticket.
     recover_session(std::move(done));
   });
 }
 
 void AsyncClient::do_login(Callback done) {
-  if (!redirect_) {
-    services::RedirectRequest req{config_.email};
-    send_request(
-        config_.redirection_node, MsgKind::kRedirectRequest, req.encode(),
-        MsgKind::kRedirectResponse, Round::kLogin1,
-        [this, done](const Envelope& env) {
-          try {
-            services::RedirectResponse resp =
-                services::RedirectResponse::decode(env.payload);
-            if (!resp.found) {
-              done(DrmError::kUnknownUser);
-              return;
-            }
-            redirect_ = std::move(resp);
-          } catch (const util::WireError&) {
-            done(DrmError::kBadTicket);
-            return;
-          }
-          start_login1(done);
-        },
-        done);
+  if (redirect_) {
+    start_login1(std::move(done));
     return;
   }
-  start_login1(done);
+  services::RedirectRequest req{config_.email};
+  request<services::RedirectResponse>(
+      tx_, config_.redirection_node, MsgKind::kRedirectRequest, req.encode(),
+      MsgKind::kRedirectResponse, Round::kLogin1, done,
+      [this, done](services::RedirectResponse resp) {
+        if (!resp.found) {
+          done(DrmError::kUnknownUser);
+          return;
+        }
+        redirect_ = std::move(resp);
+        start_login1(done);
+      });
 }
 
 void AsyncClient::start_login1(Callback done) {
@@ -612,29 +362,20 @@ void AsyncClient::start_login1(Callback done) {
     done(DrmError::kWrongDomain);
     return;
   }
-  core::Login1Request req;
-  req.email = config_.email;
-  req.client_public_key = keys_.pub;
-  req.client_version = config_.client_version;
+  const core::Login1Request req{.email = config_.email,
+                                .client_public_key = keys_.pub,
+                                .client_version = config_.client_version};
 
-  send_request(
-      *um_node, MsgKind::kLogin1Request, req.encode(), MsgKind::kLogin1Response,
-      Round::kLogin1,
-      [this, done, um_node](const Envelope& env) {
-        core::Login1Response resp1;
-        try {
-          resp1 = core::Login1Response::decode(env.payload);
-        } catch (const util::WireError&) {
-          done(DrmError::kBadTicket);
-          return;
-        }
-        if (resp1.error != DrmError::kOk) {
-          // A wrong-domain refusal means the redirect steered us to a User
-          // Manager that does not own this account: re-resolve next login.
-          if (resp1.error == DrmError::kWrongDomain) redirect_.reset();
-          done(resp1.error);
-          return;
-        }
+  // A wrong-domain refusal means the redirect steered us to a User Manager
+  // that does not own this account: re-resolve next login.
+  const Callback refused = [this, done](DrmError err) {
+    if (err == DrmError::kWrongDomain) redirect_.reset();
+    done(err);
+  };
+  request<core::Login1Response>(
+      tx_, *um_node, MsgKind::kLogin1Request, req.encode(),
+      MsgKind::kLogin1Response, Round::kLogin1, refused,
+      [this, done, um_node](core::Login1Response resp1) {
         const auto opened = core::open_login1_response(resp1, config_.password);
         if (!opened) {
           done(DrmError::kBadCredentials);
@@ -643,31 +384,14 @@ void AsyncClient::start_login1(Callback done) {
         const core::Login2Request req2 =
             core::build_login2_request(*opened, config_.email, keys_,
                                        config_.client_version, config_.client_binary);
-        const util::SimTime started = network_.now();
-        send_request(
-            *um_node, MsgKind::kLogin2Request, req2.encode(),
-            MsgKind::kLogin2Response, Round::kLogin2,
-            [this, done, started](const Envelope& env2) {
-              core::Login2Response resp2;
-              try {
-                resp2 = core::Login2Response::decode(env2.payload);
-              } catch (const util::WireError&) {
-                done(DrmError::kBadTicket);
-                return;
-              }
-              after_login2(resp2, started, done);
-            },
-            done);
-      },
-      done);
+        request<core::Login2Response>(
+            tx_, *um_node, MsgKind::kLogin2Request, req2.encode(),
+            MsgKind::kLogin2Response, Round::kLogin2, done,
+            [this, done](core::Login2Response resp2) { after_login2(resp2, done); });
+      });
 }
 
-void AsyncClient::after_login2(const core::Login2Response& resp,
-                               util::SimTime /*started*/, Callback done) {
-  if (resp.error != DrmError::kOk) {
-    done(resp.error);
-    return;
-  }
+void AsyncClient::after_login2(const core::Login2Response& resp, Callback done) {
   if (!resp.ticket) {
     done(DrmError::kBadCredentials);
     return;
@@ -702,44 +426,31 @@ void AsyncClient::maybe_fetch_channel_list(std::vector<std::string> stale,
     done(DrmError::kOk);  // no CPM deployed: proceed without a list
     return;
   }
-  core::ChannelListRequest req;
-  req.user_ticket = user_ticket_->encode();
-  req.stale_attributes = std::move(stale);
-  const bool full = req.stale_attributes.empty();
+  const bool full = stale.empty();
+  const core::ChannelListRequest req{.user_ticket = user_ticket_->encode(),
+                                     .stale_attributes = std::move(stale)};
 
-  send_request(
-      *cpm_node, MsgKind::kChannelListRequest, req.encode(),
-      MsgKind::kChannelListResponse, Round::kLogin2,
-      [this, done, full](const Envelope& env) {
-        try {
-          core::ChannelListResponse resp =
-              core::ChannelListResponse::decode(env.payload);
-          if (resp.error != DrmError::kOk) {
-            done(resp.error);
-            return;
-          }
-          if (full) {
-            channels_ = std::move(resp.channels);
-          } else {
-            for (core::ChannelRecord& fresh : resp.channels) {
-              bool replaced = false;
-              for (core::ChannelRecord& cached : channels_) {
-                if (cached.id == fresh.id) {
-                  cached = std::move(fresh);
-                  replaced = true;
-                  break;
-                }
-              }
-              if (!replaced) channels_.push_back(std::move(fresh));
+  request<core::ChannelListResponse>(
+      tx_, *cpm_node, MsgKind::kChannelListRequest, req.encode(),
+      MsgKind::kChannelListResponse, Round::kLogin2, done,
+      [this, done, full](core::ChannelListResponse resp) {
+        if (full) {
+          channels_ = std::move(resp.channels);
+        } else {
+          for (core::ChannelRecord& fresh : resp.channels) {
+            const auto cached = std::find_if(
+                channels_.begin(), channels_.end(),
+                [&fresh](const core::ChannelRecord& c) { return c.id == fresh.id; });
+            if (cached == channels_.end()) {
+              channels_.push_back(std::move(fresh));
+            } else {
+              *cached = std::move(fresh);
             }
           }
-          if (!resp.partitions.empty()) partitions_ = std::move(resp.partitions);
-          done(DrmError::kOk);
-        } catch (const util::WireError&) {
-          done(DrmError::kBadTicket);
         }
-      },
-      done);
+        if (!resp.partitions.empty()) partitions_ = std::move(resp.partitions);
+        done(DrmError::kOk);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -757,209 +468,143 @@ std::vector<util::ChannelId> AsyncClient::viewable_channels() const {
   return out;
 }
 
-std::uint32_t AsyncClient::partition_of(util::ChannelId channel) const {
+const core::PartitionInfo* AsyncClient::partition_of(util::ChannelId channel) const {
+  std::uint32_t partition = 0;
   for (const core::ChannelRecord& c : channels_) {
-    if (c.id == channel) return c.partition;
+    if (c.id == channel) {
+      partition = c.partition;
+      break;
+    }
   }
-  return 0;
-}
-
-std::optional<util::NodeId> AsyncClient::manager_node(std::uint32_t partition) const {
   for (const core::PartitionInfo& p : partitions_) {
-    if (p.partition == partition) return network_.node_at(p.manager_addr);
+    if (p.partition == partition) return &p;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
-void AsyncClient::do_switch_channel(util::ChannelId channel, Callback done) {
+void AsyncClient::switch_exchange(
+    util::ChannelId channel, util::Bytes expiring, Callback done,
+    std::function<void(core::Switch2Response)> on_ok) {
   if (!user_ticket_) {
     done(DrmError::kBadTicket);
     return;
   }
-  const auto cm_node = manager_node(partition_of(channel));
+  const core::PartitionInfo* partition = partition_of(channel);
+  const auto cm_node =
+      partition ? network_.node_at(partition->manager_addr) : std::nullopt;
   if (!cm_node) {
-    // The cached channel list cannot route this switch — stale, or poisoned
-    // by a corrupted-but-decodable listing response (wire fuzzing provokes
-    // exactly this). Drop the cache so the next login refetches instead of
-    // looping on the same bad list; the resilient recovery path already
-    // clears these, this heals the plain-client path too. The redirect goes
-    // with them: a poisoned CPM address silently skips the list refetch.
-    redirect_.reset();
-    channels_.clear();
-    partitions_.clear();
+    // The cached channel list cannot route this request — stale, or
+    // poisoned by a corrupted-but-decodable listing response (wire fuzzing
+    // provokes exactly this). Drop the cache so the next login refetches
+    // instead of looping on the same bad list; the resilient recovery path
+    // already clears these, this heals the plain-client path too. The
+    // redirect goes with them: a poisoned CPM address silently skips the
+    // list refetch.
+    forget_routes();
     done(DrmError::kWrongPartition);
     return;
   }
-  core::Switch1Request req1;
-  req1.user_ticket = user_ticket_->encode();
-  req1.channel_id = channel;
+  // A renewal presents the expiring ticket in lieu of the channel id.
+  const core::Switch1Request req1{.user_ticket = user_ticket_->encode(),
+                                  .channel_id = expiring.empty() ? channel : 0,
+                                  .expiring_ticket = std::move(expiring)};
 
-  send_request(
-      *cm_node, MsgKind::kSwitch1Request, req1.encode(), MsgKind::kSwitch1Response,
-      Round::kSwitch1,
-      [this, done, cm_node, channel,
-       user_ticket = req1.user_ticket](const Envelope& env) {
-        core::Switch1Response resp1;
-        try {
-          resp1 = core::Switch1Response::decode(env.payload);
-        } catch (const util::WireError&) {
-          done(DrmError::kBadTicket);
-          return;
-        }
-        if (resp1.error != DrmError::kOk) {
-          done(resp1.error);
-          return;
-        }
+  request<core::Switch1Response>(
+      tx_, *cm_node, MsgKind::kSwitch1Request, req1.encode(),
+      MsgKind::kSwitch1Response, Round::kSwitch1, done,
+      [this, done, cm_node, req1, on_ok = std::move(on_ok)](
+          core::Switch1Response resp1) {
         const core::Switch2Request req2 = core::build_switch2_request(
-            resp1, user_ticket, channel, {}, keys_.priv);
-        send_request(
-            *cm_node, MsgKind::kSwitch2Request, req2.encode(),
-            MsgKind::kSwitch2Response, Round::kSwitch2,
-            [this, done, channel](const Envelope& env2) {
-              core::Switch2Response resp2;
-              try {
-                resp2 = core::Switch2Response::decode(env2.payload);
-              } catch (const util::WireError&) {
-                done(DrmError::kBadTicket);
-                return;
-              }
-              if (resp2.error != DrmError::kOk) {
-                done(resp2.error);
-                return;
-              }
-              if (!resp2.ticket) {
-                done(DrmError::kAccessDenied);
-                return;
-              }
-              channel_ticket_ = std::move(resp2.ticket);
-              current_channel_ = channel;
-              parent_.reset();
-
-              // Fresh overlay half for the new channel; the network keeps
-              // routing our node id to this AsyncClient, which delegates.
-              crypto::RsaPublicKey cm_key;
-              for (const core::PartitionInfo& p : partitions_) {
-                if (p.partition == partition_of(channel)) {
-                  cm_key = crypto::RsaPublicKey::decode(p.manager_public_key);
-                }
-              }
-              p2p::PeerConfig pc;
-              pc.node = config_.node;
-              pc.addr = config_.addr;
-              pc.channel = channel;
-              pc.capacity = config_.peer_capacity;
-              pc.substreams = config_.substreams;
-              peer_node_ = std::make_unique<PeerNode>(
-                  std::make_unique<p2p::Peer>(pc, keys_, cm_key, rng_.fork()),
-                  network_);
-              if (tracer_ != nullptr) peer_node_->set_tracer(tracer_);
-              if (registry_ != nullptr) peer_node_->set_registry(registry_);
-              peer_node_->peer().set_install_listener(
-                  [this](const core::ContentKey& key) { on_key_installed(key); });
-              reassembly_ = std::make_unique<p2p::SubstreamBuffer>(1024);
-              router_.reset();
-              peer_node_->set_content_sink(
-                  [this](const core::ContentPacket& packet,
-                         const std::optional<util::Bytes>& plain) {
-                    last_content_ = network_.now();
-                    if (plain) {
-                      ++content_decrypted_;
-                      content_in_order_ +=
-                          reassembly_->insert(packet.seq, *plain).size();
-                    } else {
-                      ++content_undecryptable_;
-                    }
-                  });
-              if (config_.substreams > 1) {
-                auto state = std::make_shared<StripedJoin>();
-                state->peers = std::move(resp2.peers);
-                state->started = network_.now();
-                // One join group per parent slot: group g carries the mask
-                // of sub-streams g, g+k, g+2k, ... for k parent slots.
-                const std::size_t slots =
-                    std::min(config_.substreams,
-                             std::max<std::size_t>(1, state->peers.size()));
-                state->group_masks.assign(slots, 0);
-                for (std::size_t s = 0; s < config_.substreams && s < 32; ++s) {
-                  state->group_masks[s % slots] |= 1u << s;
-                }
-                join_striped(std::move(state), done);
-              } else {
-                try_join(std::move(resp2.peers), 0, network_.now(), done);
-              }
-            },
-            done);
-      },
-      done);
-}
-
-void AsyncClient::try_join(std::vector<core::PeerInfo> peers, std::size_t index,
-                           util::SimTime started, Callback done) {
-  if (index >= peers.size()) {
-    record(Round::kJoin, started, false);
-    done(DrmError::kNoCapacity);
-    return;
-  }
-  const core::PeerInfo target = peers[index];
-  const core::JoinRequest req = peer_node_->peer().make_join_request(*channel_ticket_);
-  send_request(
-      target.node, MsgKind::kJoinRequest, req.encode(), MsgKind::kJoinResponse,
-      Round::kJoin,
-      [this, peers = std::move(peers), index, started, target,
-       done](const Envelope& env) mutable {
-        core::JoinResponse resp;
-        try {
-          resp = core::JoinResponse::decode(env.payload);
-        } catch (const util::WireError&) {
-          try_join(std::move(peers), index + 1, started, done);
-          return;
-        }
-        if (resp.error != DrmError::kOk ||
-            !peer_node_->peer().complete_join(target.node, resp)) {
-          try_join(std::move(peers), index + 1, started, done);
-          return;
-        }
-        parent_ = target.node;
-        if (auto_renew_) schedule_auto_renewal();
-        if (starvation_recovery_) {
-          last_content_ = network_.now();
-          arm_starvation_watchdog();
-        }
-        done(DrmError::kOk);
-      },
-      [this, done, started](DrmError) {
-        // Timeout on one candidate: give up on the whole join (the caller
-        // can re-run switch_channel for a fresh peer list).
-        record(Round::kJoin, started, false);
-        done(DrmError::kNoCapacity);
+            resp1, req1.user_ticket, req1.channel_id, req1.expiring_ticket,
+            keys_.priv);
+        request<core::Switch2Response>(tx_, *cm_node, MsgKind::kSwitch2Request,
+                                       req2.encode(), MsgKind::kSwitch2Response,
+                                       Round::kSwitch2, done, on_ok);
       });
 }
 
-void AsyncClient::finish_join(util::SimTime /*started*/, Callback done) {
-  // Per-attempt JOIN rounds were already recorded by send_request.
-  if (auto_renew_) schedule_auto_renewal();
-  if (starvation_recovery_) {
-    last_content_ = network_.now();
-    arm_starvation_watchdog();
-  }
-  done(DrmError::kOk);
+void AsyncClient::do_switch_channel(util::ChannelId channel, Callback done) {
+  switch_exchange(channel, {}, done, [this, channel, done](core::Switch2Response resp2) {
+    if (!resp2.ticket) {
+      done(DrmError::kAccessDenied);
+      return;
+    }
+    channel_ticket_ = std::move(resp2.ticket);
+    current_channel_ = channel;
+    parent_.reset();
+
+    // Fresh overlay half for the new channel; the network keeps routing our
+    // node id to this AsyncClient, which delegates.
+    crypto::RsaPublicKey cm_key;
+    if (const core::PartitionInfo* partition = partition_of(channel)) {
+      cm_key = crypto::RsaPublicKey::decode(partition->manager_public_key);
+    }
+    p2p::PeerConfig pc;
+    pc.node = config_.node;
+    pc.addr = config_.addr;
+    pc.channel = channel;
+    pc.capacity = config_.peer_capacity;
+    pc.substreams = config_.substreams;
+    peer_node_ = std::make_unique<PeerNode>(
+        std::make_unique<p2p::Peer>(pc, keys_, cm_key, rng_.fork()), network_);
+    if (tx_.tracer() != nullptr) peer_node_->set_tracer(tx_.tracer());
+    if (tx_.registry() != nullptr) peer_node_->set_registry(tx_.registry());
+    peer_node_->peer().set_install_listener(
+        [this](const core::ContentKey& key) { on_key_installed(key); });
+    reassembly_ = std::make_unique<p2p::SubstreamBuffer>(1024);
+    router_.reset();
+    peer_node_->set_content_sink([this](const core::ContentPacket& packet,
+                                        const std::optional<util::Bytes>& plain) {
+      last_content_ = network_.now();
+      if (plain) {
+        ++content_decrypted_;
+        content_in_order_ += reassembly_->insert(packet.seq, *plain).size();
+      } else {
+        ++content_undecryptable_;
+      }
+    });
+    auto state = std::make_shared<JoinState>();
+    state->peers = std::move(resp2.peers);
+    state->started = network_.now();
+    if (config_.substreams == 1) {
+      state->group_masks = {0xffffffff};  // one parent carries everything
+    } else {
+      // One join group per parent slot: group g carries the mask of
+      // sub-streams g, g+k, g+2k, ... for k parent slots.
+      const std::size_t slots = std::min(
+          config_.substreams, std::max<std::size_t>(1, state->peers.size()));
+      state->group_masks.assign(slots, 0);
+      for (std::size_t s = 0; s < config_.substreams && s < 32; ++s) {
+        state->group_masks[s % slots] |= 1u << s;
+      }
+    }
+    join(std::move(state), done);
+  });
 }
 
-void AsyncClient::join_striped(std::shared_ptr<StripedJoin> state, Callback done) {
+void AsyncClient::join(std::shared_ptr<JoinState> state, Callback done) {
   if (state->group >= state->group_masks.size()) {
-    // All groups placed: install the router from the final assignment.
-    router_ = std::make_unique<p2p::SubstreamRouter>(config_.substreams);
-    for (const auto& [parent, mask] : state->assigned) {
-      for (std::size_t s = 0; s < config_.substreams && s < 32; ++s) {
-        if (mask & (1u << s)) router_->assign(s, parent);
+    if (config_.substreams > 1) {
+      // All groups placed: install the router from the final assignment.
+      router_ = std::make_unique<p2p::SubstreamRouter>(config_.substreams);
+      for (const auto& [parent, mask] : state->assigned) {
+        for (std::size_t s = 0; s < config_.substreams && s < 32; ++s) {
+          if (mask & (1u << s)) router_->assign(s, parent);
+        }
       }
     }
     parent_ = state->assigned.begin()->first;
-    finish_join(state->started, done);
+    // Per-attempt JOIN rounds were already recorded by the transmitter.
+    if (auto_renew_) schedule_auto_renewal();
+    if (starvation_recovery_) {
+      last_content_ = network_.now();
+      arm_starvation_watchdog();
+    }
+    done(DrmError::kOk);
     return;
   }
   if (state->candidate >= state->peers.size()) {
-    record(Round::kJoin, state->started, false);
+    tx_.record(Round::kJoin, state->started, false);
     done(DrmError::kNoCapacity);
     return;
   }
@@ -978,115 +623,63 @@ void AsyncClient::join_striped(std::shared_ptr<StripedJoin> state, Callback done
 
   const core::JoinRequest req =
       peer_node_->peer().make_join_request(*channel_ticket_, mask);
-  send_request(
+  tx_.send(
       target.node, MsgKind::kJoinRequest, req.encode(), MsgKind::kJoinResponse,
       Round::kJoin,
-      [this, state, target, mask, done](const Envelope& env) mutable {
-        core::JoinResponse resp;
-        bool accepted = false;
-        try {
-          resp = core::JoinResponse::decode(env.payload);
-          accepted = resp.error == DrmError::kOk &&
-                     peer_node_->peer().complete_join(target.node, resp);
-        } catch (const util::WireError&) {
-        }
-        if (accepted) {
+      [this, state, target, mask, done](const Envelope& env) {
+        const auto resp = decode_as<core::JoinResponse>(env.payload);
+        if (resp && resp->error == DrmError::kOk &&
+            peer_node_->peer().complete_join(target.node, *resp)) {
           state->assigned[target.node] = mask;
           ++state->group;
           state->candidate = 0;
         } else {
           ++state->candidate;
         }
-        join_striped(state, done);
+        join(state, done);
       },
       [this, state, done](DrmError) {
-        ++state->candidate;
-        join_striped(state, done);
+        // A single-parent join gives up on the first timeout (the caller can
+        // re-run switch_channel for a fresh peer list).
+        state->candidate = config_.substreams == 1 ? state->peers.size()
+                                                   : state->candidate + 1;
+        join(state, done);
       });
 }
 
 void AsyncClient::do_renew_channel_ticket(Callback done) {
-  if (!user_ticket_ || !channel_ticket_) {
+  if (!channel_ticket_) {
     done(DrmError::kBadTicket);
     return;
   }
-  const util::ChannelId channel = channel_ticket_->ticket.channel_id;
-  const auto cm_node = manager_node(partition_of(channel));
-  if (!cm_node) {
-    redirect_.reset();  // same cache-poisoning escape as do_switch_channel
-    channels_.clear();
-    partitions_.clear();
-    done(DrmError::kWrongPartition);
-    return;
-  }
-  core::Switch1Request req1;
-  req1.user_ticket = user_ticket_->encode();
-  req1.expiring_ticket = channel_ticket_->encode();
-
-  send_request(
-      *cm_node, MsgKind::kSwitch1Request, req1.encode(), MsgKind::kSwitch1Response,
-      Round::kSwitch1,
-      [this, done, cm_node, user_ticket = req1.user_ticket,
-       expiring = req1.expiring_ticket](const Envelope& env) {
-        core::Switch1Response resp1;
-        try {
-          resp1 = core::Switch1Response::decode(env.payload);
-        } catch (const util::WireError&) {
-          done(DrmError::kBadTicket);
+  switch_exchange(
+      channel_ticket_->ticket.channel_id, channel_ticket_->encode(), done,
+      [this, done](core::Switch2Response resp2) {
+        if (!resp2.ticket || !resp2.ticket->ticket.renewal) {
+          done(DrmError::kRenewalRefused);
           return;
         }
-        if (resp1.error != DrmError::kOk) {
-          done(resp1.error);
+        channel_ticket_ = std::move(resp2.ticket);
+        // Present the renewal to every parent — with multi-parent delivery
+        // each of them tracks our ticket expiry. The first parent's ack
+        // completes the operation; the rest are best-effort.
+        const std::vector<util::NodeId> parents =
+            peer_node_ ? peer_node_->peer().parents() : std::vector<util::NodeId>{};
+        if (parents.empty()) {
+          done(DrmError::kOk);
           return;
         }
-        const core::Switch2Request req2 =
-            core::build_switch2_request(resp1, user_ticket, 0, expiring, keys_.priv);
-        send_request(
-            *cm_node, MsgKind::kSwitch2Request, req2.encode(),
-            MsgKind::kSwitch2Response, Round::kSwitch2,
-            [this, done](const Envelope& env2) {
-              core::Switch2Response resp2;
-              try {
-                resp2 = core::Switch2Response::decode(env2.payload);
-              } catch (const util::WireError&) {
-                done(DrmError::kBadTicket);
-                return;
-              }
-              if (resp2.error != DrmError::kOk) {
-                done(resp2.error);
-                return;
-              }
-              if (!resp2.ticket || !resp2.ticket->ticket.renewal) {
-                done(DrmError::kRenewalRefused);
-                return;
-              }
-              channel_ticket_ = std::move(resp2.ticket);
-              // Present the renewal to every parent — with multi-parent
-              // delivery each of them tracks our ticket expiry. The first
-              // parent's ack completes the operation; the rest are
-              // best-effort.
-              const std::vector<util::NodeId> parents =
-                  peer_node_ ? peer_node_->peer().parents()
-                             : std::vector<util::NodeId>{};
-              if (parents.empty()) {
-                done(DrmError::kOk);
-                return;
-              }
-              for (std::size_t i = 1; i < parents.size(); ++i) {
-                send_request(parents[i], MsgKind::kRenewalPresent,
-                             channel_ticket_->encode(), MsgKind::kRenewalAck,
-                             Round::kSwitch2, [](const Envelope&) {},
-                             [](DrmError) {});
-              }
-              send_request(
-                  parents[0], MsgKind::kRenewalPresent, channel_ticket_->encode(),
-                  MsgKind::kRenewalAck, Round::kSwitch2,
-                  [done](const Envelope&) { done(DrmError::kOk); },
-                  [done](DrmError) { done(DrmError::kOk); });  // best effort
-            },
-            done);
-      },
-      done);
+        for (std::size_t i = 1; i < parents.size(); ++i) {
+          tx_.send(parents[i], MsgKind::kRenewalPresent, channel_ticket_->encode(),
+                   MsgKind::kRenewalAck, Round::kSwitch2, [](const Envelope&) {},
+                   [](DrmError) {});
+        }
+        tx_.send(
+            parents[0], MsgKind::kRenewalPresent, channel_ticket_->encode(),
+            MsgKind::kRenewalAck, Round::kSwitch2,
+            [done](const Envelope&) { done(DrmError::kOk); },
+            [done](DrmError) { done(DrmError::kOk); });  // best effort
+      });
 }
 
 }  // namespace p2pdrm::net

@@ -751,13 +751,13 @@ AsyncClient::Config Deployment::make_client_config(const std::string& email,
   cc.node = next_client_node_++;
   cc.key_bits = config_.key_bits;
   cc.substreams = config_.substreams;
-  cc.request_timeout = config_.request_timeout;
-  cc.max_retries = config_.max_retries;
+  cc.transmit.request_timeout = config_.request_timeout;
+  cc.transmit.max_retries = config_.max_retries;
+  cc.transmit.retry_budget = config_.client_retry_budget;
+  cc.transmit.retry_budget_refill_per_second = config_.client_retry_budget_refill;
+  cc.transmit.breaker_failure_threshold = config_.client_breaker_threshold;
+  cc.transmit.breaker_cooldown = config_.client_breaker_cooldown;
   cc.resilience = config_.client_resilience;
-  cc.retry_budget = config_.client_retry_budget;
-  cc.retry_budget_refill_per_second = config_.client_retry_budget_refill;
-  cc.breaker_failure_threshold = config_.client_breaker_threshold;
-  cc.breaker_cooldown = config_.client_breaker_cooldown;
   cc.redirection_node = kRedirectionNode;
   return cc;
 }

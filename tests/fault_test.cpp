@@ -292,7 +292,8 @@ TEST_F(FaultScenarioTest, RetryBudgetExhaustsUnderTotalLoss) {
   EXPECT_EQ(lost.timeout_exhaustions(), 1u);  // first round died; chain stopped
   EXPECT_EQ(lost.retransmits(), static_cast<std::uint64_t>(cfg.max_retries));
   // Exhaustion must walk the whole backoff ladder — 3+6+12+24 seconds of
-  // waits plus the final timeout, capped at max_timeout (30s) — and jitter.
+  // waits plus the final timeout, capped at Transmitter::kMaxTimeout (30s) —
+  // and jitter.
   EXPECT_GE(dep->sim().now() - start, 75 * kSecond);
   EXPECT_LE(dep->sim().now() - start, 85 * kSecond);
   EXPECT_FALSE(lost.logged_in());

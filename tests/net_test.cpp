@@ -1,12 +1,14 @@
 // Network substrate: envelope codec, delivery/latency/loss semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "net/deployment.h"
 #include "net/envelope.h"
 #include "net/network.h"
 #include "net/service_nodes.h"
+#include "net/transmitter.h"
 
 namespace p2pdrm::net {
 namespace {
@@ -14,6 +16,7 @@ namespace {
 using util::Bytes;
 using util::bytes_of;
 using util::kMillisecond;
+using util::kSecond;
 
 TEST(EnvelopeTest, RoundTrip) {
   Envelope e;
@@ -283,6 +286,279 @@ TEST(ClientLifetimeTest, DestroyedClientTimersAreInert) {
 
   d.remove_client(c);                // destroys the client object
   d.run_for(30 * util::kMinute);     // the orphaned timers come due: no UAF
+}
+
+
+// --- the transmission layer alone: a Transmitter on a bare Network, with a
+// scripted server node ---
+
+constexpr util::NodeId kTxClient = 1;
+constexpr util::NodeId kTxServer = 2;
+constexpr util::NodeId kTxImpostor = 3;
+
+LinkConfig instant_link() {
+  LinkConfig link;
+  link.latency.floor = 0;
+  link.latency.median = 1;  // ~zero network
+  link.latency.sigma = 0.01;
+  return link;
+}
+
+/// Records every request's arrival time and answers it by running `script`.
+class ScriptedServer final : public Node {
+ public:
+  ScriptedServer(Network& net, util::NodeId self) : net_(net), self_(self) {
+    net_.attach(self_, util::parse_netaddr("10.0.0." + std::to_string(self_)),
+                this);
+  }
+  void on_packet(const Packet& packet) override {
+    arrivals.push_back(net_.now());
+    const auto env = Envelope::decode(packet.data);
+    if (env && script) script(*env);
+  }
+  /// Send `kind` for `request_id` back to the client.
+  void reply(MsgKind kind, std::uint64_t request_id, Bytes payload = {}) {
+    Envelope env;
+    env.kind = kind;
+    env.request_id = request_id;
+    env.payload = std::move(payload);
+    net_.send(self_, kTxClient, env.encode());
+  }
+
+  std::function<void(const Envelope&)> script;
+  std::vector<util::SimTime> arrivals;
+
+ private:
+  Network& net_;
+  util::NodeId self_;
+};
+
+/// The client end: hands every envelope it receives to the transmitter.
+struct TransmitterHost final : Node {
+  TransmitterHost(Network& net, Transmitter::Config config)
+      : tx(config, kTxClient, net, rng) {
+    net.attach(kTxClient, util::parse_netaddr("10.0.0.1"), this);
+  }
+  void on_packet(const Packet& packet) override {
+    if (const auto env = Envelope::decode(packet.data)) {
+      tx.on_envelope(packet.from, *env);
+    }
+  }
+
+  crypto::SecureRandom rng{21};  // declared first: tx draws jitter from it
+  Transmitter tx;
+};
+
+/// Outcome of one request through the transmitter.
+struct TxResult {
+  int responses = 0;
+  int failures = 0;
+  Bytes payload;
+  core::DrmError error = core::DrmError::kOk;
+  util::SimTime done_at = 0;
+};
+
+void send_redirect(Network& net, Transmitter& tx, TxResult& result) {
+  tx.send(
+      kTxServer, MsgKind::kRedirectRequest, bytes_of("req"),
+      MsgKind::kRedirectResponse, core::Round::kLogin1,
+      [&net, &result](const Envelope& env) {
+        ++result.responses;
+        result.payload = env.payload;
+        result.done_at = net.now();
+      },
+      [&net, &result](core::DrmError err) {
+        ++result.failures;
+        result.error = err;
+        result.done_at = net.now();
+      });
+}
+
+TEST(TransmitterTest, BackoffLadderCapsAtMaxTimeout) {
+  sim::Simulation sim;
+  Network net(sim, instant_link(), crypto::SecureRandom(31));
+  ScriptedServer server(net, kTxServer);  // never answers
+  Transmitter::Config cfg;
+  cfg.request_timeout = 8 * kSecond;
+  cfg.max_retries = 5;
+  TransmitterHost host(net, cfg);
+
+  TxResult result;
+  send_redirect(net, host.tx, result);
+  sim.run();
+
+  ASSERT_EQ(result.failures, 1);
+  EXPECT_EQ(result.responses, 0);
+  EXPECT_EQ(result.error, core::DrmError::kNoCapacity);
+  EXPECT_EQ(host.tx.stats().retransmits, 5u);
+  EXPECT_EQ(host.tx.stats().timeout_exhaustions, 1u);
+  ASSERT_EQ(server.arrivals.size(), 6u);
+  // Waits of 8, 16, then 32 s and beyond capped at 30 s, each stretched by
+  // at most the jitter; the last one is the final timeout before failing.
+  std::vector<util::SimTime> waits;
+  for (std::size_t i = 1; i < server.arrivals.size(); ++i) {
+    waits.push_back(server.arrivals[i] - server.arrivals[i - 1]);
+  }
+  waits.push_back(result.done_at - server.arrivals.back());
+  util::SimTime base = cfg.request_timeout;
+  for (const util::SimTime wait : waits) {
+    const util::SimTime expected = std::min(base, Transmitter::kMaxTimeout);
+    EXPECT_GE(wait, expected - kMillisecond);
+    EXPECT_LE(wait, static_cast<util::SimTime>(
+                        expected * (1 + Transmitter::kJitter)) + kMillisecond);
+    base *= 2;
+  }
+  ASSERT_EQ(host.tx.feedback_log().size(), 1u);
+  EXPECT_FALSE(host.tx.feedback_log()[0].success);
+}
+
+TEST(TransmitterTest, WrongKindFromRightNodeIgnoredRetransmitCompletes) {
+  sim::Simulation sim;
+  Network net(sim, instant_link(), crypto::SecureRandom(32));
+  ScriptedServer server(net, kTxServer);
+  server.script = [&server](const Envelope& env) {
+    // First attempt: a response of the wrong kind; the retransmit gets the
+    // right one.
+    server.reply(server.arrivals.size() == 1 ? MsgKind::kLogin1Response
+                                             : MsgKind::kRedirectResponse,
+                 env.request_id, bytes_of("redirect"));
+  };
+  Transmitter::Config cfg;
+  cfg.request_timeout = 1 * kSecond;
+  cfg.max_retries = 2;
+  TransmitterHost host(net, cfg);
+
+  TxResult result;
+  send_redirect(net, host.tx, result);
+  sim.run();
+
+  EXPECT_EQ(result.responses, 1);
+  EXPECT_EQ(result.failures, 0);
+  EXPECT_EQ(result.payload, bytes_of("redirect"));
+  EXPECT_EQ(server.arrivals.size(), 2u);
+  EXPECT_EQ(host.tx.stats().retransmits, 1u);
+  ASSERT_EQ(host.tx.feedback_log().size(), 1u);
+  EXPECT_TRUE(host.tx.feedback_log()[0].success);
+}
+
+TEST(TransmitterTest, ResponseFromAnotherNodeIgnored) {
+  // Request ids count up from 1 in every client, so any node can name one.
+  // Only the node the request went to may answer it.
+  sim::Simulation sim;
+  Network net(sim, instant_link(), crypto::SecureRandom(33));
+  ScriptedServer server(net, kTxServer);
+  server.script = [&server](const Envelope& env) {
+    if (server.arrivals.size() > 1) {  // silent on the first attempt
+      server.reply(MsgKind::kRedirectResponse, env.request_id, bytes_of("real"));
+    }
+  };
+  ScriptedServer impostor(net, kTxImpostor);
+  Transmitter::Config cfg;
+  cfg.request_timeout = 1 * kSecond;
+  cfg.max_retries = 2;
+  TransmitterHost host(net, cfg);
+
+  TxResult result;
+  send_redirect(net, host.tx, result);
+  impostor.reply(MsgKind::kRedirectResponse, 1, bytes_of("forged"));
+  sim.run();
+
+  EXPECT_EQ(result.responses, 1);
+  EXPECT_EQ(result.payload, bytes_of("real"));
+  EXPECT_EQ(host.tx.stats().retransmits, 1u);
+}
+
+TEST(TransmitterTest, NinthBusyFailsRequestWithOutcomeBusy) {
+  sim::Simulation sim;
+  Network net(sim, instant_link(), crypto::SecureRandom(34));
+  ScriptedServer server(net, kTxServer);
+  server.script = [&server](const Envelope& env) {
+    BusyPayload busy;
+    busy.retry_after = 100 * kMillisecond;
+    server.reply(MsgKind::kBusy, env.request_id, busy.encode());
+  };
+  TransmitterHost host(net, Transmitter::Config{});
+  obs::Tracer tracer;
+  host.tx.bind_observability(nullptr, &tracer, nullptr);
+
+  TxResult result;
+  send_redirect(net, host.tx, result);
+  sim.run();
+
+  ASSERT_EQ(result.failures, 1);
+  EXPECT_EQ(result.error, core::DrmError::kNoCapacity);
+  EXPECT_EQ(server.arrivals.size(),
+            static_cast<std::size_t>(Transmitter::kBusyMaxDefers + 1));
+  EXPECT_EQ(host.tx.stats().busy_received,
+            static_cast<std::uint64_t>(Transmitter::kBusyMaxDefers + 1));
+  EXPECT_EQ(host.tx.stats().busy_deferred_resends,
+            static_cast<std::uint64_t>(Transmitter::kBusyMaxDefers));
+  EXPECT_EQ(host.tx.stats().retransmits, 0u);
+  EXPECT_EQ(host.tx.stats().timeout_exhaustions, 0u);
+  EXPECT_EQ(host.tx.stats().retry_budget_exhaustions, 0u);
+  const auto request = std::find_if(
+      tracer.spans().begin(), tracer.spans().end(),
+      [](const obs::Span& span) { return span.name == "LOGIN1"; });
+  ASSERT_NE(request, tracer.spans().end());
+  EXPECT_FALSE(request->ok);
+  EXPECT_NE(std::find(request->tags.begin(), request->tags.end(),
+                      std::make_pair(std::string("outcome"), std::string("busy"))),
+            request->tags.end());
+}
+
+TEST(TransmitterTest, CancelDropsPendingWithoutCallbacks) {
+  sim::Simulation sim;
+  Network net(sim, instant_link(), crypto::SecureRandom(35));
+  ScriptedServer server(net, kTxServer);
+  server.script = [&server](const Envelope& env) {
+    server.reply(MsgKind::kRedirectResponse, env.request_id);
+  };
+  Transmitter::Config cfg;
+  cfg.request_timeout = 1 * kSecond;
+  TransmitterHost host(net, cfg);
+
+  TxResult result;
+  send_redirect(net, host.tx, result);
+  host.tx.cancel();
+  sim.run();  // the late response and every timer find nothing
+
+  EXPECT_EQ(result.responses, 0);
+  EXPECT_EQ(result.failures, 0);
+  EXPECT_EQ(server.arrivals.size(), 1u);
+  EXPECT_EQ(host.tx.stats().retransmits, 0u);
+  EXPECT_TRUE(host.tx.feedback_log().empty());
+}
+
+TEST(ClientLifetimeTest, ForgedBusyFromAnotherNodeCannotFailLogin) {
+  // Regression: a BUSY was accepted from any node. Nine forged ones naming
+  // the client's first request ids failed its login with kNoCapacity.
+  Deployment d(lifetime_config());
+  d.add_user("a@example.com", "pw");
+  AsyncClient& c = d.add_client("a@example.com", "pw", d.geo().region_at(0));
+  constexpr util::NodeId kForger = 7777777;
+  RecordingNode forger;
+  d.network().attach(kForger, util::parse_netaddr("10.250.0.1"), &forger);
+  // Forgeries land well before any genuine response can.
+  d.network().set_link(kForger, instant_link());
+  d.network().set_link(c.config().node, instant_link());
+
+  BusyPayload busy;
+  busy.retry_after = BusyPayload::kMaxRetryAfter;
+  const auto op = [&](AsyncClient::Callback done) {
+    c.login(std::move(done));
+    for (int i = 0; i <= Transmitter::kBusyMaxDefers; ++i) {
+      for (std::uint64_t id = 1; id <= 3; ++id) {
+        Envelope env;
+        env.kind = MsgKind::kBusy;
+        env.request_id = id;
+        env.payload = busy.encode();
+        d.network().send(kForger, c.config().node, env.encode());
+      }
+    }
+  };
+  EXPECT_EQ(d.run_op(c, op, 2 * util::kMinute), core::DrmError::kOk);
+  EXPECT_EQ(c.busy_received(), 0u);
+  EXPECT_TRUE(c.logged_in());
 }
 
 }  // namespace
