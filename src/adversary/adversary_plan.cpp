@@ -1,8 +1,6 @@
 #include "adversary/adversary_plan.h"
 
-#include <algorithm>
-#include <cctype>
-#include <charconv>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,31 +8,9 @@ namespace p2pdrm::adversary {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what) {
-  throw std::invalid_argument("AdversaryPlan: " + what);
-}
+constexpr std::string_view kPlan = "AdversaryPlan";
 
-double parse_double(std::string_view s, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(s), &used);
-    if (used != s.size()) bad("trailing junk in " + what + ": '" + std::string(s) + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad("malformed " + what + ": '" + std::string(s) + "'");
-  } catch (const std::out_of_range&) {
-    bad("out-of-range " + what + ": '" + std::string(s) + "'");
-  }
-}
-
-std::uint64_t parse_uint(std::string_view s, const std::string& what) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    bad("malformed " + what + ": '" + std::string(s) + "'");
-  }
-  return v;
-}
+[[noreturn]] void bad(const std::string& what) { fault::plan_error(kPlan, what); }
 
 /// Byte-stable rendering of the fuzz rate (ostream double formatting is
 /// locale/width dependent; the plan must round-trip byte-identically).
@@ -88,12 +64,7 @@ std::string AdversaryEvent::to_string() const {
 }
 
 AdversaryPlan& AdversaryPlan::push(AdversaryEvent ev) {
-  // Stable insert keeps the vector time-sorted while same-time events
-  // preserve plan order (determinism hinges on this).
-  const auto pos = std::upper_bound(
-      events_.begin(), events_.end(), ev.at,
-      [](util::SimTime at, const AdversaryEvent& e) { return at < e.at; });
-  events_.insert(pos, std::move(ev));
+  fault::insert_by_time(events_, std::move(ev));
   return *this;
 }
 
@@ -164,76 +135,43 @@ AdversaryPlan& AdversaryPlan::cred_share(util::SimTime at, std::string email,
 
 AdversaryPlan AdversaryPlan::parse(std::string_view text) {
   AdversaryPlan plan;
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    ++line_no;
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-
-    if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    std::vector<std::string_view> tok;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
-      std::size_t j = i;
-      while (j < line.size() && !std::isspace(static_cast<unsigned char>(line[j]))) ++j;
-      if (j > i) tok.push_back(line.substr(i, j - i));
-      i = j;
-    }
-    if (tok.empty()) continue;
-
-    try {
-      if (tok.size() < 2) bad("expected '<time> <verb> ...'");
-      const util::SimTime at = fault::parse_duration(tok[0]);
-      const std::string_view verb = tok[1];
-      const auto want = [&](std::size_t n) {
-        if (tok.size() != 2 + n) {
-          bad("verb '" + std::string(verb) + "' takes " + std::to_string(n) +
-              " argument(s)");
-        }
-      };
-      if (verb == "replay-probe") {
-        want(3);
-        plan.replay_probe(at, std::string(tok[2]), std::string(tok[3]),
-                          static_cast<util::ChannelId>(parse_uint(tok[4], "channel")));
-      } else if (verb == "fuzz") {
-        want(3);
-        plan.fuzz(at, fault::parse_duration(tok[2]),
-                  fault::AddrBlock::parse(tok[4]), parse_double(tok[3], "fuzz rate"));
-      } else if (verb == "rogue-peer") {
-        want(3);
-        const std::string_view mode = tok[4];
-        if (mode != "garbage" && mode != "withhold") {
-          bad("unknown rogue mode '" + std::string(mode) + "' (want garbage|withhold)");
-        }
-        plan.rogue_peer(at, static_cast<util::ChannelId>(parse_uint(tok[2], "channel")),
-                        parse_uint(tok[3], "count"),
-                        mode == "garbage" ? RogueMode::kGarbageKeys
-                                          : RogueMode::kWithholdKeys);
-      } else if (verb == "sybil") {
-        want(4);
-        plan.sybil_flood(at,
-                         static_cast<util::ChannelId>(parse_uint(tok[2], "channel")),
-                         parse_uint(tok[3], "count"), fault::AddrBlock::parse(tok[4]),
-                         parse_uint(tok[5], "sources"));
-      } else if (verb == "cred-share") {
-        want(5);
-        plan.cred_share(at, std::string(tok[2]), std::string(tok[3]),
-                        static_cast<util::ChannelId>(parse_uint(tok[4], "channel")),
-                        parse_uint(tok[5], "count"), fault::parse_duration(tok[6]));
-      } else {
-        bad("unknown verb '" + std::string(verb) + "'");
+  fault::parse_plan_lines(text, kPlan, [&plan](const fault::PlanLine& l) {
+    const util::SimTime at = l.at;
+    const std::string_view verb = l.verb;
+    const std::vector<std::string_view>& tok = l.tok;
+    if (verb == "replay-probe") {
+      l.want(3);
+      plan.replay_probe(at, std::string(tok[2]), std::string(tok[3]),
+                        static_cast<util::ChannelId>(l.uint(4, "channel")));
+    } else if (verb == "fuzz") {
+      l.want(3);
+      plan.fuzz(at, fault::parse_duration(tok[2]),
+                fault::AddrBlock::parse(tok[4]), l.real(3, "fuzz rate"));
+    } else if (verb == "rogue-peer") {
+      l.want(3);
+      const std::string_view mode = tok[4];
+      if (mode != "garbage" && mode != "withhold") {
+        bad("unknown rogue mode '" + std::string(mode) + "' (want garbage|withhold)");
       }
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(std::string(e.what()) + " (line " +
-                                  std::to_string(line_no) + ")");
+      plan.rogue_peer(at, static_cast<util::ChannelId>(l.uint(2, "channel")),
+                      l.uint(3, "count"),
+                      mode == "garbage" ? RogueMode::kGarbageKeys
+                                        : RogueMode::kWithholdKeys);
+    } else if (verb == "sybil") {
+      l.want(4);
+      plan.sybil_flood(at,
+                       static_cast<util::ChannelId>(l.uint(2, "channel")),
+                       l.uint(3, "count"), fault::AddrBlock::parse(tok[4]),
+                       l.uint(5, "sources"));
+    } else if (verb == "cred-share") {
+      l.want(5);
+      plan.cred_share(at, std::string(tok[2]), std::string(tok[3]),
+                      static_cast<util::ChannelId>(l.uint(4, "channel")),
+                      l.uint(5, "count"), fault::parse_duration(tok[6]));
+    } else {
+      bad("unknown verb '" + std::string(verb) + "'");
     }
-  }
+  });
   return plan;
 }
 

@@ -4,6 +4,25 @@
 
 namespace p2pdrm::fault {
 
+namespace {
+
+/// What a farm-instance fault verb does to its target.
+net::FarmFault farm_fault(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kRestartUm:
+    case FaultKind::kRestartCm:
+      return net::FarmFault::kRestart;
+    case FaultKind::kWipeState:
+      return net::FarmFault::kWipe;
+    case FaultKind::kCrashUnsynced:
+      return net::FarmFault::kCrashUnsynced;
+    default:
+      return net::FarmFault::kCrash;
+  }
+}
+
+}  // namespace
+
 FaultEngine::FaultEngine(net::Deployment& deployment, FaultPlan plan,
                          FaultEngineConfig config)
     : dep_(deployment),
@@ -34,39 +53,22 @@ void FaultEngine::note(const FaultEvent& ev, const std::string& detail) {
 void FaultEngine::apply(const FaultEvent& ev) {
   switch (ev.kind) {
     case FaultKind::kCrashUm:
-      if (ev.instance >= dep_.um_instance_count()) {
-        note(ev, "  # ignored: no such instance");
-        return;
-      }
-      dep_.crash_um_instance(ev.instance);
-      note(ev);
-      return;
     case FaultKind::kRestartUm:
-      if (ev.instance >= dep_.um_instance_count()) {
-        note(ev, "  # ignored: no such instance");
-        return;
-      }
-      dep_.restart_um_instance(ev.instance);
-      note(ev);
-      return;
     case FaultKind::kCrashCm:
-      if (ev.partition >= dep_.partition_count() ||
-          ev.instance >= dep_.cm_instance_count(ev.partition)) {
-        note(ev, "  # ignored: no such instance");
-        return;
-      }
-      dep_.crash_cm_instance(ev.partition, ev.instance);
-      note(ev);
-      return;
     case FaultKind::kRestartCm:
-      if (ev.partition >= dep_.partition_count() ||
-          ev.instance >= dep_.cm_instance_count(ev.partition)) {
+    case FaultKind::kWipeState:
+    case FaultKind::kCrashUnsynced: {
+      const net::FarmRef farm = ev.farm == FarmKind::kCm
+                                    ? net::FarmRef::channel(ev.partition)
+                                    : net::FarmRef::um();
+      if (ev.instance >= dep_.farm_size(farm)) {
         note(ev, "  # ignored: no such instance");
         return;
       }
-      dep_.restart_cm_instance(ev.partition, ev.instance);
+      dep_.farm_fault(farm, ev.instance, farm_fault(ev.kind));
       note(ev);
       return;
+    }
     case FaultKind::kPartition: {
       std::unique_lock<std::mutex> lk(mu_);
       partitions_.push_back({ev.a, ev.b, dep_.now() + ev.duration});
@@ -98,27 +100,6 @@ void FaultEngine::apply(const FaultEvent& ev) {
     case FaultKind::kFlashCrowd:
       flash_crowd(ev);
       return;
-    case FaultKind::kWipeState:
-    case FaultKind::kCrashUnsynced: {
-      const bool wipe = ev.kind == FaultKind::kWipeState;
-      if (ev.farm == FarmKind::kUm) {
-        if (ev.instance >= dep_.um_instance_count()) {
-          note(ev, "  # ignored: no such instance");
-          return;
-        }
-        wipe ? dep_.wipe_um_state(ev.instance) : dep_.crash_um_unsynced(ev.instance);
-      } else {
-        if (ev.partition >= dep_.partition_count() ||
-            ev.instance >= dep_.cm_instance_count(ev.partition)) {
-          note(ev, "  # ignored: no such instance");
-          return;
-        }
-        wipe ? dep_.wipe_cm_state(ev.partition, ev.instance)
-             : dep_.crash_cm_unsynced(ev.partition, ev.instance);
-      }
-      note(ev);
-      return;
-    }
     case FaultKind::kReplicationLag:
       if (!dep_.durable()) {
         note(ev, "  # ignored: durability off");

@@ -1,6 +1,5 @@
 #include "fault/fault_plan.h"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <sstream>
@@ -10,33 +9,87 @@ namespace p2pdrm::fault {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& what) {
-  throw std::invalid_argument("FaultPlan: " + what);
+constexpr std::string_view kPlan = "FaultPlan";
+
+[[noreturn]] void bad(const std::string& what) { plan_error(kPlan, what); }
+
+}  // namespace
+
+void plan_error(std::string_view plan, const std::string& what) {
+  throw std::invalid_argument(std::string(plan) + ": " + what);
 }
 
-double parse_double(std::string_view s, const std::string& what) {
+double parse_plan_double(std::string_view plan, std::string_view s,
+                         const std::string& what) {
+  std::size_t used = 0;
+  double v = 0;
   try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(s), &used);
-    if (used != s.size()) bad("trailing junk in " + what + ": '" + std::string(s) + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad("malformed " + what + ": '" + std::string(s) + "'");
+    v = std::stod(std::string(s), &used);
   } catch (const std::out_of_range&) {
-    bad("out-of-range " + what + ": '" + std::string(s) + "'");
+    plan_error(plan, "out-of-range " + what + ": '" + std::string(s) + "'");
+  } catch (const std::invalid_argument&) {
+    // reported below, like trailing junk
   }
-}
-
-std::uint64_t parse_uint(std::string_view s, const std::string& what) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    bad("malformed " + what + ": '" + std::string(s) + "'");
+  if (used == 0 || used != s.size()) {
+    plan_error(plan, "malformed " + what + ": '" + std::string(s) + "'");
   }
   return v;
 }
 
-}  // namespace
+std::uint64_t parse_plan_uint(std::string_view plan, std::string_view s,
+                              const std::string& what) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    plan_error(plan, "malformed " + what + ": '" + std::string(s) + "'");
+  }
+  return v;
+}
+
+void PlanLine::want(std::size_t n) const {
+  if (tok.size() != 2 + n) {
+    fail("verb '" + std::string(verb) + "' takes " + std::to_string(n) +
+         " argument(s)");
+  }
+}
+
+void parse_plan_lines(std::string_view text, std::string_view plan,
+                      const std::function<void(const PlanLine&)>& on_line) {
+  std::size_t line_no = 0;
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    ++line_no;
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = text.substr(start, end - start);
+    start = end + 1;
+
+    if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
+      line = line.substr(0, hash);
+    }
+    PlanLine parsed;
+    parsed.plan = plan;
+    std::size_t i = 0;
+    while (i < line.size()) {
+      while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
+      std::size_t j = i;
+      while (j < line.size() && !std::isspace(static_cast<unsigned char>(line[j]))) ++j;
+      if (j > i) parsed.tok.push_back(line.substr(i, j - i));
+      i = j;
+    }
+    if (parsed.tok.empty()) continue;
+
+    try {
+      if (parsed.tok.size() < 2) parsed.fail("expected '<time> <verb> ...'");
+      parsed.at = parse_duration(parsed.tok[0]);
+      parsed.verb = parsed.tok[1];
+      on_line(parsed);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string(e.what()) + " (line " +
+                                  std::to_string(line_no) + ")");
+    }
+  }
+}
 
 util::SimTime parse_duration(std::string_view s) {
   if (s.empty()) bad("empty duration");
@@ -46,7 +99,7 @@ util::SimTime parse_duration(std::string_view s) {
     ++digits;
   }
   if (digits == 0) bad("malformed duration: '" + std::string(s) + "'");
-  const double value = parse_double(s.substr(0, digits), "duration");
+  const double value = parse_plan_double(kPlan, s.substr(0, digits), "duration");
   const std::string_view unit = s.substr(digits);
   if (unit.empty()) return static_cast<util::SimTime>(value);  // raw microseconds
   if (unit == "ms") return util::millis(value);
@@ -82,7 +135,7 @@ AddrBlock AddrBlock::parse(std::string_view cidr) {
   AddrBlock block;
   block.addr = util::parse_netaddr(std::string(cidr.substr(0, slash))).ip;
   block.bits = static_cast<std::uint32_t>(
-      parse_uint(cidr.substr(slash + 1), "prefix length"));
+      parse_plan_uint(kPlan, cidr.substr(slash + 1), "prefix length"));
   if (block.bits > 32) bad("prefix length > 32");
   return block;
 }
@@ -160,12 +213,7 @@ std::string FaultEvent::to_string() const {
 }
 
 FaultPlan& FaultPlan::push(FaultEvent ev) {
-  // Stable insert keeps the vector time-sorted while same-time events
-  // preserve plan order (determinism hinges on this).
-  const auto pos = std::upper_bound(
-      events_.begin(), events_.end(), ev.at,
-      [](util::SimTime at, const FaultEvent& e) { return at < e.at; });
-  events_.insert(pos, std::move(ev));
+  insert_by_time(events_, std::move(ev));
   return *this;
 }
 
@@ -190,6 +238,7 @@ FaultPlan& FaultPlan::crash_cm(util::SimTime at, std::uint32_t partition,
   FaultEvent ev;
   ev.at = at;
   ev.kind = FaultKind::kCrashCm;
+  ev.farm = FarmKind::kCm;
   ev.partition = partition;
   ev.instance = instance;
   return push(ev);
@@ -200,6 +249,7 @@ FaultPlan& FaultPlan::restart_cm(util::SimTime at, std::uint32_t partition,
   FaultEvent ev;
   ev.at = at;
   ev.kind = FaultKind::kRestartCm;
+  ev.farm = FarmKind::kCm;
   ev.partition = partition;
   ev.instance = instance;
   return push(ev);
@@ -321,108 +371,75 @@ FaultPlan& FaultPlan::replication_lag(util::SimTime at, util::SimTime interval) 
 
 FaultPlan FaultPlan::parse(std::string_view text) {
   FaultPlan plan;
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    ++line_no;
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-
-    if (const std::size_t hash = line.find('#'); hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    std::vector<std::string_view> tok;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
-      std::size_t j = i;
-      while (j < line.size() && !std::isspace(static_cast<unsigned char>(line[j]))) ++j;
-      if (j > i) tok.push_back(line.substr(i, j - i));
-      i = j;
-    }
-    if (tok.empty()) continue;
-
-    try {
-      if (tok.size() < 2) bad("expected '<time> <verb> ...'");
-      const util::SimTime at = parse_duration(tok[0]);
-      const std::string_view verb = tok[1];
-      const auto want = [&](std::size_t n) {
-        if (tok.size() != 2 + n) {
-          bad("verb '" + std::string(verb) + "' takes " + std::to_string(n) +
-              " argument(s)");
-        }
-      };
-      if (verb == "crash-um") {
-        want(1);
-        plan.crash_um(at, parse_uint(tok[2], "instance"));
-      } else if (verb == "restart-um") {
-        want(1);
-        plan.restart_um(at, parse_uint(tok[2], "instance"));
-      } else if (verb == "crash-cm") {
-        want(2);
-        plan.crash_cm(at, static_cast<std::uint32_t>(parse_uint(tok[2], "partition")),
-                      parse_uint(tok[3], "instance"));
-      } else if (verb == "restart-cm") {
-        want(2);
-        plan.restart_cm(at, static_cast<std::uint32_t>(parse_uint(tok[2], "partition")),
-                        parse_uint(tok[3], "instance"));
-      } else if (verb == "partition") {
-        want(3);
-        plan.partition(at, parse_duration(tok[4]), AddrBlock::parse(tok[2]),
-                       AddrBlock::parse(tok[3]));
-      } else if (verb == "loss") {
-        want(3);
-        plan.loss_burst(at, parse_duration(tok[4]), AddrBlock::parse(tok[2]),
-                        parse_double(tok[3], "loss rate"));
-      } else if (verb == "delay") {
-        want(3);
-        plan.latency_spike(at, parse_duration(tok[4]), AddrBlock::parse(tok[2]),
-                           parse_duration(tok[3]));
-      } else if (verb == "churn") {
-        want(3);
-        plan.churn_storm(at, static_cast<util::ChannelId>(parse_uint(tok[2], "channel")),
-                         parse_uint(tok[3], "departures"),
-                         parse_uint(tok[4], "arrivals"));
-      } else if (verb == "skew") {
-        want(2);
-        plan.clock_skew(at, static_cast<util::NodeId>(parse_uint(tok[2], "node")),
-                        parse_duration(tok[3]));
-      } else if (verb == "flash-crowd") {
-        want(3);
-        plan.flash_crowd(at,
-                         static_cast<util::ChannelId>(parse_uint(tok[2], "channel")),
-                         parse_uint(tok[3], "arrivals"), parse_duration(tok[4]));
-      } else if (verb == "wipe-state" || verb == "crash-unsynced") {
-        // Variable arity: 'um <instance>' or 'cm <partition> <instance>'.
-        if (tok.size() < 3) bad("verb '" + std::string(verb) + "' needs a farm");
-        const std::string_view farm = tok[2];
-        const bool wipe = verb == "wipe-state";
-        if (farm == "um") {
-          want(2);
-          const std::size_t inst = parse_uint(tok[3], "instance");
-          wipe ? plan.wipe_state_um(at, inst) : plan.crash_unsynced_um(at, inst);
-        } else if (farm == "cm") {
-          want(3);
-          const auto part = static_cast<std::uint32_t>(parse_uint(tok[3], "partition"));
-          const std::size_t inst = parse_uint(tok[4], "instance");
-          wipe ? plan.wipe_state_cm(at, part, inst)
-               : plan.crash_unsynced_cm(at, part, inst);
-        } else {
-          bad("unknown farm '" + std::string(farm) + "' (want um|cm)");
-        }
-      } else if (verb == "replication-lag") {
-        want(1);
-        plan.replication_lag(at, parse_duration(tok[2]));
+  parse_plan_lines(text, kPlan, [&plan](const PlanLine& l) {
+    const util::SimTime at = l.at;
+    const std::string_view verb = l.verb;
+    const std::vector<std::string_view>& tok = l.tok;
+    if (verb == "crash-um") {
+      l.want(1);
+      plan.crash_um(at, l.uint(2, "instance"));
+    } else if (verb == "restart-um") {
+      l.want(1);
+      plan.restart_um(at, l.uint(2, "instance"));
+    } else if (verb == "crash-cm") {
+      l.want(2);
+      plan.crash_cm(at, static_cast<std::uint32_t>(l.uint(2, "partition")),
+                    l.uint(3, "instance"));
+    } else if (verb == "restart-cm") {
+      l.want(2);
+      plan.restart_cm(at, static_cast<std::uint32_t>(l.uint(2, "partition")),
+                      l.uint(3, "instance"));
+    } else if (verb == "partition") {
+      l.want(3);
+      plan.partition(at, parse_duration(tok[4]), AddrBlock::parse(tok[2]),
+                     AddrBlock::parse(tok[3]));
+    } else if (verb == "loss") {
+      l.want(3);
+      plan.loss_burst(at, parse_duration(tok[4]), AddrBlock::parse(tok[2]),
+                      l.real(3, "loss rate"));
+    } else if (verb == "delay") {
+      l.want(3);
+      plan.latency_spike(at, parse_duration(tok[4]), AddrBlock::parse(tok[2]),
+                         parse_duration(tok[3]));
+    } else if (verb == "churn") {
+      l.want(3);
+      plan.churn_storm(at, static_cast<util::ChannelId>(l.uint(2, "channel")),
+                       l.uint(3, "departures"),
+                       l.uint(4, "arrivals"));
+    } else if (verb == "skew") {
+      l.want(2);
+      plan.clock_skew(at, static_cast<util::NodeId>(l.uint(2, "node")),
+                      parse_duration(tok[3]));
+    } else if (verb == "flash-crowd") {
+      l.want(3);
+      plan.flash_crowd(at,
+                       static_cast<util::ChannelId>(l.uint(2, "channel")),
+                       l.uint(3, "arrivals"), parse_duration(tok[4]));
+    } else if (verb == "wipe-state" || verb == "crash-unsynced") {
+      // Variable arity: 'um <instance>' or 'cm <partition> <instance>'.
+      if (tok.size() < 3) bad("verb '" + std::string(verb) + "' needs a farm");
+      const std::string_view farm = tok[2];
+      const bool wipe = verb == "wipe-state";
+      if (farm == "um") {
+        l.want(2);
+        const std::size_t inst = l.uint(3, "instance");
+        wipe ? plan.wipe_state_um(at, inst) : plan.crash_unsynced_um(at, inst);
+      } else if (farm == "cm") {
+        l.want(3);
+        const auto part = static_cast<std::uint32_t>(l.uint(3, "partition"));
+        const std::size_t inst = l.uint(4, "instance");
+        wipe ? plan.wipe_state_cm(at, part, inst)
+             : plan.crash_unsynced_cm(at, part, inst);
       } else {
-        bad("unknown verb '" + std::string(verb) + "'");
+        bad("unknown farm '" + std::string(farm) + "' (want um|cm)");
       }
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(std::string(e.what()) + " (line " +
-                                  std::to_string(line_no) + ")");
+    } else if (verb == "replication-lag") {
+      l.want(1);
+      plan.replication_lag(at, parse_duration(tok[2]));
+    } else {
+      bad("unknown verb '" + std::string(verb) + "'");
     }
-  }
+  });
   return plan;
 }
 

@@ -23,6 +23,8 @@
 // turns it into scheduled simulation events.
 #pragma once
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +40,53 @@ util::SimTime parse_duration(std::string_view s);
 /// Inverse of parse_duration, using the largest exact unit ("600s" never;
 /// "10m" yes). Byte-stable for report rendering.
 std::string format_duration(util::SimTime t);
+
+// --- The schedule text format, shared with adversary::AdversaryPlan ---
+//
+// `plan` names the format in error messages ("FaultPlan", "AdversaryPlan").
+
+/// Throw std::invalid_argument("<plan>: <what>").
+[[noreturn]] void plan_error(std::string_view plan, const std::string& what);
+/// Whole-token numbers: malformed input or trailing junk is a plan_error.
+double parse_plan_double(std::string_view plan, std::string_view s,
+                         const std::string& what);
+std::uint64_t parse_plan_uint(std::string_view plan, std::string_view s,
+                              const std::string& what);
+
+/// One schedule line, '#' comment stripped and split on whitespace:
+/// tok[0] is the time, tok[1] the verb, the rest its arguments.
+struct PlanLine {
+  std::string_view plan;
+  std::vector<std::string_view> tok;
+  util::SimTime at = 0;
+  std::string_view verb;
+
+  [[noreturn]] void fail(const std::string& what) const { plan_error(plan, what); }
+  /// Require exactly `n` arguments after the verb.
+  void want(std::size_t n) const;
+  std::uint64_t uint(std::size_t i, const std::string& what) const {
+    return parse_plan_uint(plan, tok[i], what);
+  }
+  double real(std::size_t i, const std::string& what) const {
+    return parse_plan_double(plan, tok[i], what);
+  }
+};
+
+/// Hand every non-blank line of `text` to `on_line`, after checking it
+/// reads '<time> <verb> ...'. A std::invalid_argument thrown on a line is
+/// rethrown with " (line N)" appended.
+void parse_plan_lines(std::string_view text, std::string_view plan,
+                      const std::function<void(const PlanLine&)>& on_line);
+
+/// Insert `ev` keeping `events` sorted by time; same-time events keep
+/// insertion order (determinism hinges on this).
+template <typename Event>
+void insert_by_time(std::vector<Event>& events, Event ev) {
+  const auto pos = std::upper_bound(
+      events.begin(), events.end(), ev.at,
+      [](util::SimTime at, const Event& e) { return at < e.at; });
+  events.insert(pos, std::move(ev));
+}
 
 /// Address-prefix matcher ("10.1.0.0/16"; "0.0.0.0/0" or "*" match all).
 struct AddrBlock {
@@ -73,7 +122,7 @@ enum class FaultKind : std::uint8_t {
 
 std::string_view to_string(FaultKind k);
 
-/// Which farm a state fault targets (wipe-state / crash-unsynced).
+/// Which farm a crash / restart / wipe-state / crash-unsynced targets.
 enum class FarmKind : std::uint8_t { kUm, kCm };
 
 std::string_view to_string(FarmKind f);
@@ -81,7 +130,7 @@ std::string_view to_string(FarmKind f);
 struct FaultEvent {
   util::SimTime at = 0;
   FaultKind kind = FaultKind::kCrashUm;
-  FarmKind farm = FarmKind::kUm;    // wipe-state / crash-unsynced target
+  FarmKind farm = FarmKind::kUm;    // target of every farm-instance verb
   std::size_t instance = 0;
   std::uint32_t partition = 0;
   AddrBlock a;                      // partition side A / loss / delay scope

@@ -5,12 +5,20 @@
 #include <cstdlib>
 #include <future>
 #include <stdexcept>
+#include <utility>
 
 #include "services/durable_ops.h"
 #include "transport/sim_transport.h"
 #include "transport/thread_transport.h"
 
 namespace p2pdrm::net {
+
+namespace {
+
+/// Size of the reference client binary the UM attests against.
+constexpr std::size_t kClientBinarySize = 16 * 1024;
+
+}  // namespace
 
 Deployment::Deployment(DeploymentConfig config)
     : config_(config), rng_(config.seed) {
@@ -32,22 +40,27 @@ Deployment::Deployment(DeploymentConfig config)
   um_domain_ = std::make_shared<services::UserManagerDomain>(
       config_.um, crypto::generate_rsa_keypair(rng_, config_.key_bits),
       rng_.bytes(32));
-  reference_binary_ = rng_.bytes(config_.client_binary_size);
+  reference_binary_ = rng_.bytes(kClientBinarySize);
   um_domain_->reference_binaries[config_.um.minimum_client_version] = reference_binary_;
 
   // The User Manager farm: every instance is a stateless front to the same
   // shared domain state (§V) — that is what makes crash/restart survivable.
+  farms_.reserve(1 + config_.partitions);
+  Farm& um_farm = farms_.emplace_back(Farm{FarmRef::um(), {}});
   for (std::size_t i = 0; i < config_.um_instances; ++i) {
-    UmInstance inst;
+    FarmInstance inst;
     inst.um = std::make_unique<services::UserManager>(um_domain_, &geo_->db(),
                                                       rng_.fork());
     inst.id = i == 0 ? kUserManagerNode
                      : kUmInstanceBase + static_cast<util::NodeId>(i);
     inst.addr = i == 0 ? util::parse_netaddr("10.254.0.2")
                        : util::NetAddr{0x0afe0200u + static_cast<std::uint32_t>(i)};
-    um_instances_.push_back(std::move(inst));
+    inst.origin = 1000 + static_cast<std::uint32_t>(i);
+    inst.node = std::make_unique<UserManagerNode>(*inst.um, *network_, inst.id,
+                                                  config_.processing);
+    um_farm.instances.push_back(std::move(inst));
   }
-  services::UserManager* um0 = um_instances_[0].um.get();
+  services::UserManager* um0 = um_farm.instances[0].um.get();
 
   accounts_ = std::make_unique<services::AccountManager>(
       [this](const services::UserProvisioning& p) { provision_user(p); });
@@ -66,23 +79,13 @@ Deployment::Deployment(DeploymentConfig config)
 
   redirection_node_ = std::make_unique<RedirectionNode>(
       redirection_, *network_, kRedirectionNode, config_.processing);
-  redirection_node_->set_registry(&registry_);
-  redirection_node_->set_overload_policy(config_.overload);
-  network_->attach(kRedirectionNode, redirection_addr, redirection_node_.get());
-
-  for (UmInstance& inst : um_instances_) {
-    inst.node = std::make_unique<UserManagerNode>(*inst.um, *network_, inst.id,
-                                                  config_.processing);
-    inst.node->set_registry(&registry_);
-    inst.node->set_overload_policy(config_.overload);
-    network_->attach(inst.id, inst.addr, inst.node.get());
+  attach_service(*redirection_node_, kRedirectionNode, redirection_addr);
+  for (FarmInstance& inst : um_farm.instances) {
+    attach_service(*inst.node, inst.id, inst.addr);
   }
-
   cpm_node_ = std::make_unique<ChannelPolicyNode>(*cpm_, *network_, kChannelPolicyNode,
                                                   config_.processing);
-  cpm_node_->set_registry(&registry_);
-  cpm_node_->set_overload_policy(config_.overload);
-  network_->attach(kChannelPolicyNode, cpm_addr, cpm_node_.get());
+  attach_service(*cpm_node_, kChannelPolicyNode, cpm_addr);
 
   for (std::size_t p = 0; p < config_.partitions; ++p) {
     services::ChannelManagerConfig cm_cfg = config_.cm;
@@ -95,9 +98,10 @@ Deployment::Deployment(DeploymentConfig config)
     // The Channel Manager farm for this partition. The channel list lives
     // in the shared partition state, so one sink (through instance 0, which
     // exists even when crashed — crashing only detaches the node) is enough.
-    cm_instances_.emplace_back();
+    Farm& cm_farm = farms_.emplace_back(
+        Farm{FarmRef::channel(static_cast<std::uint32_t>(p)), {}});
     for (std::size_t i = 0; i < config_.cm_instances; ++i) {
-      CmInstance inst;
+      FarmInstance inst;
       inst.cm = std::make_unique<services::ChannelManager>(partition, tracker_.get(),
                                                            rng_.fork());
       inst.id = i == 0 ? kChannelManagerBase + static_cast<util::NodeId>(p)
@@ -105,14 +109,13 @@ Deployment::Deployment(DeploymentConfig config)
       inst.addr = i == 0
           ? util::NetAddr{0x0afe0100u + static_cast<std::uint32_t>(p)}
           : util::NetAddr{0x0afe0300u + static_cast<std::uint32_t>(p * 16 + i)};
+      inst.origin = 2000 + static_cast<std::uint32_t>(p * 16 + i);
       inst.node = std::make_unique<ChannelManagerNode>(*inst.cm, *network_, inst.id,
                                                        config_.processing);
-      inst.node->set_registry(&registry_);
-      inst.node->set_overload_policy(config_.overload);
-      network_->attach(inst.id, inst.addr, inst.node.get());
-      cm_instances_.back().push_back(std::move(inst));
+      attach_service(*inst.node, inst.id, inst.addr);
+      cm_farm.instances.push_back(std::move(inst));
     }
-    services::ChannelManager* cm0 = cm_instances_.back()[0].cm.get();
+    services::ChannelManager* cm0 = cm_farm.instances[0].cm.get();
     cpm_->add_channel_list_sink(
         [cm0](const std::vector<core::ChannelRecord>& list) {
           cm0->update_channel_list(list);
@@ -121,7 +124,7 @@ Deployment::Deployment(DeploymentConfig config)
     readvertise_partition(static_cast<std::uint32_t>(p));
   }
 
-  for (const UmInstance& inst : um_instances_) {
+  for (const FarmInstance& inst : farms_[0].instances) {
     redirection_.register_domain(
         config_.um.domain,
         services::ManagerCoordinates{inst.addr, um_domain_->keys.pub.encode()});
@@ -196,41 +199,42 @@ std::optional<core::DrmError> Deployment::run_op(
   return fut.get();
 }
 
+void Deployment::attach_service(ServiceNode& node, util::NodeId id,
+                                util::NetAddr addr) {
+  node.set_registry(&registry_);
+  node.set_overload_policy(config_.overload);
+  network_->attach(id, addr, &node);
+}
+
 void Deployment::init_durable_state() {
   store::FarmStore::Config sc;
   sc.snapshot_every = config_.durability.snapshot_every;
+  const std::size_t cap = config_.durability.viewing_audit_cap;
 
-  for (std::size_t i = 0; i < um_instances_.size(); ++i) {
-    UmInstance& inst = um_instances_[i];
-    inst.dir = std::make_unique<services::UserDirectory>();
-    inst.st = std::make_unique<store::FarmStore>(
-        1000 + static_cast<std::uint32_t>(i), sc);
-    inst.st->bind_registry(&registry_);
-    inst.um->use_local_directory(inst.dir.get());
-    services::UserManager* um = inst.um.get();
-    services::UserDirectory* dir = inst.dir.get();
-    inst.st->set_state_machine(
-        [um](util::BytesView payload) {
-          um->apply_provision(services::decode_user_record(payload));
-        },
-        [dir] { return services::encode_user_directory(*dir); },
-        [dir](util::BytesView state) {
-          *dir = state.empty() ? services::UserDirectory{}
-                               : services::decode_user_directory(state);
-        });
-  }
-
-  for (std::size_t p = 0; p < cm_instances_.size(); ++p) {
-    for (std::size_t i = 0; i < cm_instances_[p].size(); ++i) {
-      CmInstance& inst = cm_instances_[p][i];
-      inst.log = std::make_unique<services::ViewingLog>();
-      inst.log->set_audit_cap(config_.durability.viewing_audit_cap);
-      inst.st = std::make_unique<store::FarmStore>(
-          2000 + static_cast<std::uint32_t>(p * 16 + i), sc);
+  for (Farm& farm : farms_) {
+    for (FarmInstance& inst : farm.instances) {
+      inst.st = std::make_unique<store::FarmStore>(inst.origin, sc);
       inst.st->bind_registry(&registry_);
+      if (inst.um) {
+        inst.dir = std::make_unique<services::UserDirectory>();
+        inst.um->use_local_directory(inst.dir.get());
+        services::UserManager* um = inst.um.get();
+        services::UserDirectory* dir = inst.dir.get();
+        inst.st->set_state_machine(
+            [um](util::BytesView payload) {
+              um->apply_provision(services::decode_user_record(payload));
+            },
+            [dir] { return services::encode_user_directory(*dir); },
+            [dir](util::BytesView state) {
+              *dir = state.empty() ? services::UserDirectory{}
+                                   : services::decode_user_directory(state);
+            });
+        continue;
+      }
+      inst.log = std::make_unique<services::ViewingLog>();
+      inst.log->set_audit_cap(cap);
       inst.cm->use_local_log(inst.log.get());
       services::ViewingLog* log = inst.log.get();
-      const std::size_t cap = config_.durability.viewing_audit_cap;
       inst.st->set_state_machine(
           [log](util::BytesView payload) {
             log->record(services::decode_viewing_entry(payload));
@@ -242,57 +246,59 @@ void Deployment::init_durable_state() {
             log->set_audit_cap(cap);
           });
       // Every viewing entry this instance writes is journaled; fresh issues
-      // (the single-session witness) are additionally fsynced and shipped
-      // to live siblings before the Switch2 response leaves the handler, so
-      // a crash immediately after the reply cannot forget the admission.
-      const std::uint32_t part = static_cast<std::uint32_t>(p);
+      // (the single-session witness) are additionally written through
+      // before the Switch2 response leaves the handler, so a crash
+      // immediately after the reply cannot forget the admission.
       inst.cm->set_viewing_sink(
-          [this, part, i](const services::ViewingLog::Entry& entry) {
-            CmInstance& self = cm_instances_[part][i];
-            const store::ReplicatedOp op =
-                self.st->submit(services::encode_viewing_entry(entry));
-            if (entry.renewal || !config_.durability.sync_fresh_issues) return;
-            self.st->sync();
-            self.last_sync = now();
-            for (CmInstance& other : cm_instances_[part]) {
-              if (&other == &self || !other.up) continue;
-              if (other.st->ingest(op) == store::FarmStore::IngestResult::kGap) {
-                other.st->catch_up_from(*self.st);
-              }
-              other.st->sync();
-              other.last_sync = now();
-            }
+          [this, f = &farm, self = &inst](const services::ViewingLog::Entry& entry) {
+            write_through(*f, *self, services::encode_viewing_entry(entry),
+                          !entry.renewal);
           });
     }
   }
 }
 
 void Deployment::provision_user(const services::UserProvisioning& p) {
+  Farm& um_farm = farms_[0];
   if (!config_.durability.enabled) {
-    um_instances_[0].um->provision(p);
+    um_farm.instances[0].um->provision(p);
     return;
   }
   // Control-plane write lands on the first live instance and — like fresh
   // issues — is written through: provisioning loss would strand an account.
-  UmInstance* primary = nullptr;
-  for (UmInstance& inst : um_instances_) {
+  FarmInstance* primary = &um_farm.instances[0];
+  for (FarmInstance& inst : um_farm.instances) {
     if (inst.up) { primary = &inst; break; }
   }
-  if (primary == nullptr) primary = &um_instances_[0];
   const services::UserRecord& rec = primary->um->provision(p);
-  const store::ReplicatedOp op =
-      primary->st->submit(services::encode_user_record(rec));
-  if (!config_.durability.sync_fresh_issues) return;
-  primary->st->sync();
-  primary->last_sync = now();
-  for (UmInstance& other : um_instances_) {
-    if (&other == primary || !other.up) continue;
+  write_through(um_farm, *primary, services::encode_user_record(rec), true);
+}
+
+void Deployment::write_through(Farm& farm, FarmInstance& self,
+                               util::BytesView payload, bool critical) {
+  const store::ReplicatedOp op = self.st->submit(payload);
+  if (!critical || !config_.durability.sync_fresh_issues) return;
+  self.st->sync();
+  self.last_sync = now();
+  for (FarmInstance& other : farm.instances) {
+    if (&other == &self || !other.up) continue;
     if (other.st->ingest(op) == store::FarmStore::IngestResult::kGap) {
-      other.st->catch_up_from(*primary->st);
+      other.st->catch_up_from(*self.st);
     }
     other.st->sync();
     other.last_sync = now();
   }
+}
+
+std::size_t Deployment::catch_up(Farm& farm, FarmInstance& inst) {
+  std::size_t pulled = 0;
+  for (FarmInstance& src : farm.instances) {
+    if (&src == &inst || !src.up) continue;
+    pulled += inst.st->catch_up_from(*src.st);
+  }
+  inst.st->sync();
+  inst.last_sync = now();
+  return pulled;
 }
 
 void Deployment::schedule_replication() {
@@ -312,25 +318,9 @@ void Deployment::schedule_replication() {
 }
 
 void Deployment::replication_tick() {
-  const util::SimTime t = now();
-  for (UmInstance& dst : um_instances_) {
-    if (!dst.up) continue;
-    for (UmInstance& src : um_instances_) {
-      if (&src == &dst || !src.up) continue;
-      dst.st->catch_up_from(*src.st);
-    }
-    dst.st->sync();
-    dst.last_sync = t;
-  }
-  for (std::vector<CmInstance>& farm : cm_instances_) {
-    for (CmInstance& dst : farm) {
-      if (!dst.up) continue;
-      for (CmInstance& src : farm) {
-        if (&src == &dst || !src.up) continue;
-        dst.st->catch_up_from(*src.st);
-      }
-      dst.st->sync();
-      dst.last_sync = t;
+  for (Farm& farm : farms_) {
+    for (FarmInstance& inst : farm.instances) {
+      if (inst.up) catch_up(farm, inst);
     }
   }
   registry_.counter("store.replication.rounds").inc();
@@ -353,9 +343,8 @@ void Deployment::enable_tracing() {
   network_->add_interceptor(trace_interceptor_.get());
   redirection_node_->set_tracer(&tracer_);
   cpm_node_->set_tracer(&tracer_);
-  for (UmInstance& inst : um_instances_) inst.node->set_tracer(&tracer_);
-  for (std::vector<CmInstance>& farm : cm_instances_) {
-    for (CmInstance& inst : farm) inst.node->set_tracer(&tracer_);
+  for (Farm& farm : farms_) {
+    for (FarmInstance& inst : farm.instances) inst.node->set_tracer(&tracer_);
   }
   for (auto& [id, source] : sources_) source.root->set_tracer(&tracer_);
   for (const std::unique_ptr<AsyncClient>& client : clients_) {
@@ -403,9 +392,8 @@ void Deployment::schedule_scrape() {
 }
 
 void Deployment::readvertise_partition(std::uint32_t partition) {
-  const std::vector<CmInstance>& farm = cm_instances_.at(partition);
-  const CmInstance* live = nullptr;
-  for (const CmInstance& inst : farm) {
+  const FarmInstance* live = nullptr;
+  for (const FarmInstance& inst : farm(FarmRef::channel(partition)).instances) {
     if (inst.up) { live = &inst; break; }
   }
   // Whole farm down: keep the stale advertisement; clients time out and
@@ -419,12 +407,11 @@ void Deployment::readvertise_partition(std::uint32_t partition) {
 }
 
 services::UserManager& Deployment::user_manager(std::size_t instance) {
-  return *um_instances_.at(instance).um;
+  return *farm(FarmRef::um()).instances.at(instance).um;
 }
 
 services::ChannelManager& Deployment::channel_manager(std::uint32_t partition) {
-  if (partition >= cm_instances_.size()) throw std::out_of_range("Deployment: partition");
-  return *cm_instances_[partition][0].cm;
+  return *farm(FarmRef::channel(partition)).instances[0].cm;
 }
 
 bool Deployment::add_user(const std::string& email, const std::string& password) {
@@ -569,168 +556,92 @@ void Deployment::schedule_rotation(util::ChannelId id) {
   });
 }
 
-void Deployment::crash_um_impl(std::size_t instance, std::size_t torn_bytes,
-                               bool wipe_media) {
-  UmInstance& inst = um_instances_.at(instance);
+const Deployment::Farm& Deployment::farm(FarmRef ref) const {
+  const std::size_t index = ref.cm ? 1 + std::size_t{ref.partition} : 0;
+  if (index >= farms_.size()) throw std::out_of_range("Deployment: no such farm");
+  return farms_[index];
+}
+
+Deployment::Farm& Deployment::farm(FarmRef ref) {
+  return const_cast<Farm&>(std::as_const(*this).farm(ref));
+}
+
+std::size_t Deployment::farm_size(FarmRef ref) const {
+  if (ref.cm && ref.partition >= cm_partitions_.size()) return 0;
+  return farm(ref).instances.size();
+}
+
+void Deployment::farm_fault(FarmRef ref, std::size_t instance, FarmFault fault) {
+  Farm& f = farm(ref);
+  FarmInstance& inst = f.instances.at(instance);
+  if (fault == FarmFault::kRestart) {
+    restart(f, inst);
+  } else {
+    crash(f, inst, fault);
+  }
+}
+
+void Deployment::announce_health(const Farm& farm, const FarmInstance& inst) {
+  if (farm.ref.cm) {
+    readvertise_partition(farm.ref.partition);
+  } else {
+    redirection_.set_instance_health(config_.um.domain, inst.addr, inst.up);
+  }
+}
+
+void Deployment::crash(Farm& farm, FarmInstance& inst, FarmFault fault) {
+  const bool durable = config_.durability.enabled;
   if (inst.up) {
     if (network_->attached(inst.id)) network_->detach(inst.id);
     inst.up = false;
-    redirection_.set_instance_health(config_.um.domain, inst.addr, false);
-    if (config_.durability.enabled) {
+    announce_health(farm, inst);
+    if (durable) {
       const std::uint64_t lost = inst.st->unsynced_ops();
       if (lost > 0) {
         registry_.counter("store.lost_records").inc(lost);
         registry_.gauge("store.audit.max_loss_window_us")
             .set_max(now() - inst.last_sync);
       }
-      inst.st->crash(torn_bytes);
-      *inst.dir = services::UserDirectory{};  // RAM is gone
+      // A torn crash lands half the staged tail on the media as a partial
+      // record; replay must stop at the last whole one. The store clears
+      // the in-memory replica either way: RAM is gone.
+      inst.st->crash(fault == FarmFault::kCrashUnsynced
+                         ? inst.st->journal().staged_bytes() / 2
+                         : 0);
     }
   }
-  if (wipe_media && config_.durability.enabled) inst.st->wipe();
+  if (fault == FarmFault::kWipe && durable) inst.st->wipe();
 }
 
-void Deployment::crash_um_instance(std::size_t instance) {
-  crash_um_impl(instance, 0, false);
-}
-
-void Deployment::crash_um_unsynced(std::size_t instance) {
-  // Tear the crash mid-write: half the staged tail reaches the media as a
-  // partial record; replay must stop at the last whole one.
-  const UmInstance& inst = um_instances_.at(instance);
-  const std::size_t torn =
-      config_.durability.enabled ? inst.st->journal().staged_bytes() / 2 : 0;
-  crash_um_impl(instance, torn, false);
-}
-
-void Deployment::wipe_um_state(std::size_t instance) {
-  crash_um_impl(instance, 0, true);
-}
-
-void Deployment::restart_um_instance(std::size_t instance) {
-  UmInstance& inst = um_instances_.at(instance);
+void Deployment::restart(Farm& farm, FarmInstance& inst) {
   if (inst.up) return;
   inst.up = true;
+  const std::uint64_t generation = ++inst.generation;
 
-  if (!config_.durability.enabled) {
-    network_->attach(inst.id, inst.addr, inst.node.get());
-    redirection_.set_instance_health(config_.um.domain, inst.addr, true);
-    return;
+  util::SimTime cost = 0;
+  if (config_.durability.enabled) {
+    // Local recovery: snapshot restore + journal replay, then anti-entropy
+    // from live siblings (also pulls our own unsynced-but-shipped ops home,
+    // which keeps the local sequence counter from reusing numbers).
+    const std::size_t replayed = inst.st->recover();
+    const std::size_t pulled = catch_up(farm, inst);
+    cost = config_.durability.replay_cost_per_record *
+           static_cast<util::SimTime>(replayed + pulled);
+    registry_.counter("store.recovery.count").inc();
+    registry_.histogram("store.recovery.time_us").record(cost);
   }
-
-  // Local recovery: snapshot restore + journal replay, then anti-entropy
-  // from live siblings (also pulls our own unsynced-but-shipped ops home,
-  // which keeps the local sequence counter from reusing numbers).
-  const std::size_t replayed = inst.st->recover();
-  std::size_t pulled = 0;
-  for (UmInstance& other : um_instances_) {
-    if (&other == &inst || !other.up) continue;
-    pulled += inst.st->catch_up_from(*other.st);
-  }
-  inst.st->sync();
-  inst.last_sync = now();
-
-  const util::SimTime cost = config_.durability.replay_cost_per_record *
-      static_cast<util::SimTime>(replayed + pulled);
-  registry_.counter("store.recovery.count").inc();
-  registry_.histogram("store.recovery.time_us").record(cost);
-  const auto finish = [this, instance] {
-    UmInstance& i = um_instances_.at(instance);
-    if (!i.up) return;  // crashed again during the replay window
-    if (!network_->attached(i.id)) network_->attach(i.id, i.addr, i.node.get());
-    redirection_.set_instance_health(config_.um.domain, i.addr, true);
+  // Back on the network once the replay window closes — unless the
+  // instance crashed inside it, or a later restart opened a new window.
+  const auto finish = [this, &farm, &inst, generation] {
+    if (!inst.up || inst.generation != generation) return;
+    if (!network_->attached(inst.id)) network_->attach(inst.id, inst.addr, inst.node.get());
+    announce_health(farm, inst);
   };
   if (cost > 0) {
     post(cost, finish);
   } else {
     finish();
   }
-}
-
-bool Deployment::um_instance_up(std::size_t instance) const {
-  return um_instances_.at(instance).up;
-}
-
-void Deployment::crash_cm_impl(std::uint32_t partition, std::size_t instance,
-                               std::size_t torn_bytes, bool wipe_media) {
-  CmInstance& inst = cm_instances_.at(partition).at(instance);
-  if (inst.up) {
-    if (network_->attached(inst.id)) network_->detach(inst.id);
-    inst.up = false;
-    readvertise_partition(partition);
-    if (config_.durability.enabled) {
-      const std::uint64_t lost = inst.st->unsynced_ops();
-      if (lost > 0) {
-        registry_.counter("store.lost_records").inc(lost);
-        registry_.gauge("store.audit.max_loss_window_us")
-            .set_max(now() - inst.last_sync);
-      }
-      inst.st->crash(torn_bytes);
-      *inst.log = services::ViewingLog();  // RAM is gone
-      inst.log->set_audit_cap(config_.durability.viewing_audit_cap);
-    }
-  }
-  if (wipe_media && config_.durability.enabled) inst.st->wipe();
-}
-
-void Deployment::crash_cm_instance(std::uint32_t partition, std::size_t instance) {
-  crash_cm_impl(partition, instance, 0, false);
-}
-
-void Deployment::crash_cm_unsynced(std::uint32_t partition, std::size_t instance) {
-  const CmInstance& inst = cm_instances_.at(partition).at(instance);
-  const std::size_t torn =
-      config_.durability.enabled ? inst.st->journal().staged_bytes() / 2 : 0;
-  crash_cm_impl(partition, instance, torn, false);
-}
-
-void Deployment::wipe_cm_state(std::uint32_t partition, std::size_t instance) {
-  crash_cm_impl(partition, instance, 0, true);
-}
-
-void Deployment::restart_cm_instance(std::uint32_t partition, std::size_t instance) {
-  CmInstance& inst = cm_instances_.at(partition).at(instance);
-  if (inst.up) return;
-  inst.up = true;
-
-  if (!config_.durability.enabled) {
-    network_->attach(inst.id, inst.addr, inst.node.get());
-    readvertise_partition(partition);
-    return;
-  }
-
-  const std::size_t replayed = inst.st->recover();
-  std::size_t pulled = 0;
-  for (CmInstance& other : cm_instances_.at(partition)) {
-    if (&other == &inst || !other.up) continue;
-    pulled += inst.st->catch_up_from(*other.st);
-  }
-  inst.st->sync();
-  inst.last_sync = now();
-
-  const util::SimTime cost = config_.durability.replay_cost_per_record *
-      static_cast<util::SimTime>(replayed + pulled);
-  registry_.counter("store.recovery.count").inc();
-  registry_.histogram("store.recovery.time_us").record(cost);
-  const auto finish = [this, partition, instance] {
-    CmInstance& i = cm_instances_.at(partition).at(instance);
-    if (!i.up) return;
-    if (!network_->attached(i.id)) network_->attach(i.id, i.addr, i.node.get());
-    readvertise_partition(partition);
-  };
-  if (cost > 0) {
-    post(cost, finish);
-  } else {
-    finish();
-  }
-}
-
-bool Deployment::cm_instance_up(std::uint32_t partition, std::size_t instance) const {
-  return cm_instances_.at(partition).at(instance).up;
-}
-
-std::size_t Deployment::cm_instance_count(std::uint32_t partition) const {
-  return cm_instances_.at(partition).size();
 }
 
 void Deployment::crash_client(AsyncClient& client) {
@@ -823,21 +734,21 @@ PeerNode* Deployment::root_node(util::ChannelId channel) {
 }
 
 const services::UserDirectory* Deployment::um_directory(std::size_t instance) const {
-  return um_instances_.at(instance).dir.get();
+  return farm(FarmRef::um()).instances.at(instance).dir.get();
 }
 
 const services::ViewingLog* Deployment::cm_viewing_log(std::uint32_t partition,
                                                        std::size_t instance) const {
-  return cm_instances_.at(partition).at(instance).log.get();
+  return farm(FarmRef::channel(partition)).instances.at(instance).log.get();
 }
 
 store::FarmStore* Deployment::um_store(std::size_t instance) {
-  return um_instances_.at(instance).st.get();
+  return farm(FarmRef::um()).instances.at(instance).st.get();
 }
 
 store::FarmStore* Deployment::cm_store(std::uint32_t partition,
                                        std::size_t instance) {
-  return cm_instances_.at(partition).at(instance).st.get();
+  return farm(FarmRef::channel(partition)).instances.at(instance).st.get();
 }
 
 }  // namespace p2pdrm::net

@@ -73,7 +73,6 @@ struct DeploymentConfig {
   geo::SyntheticGeoPlan geo_plan;
   services::UserManagerConfig um;
   services::ChannelManagerConfig cm;
-  std::size_t client_binary_size = 16 * 1024;
   /// Sub-streams per channel (peer-division multiplexing). Clients with
   /// substreams > 1 stripe their subscription across multiple parents.
   std::size_t substreams = 1;
@@ -122,6 +121,24 @@ struct DeploymentConfig {
   /// value was 64; live benches that admit hundreds of sessions into one
   /// channel raise it so JOINs don't exhaust the root.
   std::size_t root_peer_capacity = 64;
+};
+
+/// Names one manager farm (§V): the User Manager farm, or the Channel
+/// Manager farm of one partition.
+struct FarmRef {
+  bool cm = false;
+  std::uint32_t partition = 0;  // CM farms only
+
+  static FarmRef um() { return {}; }
+  static FarmRef channel(std::uint32_t partition) { return {true, partition}; }
+};
+
+/// What the chaos plane can do to one farm instance.
+enum class FarmFault : std::uint8_t {
+  kCrash,          // off the network; durable mode loses the unsynced tail
+  kCrashUnsynced,  // ... and half the staged tail lands as a torn write
+  kWipe,           // crash (if up) and destroy the journal + snapshot media
+  kRestart,        // recover, then re-attach after the replay window
 };
 
 /// The viewer's start-up sequence as one op for Deployment::run_op: log in,
@@ -181,23 +198,37 @@ class Deployment {
   void broadcast(util::ChannelId channel, util::BytesView payload);
 
   // --- fault operations (the chaos plane; used by fault::FaultEngine) ---
+  //
+  // UM and CM farms are one kind of thing: interchangeable instances, each
+  // of which can crash and restart. A crash detaches the instance (losing
+  // in-flight work) and announces it unhealthy: the Redirection Manager
+  // steers new logins around a UM instance, and the CPM's partition info is
+  // re-pointed at a surviving CM instance (clients discover it on their
+  // next channel-list fetch). A restart re-attaches it and announces it
+  // healthy again. Instance 0 is the one created with the well-known ids.
 
-  /// Crash a User Manager farm instance: it drops off the network (losing
-  /// in-flight work) and the Redirection Manager steers new logins around
-  /// it. Instance 0 is the primary created at construction.
-  void crash_um_instance(std::size_t instance);
-  void restart_um_instance(std::size_t instance);
-  bool um_instance_up(std::size_t instance) const;
-  std::size_t um_instance_count() const { return um_instances_.size(); }
+  /// Instances in `farm`; 0 when the farm does not exist.
+  std::size_t farm_size(FarmRef farm) const;
+  /// Inject `fault` into one instance. Throws std::out_of_range for an
+  /// instance that does not exist. Without durability.enabled the
+  /// durable-state variants (unsynced, wipe) are plain crashes.
+  void farm_fault(FarmRef farm, std::size_t instance, FarmFault fault);
 
-  /// Crash a Channel Manager instance. If it carried the partition's
-  /// advertised address, the CPM's partition info is re-pointed at a
-  /// surviving instance — clients discover it on their next channel-list
-  /// fetch (that is the client-side failover path).
-  void crash_cm_instance(std::uint32_t partition, std::size_t instance);
-  void restart_cm_instance(std::uint32_t partition, std::size_t instance);
-  bool cm_instance_up(std::uint32_t partition, std::size_t instance) const;
-  std::size_t cm_instance_count(std::uint32_t partition) const;
+  void crash_um_instance(std::size_t instance) {
+    farm_fault(FarmRef::um(), instance, FarmFault::kCrash);
+  }
+  void restart_um_instance(std::size_t instance) {
+    farm_fault(FarmRef::um(), instance, FarmFault::kRestart);
+  }
+  void crash_cm_instance(std::uint32_t partition, std::size_t instance) {
+    farm_fault(FarmRef::channel(partition), instance, FarmFault::kCrash);
+  }
+  void restart_cm_instance(std::uint32_t partition, std::size_t instance) {
+    farm_fault(FarmRef::channel(partition), instance, FarmFault::kRestart);
+  }
+  std::size_t cm_instance_count(std::uint32_t partition) const {
+    return farm_size(FarmRef::channel(partition));
+  }
 
   /// Ungraceful client departure: off the network immediately, nothing
   /// unregistered from the tracker (what a crash or power loss looks like
@@ -208,12 +239,12 @@ class Deployment {
 
   /// Crash leaving a torn partial write of the unsynced journal tail on the
   /// media — the worst-moment variant; replay must reject the torn record.
-  void crash_um_unsynced(std::size_t instance);
-  void crash_cm_unsynced(std::uint32_t partition, std::size_t instance);
-  /// Crash AND destroy the instance's journal + snapshot media entirely;
-  /// recovery then has only anti-entropy. Works on an already-down box.
-  void wipe_um_state(std::size_t instance);
-  void wipe_cm_state(std::uint32_t partition, std::size_t instance);
+  void crash_um_unsynced(std::size_t instance) {
+    farm_fault(FarmRef::um(), instance, FarmFault::kCrashUnsynced);
+  }
+  void crash_cm_unsynced(std::uint32_t partition, std::size_t instance) {
+    farm_fault(FarmRef::channel(partition), instance, FarmFault::kCrashUnsynced);
+  }
   /// Change the farm gossip cadence at runtime (0 stops the ticker).
   void set_replication_interval(util::SimTime interval);
   /// Force one replication round immediately (tests and fault verbs).
@@ -322,27 +353,29 @@ class Deployment {
     /// at arrival time, so the binding must outlive the announcement).
     std::uint64_t bound_epoch = 0;
   };
-  struct UmInstance {
+  /// One box of a manager farm. Only the manager behind the node and its
+  /// durable replica differ by kind: exactly one of `um`/`cm` is set, and in
+  /// durable mode the matching one of `dir`/`log`.
+  struct FarmInstance {
     std::unique_ptr<services::UserManager> um;
-    std::unique_ptr<UserManagerNode> node;
-    util::NodeId id = util::kInvalidNode;
-    util::NetAddr addr;
-    bool up = true;
-    // Durable mode only: this instance's replica of the user DB + its store.
-    std::unique_ptr<services::UserDirectory> dir;
-    std::unique_ptr<store::FarmStore> st;
-    util::SimTime last_sync = 0;
-  };
-  struct CmInstance {
     std::unique_ptr<services::ChannelManager> cm;
-    std::unique_ptr<ChannelManagerNode> node;
+    std::unique_ptr<ServiceNode> node;
     util::NodeId id = util::kInvalidNode;
     util::NetAddr addr;
+    std::uint32_t origin = 0;  // durable store's replication origin id
     bool up = true;
-    // Durable mode only: this instance's replica of the viewing log + store.
+    /// Bumped by every restart: a recovery whose replay window closes after
+    /// a later restart began must not re-attach the instance.
+    std::uint64_t generation = 0;
+    // Durable mode only: this instance's replica of the farm state + store.
+    std::unique_ptr<services::UserDirectory> dir;
     std::unique_ptr<services::ViewingLog> log;
     std::unique_ptr<store::FarmStore> st;
     util::SimTime last_sync = 0;
+  };
+  struct Farm {
+    FarmRef ref;
+    std::vector<FarmInstance> instances;
   };
 
   void schedule_rotation(util::ChannelId id);
@@ -352,14 +385,30 @@ class Deployment {
   /// Point the CPM's partition info at the first live instance.
   void readvertise_partition(std::uint32_t partition);
 
+  /// Set up and attach a manager frontend on the network.
+  void attach_service(ServiceNode& node, util::NodeId id, util::NetAddr addr);
+
+  // Farm internals: one path for every farm, kind-specific only in how
+  // health is announced.
+  /// Throws std::out_of_range when the farm does not exist.
+  const Farm& farm(FarmRef ref) const;
+  Farm& farm(FarmRef ref);
+  void announce_health(const Farm& farm, const FarmInstance& inst);
+  void crash(Farm& farm, FarmInstance& inst, FarmFault fault);
+  void restart(Farm& farm, FarmInstance& inst);
+
   // Durable-state internals.
   void init_durable_state();
   void provision_user(const services::UserProvisioning& p);
+  /// Journal one op at `self`; a critical op is also fsynced and shipped to
+  /// every live sibling before this returns.
+  void write_through(Farm& farm, FarmInstance& self, util::BytesView payload,
+                     bool critical);
+  /// Anti-entropy into `inst` from every live sibling, then fsync. Returns
+  /// the number of ops pulled.
+  std::size_t catch_up(Farm& farm, FarmInstance& inst);
   void schedule_replication();
   void replication_tick();
-  void crash_um_impl(std::size_t instance, std::size_t torn_bytes, bool wipe_media);
-  void crash_cm_impl(std::uint32_t partition, std::size_t instance,
-                     std::size_t torn_bytes, bool wipe_media);
 
   DeploymentConfig config_;
   crypto::SecureRandom rng_;
@@ -396,8 +445,9 @@ class Deployment {
 
   std::unique_ptr<RedirectionNode> redirection_node_;
   std::unique_ptr<ChannelPolicyNode> cpm_node_;
-  std::vector<UmInstance> um_instances_;
-  std::vector<std::vector<CmInstance>> cm_instances_;  // [partition][instance]
+  /// [0] is the UM farm, [1 + p] the CM farm of partition p. Sized once in
+  /// the constructor: callbacks hold pointers into it.
+  std::vector<Farm> farms_;
   util::SimTime replication_interval_ = 0;
   bool replication_armed_ = false;
   std::map<util::ChannelId, ChannelSource> sources_;

@@ -126,13 +126,13 @@ void admit_or_shed(ServiceQueue* queue, obs::Registry* registry,
 
 }  // namespace
 
-RedirectionNode::RedirectionNode(services::RedirectionManager& rm, Network& network,
-                                 util::NodeId self, ProcessingModel processing)
-    : rm_(rm), network_(network), self_(self), processing_(processing) {}
-
-void RedirectionNode::set_overload_policy(const OverloadPolicy& policy) {
+void ServiceNode::set_overload_policy(const OverloadPolicy& policy) {
   queue_ = policy.enabled() ? std::make_unique<ServiceQueue>(policy) : nullptr;
 }
+
+RedirectionNode::RedirectionNode(services::RedirectionManager& rm, Network& network,
+                                 util::NodeId self, ProcessingModel processing)
+    : ServiceNode(network, self, processing), rm_(rm) {}
 
 void RedirectionNode::on_packet(const Packet& packet) {
   const auto env = Envelope::decode(packet.data);
@@ -158,11 +158,7 @@ void RedirectionNode::on_packet(const Packet& packet) {
 
 UserManagerNode::UserManagerNode(services::UserManager& um, Network& network,
                                  util::NodeId self, ProcessingModel processing)
-    : um_(um), network_(network), self_(self), processing_(processing) {}
-
-void UserManagerNode::set_overload_policy(const OverloadPolicy& policy) {
-  queue_ = policy.enabled() ? std::make_unique<ServiceQueue>(policy) : nullptr;
-}
+    : ServiceNode(network, self, processing), um_(um) {}
 
 void UserManagerNode::on_packet(const Packet& packet) {
   const auto env = Envelope::decode(packet.data);
@@ -211,11 +207,7 @@ void UserManagerNode::on_packet(const Packet& packet) {
 ChannelPolicyNode::ChannelPolicyNode(services::ChannelPolicyManager& cpm,
                                      Network& network, util::NodeId self,
                                      ProcessingModel processing)
-    : cpm_(cpm), network_(network), self_(self), processing_(processing) {}
-
-void ChannelPolicyNode::set_overload_policy(const OverloadPolicy& policy) {
-  queue_ = policy.enabled() ? std::make_unique<ServiceQueue>(policy) : nullptr;
-}
+    : ServiceNode(network, self, processing), cpm_(cpm) {}
 
 void ChannelPolicyNode::on_packet(const Packet& packet) {
   const auto env = Envelope::decode(packet.data);
@@ -241,11 +233,7 @@ void ChannelPolicyNode::on_packet(const Packet& packet) {
 
 ChannelManagerNode::ChannelManagerNode(services::ChannelManager& cm, Network& network,
                                        util::NodeId self, ProcessingModel processing)
-    : cm_(cm), network_(network), self_(self), processing_(processing) {}
-
-void ChannelManagerNode::set_overload_policy(const OverloadPolicy& policy) {
-  queue_ = policy.enabled() ? std::make_unique<ServiceQueue>(policy) : nullptr;
-}
+    : ServiceNode(network, self, processing), cm_(cm) {}
 
 void ChannelManagerNode::on_packet(const Packet& packet) {
   const auto env = Envelope::decode(packet.data);

@@ -35,100 +35,69 @@ struct ProcessingModel {
   util::SimTime heavy = 0;   // LOGIN2, SWITCH2 (RSA sign), JOIN
 };
 
-class RedirectionNode final : public Node {
+/// What the four manager frontends share: the wire endpoint, the modeled
+/// processing delay, and the optional tracer, registry and overload queue.
+class ServiceNode : public Node {
+ public:
+  /// Record a serve span per handled request (null to disable).
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  /// Count drops/sheds and export queue depth (null to disable).
+  void set_registry(obs::Registry* registry) { registry_ = registry; }
+  /// Install a bounded worker queue + admission control. A disabled policy
+  /// (workers == 0) restores the legacy instantaneous model.
+  void set_overload_policy(const OverloadPolicy& policy);
+  const ServiceQueue* queue() const { return queue_.get(); }
+
+ protected:
+  ServiceNode(Network& network, util::NodeId self, ProcessingModel processing)
+      : network_(network), self_(self), processing_(processing) {}
+
+  obs::Tracer* tracer_ = nullptr;
+  obs::Registry* registry_ = nullptr;
+  std::unique_ptr<ServiceQueue> queue_;
+  Network& network_;
+  util::NodeId self_;
+  ProcessingModel processing_;
+};
+
+class RedirectionNode final : public ServiceNode {
  public:
   RedirectionNode(services::RedirectionManager& rm, Network& network,
                   util::NodeId self, ProcessingModel processing = {});
   void on_packet(const Packet& packet) override;
-  /// Record a serve span per handled request (null to disable).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Count drops/sheds and export queue depth (null to disable).
-  void set_registry(obs::Registry* registry) { registry_ = registry; }
-  /// Install a bounded worker queue + admission control. A disabled policy
-  /// (workers == 0) restores the legacy instantaneous model.
-  void set_overload_policy(const OverloadPolicy& policy);
-  const ServiceQueue* queue() const { return queue_.get(); }
 
  private:
-  obs::Tracer* tracer_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  std::unique_ptr<ServiceQueue> queue_;
   services::RedirectionManager& rm_;
-  Network& network_;
-  util::NodeId self_;
-  ProcessingModel processing_;
 };
 
-class UserManagerNode final : public Node {
+class UserManagerNode final : public ServiceNode {
  public:
   UserManagerNode(services::UserManager& um, Network& network, util::NodeId self,
                   ProcessingModel processing = {});
   void on_packet(const Packet& packet) override;
-  /// Record a serve span per handled request (null to disable).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Count drops/sheds and export queue depth (null to disable).
-  void set_registry(obs::Registry* registry) { registry_ = registry; }
-  /// Install a bounded worker queue + admission control. A disabled policy
-  /// (workers == 0) restores the legacy instantaneous model.
-  void set_overload_policy(const OverloadPolicy& policy);
-  const ServiceQueue* queue() const { return queue_.get(); }
 
  private:
-  obs::Tracer* tracer_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  std::unique_ptr<ServiceQueue> queue_;
   services::UserManager& um_;
-  Network& network_;
-  util::NodeId self_;
-  ProcessingModel processing_;
 };
 
-class ChannelPolicyNode final : public Node {
+class ChannelPolicyNode final : public ServiceNode {
  public:
   ChannelPolicyNode(services::ChannelPolicyManager& cpm, Network& network,
                     util::NodeId self, ProcessingModel processing = {});
   void on_packet(const Packet& packet) override;
-  /// Record a serve span per handled request (null to disable).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Count drops/sheds and export queue depth (null to disable).
-  void set_registry(obs::Registry* registry) { registry_ = registry; }
-  /// Install a bounded worker queue + admission control. A disabled policy
-  /// (workers == 0) restores the legacy instantaneous model.
-  void set_overload_policy(const OverloadPolicy& policy);
-  const ServiceQueue* queue() const { return queue_.get(); }
 
  private:
-  obs::Tracer* tracer_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  std::unique_ptr<ServiceQueue> queue_;
   services::ChannelPolicyManager& cpm_;
-  Network& network_;
-  util::NodeId self_;
-  ProcessingModel processing_;
 };
 
-class ChannelManagerNode final : public Node {
+class ChannelManagerNode final : public ServiceNode {
  public:
   ChannelManagerNode(services::ChannelManager& cm, Network& network, util::NodeId self,
                      ProcessingModel processing = {});
   void on_packet(const Packet& packet) override;
-  /// Record a serve span per handled request (null to disable).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Count drops/sheds and export queue depth (null to disable).
-  void set_registry(obs::Registry* registry) { registry_ = registry; }
-  /// Install a bounded worker queue + admission control. A disabled policy
-  /// (workers == 0) restores the legacy instantaneous model.
-  void set_overload_policy(const OverloadPolicy& policy);
-  const ServiceQueue* queue() const { return queue_.get(); }
 
  private:
-  obs::Tracer* tracer_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  std::unique_ptr<ServiceQueue> queue_;
   services::ChannelManager& cm_;
-  Network& network_;
-  util::NodeId self_;
-  ProcessingModel processing_;
 };
 
 /// A peer in the overlay: answers joins and renewal presentations, relays

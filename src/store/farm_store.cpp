@@ -115,7 +115,10 @@ std::size_t FarmStore::catch_up_from(const FarmStore& src) {
   return pulled;
 }
 
-void FarmStore::crash(std::size_t torn_bytes) { journal_.crash(torn_bytes); }
+void FarmStore::crash(std::size_t torn_bytes) {
+  journal_.crash(torn_bytes);
+  if (restore_) restore_({});  // the owner's RAM image died with the box
+}
 
 void FarmStore::wipe() {
   journal_.wipe();

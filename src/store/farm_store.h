@@ -88,8 +88,8 @@ class FarmStore {
   std::size_t catch_up_from(const FarmStore& src);
 
   /// Crash the box: unsynced journal tail is lost (optionally leaving
-  /// `torn_bytes` of it as a torn write). In-memory state is the owner's
-  /// problem (it clears its own structures before recover()).
+  /// `torn_bytes` of it as a torn write), and the owner's in-memory state
+  /// is cleared through its restore function with empty state.
   void crash(std::size_t torn_bytes = 0);
 
   /// Destroy snapshot + journal media entirely (wipe-state fault).

@@ -5,6 +5,9 @@
 // gap the store subsystem closes.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "client_ops.h"
 #include "services/channel_manager.h"
 
@@ -195,6 +198,58 @@ TEST_F(StoreRecoveryTest, AsyncAuditEntriesDurableWithinOneReplicationInterval) 
     if (e.renewal) renewal_survived = true;
   }
   EXPECT_TRUE(renewal_survived);
+}
+
+class SlowReplayTest : public StoreRecoveryTest {
+ protected:
+  static DeploymentConfig config() {
+    DeploymentConfig cfg = durable_config();
+    cfg.durability.replay_cost_per_record = kSecond;
+    return cfg;
+  }
+  SlowReplayTest() : StoreRecoveryTest(config()) {}
+
+  /// Restart, crash inside the replay window, restart again: the first
+  /// recovery's window closing must not re-attach the node while the second
+  /// replay is still running. `store` holds every op (no snapshot), so the
+  /// window is one second per op.
+  void expect_only_latest_window_attaches(util::NodeId node, store::FarmStore& store,
+                                          const std::function<void()>& crash,
+                                          const std::function<void()>& restart) {
+    std::uint64_t ops = 0;
+    for (const auto& [origin, watermark] : store.watermarks()) ops += watermark;
+    ASSERT_GT(ops, 0u);
+    const util::SimTime window = static_cast<util::SimTime>(ops) * kSecond;
+
+    crash();
+    restart();  // first window: [0, w)
+    d_.run_for(window / 2);
+    crash();
+    restart();  // second window: [w/2, 3w/2)
+    EXPECT_FALSE(d_.network().attached(node));
+    d_.run_for(window * 3 / 4);  // past the first window only
+    EXPECT_FALSE(d_.network().attached(node));
+    d_.run_for(window / 2);  // past the second window
+    EXPECT_TRUE(d_.network().attached(node));
+  }
+};
+
+TEST_F(SlowReplayTest, StaleRecoveryDoesNotAttachUmInstanceEarly) {
+  for (int i = 0; i < 4; ++i) {
+    d_.add_user("u" + std::to_string(i) + "@example.com", "pw");
+  }
+  expect_only_latest_window_attaches(
+      Deployment::kUmInstanceBase + 1, *d_.um_store(1),
+      [this] { d_.crash_um_instance(1); }, [this] { d_.restart_um_instance(1); });
+}
+
+TEST_F(SlowReplayTest, StaleRecoveryDoesNotAttachCmInstanceEarly) {
+  AsyncClient& viewer = d_.add_client("mig@example.com", "pw-m", region_);
+  ASSERT_EQ(join(viewer), DrmError::kOk);
+  expect_only_latest_window_attaches(
+      Deployment::kCmInstanceBase + 1, *d_.cm_store(0, 1),
+      [this] { d_.crash_cm_instance(0, 1); },
+      [this] { d_.restart_cm_instance(0, 1); });
 }
 
 }  // namespace

@@ -230,6 +230,7 @@ TEST(FarmStoreTest, CrashRecoverReplaysSyncedPrefixOnly) {
   st.sync();
   submit(st, state, "c");  // staged, never synced
   st.crash();
+  EXPECT_TRUE(state.text.empty());  // crash() cleared the owner's state
   state.text.clear();  // the RAM image died with the box
 
   EXPECT_EQ(st.recover(), 2u);
