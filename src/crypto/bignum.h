@@ -1,7 +1,10 @@
 // Arbitrary-precision unsigned integers, from scratch, sized for RSA:
 // schoolbook multiply, Knuth algorithm-D division, Montgomery modular
-// exponentiation, extended-Euclid inverse. Limbs are 32-bit with 64-bit
-// intermediates so the code is portable and easy to audit.
+// exponentiation, extended-Euclid inverse. BigUInt stores 32-bit limbs with
+// 64-bit intermediates so the general arithmetic is portable and easy to
+// audit. The Montgomery kernel, which is nearly all of an RSA private
+// operation, repacks its operands into 64-bit limbs and multiplies them with
+// 128-bit products.
 #pragma once
 
 #include <compare>
@@ -93,28 +96,38 @@ struct DivModResult {
   BigUInt remainder;
 };
 
-/// Montgomery reduction context for a fixed odd modulus. Exposed so RSA can
-/// reuse one context across many exponentiations with the same modulus.
+/// Montgomery exponentiation for a fixed odd modulus n. Operands are 64-bit
+/// limbs; products are 128-bit. The context holds n, -n^{-1} mod 2^64 and
+/// R^2 mod n (R = 2^(64k)). BigUInt::mod_pow builds one per exponentiation,
+/// and so RSA does too; building it costs one division, which is negligible
+/// beside the exponentiation. Miller–Rabin reuses one across its rounds.
+/// Variable-time: this is a reproduction, not a hardened library.
 class Montgomery {
  public:
   /// mod must be odd and >= 3.
   explicit Montgomery(const BigUInt& mod);
 
-  /// (base ^ exp) mod n.
+  /// (base ^ exp) mod n by fixed-window exponentiation. One allocation holds
+  /// the power table and the multiply scratch.
   BigUInt pow(const BigUInt& base, const BigUInt& exp) const;
 
-  const BigUInt& modulus() const { return n_; }
+  /// Window width pow uses for an exponent of `exp_bits` bits: 1 (plain
+  /// square-and-multiply, e.g. e = 65537), 4 or 5.
+  static unsigned window_bits(std::size_t exp_bits);
 
  private:
-  std::vector<std::uint32_t> mul(const std::vector<std::uint32_t>& a,
-                                 const std::vector<std::uint32_t>& b) const;
-  std::vector<std::uint32_t> to_mont(const BigUInt& x) const;
-  BigUInt from_mont(std::vector<std::uint32_t> x) const;
+  using Limb = std::uint64_t;
+
+  /// out = a * b * R^{-1} mod n, one CIOS pass. a, b and out hold k_ limbs
+  /// and are < n; out may alias a or b. t is caller-owned scratch of
+  /// k_ + 2 limbs, so the multiply never allocates.
+  void mul(Limb* out, const Limb* a, const Limb* b, Limb* t) const;
 
   BigUInt n_;
-  std::size_t k_;           // limb count of n
-  std::uint32_t n_prime_;   // -n^{-1} mod 2^32
-  BigUInt r2_;              // R^2 mod n, R = 2^(32k)
+  std::vector<Limb> n64_;  // n in k_ 64-bit limbs
+  std::size_t k_;
+  Limb n_prime_;           // -n^{-1} mod 2^64
+  std::vector<Limb> r2_;   // R^2 mod n in k_ limbs
 };
 
 /// Miller–Rabin probabilistic primality test with `rounds` random bases.

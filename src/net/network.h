@@ -186,8 +186,13 @@ class Network {
   /// Run `fn` on `owner`'s group loop after `delay` — the one scheduling
   /// primitive protocol code should use for timers, so the callback is
   /// serialized with the node's packet deliveries on both backends.
-  void post(util::NodeId owner, util::SimTime delay, transport::Task fn) {
-    transport_->post(group_of(owner), delay, std::move(fn));
+  transport::TimerId post(util::NodeId owner, util::SimTime delay, transport::Task fn) {
+    return transport_->post(group_of(owner), delay, std::move(fn));
+  }
+  /// Drop a timer of `owner`'s whose task has become a no-op (see
+  /// transport::Transport::release).
+  void release(util::NodeId owner, transport::TimerId id) {
+    transport_->release(group_of(owner), id);
   }
 
   /// The simulation under a sim-backed network. Aborts on a live backend —

@@ -22,10 +22,11 @@ Transmitter::Transmitter(Config config, util::NodeId self, Network& network,
 
 Transmitter::~Transmitter() { *alive_ = false; }
 
-void Transmitter::schedule(util::SimTime delay, std::function<void()> action) {
+transport::TimerId Transmitter::schedule(util::SimTime delay,
+                                        std::function<void()> action) {
   // Timers post to the client's own transport group, so they are
   // serialized with the client's packet deliveries on both backends.
-  network_.post(self_, delay, [alive = alive_, action = std::move(action)] {
+  return network_.post(self_, delay, [alive = alive_, action = std::move(action)] {
     if (*alive) action();
   });
 }
@@ -158,8 +159,9 @@ void Transmitter::arm_timeout(std::uint64_t request_id) {
   for (int i = 0; i < step; ++i) timeout *= kBackoffFactor;
   timeout = std::min(timeout, static_cast<double>(kMaxTimeout));
   timeout *= 1.0 + kJitter * rng_.uniform_real();
+  const auto delay = static_cast<util::SimTime>(timeout);
 
-  schedule(static_cast<util::SimTime>(timeout), [this, request_id, attempt] {
+  it->second.timeout = schedule(delay, [this, request_id, attempt] {
     const auto p = pending_.find(request_id);
     if (p == pending_.end() || p->second.attempt != attempt) return;  // resolved
     Pending& pending = p->second;
@@ -203,6 +205,7 @@ void Transmitter::on_envelope(util::NodeId from, const Envelope& env) {
   if (env.kind != it->second.expect) return;  // mismatched response kind
   Pending pending = std::move(it->second);
   pending_.erase(it);
+  network_.release(self_, pending.timeout);
   if (CircuitBreaker* breaker = breaker_for(pending.to)) breaker->record_success();
   close_request_spans(env.request_id, pending, /*ok=*/true, "ok");
   record(pending.round, pending.started, true);
@@ -219,6 +222,7 @@ void Transmitter::handle_busy(PendingMap::iterator it, const Envelope& env) {
   Pending& pending = it->second;
   ++stats_.busy_received;
   ++pending.attempt;  // the armed timeout is for a dead attempt now
+  network_.release(self_, pending.timeout);
   ++pending.busy_defers;
   count("client.busy.received");
   // A BUSY proves the destination is alive — it answered — so the breaker
@@ -258,6 +262,7 @@ void Transmitter::handle_busy(PendingMap::iterator it, const Envelope& env) {
 
 void Transmitter::cancel() {
   for (auto& [request_id, pending] : pending_) {
+    network_.release(self_, pending.timeout);
     close_request_spans(request_id, pending, /*ok=*/false, "departed");
   }
   pending_.clear();

@@ -82,10 +82,10 @@ class Transmitter {
   void cancel();
 
   /// Schedule an event on the client's loop tied to this object's lifetime.
-  /// Transport timers cannot be cancelled, so a raw [this] capture would
-  /// dangle if the client is destroyed (churn!) before the timer fires; the
-  /// event is silently dropped instead.
-  void schedule(util::SimTime delay, std::function<void()> action);
+  /// Transport timers may still fire after the client is destroyed (churn!),
+  /// so a raw [this] capture would dangle; the event is silently dropped
+  /// instead.
+  transport::TimerId schedule(util::SimTime delay, std::function<void()> action);
 
   /// Append a round to the feedback log; a success also feeds the round
   /// histogram and the SLO monitor.
@@ -125,6 +125,7 @@ class Transmitter {
     int retries_left = 0;
     int busy_defers = 0;        // BUSY responses absorbed so far
     std::uint64_t attempt = 0;  // invalidates stale timeout events
+    transport::TimerId timeout = {};  // the armed timeout, released once moot
     core::Round round;
     util::SimTime started = 0;
     OnResponse on_response;

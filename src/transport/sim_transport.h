@@ -14,10 +14,12 @@ class SimTransport final : public Transport {
   explicit SimTransport(sim::Simulation& sim) : sim_(sim) {}
 
   util::SimTime now() const override { return sim_.now(); }
-  void post(std::size_t group, util::SimTime delay, Task task) override {
+  TimerId post(std::size_t group, util::SimTime delay, Task task) override {
     (void)group;  // one loop: group confinement is trivial
     sim_.schedule(delay, std::move(task));
+    return {};
   }
+  void release(std::size_t, TimerId) override {}
   std::size_t groups() const override { return 1; }
   bool live() const override { return false; }
   void run_until(util::SimTime t) override { sim_.run_until(t); }

@@ -40,28 +40,42 @@ util::SimTime ThreadTransport::now() const {
       .count();
 }
 
-void ThreadTransport::post(std::size_t group, util::SimTime delay, Task task) {
+TimerId ThreadTransport::post(std::size_t group, util::SimTime delay, Task task) {
   if (stopping_.load(std::memory_order_acquire)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+    return {};
   }
   Loop& loop = *loops_[group % loops_.size()];
+  TimerId id;
   {
     std::lock_guard<std::mutex> lk(loop.mu);
     if (loop.stopping) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return {};
     }
     if (delay <= 0) {
       loop.ready.push_back(Ready{std::move(task), now()});
       loop.ready_peak = std::max(loop.ready_peak, loop.ready.size());
     } else {
-      loop.timers.push_back(Timer{now() + delay, loop.next_seq++, std::move(task)});
-      std::push_heap(loop.timers.begin(), loop.timers.end(), TimerLater{});
+      id = TimerId{now() + delay, loop.next_seq++};
+      loop.timers.emplace(id, std::move(task));
       loop.timer_peak = std::max(loop.timer_peak, loop.timers.size());
     }
   }
   loop.cv.notify_one();
+  return id;
+}
+
+void ThreadTransport::release(std::size_t group, TimerId id) {
+  Loop& loop = *loops_[group % loops_.size()];
+  Task task;  // destroyed outside the lock
+  {
+    std::lock_guard<std::mutex> lk(loop.mu);
+    const auto it = loop.timers.find(id);
+    if (it == loop.timers.end()) return;
+    task = std::move(it->second);
+    loop.timers.erase(it);
+  }
 }
 
 void ThreadTransport::run_loop(Loop& loop, std::size_t index) {
@@ -75,12 +89,11 @@ void ThreadTransport::run_loop(Loop& loop, std::size_t index) {
   for (;;) {
     // Promote due timers into the ready queue (FIFO by due time, then seq).
     const util::SimTime t = now();
-    while (!loop.timers.empty() && loop.timers.front().when <= t) {
-      std::pop_heap(loop.timers.begin(), loop.timers.end(), TimerLater{});
-      Timer& fired = loop.timers.back();
-      flight.record("loop.timer_fire", index, fired.seq);
-      loop.ready.push_back(Ready{std::move(fired.task), fired.when});
-      loop.timers.pop_back();
+    while (!loop.timers.empty() && loop.timers.begin()->first.when <= t) {
+      const auto fired = loop.timers.begin();
+      flight.record("loop.timer_fire", index, fired->first.seq);
+      loop.ready.push_back(Ready{std::move(fired->second), fired->first.when});
+      loop.timers.erase(fired);
       ++loop.timers_fired;
       loop.ready_peak = std::max(loop.ready_peak, loop.ready.size());
     }
@@ -110,7 +123,7 @@ void ThreadTransport::run_loop(Loop& loop, std::size_t index) {
       loop.cv.wait(lk);
     } else {
       loop.cv.wait_until(
-          lk, start_ + std::chrono::microseconds(loop.timers.front().when));
+          lk, start_ + std::chrono::microseconds(loop.timers.begin()->first.when));
     }
     loop.idle_us += now() - w0;
   }

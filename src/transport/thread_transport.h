@@ -1,13 +1,14 @@
 // The live backend: one event loop per node group, each on its own thread.
 //
 // Every loop owns an MPSC ready queue (producers are arbitrary sender
-// threads; the single consumer is the loop thread) and a timer heap keyed
-// on the monotonic clock. post() from any thread enqueues; the loop drains
-// due timers into the ready queue and runs tasks one at a time, which is
-// what gives node state its loop confinement (see transport.h).
+// threads; the single consumer is the loop thread) and a timer map ordered
+// by due time on the monotonic clock. post() from any thread enqueues;
+// release() erases a timer; the loop drains due timers into the ready queue
+// and runs tasks one at a time, which is what gives node state its loop
+// confinement (see transport.h).
 //
 // Telemetry: each loop keeps lifetime counters — tasks executed, timers
-// fired, busy/idle wall time, ready-deque and timer-heap depth high-water
+// fired, busy/idle wall time, ready-deque and timer-map size high-water
 // marks — plus a post-to-run scheduling-latency histogram (dequeue time
 // minus the moment the task became eligible: post time for immediate
 // tasks, due time for timers). Every executed task contributes exactly one
@@ -30,6 +31,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
+#include <memory_resource>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -62,7 +65,8 @@ class ThreadTransport final : public Transport {
   ThreadTransport& operator=(const ThreadTransport&) = delete;
 
   util::SimTime now() const override;
-  void post(std::size_t group, util::SimTime delay, Task task) override;
+  TimerId post(std::size_t group, util::SimTime delay, Task task) override;
+  void release(std::size_t group, TimerId id) override;
   std::size_t groups() const override { return loops_.size(); }
   bool live() const override { return true; }
   void run_until(util::SimTime t) override;
@@ -87,18 +91,6 @@ class ThreadTransport final : public Transport {
                    const std::string& prefix = "transport") const;
 
  private:
-  struct Timer {
-    util::SimTime when = 0;
-    std::uint64_t seq = 0;  // FIFO among equal due times
-    Task task;
-  };
-  /// Min-heap order for std::push_heap/pop_heap (greatest = last).
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
   /// A ready task plus the moment it became eligible to run (post time,
   /// or the timer's due time) — the baseline for scheduling latency.
   struct Ready {
@@ -109,7 +101,10 @@ class ThreadTransport final : public Transport {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<Ready> ready;    // MPSC: many posters, one loop thread
-    std::vector<Timer> timers;  // heap via TimerLater
+    // Timers by due time, FIFO among equals. Only `mu` holders touch the
+    // node pool, so the packet path's timers reuse nodes instead of malloc.
+    std::pmr::unsynchronized_pool_resource timer_nodes;
+    std::pmr::map<TimerId, Task> timers{&timer_nodes};
     std::uint64_t next_seq = 0;
     std::uint64_t executed = 0;
     std::uint64_t timers_fired = 0;

@@ -18,7 +18,9 @@
 // groups (registries, tracers, the Network's own tables) is locked.
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "util/time.h"
@@ -26,6 +28,14 @@
 namespace p2pdrm::transport {
 
 using Task = std::function<void()>;
+
+/// Names a timer returned by post(), for release(). A default-constructed
+/// id names no timer.
+struct TimerId {
+  util::SimTime when = 0;
+  std::uint64_t seq = 0;
+  friend auto operator<=>(const TimerId&, const TimerId&) = default;
+};
 
 class Transport {
  public:
@@ -37,8 +47,18 @@ class Transport {
 
   /// Run `task` on the event loop owning `group`, `delay` microseconds from
   /// now (delay <= 0 means "as soon as the loop gets to it"). Safe to call
-  /// from any thread; tasks for one group never run concurrently.
-  virtual void post(std::size_t group, util::SimTime delay, Task task) = 0;
+  /// from any thread; tasks for one group never run concurrently. Returns
+  /// an id for release() when the task is a timer (delay > 0) that the
+  /// backend can drop early, else a default id.
+  virtual TimerId post(std::size_t group, util::SimTime delay, Task task) = 0;
+
+  /// A timer whose task has become a no-op (its owner re-checks its own
+  /// state when the task runs) may be destroyed early, with everything it
+  /// captured. ThreadTransport does so at once, so timers that outlive
+  /// their purpose do not pile up at high request rates; SimTransport keeps
+  /// every event, so the event schedule and same-seed traces do not change.
+  /// Safe to call from any thread; an id that already ran is ignored.
+  virtual void release(std::size_t group, TimerId id) = 0;
 
   /// Number of event loops. Group indices are taken modulo this.
   virtual std::size_t groups() const = 0;

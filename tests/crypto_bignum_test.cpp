@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "crypto/bignum.h"
 #include "crypto/chacha20.h"
@@ -194,24 +195,66 @@ TEST(BigUIntTest, FermatLittleTheorem) {
   }
 }
 
+// Reference: square-and-multiply with a division after every product, the
+// algorithm of the even-modulus fallback, checked against the Montgomery path.
+BigUInt reference_mod_pow(const BigUInt& base, const BigUInt& exp, const BigUInt& m) {
+  BigUInt result(1);
+  const BigUInt b = base % m;
+  for (std::size_t i = exp.bit_length(); i-- > 0;) {
+    result = (result * result) % m;
+    if (exp.bit(i)) result = (result * b) % m;
+  }
+  return result % m;
+}
+
 TEST(BigUIntTest, MontgomeryMatchesEvenFallbackStyle) {
-  // Cross-check the Montgomery path against the plain square-and-multiply
-  // (driven through an even-looking computation done manually).
   SecureRandom rng(123);
   for (int iter = 0; iter < 8; ++iter) {
     BigUInt m = BigUInt::random_with_bits(rng, 128);
     if (m.is_even()) m += BigUInt(1);
     const BigUInt base = BigUInt::random_with_bits(rng, 200);
     const BigUInt exp = BigUInt::random_with_bits(rng, 64);
+    EXPECT_EQ(BigUInt::mod_pow(base, exp, m), reference_mod_pow(base, exp, m));
+  }
+}
 
-    // Reference: repeated square-and-multiply with divmod reductions.
-    BigUInt result(1);
-    BigUInt b = base % m;
-    for (std::size_t i = exp.bit_length(); i-- > 0;) {
-      result = (result * result) % m;
-      if (exp.bit(i)) result = (result * b) % m;
+TEST(MontgomeryTest, WindowWidthThresholds) {
+  EXPECT_EQ(Montgomery::window_bits(1), 1u);
+  EXPECT_EQ(Montgomery::window_bits(17), 1u);  // e = 65537
+  EXPECT_EQ(Montgomery::window_bits(48), 1u);
+  EXPECT_EQ(Montgomery::window_bits(49), 4u);
+  EXPECT_EQ(Montgomery::window_bits(384), 4u);
+  EXPECT_EQ(Montgomery::window_bits(385), 5u);
+  EXPECT_EQ(Montgomery::window_bits(2048), 5u);
+}
+
+// The kernel packs 32-bit limbs into 64-bit ones, so moduli with an odd
+// 32-bit limb count (96, 544, 1056 bits) leave a half-empty top limb.
+// Exponents sit one bit below, at and above each window threshold; all-ones
+// exponents hit the last table entry in every window.
+TEST(MontgomeryTest, MatchesReferenceAcrossLimbCountsAndWindows) {
+  SecureRandom rng(2011);
+  for (const std::size_t mod_bits : {96u, 544u, 1024u, 1056u, 2048u}) {
+    BigUInt m = BigUInt::random_with_bits(rng, mod_bits);
+    if (m.is_even()) m += BigUInt(1);
+    std::vector<BigUInt> exps = {BigUInt(), BigUInt(1), BigUInt(2), BigUInt(65537)};
+    for (const std::size_t threshold : {48u, 384u}) {
+      for (const std::size_t bits : {threshold - 1, threshold, threshold + 1}) {
+        exps.push_back(BigUInt::random_with_bits(rng, bits));
+        exps.push_back((BigUInt(1) << bits) - BigUInt(1));
+      }
     }
-    EXPECT_EQ(BigUInt::mod_pow(base, exp, m), result);
+    const std::vector<BigUInt> bases = {
+        BigUInt(), BigUInt(1), m - BigUInt(1), m, m + BigUInt(2),
+        BigUInt::random_with_bits(rng, mod_bits + 37),
+        BigUInt::random_below(rng, m)};
+    for (const BigUInt& exp : exps) {
+      for (const BigUInt& base : bases) {
+        ASSERT_EQ(BigUInt::mod_pow(base, exp, m), reference_mod_pow(base, exp, m))
+            << mod_bits << "-bit m=" << m.to_hex() << " base=" << base.to_hex()
+            << " exp=" << exp.to_hex();
+      }
+    }
   }
 }
 
@@ -326,6 +369,57 @@ TEST(BigUIntGoldenTest, ModPowAgainstPython) {
       // even modulus (exercises the non-Montgomery fallback)
       {"ed5afe54494ded5dfe661b021", "b282907826", "4994eaadb140c2268fcffa6f1bbe68",
        "4088713941752d3415374f81916279"},
+      // RSA-size odd moduli, bases 40 bits wider than the modulus
+      // (random.seed(1616)); 1024 bits:
+      {"c50194518ac6c8a7d260d093dda10b3d2f1031ae9dc0ac0c840a7b18273e855ad908805e"
+       "4913bbdb546889f0f0c79f97664efc8118410857813b5db167efd267bd215cbaa046bd62"
+       "35812a4f6022e8a60bc3415d9df837d0db6a8de724318bae2d4fbea8a2eccaddfeb5b538"
+       "8d19ded6f73a08f44a89e5287397289a1184a17143f9cdb29b",
+       "81a4fd36ff30dbafad12edf0de60fb9f00cf92665cd17737bdc7d80cb2049ed41497b92c"
+       "589d6d219bb050c769bfce4dbcde2b063872053f3ad040cdb5c7aa538a6015e346fdf065"
+       "9e8da0e2c99d0ea4e29d69c26f99eb807d4219af2cdf057008115c9e6e0d71f88adff3ef"
+       "1584978a29dcbabf54bcde01dc09162e835bfade",
+       "a8eaffe2af65dc7c89ed9a268e271e6dfd82d796949181cc29d49d78787722c399086857"
+       "63248e86b845c14c758e2540a1762c093024e6a8bf6e93c6edb5acbc5b94aa86b6859794"
+       "b098ce7b74d9cbe55d21c5fd53fdf7db24b1243c50c49277dc465a1a29a976b14b965b90"
+       "926116034839921422ef519f5d7a1208900fce69",
+       "914a82834abf44c53d5d73774bae3b3b448e7f77a3067e4d082a6eeefa114ee2fa50670c"
+       "3594aaf3bb4b506687c526593647e335cffbc174e926bbf1c7adc33b8320786e1fa16722"
+       "3666da3f194771a23fd5841d42cf35a6f5fceed36b9de649379767065e19913f28e4756b"
+       "08ff82ee6bb5122a47cb762bca9912d244df81fa"},
+      // 2048 bits:
+      {"93e8519332230177865c1c821ec681af89775d44290cca6bf0cb560acb569dede013f801"
+       "f5124a503b8cddb0553a5490c29549c718358d41a480c4204b9558cdf6b0c21f02561209"
+       "f50f05eaad87278d8b264ae79907e0d10ac4a0d8d8ad31a648ac1e290d26d0db6e885500"
+       "9f1ed6f73bac28950fd39cc1e36b0cc14bd4cb46be47cf5419d077586ab15c28268cb219"
+       "d1bc3517adc7c6339fdef2faca0711fcbaca7ca6c309e7b231cf22951625f9fb5b64cf6c"
+       "ad214f19204659b38b2b03179b3688aea3ace543dce33fa110d60aacc895aec10917a076"
+       "adba7b60455386b0080cb0d40af1f4c15ffb47905a791fdaf5e8cdb4b845d27262f4c9ce"
+       "5d14662df863271645",
+       "e9bf12571da8aab14c86710097101be5b504005d60b6a8aa5e542687080015e32e4246cd"
+       "5bc50cac343f4bccb32dbfc6fa0c130ffeebd2aba0064e6165482240555ba67a6042a408"
+       "4595636274fae8410541b90504ee9494adbb8f6ea0ccbd550db6b7a9cb34be2a75f8dafb"
+       "956130873df712410a2e6d210a9cd952757723479615a5c6f775847614f78f37eb42a85e"
+       "8426c7dbcbe9ab2bb7aa19a134a5108f6d5321e653a9490f850a7e24a60c7301ba2ade07"
+       "7d41d8a7274415b164cb38f31e0fccbeb03fc24d17fce0d69c3481e86df022c9f17df78a"
+       "a3f2db1f3c0c26cf3fdf72375c99000596ce1e29e8d001eb73457fb5b23e4c7d5f600786"
+       "7b65f10a",
+       "f9257516837c5c58a9b603c38d57a881535bc0fc92ebf74a314482d4b851a73454ba4398"
+       "82d10c8f752036e9f744396676ff9aa556c1dcd74c3d3843db37b8f75bd5e7d3d381a511"
+       "098a8c745e433ce4ad9413352535f7e216cfdfd1f269dc4235681e15da4753781d24b4bc"
+       "15f8e06d9e57866716df1549c97845adf9739e153d52d590cb032cba7e3c5503855d582a"
+       "f3223dd5bed2e4309f9ebbe05cb3d2a5eae10f1270195841c8ca510b675c089b86d0110d"
+       "8f38cf20d5ba540256e6eaebabefb510260f8620241641dcb130f23ec7c0e9b0b0d4e3c1"
+       "5e4e51e05e1af4b863e2e49e7b1ee343ba69566bb4a7bbd4eb68af6c2ae09fc4e53e74ae"
+       "419cef29",
+       "27ed6988a77e2ff19040d897b73f11728f247b87c06ad4ab566ea0ec9fae6ce4f49d8f09"
+       "70b446c7ac3e9bace122b493f6b6c80233ce27772e10a65c4a951fa28b5bbf334616d832"
+       "dba9e49ef7568e60bcb05438ae5f45bf924880f27810a6c83f1d0fcf8344d2e75b3848eb"
+       "f07845a5c4e50dcb3b5752e5046229f94e950cad2761c966cae5ba987f4b1392f48a9561"
+       "78ea993bb8fbf349dbb224119160528f7ae98b9e7303dc4dc06e358c4c23964ff85126e2"
+       "5e4a0fabd4a3c269a763556bdb474fdce03be1311c6c459f43b339e0aa3ae71d992947bd"
+       "dbb878bd3fc7fc144507b038088b50c095c5a82117cce1cf1b124d81e65d8c8dcfb155d9"
+       "c8957f30"},
   };
   for (const ModPowVector& v : vectors) {
     EXPECT_EQ(BigUInt::mod_pow(BigUInt::from_hex(v.base), BigUInt::from_hex(v.exp),

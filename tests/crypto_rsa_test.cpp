@@ -129,7 +129,9 @@ TEST(RsaDecryptTest, CorruptedCiphertextFails) {
   ct[ct.size() / 2] ^= 0xff;
   const auto pt = rsa_decrypt(kp.priv, ct);
   // Either padding fails (nullopt) or the plaintext differs; never the secret.
-  if (pt.has_value()) EXPECT_NE(*pt, bytes_of("secret"));
+  if (pt.has_value()) {
+    EXPECT_NE(*pt, bytes_of("secret"));
+  }
 }
 
 TEST(RsaDecryptTest, WrongLengthRejected) {
@@ -196,6 +198,21 @@ TEST(RsaBitsTest, Works1024) {
   const auto pt = rsa_decrypt(kp.priv, rsa_encrypt(kp.pub, msg, rng));
   ASSERT_TRUE(pt.has_value());
   EXPECT_EQ(*pt, msg);
+}
+
+// Byte identity at the deployed key size: managers sign tickets with
+// 1024-bit keys. Values recorded before the 64-bit Montgomery kernel; any
+// change to keygen, padding or the private operation shows here.
+TEST(RsaGoldenTest, Rsa1024KeyAndSignaturePinned) {
+  SecureRandom rng(1024);
+  const RsaKeyPair kp = generate_rsa_keypair(rng, 1024);
+  EXPECT_EQ(util::to_hex(kp.pub.fingerprint()),
+            "f046d9596feefa294807cd8046fa613fba9bff5d7ec1593349d2ac46fd6ae08a");
+  EXPECT_EQ(util::to_hex(rsa_sign(kp.priv, bytes_of("channel ticket body"))),
+            "595521cfafd647206fac4f286529837d8a8ce47d461324469a8c83b0df4080e1"
+            "c4c205c7685e2658e5e5dbee8f41760a22b0a9ecf9ef2456aa13c701fafa2807"
+            "83f0c4e9356832d83815cf9950a205972565f3e186951a86caa32e55707b3731"
+            "c80f63eada2cbdd1792e55d1478d6315f062edb51fab9c10fd5e4357b10fe668");
 }
 
 }  // namespace

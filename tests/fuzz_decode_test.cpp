@@ -197,7 +197,9 @@ TEST(FuzzDecodeTest, CatalogParserNeverThrows) {
     }
     const services::CatalogParseResult result = services::parse_catalog(text);
     // Either parses or reports an error; never both empty-and-failed states.
-    if (!result.ok()) EXPECT_TRUE(result.channels.empty());
+    if (!result.ok()) {
+      EXPECT_TRUE(result.channels.empty());
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include "net/network.h"
 #include "net/service_nodes.h"
 #include "net/transmitter.h"
+#include "transport/sim_transport.h"
 
 namespace p2pdrm::net {
 namespace {
@@ -527,6 +528,87 @@ TEST(TransmitterTest, CancelDropsPendingWithoutCallbacks) {
   EXPECT_EQ(server.arrivals.size(), 1u);
   EXPECT_EQ(host.tx.stats().retransmits, 0u);
   EXPECT_TRUE(host.tx.feedback_log().empty());
+}
+
+/// A SimTransport that names its timers and logs release() calls, to check
+/// which timers the transmitter gives back.
+class ReleaseLog final : public transport::Transport {
+ public:
+  explicit ReleaseLog(sim::Simulation& sim) : inner_(sim) {}
+  util::SimTime now() const override { return inner_.now(); }
+  transport::TimerId post(std::size_t group, util::SimTime delay,
+                          transport::Task task) override {
+    inner_.post(group, delay, std::move(task));
+    if (delay <= 0) return {};
+    posted.push_back({now() + delay, posted.size() + 1});
+    return posted.back();
+  }
+  void release(std::size_t, transport::TimerId id) override {
+    released.push_back(id);
+  }
+  std::size_t groups() const override { return 1; }
+  bool live() const override { return false; }
+  void run_until(util::SimTime t) override { inner_.run_until(t); }
+  void shutdown() override {}
+
+  std::vector<transport::TimerId> posted;
+  std::vector<transport::TimerId> released;
+
+ private:
+  transport::SimTransport inner_;
+};
+
+TEST(TransmitterTest, AnsweredRequestReleasesItsTimeout) {
+  // Timeouts outlive answered requests unless released: at a high request
+  // rate the live loop's timer map would hold seconds of dead closures.
+  sim::Simulation sim;
+  ReleaseLog log(sim);
+  Network net(log, instant_link(), crypto::SecureRandom(36));
+  ScriptedServer server(net, kTxServer);
+  server.script = [&server](const Envelope& env) {
+    server.reply(MsgKind::kRedirectResponse, env.request_id);
+  };
+  Transmitter::Config cfg;
+  cfg.request_timeout = 1 * kSecond;
+  TransmitterHost host(net, cfg);
+
+  TxResult result;
+  send_redirect(net, host.tx, result);
+  sim.run();
+
+  ASSERT_EQ(result.responses, 1);
+  ASSERT_EQ(log.released.size(), 1u);
+  // The released timer is the request's timeout, not a packet delivery.
+  EXPECT_NE(std::find(log.posted.begin(), log.posted.end(), log.released[0]),
+            log.posted.end());
+  EXPECT_GE(log.released[0].when, cfg.request_timeout);
+}
+
+TEST(TransmitterTest, BusyAndCancelReleaseTheArmedTimeout) {
+  sim::Simulation sim;
+  ReleaseLog log(sim);
+  Network net(log, instant_link(), crypto::SecureRandom(37));
+  ScriptedServer server(net, kTxServer);
+  server.script = [&server](const Envelope& env) {
+    if (server.arrivals.size() == 1) {
+      BusyPayload busy;
+      busy.retry_after = 100 * kMillisecond;
+      server.reply(MsgKind::kBusy, env.request_id, busy.encode());
+    }  // silent on the deferred resend
+  };
+  Transmitter::Config cfg;
+  cfg.request_timeout = 1 * kSecond;
+  TransmitterHost host(net, cfg);
+
+  TxResult result;
+  send_redirect(net, host.tx, result);
+  sim.run_until(500 * kMillisecond);  // BUSY seen, resend armed a new timeout
+  ASSERT_EQ(server.arrivals.size(), 2u);
+  ASSERT_EQ(log.released.size(), 1u);  // the first attempt's timeout
+  host.tx.cancel();
+  ASSERT_EQ(log.released.size(), 2u);  // the resend's timeout
+  EXPECT_NE(log.released[0], log.released[1]);
+  EXPECT_EQ(result.responses + result.failures, 0);
 }
 
 TEST(ClientLifetimeTest, ForgedBusyFromAnotherNodeCannotFailLogin) {

@@ -179,7 +179,7 @@ TEST(ThreadTransportTest, TimerHeapHighWaterTracksPending) {
   transport::ThreadTransport tt({1});
   constexpr int kTimers = 20;
   // A wide undue window: all 20 posts (microseconds of work, even under
-  // TSan) land in the heap before the first timer comes due.
+  // TSan) land in the timer map before the first timer comes due.
   for (int i = 0; i < kTimers; ++i) {
     tt.post(0, 250 * kMillisecond, [] {});
   }
@@ -187,9 +187,31 @@ TEST(ThreadTransportTest, TimerHeapHighWaterTracksPending) {
   tt.shutdown();
   const std::vector<obs::LoopStats> stats = tt.loop_stats();
   ASSERT_EQ(stats.size(), 1u);
-  // All were posted before any came due, so the heap held every one.
+  // All were posted before any came due, so the map held every one.
   EXPECT_EQ(stats[0].timer_peak, kTimers);
   EXPECT_EQ(stats[0].timers_fired, static_cast<std::uint64_t>(kTimers));
+}
+
+TEST(ThreadTransportTest, ReleasedTimerNeverRunsAndFreesItsCaptures) {
+  transport::ThreadTransport tt({1});
+  std::vector<int> order;
+  const auto capture = std::make_shared<int>(0);
+  // A wide undue window, as above: the releases land long before it ends.
+  tt.post(0, 250 * kMillisecond, [&] { order.push_back(1); });
+  const transport::TimerId dropped =
+      tt.post(0, 250 * kMillisecond, [&order, capture] { order.push_back(2); });
+  tt.post(0, 250 * kMillisecond, [&] { order.push_back(3); });
+  EXPECT_NE(dropped, transport::TimerId{});
+  EXPECT_EQ(tt.post(0, 0, [] {}), transport::TimerId{});  // not a timer
+  EXPECT_EQ(capture.use_count(), 2);
+  tt.release(0, dropped);
+  EXPECT_EQ(capture.use_count(), 1);  // destroyed at release, not when due
+  tt.release(0, dropped);             // twice, and a default id: ignored
+  tt.release(0, transport::TimerId{});
+  ASSERT_TRUE(eventually([&] { return tt.tasks_executed() == 3; }));
+  tt.shutdown();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(tt.loop_stats()[0].timers_fired, 2u);
 }
 
 TEST(ThreadTransportTest, ShutdownDrainsDueTasksIntoTheHistogram) {
@@ -244,8 +266,10 @@ TEST(SimTransportTest, DelegatesToTheSimulation) {
   int fired = 0;
   st.post(0, 5 * kSecond, [&] { fired += 1; });
   st.post(7, 2 * kSecond, [&] { fired += 10; });  // group index is ignored
+  // The sim keeps released timers, so the event schedule never changes.
+  st.release(0, st.post(0, 3 * kSecond, [&] { fired += 100; }));
   st.run_until(10 * kSecond);
-  EXPECT_EQ(fired, 11);
+  EXPECT_EQ(fired, 111);
   EXPECT_EQ(st.now(), sim.now());
   EXPECT_GE(st.now(), 5 * kSecond);
 }
