@@ -26,10 +26,6 @@ TEST(Aes128Test, Fips197Vector) {
   std::uint8_t ct[16];
   aes.encrypt_block(pt.data(), ct);
   EXPECT_EQ(to_hex(util::BytesView(ct, 16)), "69c4e0d86a7b0430d8cdb78070b4c55a");
-
-  std::uint8_t back[16];
-  aes.decrypt_block(ct, back);
-  EXPECT_EQ(to_hex(util::BytesView(back, 16)), to_hex(pt));
 }
 
 // NIST SP 800-38A F.1.1 (ECB example block 1).
@@ -44,11 +40,10 @@ TEST(Aes128Test, Sp800_38aEcbBlock) {
 TEST(Aes128Test, EncryptDecryptInPlace) {
   const Aes128 aes(key_from_hex("00000000000000000000000000000000"));
   std::uint8_t block[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
-  std::uint8_t original[16];
-  std::copy(std::begin(block), std::end(block), original);
+  std::uint8_t out_of_place[16];
+  aes.encrypt_block(block, out_of_place);
   aes.encrypt_block(block, block);
-  aes.decrypt_block(block, block);
-  EXPECT_TRUE(std::equal(std::begin(block), std::end(block), original));
+  EXPECT_TRUE(std::equal(std::begin(block), std::end(block), out_of_place));
 }
 
 TEST(Aes128Test, DifferentKeysDifferentCiphertext) {
@@ -107,6 +102,74 @@ TEST(AesCtrTest, EmptyInput) {
   EXPECT_TRUE(empty.empty());
 }
 
+// NIST SP 800-38A F.5.1 (CTR-AES128.Encrypt). The initial counter block
+// f0f1...feff is nonce f0f1f2f3f4f5f6f7 || block f8f9fafbfcfdfeff; the four
+// blocks are exactly one batch of the AES-NI kernel.
+void expect_sp800_38a_ctr(detail::CtrKernel kernel) {
+  const Aes128 aes(key_from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
+  Bytes data = from_hex(
+      "6bc1bee22e409f96e93d7e117393172a"
+      "ae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52ef"
+      "f69f2445df4f9b17ad2b417be66c3710");
+  kernel(aes.round_keys(), 0xf0f1f2f3f4f5f6f7ULL, 0xf8f9fafbfcfdfeffULL, 0, data);
+  EXPECT_EQ(to_hex(data),
+            "874d6191b620e3261bef6864990db6ce"
+            "9806f66b7970fdff8617187bb9fffdff"
+            "5ae4df3edbd5d35e5b4f09020db03eab"
+            "1e031dda2fbe03d1792170a0f3009cee");
+}
+
+// Every length 0-299 at every offset 0-69 against the keystream built from
+// encrypt_block of each counter block. The block index starts just below a
+// 32-bit carry, so a counter in the wrong byte order shows.
+void expect_matches_block_reference(detail::CtrKernel kernel) {
+  const Aes128 aes(key_from_hex("000102030405060708090a0b0c0d0e0f"));
+  const std::uint64_t nonce = 0x0123456789abcdefULL;
+  const std::uint64_t first_block = 0xfffffffdULL;
+  constexpr std::size_t kMaxOffset = 69, kMaxLength = 299;
+  Bytes keystream((kMaxOffset + kMaxLength) / kAesBlockSize * kAesBlockSize + kAesBlockSize);
+  for (std::size_t b = 0; b * kAesBlockSize < keystream.size(); ++b) {
+    AesBlock counter{};
+    util::store_be64(counter.data(), nonce);
+    util::store_be64(counter.data() + 8, first_block + b);
+    aes.encrypt_block(counter.data(), keystream.data() + b * kAesBlockSize);
+  }
+  Bytes plain(kMaxLength);
+  for (std::size_t i = 0; i < plain.size(); ++i) plain[i] = static_cast<std::uint8_t>(i * 31 + 7);
+
+  for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      Bytes data(plain.begin(), plain.begin() + static_cast<std::ptrdiff_t>(length));
+      kernel(aes.round_keys(), nonce, first_block + offset / kAesBlockSize,
+             offset % kAesBlockSize, data);
+      Bytes expected(length);
+      for (std::size_t i = 0; i < length; ++i) expected[i] = plain[i] ^ keystream[offset + i];
+      ASSERT_EQ(data, expected) << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(AesCtrKernelTest, PortableSp800_38aCtrVector) {
+  expect_sp800_38a_ctr(&detail::ctr_portable);
+}
+
+TEST(AesCtrKernelTest, PortableMatchesBlockReference) {
+  expect_matches_block_reference(&detail::ctr_portable);
+}
+
+#if defined(__x86_64__)
+TEST(AesCtrKernelTest, AesNiSp800_38aCtrVector) {
+  if (!detail::cpu_has_aesni()) GTEST_SKIP() << "CPU lacks AES-NI";
+  expect_sp800_38a_ctr(&detail::ctr_aesni);
+}
+
+TEST(AesCtrKernelTest, AesNiMatchesBlockReference) {
+  if (!detail::cpu_has_aesni()) GTEST_SKIP() << "CPU lacks AES-NI";
+  expect_matches_block_reference(&detail::ctr_aesni);
+}
+#endif
+
 class AesCtrLengthTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(AesCtrLengthTest, RoundTripAtLength) {
@@ -115,7 +178,9 @@ TEST_P(AesCtrLengthTest, RoundTripAtLength) {
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 7);
   const Bytes original = data;
   ctr.crypt(data);
-  if (!data.empty()) EXPECT_NE(data, original);
+  if (!data.empty()) {
+    EXPECT_NE(data, original);
+  }
   ctr.crypt(data);
   EXPECT_EQ(data, original);
 }
