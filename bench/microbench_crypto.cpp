@@ -117,7 +117,7 @@ void BM_ModPow(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::BigUInt::mod_pow(base, exp, m));
   }
 }
-BENCHMARK(BM_ModPow)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModPow)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
 void BM_RsaSign(benchmark::State& state) {
   const auto& kp = keypair(static_cast<std::size_t>(state.range(0)));

@@ -1,8 +1,10 @@
 #include "crypto/bignum.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
+#include <type_traits>
 
 #include "crypto/chacha20.h"
 
@@ -397,6 +399,7 @@ BigUInt BigUInt::random_below(SecureRandom& rng, const BigUInt& bound) {
 
 namespace {
 
+using Limb = std::uint64_t;
 using Wide = unsigned __int128;
 
 /// Little-endian 32-bit limbs -> k little-endian 64-bit limbs, zero-filled.
@@ -430,6 +433,77 @@ std::uint32_t window_at(const std::vector<std::uint32_t>& e, std::size_t pos,
   return static_cast<std::uint32_t>(v) & ((1u << w) - 1);
 }
 
+/// a * b + c + carry, which fits in 128 bits: returns the low limb and
+/// leaves the high one in carry. c and carry are added as limbs with
+/// explicit carry-outs rather than as 128-bit sums, which keeps GCC from
+/// spilling the kernel's two interleaved carry chains to the stack.
+inline Limb mul_add(Limb a, Limb b, Limb c, Limb& carry) {
+  const Wide p = static_cast<Wide>(a) * b;
+  Limb lo = static_cast<Limb>(p);
+  Limb hi = static_cast<Limb>(p >> 64);
+  lo += c;
+  hi += lo < c;
+  lo += carry;
+  hi += lo < carry;
+  carry = hi;
+  return lo;
+}
+
+/// out = a * b * R^{-1} mod n for a, b < n, by one FIOS (finely integrated
+/// operand scanning) pass per limb of a: m is derived from t[0] + a[i] * b[0]
+/// first, then one j loop runs the product carry chain (c1) and the reduction
+/// carry chain (c2) side by side, and the two chains are independent. K is
+/// the limb count k fixed at compile time, or 0 to read k at run time; the
+/// k + 1 scratch limbs live in the object (on the stack when K > 0).
+template <std::size_t K>
+class Fios {
+ public:
+  Fios(const Limb* n, Limb n_prime, std::size_t k)
+      : n_(n), n_prime_(n_prime), k_(k) {
+    if constexpr (K == 0) t_.resize(k + 1);
+  }
+
+  std::size_t k() const { return K != 0 ? K : k_; }
+
+  /// out may alias a or b.
+  void operator()(Limb* out, const Limb* a, const Limb* b) {
+    const std::size_t k = this->k();
+    const Limb* n = n_;
+    Limb* t = t_.data();
+    std::fill_n(t, k + 1, Limb{0});
+    for (std::size_t i = 0; i < k; ++i) {
+      const Limb ai = a[i];
+      Limb c1 = 0;
+      Limb c2 = 0;
+      const Limb p0 = mul_add(ai, b[0], t[0], c1);
+      const Limb m = p0 * n_prime_;
+      mul_add(m, n[0], p0, c2);  // low limb 0 by the choice of m
+      for (std::size_t j = 1; j < k; ++j) {
+        t[j - 1] = mul_add(m, n[j], mul_add(ai, b[j], t[j], c1), c2);
+      }
+      // t < 2n after every pass, so its top limb t[k] is 0 or 1.
+      const Wide top = static_cast<Wide>(t[k]) + c1 + c2;
+      t[k - 1] = static_cast<Limb>(top);
+      t[k] = static_cast<Limb>(top >> 64);
+    }
+
+    // t < 2n: keep t - n unless it borrows past t's top limb t[k] (t < n).
+    Limb borrow = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const Wide diff = static_cast<Wide>(t[i]) - n[i] - borrow;
+      out[i] = static_cast<Limb>(diff);
+      borrow = static_cast<Limb>(diff >> 64) & 1;
+    }
+    if (borrow > t[k]) std::copy_n(t, k, out);
+  }
+
+ private:
+  const Limb* n_;
+  Limb n_prime_;
+  std::size_t k_;
+  std::conditional_t<K != 0, std::array<Limb, K + 1>, std::vector<Limb>> t_;
+};
+
 }  // namespace
 
 Montgomery::Montgomery(const BigUInt& mod)
@@ -448,46 +522,6 @@ Montgomery::Montgomery(const BigUInt& mod)
   pack_limbs(((BigUInt(1) << (128 * k_)) % n_).limbs_, r2_.data(), k_);
 }
 
-void Montgomery::mul(Limb* out, const Limb* a, const Limb* b, Limb* t) const {
-  const std::size_t k = k_;
-  const Limb* n = n64_.data();
-  std::fill_n(t, k + 2, Limb{0});
-  for (std::size_t i = 0; i < k; ++i) {
-    // t += a[i] * b
-    const Limb ai = a[i];
-    Limb carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const Wide cur = static_cast<Wide>(ai) * b[j] + t[j] + carry;
-      t[j] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> 64);
-    }
-    Wide top = static_cast<Wide>(t[k]) + carry;
-    t[k] = static_cast<Limb>(top);
-    t[k + 1] = static_cast<Limb>(top >> 64);
-
-    // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
-    const Limb m = t[0] * n_prime_;
-    carry = static_cast<Limb>((static_cast<Wide>(m) * n[0] + t[0]) >> 64);
-    for (std::size_t j = 1; j < k; ++j) {
-      const Wide cur = static_cast<Wide>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<Limb>(cur);
-      carry = static_cast<Limb>(cur >> 64);
-    }
-    top = static_cast<Wide>(t[k]) + carry;
-    t[k - 1] = static_cast<Limb>(top);
-    t[k] = t[k + 1] + static_cast<Limb>(top >> 64);
-  }
-
-  // t < 2n: keep t - n unless it borrows past t's carry limb t[k] (t < n).
-  Limb borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const Wide diff = static_cast<Wide>(t[i]) - n[i] - borrow;
-    out[i] = static_cast<Limb>(diff);
-    borrow = static_cast<Limb>(diff >> 64) & 1;
-  }
-  if (borrow > t[k]) std::copy_n(t, k, out);
-}
-
 unsigned Montgomery::window_bits(std::size_t exp_bits) {
   // Expected multiplies besides the squarings for an L-bit exponent: L / 2
   // at w = 1, and 2^w - 2 for the table plus (L / w)(1 - 2^-w) in the scan
@@ -500,35 +534,45 @@ unsigned Montgomery::window_bits(std::size_t exp_bits) {
 
 BigUInt Montgomery::pow(const BigUInt& base, const BigUInt& exp) const {
   if (exp.is_zero()) return BigUInt(1) % n_;
-  const std::size_t k = k_;
+  switch (k_) {
+    case 4: return pow_width<4>(base, exp);
+    case 8: return pow_width<8>(base, exp);
+    case 16: return pow_width<16>(base, exp);
+    default: return pow_width<0>(base, exp);
+  }
+}
+
+template <std::size_t K>
+BigUInt Montgomery::pow_width(const BigUInt& base, const BigUInt& exp) const {
+  Fios<K> mul(n64_.data(), n_prime_, k_);
+  const std::size_t k = mul.k();
   const std::size_t bits = exp.bit_length();
   const unsigned w = window_bits(bits);
   const std::size_t entries = std::size_t{1} << w;
 
-  // CIOS scratch (k + 2 limbs), the accumulator, then the power table:
-  // entry v holds base^v * R mod n; entry 0 stages plain operands.
-  std::vector<Limb> buf(2 * k + 2 + entries * k);
-  Limb* t = buf.data();
-  Limb* acc = t + k + 2;
+  // The accumulator, then the power table: entry v holds base^v * R mod n;
+  // entry 0 stages plain operands.
+  std::vector<Limb> buf((entries + 1) * k);
+  Limb* acc = buf.data();
   auto entry = [table = acc + k, k](std::size_t v) { return table + v * k; };
 
   pack_limbs((base % n_).limbs_, entry(0), k);
-  mul(entry(1), entry(0), r2_.data(), t);
-  for (std::size_t v = 2; v < entries; ++v) mul(entry(v), entry(v - 1), entry(1), t);
+  mul(entry(1), entry(0), r2_.data());
+  for (std::size_t v = 2; v < entries; ++v) mul(entry(v), entry(v - 1), entry(1));
 
   // Fixed windows from the top; the top window holds exp's top bit.
   const std::size_t windows = (bits + w - 1) / w;
   std::copy_n(entry(window_at(exp.limbs_, (windows - 1) * w, w)), k, acc);
   for (std::size_t i = windows - 1; i-- > 0;) {
-    for (unsigned s = 0; s < w; ++s) mul(acc, acc, acc, t);
+    for (unsigned s = 0; s < w; ++s) mul(acc, acc, acc);
     const std::uint32_t v = window_at(exp.limbs_, i * w, w);
-    if (v != 0) mul(acc, acc, entry(v), t);
+    if (v != 0) mul(acc, acc, entry(v));
   }
 
   // Leave Montgomery form: acc * 1 * R^{-1}.
   std::fill_n(entry(0), k, Limb{0});
   entry(0)[0] = 1;
-  mul(acc, acc, entry(0), t);
+  mul(acc, acc, entry(0));
   BigUInt out;
   out.limbs_ = unpack_limbs(acc, k);
   out.trim();

@@ -101,6 +101,12 @@ struct DivModResult {
 /// R^2 mod n (R = 2^(64k)). BigUInt::mod_pow builds one per exponentiation,
 /// and so RSA does too; building it costs one division, which is negligible
 /// beside the exponentiation. Miller–Rabin reuses one across its rounds.
+/// Each multiply is one FIOS pass per limb: the product and reduction carry
+/// chains run side by side in one inner loop. The kernel and the
+/// exponentiation around it are one template on the limb count k, compiled
+/// with k fixed for k = 4, 8 and 16 (256-, 512- and 1024-bit moduli: the RSA
+/// halves and public operations of 512- and 1024-bit keys) and with k read
+/// at run time for every other width.
 /// Variable-time: this is a reproduction, not a hardened library.
 class Montgomery {
  public:
@@ -108,7 +114,8 @@ class Montgomery {
   explicit Montgomery(const BigUInt& mod);
 
   /// (base ^ exp) mod n by fixed-window exponentiation. One allocation holds
-  /// the power table and the multiply scratch.
+  /// the power table and the accumulator; at a run-time width a second holds
+  /// the multiply's scratch row.
   BigUInt pow(const BigUInt& base, const BigUInt& exp) const;
 
   /// Window width pow uses for an exponent of `exp_bits` bits: 1 (plain
@@ -118,10 +125,9 @@ class Montgomery {
  private:
   using Limb = std::uint64_t;
 
-  /// out = a * b * R^{-1} mod n, one CIOS pass. a, b and out hold k_ limbs
-  /// and are < n; out may alias a or b. t is caller-owned scratch of
-  /// k_ + 2 limbs, so the multiply never allocates.
-  void mul(Limb* out, const Limb* a, const Limb* b, Limb* t) const;
+  /// pow for exp > 0 with k fixed at K limbs, or read from k_ when K = 0.
+  template <std::size_t K>
+  BigUInt pow_width(const BigUInt& base, const BigUInt& exp) const;
 
   BigUInt n_;
   std::vector<Limb> n64_;  // n in k_ 64-bit limbs

@@ -151,6 +151,11 @@ void FlightRecorder::disarm() {
   }
 }
 
+std::uint64_t FlightRecorder::next_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 FlightRecorder::Ring* FlightRecorder::ring_for_current_thread(
     const char* label) {
   ThreadCache& cache = tl_flight_cache;
@@ -288,7 +293,7 @@ void FlightRecorder::reset() {
     rings_[i].label[0] = '\0';
   }
   threads_.store(0, std::memory_order_release);
-  generation_.fetch_add(1, std::memory_order_release);
+  generation_.store(next_generation(), std::memory_order_release);
   path_[0] = '\0';
 }
 

@@ -124,8 +124,13 @@ class FlightRecorder {
         .count();
   }
 
+  /// A fresh value from one process-wide counter, so a thread's cached
+  /// (owner, generation) never matches a recorder later built at a dead
+  /// one's address, nor this one before its last reset().
+  static std::uint64_t next_generation();
+
   std::atomic<bool> armed_{false};
-  std::atomic<std::uint64_t> generation_{1};
+  std::atomic<std::uint64_t> generation_{next_generation()};
   std::atomic<std::size_t> threads_{0};
   bool handlers_installed_ = false;
   char path_[256] = {};

@@ -102,6 +102,11 @@ thread_local ThreadCache tl_profiler_cache;
 
 }  // namespace
 
+std::uint64_t Profiler::next_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 Profiler& Profiler::global() {
   static Profiler instance;
   return instance;
@@ -298,7 +303,7 @@ std::uint64_t Profiler::dropped() const {
 void Profiler::reset() {
   std::lock_guard<std::mutex> lk(mu_);
   logs_.clear();
-  generation_.fetch_add(1, std::memory_order_release);
+  generation_.store(next_generation(), std::memory_order_release);
 }
 
 std::string merged_chrome_trace(const Tracer& tracer,

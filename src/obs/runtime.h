@@ -170,8 +170,13 @@ class Profiler {
         .count();
   }
 
+  /// A fresh value from one process-wide counter, so a thread's cached
+  /// (owner, generation) never matches a Profiler later built at a dead
+  /// one's address, nor this one before its last reset().
+  static std::uint64_t next_generation();
+
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> generation_{1};
+  std::atomic<std::uint64_t> generation_{next_generation()};
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
   mutable std::mutex mu_;  // guards logs_ growth; appends are thread-local

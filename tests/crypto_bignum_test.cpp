@@ -258,6 +258,41 @@ TEST(MontgomeryTest, MatchesReferenceAcrossLimbCountsAndWindows) {
   }
 }
 
+// Moduli of exactly k 64-bit limbs: every width pow compiles with k fixed
+// (4, 8, 16), the run-time width on either side of each, and 2048 bits. A
+// modulus whose top limb is all ones sits just below R = 2^(64k), where the
+// kernel's running sum crosses R: its top carry limb and the final
+// conditional subtraction then decide the result.
+TEST(MontgomeryTest, MatchesReferenceAtEveryKernelWidth) {
+  SecureRandom rng(18);
+  std::vector<std::size_t> widths;
+  for (std::size_t k = 1; k <= 17; ++k) widths.push_back(k);
+  widths.push_back(32);
+  for (const std::size_t k : widths) {
+    const std::size_t bits = 64 * k;
+    const BigUInt r_minus_1 = (BigUInt(1) << bits) - BigUInt(1);
+    BigUInt random_mod = BigUInt::random_with_bits(rng, bits);
+    if (random_mod.is_even()) random_mod += BigUInt(1);
+    // R - 1 - 2x with 2x < 2^(64(k-1)): odd, top limb all ones.
+    const BigUInt top_ones_mod =
+        r_minus_1 - ((BigUInt::random_below(rng, r_minus_1) >> 65) << 1);
+    for (const BigUInt& m : {random_mod, r_minus_1, top_ones_mod}) {
+      const std::vector<BigUInt> exps = {BigUInt(1), BigUInt(65537),
+                                         BigUInt::random_with_bits(rng, bits),
+                                         r_minus_1};
+      const std::vector<BigUInt> bases = {BigUInt(), BigUInt(1), m - BigUInt(1),
+                                          BigUInt::random_below(rng, m)};
+      for (const BigUInt& exp : exps) {
+        for (const BigUInt& base : bases) {
+          ASSERT_EQ(BigUInt::mod_pow(base, exp, m), reference_mod_pow(base, exp, m))
+              << k << " limbs, m=" << m.to_hex() << " base=" << base.to_hex()
+              << " exp=" << exp.to_hex();
+        }
+      }
+    }
+  }
+}
+
 TEST(MontgomeryTest, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigUInt(8)), std::domain_error);
   EXPECT_THROW(Montgomery(BigUInt(1)), std::domain_error);

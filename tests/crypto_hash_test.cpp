@@ -98,11 +98,28 @@ TEST(HmacTest, Rfc4231Case3) {
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
+TEST(HmacTest, Rfc4231Case4) {
+  Bytes key(25);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i + 1);
+  const Bytes data(50, 0xcd);
+  EXPECT_EQ(digest_hex(hmac_sha256(key, data)),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
 TEST(HmacTest, Rfc4231Case6LongKey) {
   const Bytes key(131, 0xaa);
   EXPECT_EQ(digest_hex(hmac_sha256(
                 key, bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"))),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacTest, Rfc4231Case7LongKeyLongData) {
+  const Bytes key(131, 0xaa);
+  EXPECT_EQ(digest_hex(hmac_sha256(
+                key, bytes_of("This is a test using a larger than block-size key and a "
+                              "larger than block-size data. The key needs to be hashed "
+                              "before being used by the HMAC algorithm."))),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(HmacTest, IncrementalMatchesOneShot) {

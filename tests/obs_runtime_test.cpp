@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -207,6 +208,28 @@ TEST(ProfilerTest, ResetDropsBuffersAndReclaims) {
   p.disable();
 }
 
+// A thread caches its buffer per Profiler; a second Profiler built at a dead
+// one's address must not inherit the dead one's buffer.
+TEST(ProfilerTest, SuccessiveProfilersInOneSlotKeepTheirOwnFrames) {
+  std::optional<Profiler> slot;
+  const Profiler* first = &slot.emplace();
+  slot->enable();
+  slot->attach_thread("first");
+  { Profiler::Scope scope(*slot, "first_frame"); }
+  slot->disable();
+  EXPECT_NE(slot->collapsed().find("first;first_frame "), std::string::npos);
+
+  slot.emplace();
+  ASSERT_EQ(&*slot, first);
+  slot->enable();
+  { Profiler::Scope scope(*slot, "second_frame"); }
+  slot->disable();
+  EXPECT_EQ(slot->recorded(), 2u);
+  const std::string out = slot->collapsed();
+  EXPECT_EQ(out.find("first"), std::string::npos) << out;
+  EXPECT_NE(out.find(";second_frame "), std::string::npos) << out;
+}
+
 // --- flight recorder ---
 
 TEST(FlightRecorderTest, DisarmedRecordIsANoop) {
@@ -335,6 +358,27 @@ TEST(FlightRecorderTest, ResetForgetsRingsAndReclaims) {
   const auto snap = fr.snapshot();
   ASSERT_EQ(snap.size(), 1u);
   EXPECT_EQ(snap[0].events[0].kind, "after");
+}
+
+// The recorder caches a thread's ring the way the profiler caches its
+// buffer; a second recorder at a dead one's address must claim its own.
+TEST(FlightRecorderTest, SuccessiveRecordersInOneSlotKeepTheirOwnRings) {
+  std::optional<FlightRecorder> slot;
+  const FlightRecorder* first = &slot.emplace();
+  slot->arm("/dev/null");
+  slot->attach_thread("first");
+  slot->record("first.event", 1);
+  slot->disarm();
+
+  slot.emplace();
+  ASSERT_EQ(&*slot, first);
+  slot->arm("/dev/null");
+  slot->record("second.event", 2);
+  slot->disarm();
+  const auto snap = slot->snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  ASSERT_EQ(snap[0].events.size(), 1u);
+  EXPECT_EQ(snap[0].events[0].kind, "second.event");
 }
 
 }  // namespace
