@@ -33,8 +33,7 @@ Deployment::Deployment(DeploymentConfig config)
     transport_ = std::make_unique<transport::SimTransport>(sim_);
   }
   network_ = std::make_unique<Network>(*transport_, config_.default_link,
-                                       rng_.fork());
-  network_->bind_registry(&registry_);
+                                       rng_.fork(), &registry_);
   geo_ = std::make_unique<geo::SyntheticGeo>(rng_, config_.geo_plan);
 
   um_domain_ = std::make_shared<services::UserManagerDomain>(
@@ -56,8 +55,7 @@ Deployment::Deployment(DeploymentConfig config)
     inst.addr = i == 0 ? util::parse_netaddr("10.254.0.2")
                        : util::NetAddr{0x0afe0200u + static_cast<std::uint32_t>(i)};
     inst.origin = 1000 + static_cast<std::uint32_t>(i);
-    inst.node = std::make_unique<UserManagerNode>(*inst.um, *network_, inst.id,
-                                                  config_.processing);
+    inst.node = service_node(inst.id, user_manager_routes(*inst.um));
     um_farm.instances.push_back(std::move(inst));
   }
   services::UserManager* um0 = um_farm.instances[0].um.get();
@@ -69,23 +67,20 @@ Deployment::Deployment(DeploymentConfig config)
   cpm_->add_attribute_list_sink(
       [um0](const core::AttributeSet& list) { um0->update_channel_attributes(list); });
 
-  tracker_ = std::make_unique<p2p::Tracker>(rng_.fork());
+  tracker_ = std::make_unique<p2p::Tracker>(rng_.fork(), &registry_);
   tracker_->set_limits(config_.tracker_limits);
-  tracker_->bind_registry(&registry_);
 
   // Attach the backend to well-known addresses on the network.
   const util::NetAddr redirection_addr = util::parse_netaddr("10.254.0.1");
   const util::NetAddr cpm_addr = util::parse_netaddr("10.254.0.3");
 
-  redirection_node_ = std::make_unique<RedirectionNode>(
-      redirection_, *network_, kRedirectionNode, config_.processing);
-  attach_service(*redirection_node_, kRedirectionNode, redirection_addr);
+  redirection_node_ = service_node(kRedirectionNode, redirection_routes(redirection_));
+  network_->attach(kRedirectionNode, redirection_addr, redirection_node_.get());
   for (FarmInstance& inst : um_farm.instances) {
-    attach_service(*inst.node, inst.id, inst.addr);
+    network_->attach(inst.id, inst.addr, inst.node.get());
   }
-  cpm_node_ = std::make_unique<ChannelPolicyNode>(*cpm_, *network_, kChannelPolicyNode,
-                                                  config_.processing);
-  attach_service(*cpm_node_, kChannelPolicyNode, cpm_addr);
+  cpm_node_ = service_node(kChannelPolicyNode, channel_policy_routes(*cpm_));
+  network_->attach(kChannelPolicyNode, cpm_addr, cpm_node_.get());
 
   for (std::size_t p = 0; p < config_.partitions; ++p) {
     services::ChannelManagerConfig cm_cfg = config_.cm;
@@ -110,9 +105,8 @@ Deployment::Deployment(DeploymentConfig config)
           ? util::NetAddr{0x0afe0100u + static_cast<std::uint32_t>(p)}
           : util::NetAddr{0x0afe0300u + static_cast<std::uint32_t>(p * 16 + i)};
       inst.origin = 2000 + static_cast<std::uint32_t>(p * 16 + i);
-      inst.node = std::make_unique<ChannelManagerNode>(*inst.cm, *network_, inst.id,
-                                                       config_.processing);
-      attach_service(*inst.node, inst.id, inst.addr);
+      inst.node = service_node(inst.id, channel_manager_routes(*inst.cm));
+      network_->attach(inst.id, inst.addr, inst.node.get());
       cm_farm.instances.push_back(std::move(inst));
     }
     services::ChannelManager* cm0 = cm_farm.instances[0].cm.get();
@@ -199,11 +193,10 @@ std::optional<core::DrmError> Deployment::run_op(
   return fut.get();
 }
 
-void Deployment::attach_service(ServiceNode& node, util::NodeId id,
-                                util::NetAddr addr) {
-  node.set_registry(&registry_);
-  node.set_overload_policy(config_.overload);
-  network_->attach(id, addr, &node);
+std::unique_ptr<ServiceNode> Deployment::service_node(util::NodeId id,
+                                                     std::vector<Route> routes) {
+  return std::make_unique<ServiceNode>(*network_, id, std::move(routes), registry_,
+                                       config_.processing, config_.overload);
 }
 
 void Deployment::init_durable_state() {

@@ -385,8 +385,9 @@ class Deployment {
   /// Point the CPM's partition info at the first live instance.
   void readvertise_partition(std::uint32_t partition);
 
-  /// Set up and attach a manager frontend on the network.
-  void attach_service(ServiceNode& node, util::NodeId id, util::NetAddr addr);
+  /// A manager frontend with the deployment's registry, processing model
+  /// and overload policy (not yet attached).
+  std::unique_ptr<ServiceNode> service_node(util::NodeId id, std::vector<Route> routes);
 
   // Farm internals: one path for every farm, kind-specific only in how
   // health is announced.
@@ -443,8 +444,8 @@ class Deployment {
   services::RedirectionManager redirection_;
   util::Bytes reference_binary_;
 
-  std::unique_ptr<RedirectionNode> redirection_node_;
-  std::unique_ptr<ChannelPolicyNode> cpm_node_;
+  std::unique_ptr<ServiceNode> redirection_node_;
+  std::unique_ptr<ServiceNode> cpm_node_;
   /// [0] is the UM farm, [1 + p] the CM farm of partition p. Sized once in
   /// the constructor: callbacks hold pointers into it.
   std::vector<Farm> farms_;

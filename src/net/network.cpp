@@ -9,19 +9,31 @@
 
 namespace p2pdrm::net {
 
+Network::Counters::Counters(obs::Registry& registry)
+    : sent(registry.counter("net.packets.sent")),
+      dropped_injected(registry.counter("net.packets.dropped.injected")),
+      dropped_link(registry.counter("net.packets.dropped.link")),
+      dropped_no_dest(registry.counter("net.packets.dropped.no_destination")),
+      delivered(registry.counter("net.packets.delivered")),
+      mutated(registry.counter("net.packets.mutated")) {}
+
 Network::Network(sim::Simulation& sim, LinkConfig default_link,
-                 crypto::SecureRandom rng)
+                 crypto::SecureRandom rng, obs::Registry* registry)
     : owned_transport_(std::make_unique<transport::SimTransport>(sim)),
       transport_(owned_transport_.get()),
       sim_(&sim),
       default_link_(default_link),
-      rng_(std::move(rng)) {}
+      rng_(std::move(rng)),
+      owned_registry_(registry == nullptr ? std::make_unique<obs::Registry>() : nullptr),
+      counters_(registry == nullptr ? *owned_registry_ : *registry) {}
 
 Network::Network(transport::Transport& transport, LinkConfig default_link,
-                 crypto::SecureRandom rng)
+                 crypto::SecureRandom rng, obs::Registry* registry)
     : transport_(&transport),
       default_link_(default_link),
-      rng_(std::move(rng)) {
+      rng_(std::move(rng)),
+      owned_registry_(registry == nullptr ? std::make_unique<obs::Registry>() : nullptr),
+      counters_(registry == nullptr ? *owned_registry_ : *registry) {
   if (auto* sim_backend = dynamic_cast<transport::SimTransport*>(&transport)) {
     sim_ = &sim_backend->sim();
   }
@@ -105,30 +117,6 @@ std::vector<SendInterceptor*> Network::interceptors() const {
   return *chain_snapshot();
 }
 
-void Network::bind_registry(obs::Registry* registry) {
-  if (registry == nullptr) {
-    m_sent_ = m_dropped_injected_ = m_dropped_link_ = m_dropped_no_dest_ =
-        m_delivered_ = m_mutated_ = nullptr;
-    return;
-  }
-  m_sent_ = &registry->counter("net.packets.sent");
-  m_dropped_injected_ = &registry->counter("net.packets.dropped.injected");
-  m_dropped_link_ = &registry->counter("net.packets.dropped.link");
-  m_dropped_no_dest_ =
-      &registry->counter("net.packets.dropped.no_destination");
-  m_delivered_ = &registry->counter("net.packets.delivered");
-  m_mutated_ = &registry->counter("net.packets.mutated");
-  // Catch the registry up with counts accumulated before binding.
-  m_sent_->inc(packets_sent() - m_sent_->value());
-  m_dropped_injected_->inc(packets_dropped_injected() -
-                           m_dropped_injected_->value());
-  m_dropped_link_->inc(packets_dropped_link() - m_dropped_link_->value());
-  m_dropped_no_dest_->inc(packets_dropped_no_destination() -
-                          m_dropped_no_dest_->value());
-  m_delivered_->inc(packets_delivered() - m_delivered_->value());
-  m_mutated_->inc(packets_mutated() - m_mutated_->value());
-}
-
 void Network::notify_fate(const std::shared_ptr<const Chain>& chain,
                           const SendContext& ctx, PacketFate fate,
                           util::SimTime delay) {
@@ -153,8 +141,7 @@ util::SimTime Network::local_time(util::NodeId id) const {
 }
 
 void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
-  sent_.fetch_add(1, std::memory_order_relaxed);
-  if (m_sent_ != nullptr) m_sent_->inc();
+  counters_.sent.inc();
   // Post-mortem breadcrumb; a single relaxed load when the recorder is
   // disarmed (the default).
   obs::FlightRecorder::global().record("net.send", from, to);
@@ -195,14 +182,12 @@ void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
       data = std::move(*v.replace);
       ctx.data = &data;
       ctx.bytes = data.size();
-      mutated_.fetch_add(1, std::memory_order_relaxed);
-      if (m_mutated_ != nullptr) m_mutated_->inc();
+      counters_.mutated.inc();
       obs::FlightRecorder::global().record("net.mutate", from, to);
     }
   }
   if (combined.drop) {
-    dropped_injected_.fetch_add(1, std::memory_order_relaxed);
-    if (m_dropped_injected_ != nullptr) m_dropped_injected_->inc();
+    counters_.dropped_injected.inc();
     obs::FlightRecorder::global().record("net.drop", from, to, "injected");
     notify_fate(chain, ctx, PacketFate::kInterceptorDropped,
                 combined.extra_delay);
@@ -225,8 +210,7 @@ void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
     }
   }
   if (link_dropped) {
-    dropped_link_.fetch_add(1, std::memory_order_relaxed);
-    if (m_dropped_link_ != nullptr) m_dropped_link_->inc();
+    counters_.dropped_link.inc();
     obs::FlightRecorder::global().record("net.drop", from, to, "link");
     notify_fate(chain, ctx, PacketFate::kLinkDropped, combined.extra_delay);
     return;
@@ -249,15 +233,13 @@ void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
       if (it != nodes_.end()) node = it->second.node;
     }
     if (node == nullptr) {
-      dropped_no_dest_.fetch_add(1, std::memory_order_relaxed);
-      if (m_dropped_no_dest_ != nullptr) m_dropped_no_dest_->inc();
+      counters_.dropped_no_dest.inc();
       obs::FlightRecorder::global().record("net.drop", packet.from, packet.to,
                                            "no_destination");
       notify_fate(arrival_chain, arrival, PacketFate::kNoDestination, delay);
       return;
     }
-    delivered_.fetch_add(1, std::memory_order_relaxed);
-    if (m_delivered_ != nullptr) m_delivered_->inc();
+    counters_.delivered.inc();
     notify_fate(arrival_chain, arrival, PacketFate::kDelivered, delay);
     // Outside the table lock: on_packet may send(), attach(), detach().
     // Safe against detach-then-delete because a node is only detached from

@@ -13,16 +13,15 @@
 // identical on both.
 //
 // Thread safety (live backend): the attach/detach/link/skew tables sit
-// behind a shared mutex, packet counters are atomics, the rng is mutexed
-// (loss and latency sampling), and the interceptor chain is copy-on-write —
-// add/remove swap a new snapshot in while in-flight send() calls keep
-// iterating the old one (the historical add-vs-send race). Delivery for
+// behind a shared mutex, packet counters are registry counters (atomics),
+// the rng is mutexed (loss and latency sampling), and the interceptor chain
+// is copy-on-write — add/remove swap a new snapshot in while in-flight
+// send() calls keep iterating the old one (the historical add-vs-send race). Delivery for
 // node X is posted to X's transport group, so a node's on_packet calls are
 // serialized; detach/attach of X must likewise run on X's group loop when
 // the transport is live.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -120,10 +119,13 @@ class Network {
  public:
   /// Sim-backed: owns a SimTransport over `sim`; behaviour (event order,
   /// rng draws, traces) is byte-identical with the pre-seam engine.
-  Network(sim::Simulation& sim, LinkConfig default_link, crypto::SecureRandom rng);
+  /// Packet counters (net.packets.*) live in `registry`, which must outlive
+  /// the network; without one the network counts into a registry of its own.
+  Network(sim::Simulation& sim, LinkConfig default_link, crypto::SecureRandom rng,
+          obs::Registry* registry = nullptr);
   /// Explicit backend (not owned; must outlive the network).
   Network(transport::Transport& transport, LinkConfig default_link,
-          crypto::SecureRandom rng);
+          crypto::SecureRandom rng, obs::Registry* registry = nullptr);
   ~Network();
 
   Network(const Network&) = delete;
@@ -158,10 +160,6 @@ class Network {
   void remove_interceptor(SendInterceptor* interceptor);
   /// Snapshot of the current chain, in installation order.
   std::vector<SendInterceptor*> interceptors() const;
-
-  /// Mirror packet counters into `registry` (net.packets.*). Pass nullptr
-  /// to stop mirroring. Counts accumulated before binding are copied in.
-  void bind_registry(obs::Registry* registry);
 
   /// Clock skew: a node's local clock reads now() + skew. Servers stamp
   /// and validate tickets against their *local* clock, so a skewed manager
@@ -199,32 +197,24 @@ class Network {
   /// callers that can run on either must use now()/post() instead.
   sim::Simulation& sim() const;
 
-  std::uint64_t packets_sent() const {
-    return sent_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t packets_sent() const { return counters_.sent.value(); }
   std::uint64_t packets_dropped() const {
     return packets_dropped_injected() + packets_dropped_link() +
            packets_dropped_no_destination();
   }
-  std::uint64_t packets_delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t packets_delivered() const { return counters_.delivered.value(); }
 
   // Drop-cause split: interceptor-injected vs the links' own loss model vs
   // destination gone by arrival time.
   std::uint64_t packets_dropped_injected() const {
-    return dropped_injected_.load(std::memory_order_relaxed);
+    return counters_.dropped_injected.value();
   }
-  std::uint64_t packets_dropped_link() const {
-    return dropped_link_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t packets_dropped_link() const { return counters_.dropped_link.value(); }
   std::uint64_t packets_dropped_no_destination() const {
-    return dropped_no_dest_.load(std::memory_order_relaxed);
+    return counters_.dropped_no_dest.value();
   }
   /// Packets whose payload an interceptor rewrote in flight (Verdict::replace).
-  std::uint64_t packets_mutated() const {
-    return mutated_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t packets_mutated() const { return counters_.mutated.value(); }
 
  private:
   struct Binding {
@@ -265,22 +255,20 @@ class Network {
   mutable std::mutex chain_mu_;
   std::shared_ptr<const Chain> interceptors_ = std::make_shared<Chain>();
 
-  std::atomic<std::uint64_t> sent_{0};
-  std::atomic<std::uint64_t> dropped_injected_{0};
-  std::atomic<std::uint64_t> dropped_link_{0};
-  std::atomic<std::uint64_t> dropped_no_dest_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> mutated_{0};
-
-  // Registry mirrors (null until bind_registry). Counters are atomic, so
-  // bumping through these pointers is thread-safe; the pointers themselves
-  // are set during single-threaded wiring.
-  obs::Counter* m_sent_ = nullptr;
-  obs::Counter* m_dropped_injected_ = nullptr;
-  obs::Counter* m_dropped_link_ = nullptr;
-  obs::Counter* m_dropped_no_dest_ = nullptr;
-  obs::Counter* m_delivered_ = nullptr;
-  obs::Counter* m_mutated_ = nullptr;
+  /// The packet counters (net.packets.*). They live in the registry and
+  /// are atomics, so bumping them is thread-safe.
+  struct Counters {
+    explicit Counters(obs::Registry& registry);
+    obs::Counter& sent;
+    obs::Counter& dropped_injected;
+    obs::Counter& dropped_link;
+    obs::Counter& dropped_no_dest;
+    obs::Counter& delivered;
+    obs::Counter& mutated;
+  };
+  /// Set when no registry was given at construction.
+  std::unique_ptr<obs::Registry> owned_registry_;
+  Counters counters_;
 };
 
 }  // namespace p2pdrm::net

@@ -1,5 +1,7 @@
 #include "net/service_nodes.h"
 
+#include <algorithm>
+
 #include "obs/flight_recorder.h"
 
 namespace p2pdrm::net {
@@ -29,26 +31,62 @@ void respond_after(Network& network, util::NodeId self, util::NodeId to,
 
 /// Record the span of one served request: parented to the client attempt
 /// that sent it (via the tracer's request-binding table), covering
-/// [arrival, arrival + processing]. `outcome` tags the handler's verdict.
+/// [start, now + processing] — the handler's real run time (zero on the
+/// sim backend) plus the modeled processing delay. `outcome` tags the
+/// handler's verdict.
 void trace_serve(obs::Tracer* tracer, Network& network, util::NodeId self,
-                 const Packet& packet, const Envelope& env,
+                 const Packet& packet, const Envelope& env, util::SimTime start,
                  util::SimTime processing, std::string_view outcome) {
   if (tracer == nullptr) return;
-  const util::SimTime now = network.now();
   const obs::SpanId parent = tracer->bound_request(packet.from, env.request_id);
   const obs::SpanId span =
       tracer->begin_span("server", "serve " + std::string(to_string(env.kind)),
-                         self, now, parent);
+                         self, start, parent);
   tracer->tag(span, "from", std::to_string(packet.from));
-  const bool ok = outcome == "ok";
-  if (!outcome.empty()) tracer->tag(span, "outcome", std::string(outcome));
-  tracer->end_span(span, now + processing, ok || outcome.empty());
+  tracer->tag(span, "outcome", std::string(outcome));
+  tracer->end_span(span, network.now() + processing, outcome == "ok");
 }
 
-/// One packet the node could not parse. These used to vanish without a
-/// trace; now every service node counts them under a cause label.
-void count_malformed(obs::Registry* registry) {
-  if (registry != nullptr) registry->counter("server.drops", "malformed").inc();
+/// The one request-serving routine: decode, handle, serve span, respond.
+/// Returns the handler's verdict, or nullopt when the request did not
+/// decode (the caller counts it as malformed; nothing is sent).
+std::optional<std::string_view> serve_request(Network& network, util::NodeId self,
+                                              obs::Tracer* tracer,
+                                              const ProcessingModel& processing,
+                                              const Route& route, const Packet& packet,
+                                              const Envelope& env) {
+  const util::SimTime start = network.now();
+  Reply reply;
+  try {
+    reply = route.handle(packet, env.payload, network.local_time(self));
+  } catch (const util::WireError&) {
+    return std::nullopt;
+  }
+  const util::SimTime delay = processing.*route.tier;
+  trace_serve(tracer, network, self, packet, env, start, delay, reply.outcome);
+  respond_after(network, self, packet.from, route.response, env.request_id,
+                std::move(reply.payload), delay);
+  return reply.outcome;
+}
+
+std::string_view outcome_of(const services::RedirectResponse& resp) {
+  return resp.found ? "ok" : "unknown-user";
+}
+template <typename Response>
+std::string_view outcome_of(const Response& resp) {
+  return core::to_string(resp.error);
+}
+
+/// A route whose manager call takes the decoded `Request` (plus the packet
+/// and the local time) and returns a response.
+template <typename Request, typename Call>
+Route route(MsgKind request, MsgKind response, util::SimTime ProcessingModel::*tier,
+            Call call) {
+  return Route{request, response, tier,
+               [call](const Packet& packet, util::BytesView payload, util::SimTime now) {
+                 const auto resp = call(Request::decode(payload), packet, now);
+                 return Reply{resp.encode(), outcome_of(resp)};
+               }};
 }
 
 /// Fresh admissions are the sheddable tier: a shed LOGIN costs one viewer a
@@ -58,41 +96,114 @@ bool sheddable_kind(MsgKind kind) {
   return kind == MsgKind::kLogin1Request || kind == MsgKind::kLogin2Request;
 }
 
-/// Route one decoded request through the node's admission queue. Without a
-/// queue this is a plain call to `serve` (the legacy instantaneous model).
-/// With one, the request either waits for a worker — `serve` runs at
-/// service start, after an observable "queue" span — or is shed with a
-/// kBusy response carrying a retry-after hint. Shedding is never silent.
-void admit_or_shed(ServiceQueue* queue, obs::Registry* registry,
-                   obs::Tracer* tracer, Network& network, util::NodeId self,
-                   const Packet& packet, const Envelope& env,
-                   util::SimTime service, std::function<void()> serve) {
-  if (queue == nullptr) {
-    serve();
+}  // namespace
+
+std::vector<Route> redirection_routes(services::RedirectionManager& rm) {
+  return {route<services::RedirectRequest>(
+      MsgKind::kRedirectRequest, MsgKind::kRedirectResponse, &ProcessingModel::light,
+      [&rm](const auto& req, const Packet&, util::SimTime) {
+        return rm.handle_lookup(req);
+      })};
+}
+
+std::vector<Route> user_manager_routes(services::UserManager& um) {
+  return {
+      route<core::Login1Request>(
+          MsgKind::kLogin1Request, MsgKind::kLogin1Response, &ProcessingModel::light,
+          [&um](const auto& req, const Packet& packet, util::SimTime now) {
+            return um.handle_login1(req, packet.from_addr, now);
+          }),
+      route<core::Login2Request>(
+          MsgKind::kLogin2Request, MsgKind::kLogin2Response, &ProcessingModel::heavy,
+          [&um](const auto& req, const Packet& packet, util::SimTime now) {
+            return um.handle_login2(req, packet.from_addr, now);
+          })};
+}
+
+std::vector<Route> channel_policy_routes(services::ChannelPolicyManager& cpm) {
+  return {route<core::ChannelListRequest>(
+      MsgKind::kChannelListRequest, MsgKind::kChannelListResponse,
+      &ProcessingModel::light, [&cpm](const auto& req, const Packet&, util::SimTime now) {
+        return cpm.handle_channel_list(req, now);
+      })};
+}
+
+std::vector<Route> channel_manager_routes(services::ChannelManager& cm) {
+  return {
+      route<core::Switch1Request>(
+          MsgKind::kSwitch1Request, MsgKind::kSwitch1Response, &ProcessingModel::light,
+          [&cm](const auto& req, const Packet& packet, util::SimTime now) {
+            return cm.handle_switch1(req, packet.from_addr, now);
+          }),
+      route<core::Switch2Request>(
+          MsgKind::kSwitch2Request, MsgKind::kSwitch2Response, &ProcessingModel::heavy,
+          [&cm](const auto& req, const Packet& packet, util::SimTime now) {
+            return cm.handle_switch2(req, packet.from_addr, now);
+          })};
+}
+
+ServiceNode::ServiceNode(Network& network, util::NodeId self, std::vector<Route> routes,
+                         obs::Registry& registry, ProcessingModel processing,
+                         const OverloadPolicy& overload)
+    : network_(network),
+      self_(self),
+      registry_(registry),
+      processing_(processing),
+      queue_(overload.enabled() ? std::make_unique<ServiceQueue>(overload) : nullptr),
+      depth_("server.queue.depth{" + std::to_string(self) + "}") {
+  for (Route& r : routes) {
+    std::string shed = "server.shed{" + std::string(to_string(r.request)) + "}";
+    routes_.push_back(Served{std::move(r), LazyMetric<obs::Counter>(std::move(shed))});
+  }
+}
+
+void ServiceNode::on_packet(const Packet& packet) {
+  const auto env = Envelope::decode(packet.data);
+  if (!env) {
+    malformed_.in(registry_).inc();
     return;
   }
-  const util::SimTime now = network.now();
-  const ServiceQueue::Decision d =
-      queue->admit(now, service, sheddable_kind(env.kind));
-  if (registry != nullptr) {
-    registry->gauge("server.queue.depth", std::to_string(self))
-        .set(static_cast<std::int64_t>(queue->depth(now)));
+  const auto it = std::find_if(routes_.begin(), routes_.end(), [&env](const Served& s) {
+    return s.route.request == env->kind;
+  });
+  if (it == routes_.end()) return;  // not for this node
+  admit_or_shed(packet, *env, *it);
+}
+
+void ServiceNode::serve(const Packet& packet, const Envelope& env, const Route& route) {
+  if (!serve_request(network_, self_, tracer_, processing_, route, packet, env)) {
+    malformed_.in(registry_).inc();
   }
+}
+
+/// Route one decoded request through the node's admission queue. Without a
+/// queue the request is served at once (the legacy instantaneous model).
+/// With one, the request either waits for a worker — served at service
+/// start, after an observable "queue" span — or is shed with a kBusy
+/// response carrying a retry-after hint. Shedding is never silent.
+void ServiceNode::admit_or_shed(const Packet& packet, const Envelope& env,
+                                Served& served) {
+  if (queue_ == nullptr) {
+    serve(packet, env, served.route);
+    return;
+  }
+  const util::SimTime now = network_.now();
+  const ServiceQueue::Decision d =
+      queue_->admit(now, processing_.*served.route.tier, sheddable_kind(env.kind));
+  depth_.in(registry_).set(static_cast<std::int64_t>(queue_->depth(now)));
   if (!d.accepted) {
-    if (registry != nullptr) {
-      registry->counter("server.shed", std::string(to_string(env.kind))).inc();
-      registry->counter("server.busy_sent").inc();
-    }
-    obs::FlightRecorder::global().record("server.shed", self,
+    served.shed.in(registry_).inc();
+    busy_sent_.in(registry_).inc();
+    obs::FlightRecorder::global().record("server.shed", self_,
                                          static_cast<std::uint64_t>(d.depth),
                                          std::string(to_string(env.kind)).c_str());
-    if (tracer != nullptr) {
-      const obs::SpanId parent = tracer->bound_request(packet.from, env.request_id);
-      const obs::SpanId span = tracer->begin_span(
-          "server", "shed " + std::string(to_string(env.kind)), self, now, parent);
-      tracer->tag(span, "retry_after", std::to_string(d.retry_after));
-      tracer->tag(span, "depth", std::to_string(d.depth));
-      tracer->end_span(span, now, false);
+    if (tracer_ != nullptr) {
+      const obs::SpanId parent = tracer_->bound_request(packet.from, env.request_id);
+      const obs::SpanId span = tracer_->begin_span(
+          "server", "shed " + std::string(to_string(env.kind)), self_, now, parent);
+      tracer_->tag(span, "retry_after", std::to_string(d.retry_after));
+      tracer_->tag(span, "depth", std::to_string(d.depth));
+      tracer_->end_span(span, now, false);
     }
     BusyPayload busy;
     busy.retry_after = std::min(d.retry_after, BusyPayload::kMaxRetryAfter);
@@ -102,209 +213,54 @@ void admit_or_shed(ServiceQueue* queue, obs::Registry* registry,
     reply.request_id = env.request_id;
     reply.payload = busy.encode();
     // Rejection is cheap (no worker consumed): the BUSY leaves immediately.
-    network.send(self, packet.from, reply.encode());
+    network_.send(self_, packet.from, reply.encode());
     return;
   }
   if (d.wait <= 0) {
-    serve();
+    serve(packet, env, served.route);
     return;
   }
-  if (tracer != nullptr) {
-    const obs::SpanId parent = tracer->bound_request(packet.from, env.request_id);
-    const obs::SpanId span =
-        tracer->begin_span("server", "queue", self, now, parent);
-    tracer->tag(span, "depth", std::to_string(d.depth));
-    tracer->end_span(span, now + d.wait, true);
+  if (tracer_ != nullptr) {
+    const obs::SpanId parent = tracer_->bound_request(packet.from, env.request_id);
+    const obs::SpanId span = tracer_->begin_span("server", "queue", self_, now, parent);
+    tracer_->tag(span, "depth", std::to_string(d.depth));
+    tracer_->end_span(span, now + d.wait, true);
   }
-  network.post(self, d.wait, [&network, self, serve = std::move(serve)] {
+  network_.post(self_, d.wait, [this, &route = served.route, packet, env] {
     // An instance that crashed while the request was queued loses it; the
     // client's retransmission machinery takes over.
-    if (!network.attached(self)) return;
-    serve();
+    if (!network_.attached(self_)) return;
+    serve(packet, env, route);
   });
-}
-
-}  // namespace
-
-void ServiceNode::set_overload_policy(const OverloadPolicy& policy) {
-  queue_ = policy.enabled() ? std::make_unique<ServiceQueue>(policy) : nullptr;
-}
-
-RedirectionNode::RedirectionNode(services::RedirectionManager& rm, Network& network,
-                                 util::NodeId self, ProcessingModel processing)
-    : ServiceNode(network, self, processing), rm_(rm) {}
-
-void RedirectionNode::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
-  if (!env) {
-    count_malformed(registry_);
-    return;
-  }
-  if (env->kind != MsgKind::kRedirectRequest) return;
-  admit_or_shed(queue_.get(), registry_, tracer_, network_, self_, packet, *env,
-                processing_.light, [this, packet, env = *env] {
-    try {
-      const auto req = services::RedirectRequest::decode(env.payload);
-      const auto resp = rm_.handle_lookup(req);
-      trace_serve(tracer_, network_, self_, packet, env, processing_.light,
-                  resp.found ? "ok" : "unknown-user");
-      respond_after(network_, self_, packet.from, MsgKind::kRedirectResponse,
-                    env.request_id, resp.encode(), processing_.light);
-    } catch (const util::WireError&) {
-      count_malformed(registry_);
-    }
-  });
-}
-
-UserManagerNode::UserManagerNode(services::UserManager& um, Network& network,
-                                 util::NodeId self, ProcessingModel processing)
-    : ServiceNode(network, self, processing), um_(um) {}
-
-void UserManagerNode::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
-  if (!env) {
-    count_malformed(registry_);
-    return;
-  }
-  switch (env->kind) {
-    case MsgKind::kLogin1Request:
-      admit_or_shed(queue_.get(), registry_, tracer_, network_, self_, packet,
-                    *env, processing_.light, [this, packet, env = *env] {
-        try {
-          const auto req = core::Login1Request::decode(env.payload);
-          const auto resp =
-              um_.handle_login1(req, packet.from_addr, network_.local_time(self_));
-          trace_serve(tracer_, network_, self_, packet, env, processing_.light,
-                      core::to_string(resp.error));
-          respond_after(network_, self_, packet.from, MsgKind::kLogin1Response,
-                        env.request_id, resp.encode(), processing_.light);
-        } catch (const util::WireError&) {
-          count_malformed(registry_);
-        }
-      });
-      return;
-    case MsgKind::kLogin2Request:
-      admit_or_shed(queue_.get(), registry_, tracer_, network_, self_, packet,
-                    *env, processing_.heavy, [this, packet, env = *env] {
-        try {
-          const auto req = core::Login2Request::decode(env.payload);
-          const auto resp =
-              um_.handle_login2(req, packet.from_addr, network_.local_time(self_));
-          trace_serve(tracer_, network_, self_, packet, env, processing_.heavy,
-                      core::to_string(resp.error));
-          respond_after(network_, self_, packet.from, MsgKind::kLogin2Response,
-                        env.request_id, resp.encode(), processing_.heavy);
-        } catch (const util::WireError&) {
-          count_malformed(registry_);
-        }
-      });
-      return;
-    default:
-      return;  // not for this node
-  }
-}
-
-ChannelPolicyNode::ChannelPolicyNode(services::ChannelPolicyManager& cpm,
-                                     Network& network, util::NodeId self,
-                                     ProcessingModel processing)
-    : ServiceNode(network, self, processing), cpm_(cpm) {}
-
-void ChannelPolicyNode::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
-  if (!env) {
-    count_malformed(registry_);
-    return;
-  }
-  if (env->kind != MsgKind::kChannelListRequest) return;
-  admit_or_shed(queue_.get(), registry_, tracer_, network_, self_, packet, *env,
-                processing_.light, [this, packet, env = *env] {
-    try {
-      const auto req = core::ChannelListRequest::decode(env.payload);
-      const auto resp = cpm_.handle_channel_list(req, network_.local_time(self_));
-      trace_serve(tracer_, network_, self_, packet, env, processing_.light,
-                  core::to_string(resp.error));
-      respond_after(network_, self_, packet.from, MsgKind::kChannelListResponse,
-                    env.request_id, resp.encode(), processing_.light);
-    } catch (const util::WireError&) {
-      count_malformed(registry_);
-    }
-  });
-}
-
-ChannelManagerNode::ChannelManagerNode(services::ChannelManager& cm, Network& network,
-                                       util::NodeId self, ProcessingModel processing)
-    : ServiceNode(network, self, processing), cm_(cm) {}
-
-void ChannelManagerNode::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
-  if (!env) {
-    count_malformed(registry_);
-    return;
-  }
-  switch (env->kind) {
-    case MsgKind::kSwitch1Request:
-      admit_or_shed(queue_.get(), registry_, tracer_, network_, self_, packet,
-                    *env, processing_.light, [this, packet, env = *env] {
-        try {
-          const auto req = core::Switch1Request::decode(env.payload);
-          const auto resp =
-              cm_.handle_switch1(req, packet.from_addr, network_.local_time(self_));
-          trace_serve(tracer_, network_, self_, packet, env, processing_.light,
-                      core::to_string(resp.error));
-          respond_after(network_, self_, packet.from, MsgKind::kSwitch1Response,
-                        env.request_id, resp.encode(), processing_.light);
-        } catch (const util::WireError&) {
-          count_malformed(registry_);
-        }
-      });
-      return;
-    case MsgKind::kSwitch2Request:
-      admit_or_shed(queue_.get(), registry_, tracer_, network_, self_, packet,
-                    *env, processing_.heavy, [this, packet, env = *env] {
-        try {
-          const auto req = core::Switch2Request::decode(env.payload);
-          const auto resp =
-              cm_.handle_switch2(req, packet.from_addr, network_.local_time(self_));
-          trace_serve(tracer_, network_, self_, packet, env, processing_.heavy,
-                      core::to_string(resp.error));
-          respond_after(network_, self_, packet.from, MsgKind::kSwitch2Response,
-                        env.request_id, resp.encode(), processing_.heavy);
-        } catch (const util::WireError&) {
-          count_malformed(registry_);
-        }
-      });
-      return;
-    default:
-      return;
-  }
 }
 
 PeerNode::PeerNode(std::unique_ptr<p2p::Peer> peer, Network& network,
                    ProcessingModel processing)
-    : peer_(std::move(peer)), network_(network), processing_(processing) {}
+    : peer_(std::move(peer)),
+      network_(network),
+      processing_(processing),
+      join_route_(route<core::JoinRequest>(
+          MsgKind::kJoinRequest, MsgKind::kJoinResponse, &ProcessingModel::heavy,
+          [this](const auto& req, const Packet& packet, util::SimTime now) {
+            return peer_->handle_join(req, packet.from_addr, packet.from, now);
+          })) {}
 
 void PeerNode::on_packet(const Packet& packet) {
   const auto env = Envelope::decode(packet.data);
   if (!env) {
-    count_malformed(registry_);
+    count_malformed();
     return;
   }
   const util::SimTime now = network_.local_time(id());
   switch (env->kind) {
     case MsgKind::kJoinRequest: {
-      try {
-        const auto req = core::JoinRequest::decode(env->payload);
-        const core::JoinResponse resp =
-            peer_->handle_join(req, packet.from_addr, packet.from, now);
-        trace_serve(tracer_, network_, id(), packet, *env, processing_.heavy,
-                    core::to_string(resp.error));
-        respond_after(network_, id(), packet.from, MsgKind::kJoinResponse,
-                      env->request_id, resp.encode(), processing_.heavy);
-        if (resp.error == core::DrmError::kOk && join_observer_) {
-          join_observer_(packet.from, peer_->child_count());
-        }
-      } catch (const util::WireError&) {
-        count_malformed(registry_);
+      // The managers' serve routine, without an admission queue.
+      const auto outcome =
+          serve_request(network_, id(), tracer_, processing_, join_route_, packet, *env);
+      if (!outcome) {
+        count_malformed();
+      } else if (*outcome == "ok" && join_observer_) {
+        join_observer_(packet.from, peer_->child_count());
       }
       return;
     }
@@ -349,7 +305,7 @@ void PeerNode::on_packet(const Packet& packet) {
       try {
         content = core::ContentPacket::decode(env->payload);
       } catch (const util::WireError&) {
-        count_malformed(registry_);
+        count_malformed();
         return;
       }
       ++content_received_;

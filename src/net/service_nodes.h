@@ -1,18 +1,25 @@
-// Network frontends for the backend services: each node owns (or shares)
-// a service object, parses request envelopes off the wire, runs the
-// handler, and sends the response envelope back. Malformed packets are
-// dropped (and counted under "server.drops{malformed}" when a registry is
-// bound) — retries are the client's job.
+// Network frontends for the backend services. Every manager request round
+// (redirect, LOGIN1/2, channel list, SWITCH1/2) and a peer's JOIN is the same
+// exchange: decode the request, run the manager's handler, record a serve
+// span, send the response envelope back. One routine does that for every
+// kind; a ServiceNode differs from another only in its route table.
+// Malformed packets are dropped and counted under "server.drops{malformed}"
+// — retries are the client's job.
 //
 // Handler processing time is modeled per request (the service objects
 // compute instantly in-process; a real server would not), so end-to-end
 // latencies over this network include both propagation and service time.
-// With an OverloadPolicy set (set_overload_policy), requests additionally
-// wait in a bounded c-worker queue before service, and admission control
-// sheds excess load with kBusy responses — see net/overload.h.
+// With an enabled OverloadPolicy, requests additionally wait in a bounded
+// c-worker queue before service, and admission control sheds excess load
+// with kBusy responses — see net/overload.h.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "net/envelope.h"
 #include "net/network.h"
@@ -35,69 +42,88 @@ struct ProcessingModel {
   util::SimTime heavy = 0;   // LOGIN2, SWITCH2 (RSA sign), JOIN
 };
 
-/// What the four manager frontends share: the wire endpoint, the modeled
-/// processing delay, and the optional tracer, registry and overload queue.
-class ServiceNode : public Node {
+/// What a handler hands back: the encoded response and the verdict that
+/// tags the serve span ("ok" marks it successful).
+struct Reply {
+  util::Bytes payload;
+  std::string_view outcome;
+};
+
+/// One request kind a node answers: decode the payload (throwing
+/// util::WireError on garbage), call the manager at the node's local time,
+/// encode the response of kind `response` after the `tier` delay.
+struct Route {
+  using Handler = std::function<Reply(const Packet& packet, util::BytesView payload,
+                                      util::SimTime local_now)>;
+  MsgKind request;
+  MsgKind response;
+  util::SimTime ProcessingModel::*tier;
+  Handler handle;
+};
+
+/// The route tables of the four manager frontends.
+std::vector<Route> redirection_routes(services::RedirectionManager& rm);
+std::vector<Route> user_manager_routes(services::UserManager& um);
+std::vector<Route> channel_policy_routes(services::ChannelPolicyManager& cpm);
+std::vector<Route> channel_manager_routes(services::ChannelManager& cm);
+
+/// A registry metric looked up on its first use and held after. It appears
+/// in scrapes only once its event has happened, while later events skip
+/// the registry lock. Not thread-safe: owned by a loop-confined node.
+template <typename Metric>
+class LazyMetric {
  public:
+  explicit LazyMetric(std::string name) : name_(std::move(name)) {}
+  Metric& in(obs::Registry& registry) {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<Metric, obs::Gauge>) {
+        metric_ = &registry.gauge(name_);
+      } else {
+        metric_ = &registry.counter(name_);
+      }
+    }
+    return *metric_;
+  }
+
+ private:
+  std::string name_;
+  Metric* metric_ = nullptr;
+};
+
+/// A manager frontend: the wire endpoint in front of one manager, serving
+/// the request kinds of its route table. Kinds it has no route for are
+/// ignored (not for this node), not counted as malformed.
+class ServiceNode final : public Node {
+ public:
+  /// `registry` receives the drop, shed and queue-depth metrics. A disabled
+  /// `overload` policy (workers == 0) serves every request on arrival.
+  ServiceNode(Network& network, util::NodeId self, std::vector<Route> routes,
+              obs::Registry& registry, ProcessingModel processing = {},
+              const OverloadPolicy& overload = {});
+
+  void on_packet(const Packet& packet) override;
   /// Record a serve span per handled request (null to disable).
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Count drops/sheds and export queue depth (null to disable).
-  void set_registry(obs::Registry* registry) { registry_ = registry; }
-  /// Install a bounded worker queue + admission control. A disabled policy
-  /// (workers == 0) restores the legacy instantaneous model.
-  void set_overload_policy(const OverloadPolicy& policy);
-  const ServiceQueue* queue() const { return queue_.get(); }
 
- protected:
-  ServiceNode(Network& network, util::NodeId self, ProcessingModel processing)
-      : network_(network), self_(self), processing_(processing) {}
+ private:
+  struct Served {
+    Route route;
+    LazyMetric<obs::Counter> shed;  // server.shed{kind}
+  };
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::Registry* registry_ = nullptr;
-  std::unique_ptr<ServiceQueue> queue_;
+  void admit_or_shed(const Packet& packet, const Envelope& env, Served& served);
+  void serve(const Packet& packet, const Envelope& env, const Route& route);
+
   Network& network_;
   util::NodeId self_;
+  std::vector<Served> routes_;
+  obs::Registry& registry_;
   ProcessingModel processing_;
-};
-
-class RedirectionNode final : public ServiceNode {
- public:
-  RedirectionNode(services::RedirectionManager& rm, Network& network,
-                  util::NodeId self, ProcessingModel processing = {});
-  void on_packet(const Packet& packet) override;
-
- private:
-  services::RedirectionManager& rm_;
-};
-
-class UserManagerNode final : public ServiceNode {
- public:
-  UserManagerNode(services::UserManager& um, Network& network, util::NodeId self,
-                  ProcessingModel processing = {});
-  void on_packet(const Packet& packet) override;
-
- private:
-  services::UserManager& um_;
-};
-
-class ChannelPolicyNode final : public ServiceNode {
- public:
-  ChannelPolicyNode(services::ChannelPolicyManager& cpm, Network& network,
-                    util::NodeId self, ProcessingModel processing = {});
-  void on_packet(const Packet& packet) override;
-
- private:
-  services::ChannelPolicyManager& cpm_;
-};
-
-class ChannelManagerNode final : public ServiceNode {
- public:
-  ChannelManagerNode(services::ChannelManager& cm, Network& network, util::NodeId self,
-                     ProcessingModel processing = {});
-  void on_packet(const Packet& packet) override;
-
- private:
-  services::ChannelManager& cm_;
+  std::unique_ptr<ServiceQueue> queue_;
+  obs::Tracer* tracer_ = nullptr;
+  LazyMetric<obs::Counter> malformed_{"server.drops{malformed}"};
+  LazyMetric<obs::Counter> busy_sent_{"server.busy_sent"};
+  LazyMetric<obs::Gauge> depth_;  // server.queue.depth{self}
 };
 
 /// A peer in the overlay: answers joins and renewal presentations, relays
@@ -123,7 +149,7 @@ class PeerNode : public Node {
   void set_content_sink(ContentSink sink) { content_sink_ = std::move(sink); }
   /// Record a serve span per handled join/renewal (null to disable).
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  /// Count malformed-packet drops (null to disable).
+  /// Count malformed-packet drops (null to disable; set before traffic).
   void set_registry(obs::Registry* registry) { registry_ = registry; }
   void set_join_observer(JoinObserver observer) { join_observer_ = std::move(observer); }
 
@@ -142,11 +168,17 @@ class PeerNode : public Node {
   Network& network() { return network_; }
 
  private:
+  void count_malformed() {
+    if (registry_ != nullptr) malformed_.in(*registry_).inc();
+  }
+
   std::unique_ptr<p2p::Peer> peer_;
   Network& network_;
   obs::Tracer* tracer_ = nullptr;
   obs::Registry* registry_ = nullptr;
+  LazyMetric<obs::Counter> malformed_{"server.drops{malformed}"};
   ProcessingModel processing_;
+  Route join_route_;
   ContentSink content_sink_;
   JoinObserver join_observer_;
   std::uint64_t content_received_ = 0;

@@ -4,34 +4,22 @@
 
 namespace p2pdrm::p2p {
 
-Tracker::Tracker(crypto::SecureRandom rng) : rng_(std::move(rng)) {}
+Tracker::Tracker(crypto::SecureRandom rng, obs::Registry* registry)
+    : rng_(std::move(rng)),
+      owned_registry_(registry == nullptr ? std::make_unique<obs::Registry>() : nullptr),
+      registry_(registry == nullptr ? *owned_registry_ : *registry),
+      announcements_(registry_.counter("tracker.announcements")),
+      load_updates_(registry_.counter("tracker.load_updates")),
+      unregisters_(registry_.counter("tracker.unregisters")),
+      evictions_(registry_.counter("tracker.evictions")),
+      samples_(registry_.counter("tracker.samples")),
+      rejected_rate_(registry_.counter("tracker.rejected.rate")),
+      rejected_capacity_(registry_.counter("tracker.rejected.capacity")),
+      peers_(registry_.gauge("tracker.peers")) {}
 
 void Tracker::set_limits(Limits limits) {
   std::lock_guard<std::mutex> lk(mu_);
   limits_ = limits;
-}
-
-void Tracker::bind_registry(obs::Registry* registry) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (registry == nullptr) {
-    m_announcements_ = m_load_updates_ = m_unregisters_ = m_evictions_ =
-        m_samples_ = m_rejected_rate_ = m_rejected_capacity_ = nullptr;
-    m_peers_ = nullptr;
-    return;
-  }
-  m_announcements_ = &registry->counter("tracker.announcements");
-  m_load_updates_ = &registry->counter("tracker.load_updates");
-  m_unregisters_ = &registry->counter("tracker.unregisters");
-  m_evictions_ = &registry->counter("tracker.evictions");
-  m_samples_ = &registry->counter("tracker.samples");
-  m_rejected_rate_ = &registry->counter("tracker.rejected.rate");
-  m_rejected_capacity_ = &registry->counter("tracker.rejected.capacity");
-  m_rejected_rate_->inc(rejected_rate_ - m_rejected_rate_->value());
-  m_rejected_capacity_->inc(rejected_capacity_ - m_rejected_capacity_->value());
-  m_peers_ = &registry->gauge("tracker.peers");
-  std::size_t peers = 0;
-  for (const auto& [channel, members] : channels_) peers += members.size();
-  m_peers_->set(static_cast<std::int64_t>(peers));
 }
 
 bool Tracker::register_peer(util::ChannelId channel, core::PeerInfo info,
@@ -45,8 +33,7 @@ bool Tracker::register_peer(util::ChannelId channel, core::PeerInfo info,
     // parents under attack.
     if (limits_.max_peers_per_channel > 0 &&
         members.size() >= limits_.max_peers_per_channel) {
-      ++rejected_capacity_;
-      if (m_rejected_capacity_ != nullptr) m_rejected_capacity_->inc();
+      rejected_capacity_.inc();
       if (members.empty()) channels_.erase(channel);
       return false;
     }
@@ -57,8 +44,7 @@ bool Tracker::register_peer(util::ChannelId channel, core::PeerInfo info,
         win.count = 0;
       }
       if (win.count >= limits_.registration_burst) {
-        ++rejected_rate_;
-        if (m_rejected_rate_ != nullptr) m_rejected_rate_->inc();
+        rejected_rate_.inc();
         if (members.empty()) channels_.erase(channel);
         return false;
       }
@@ -66,8 +52,8 @@ bool Tracker::register_peer(util::ChannelId channel, core::PeerInfo info,
     }
   }
   members[info.node] = PeerState{info, capacity, 0, now};
-  if (m_announcements_ != nullptr) m_announcements_->inc();
-  if (fresh && m_peers_ != nullptr) m_peers_->add(1);
+  announcements_.inc();
+  if (fresh) peers_.add(1);
   return true;
 }
 
@@ -80,7 +66,7 @@ void Tracker::update_load(util::ChannelId channel, util::NodeId node,
   if (it == ch_it->second.end()) return;
   it->second.children = children;
   if (now > it->second.last_seen) it->second.last_seen = now;
-  if (m_load_updates_ != nullptr) m_load_updates_->inc();
+  load_updates_.inc();
 }
 
 void Tracker::unregister_peer(util::ChannelId channel, util::NodeId node) {
@@ -90,8 +76,8 @@ void Tracker::unregister_peer(util::ChannelId channel, util::NodeId node) {
   const std::size_t erased = ch_it->second.erase(node);
   if (ch_it->second.empty()) channels_.erase(ch_it);
   if (erased > 0) {
-    if (m_unregisters_ != nullptr) m_unregisters_->inc();
-    if (m_peers_ != nullptr) m_peers_->add(-1);
+    unregisters_.inc();
+    peers_.add(-1);
   }
 }
 
@@ -100,7 +86,7 @@ std::vector<core::PeerInfo> Tracker::sample_peers(util::ChannelId channel,
                                                   util::NetAddr requester) {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<core::PeerInfo> out;
-  if (m_samples_ != nullptr) m_samples_->inc();
+  samples_.inc();
   const auto ch_it = channels_.find(channel);
   if (ch_it == channels_.end()) return out;
 
@@ -138,20 +124,10 @@ std::size_t Tracker::evict_stale(util::SimTime cutoff) {
     ch_it = ch_it->second.empty() ? channels_.erase(ch_it) : std::next(ch_it);
   }
   if (evicted > 0) {
-    if (m_evictions_ != nullptr) m_evictions_->inc(evicted);
-    if (m_peers_ != nullptr) m_peers_->add(-static_cast<std::int64_t>(evicted));
+    evictions_.inc(evicted);
+    peers_.add(-static_cast<std::int64_t>(evicted));
   }
   return evicted;
-}
-
-std::uint64_t Tracker::rejected_rate() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return rejected_rate_;
-}
-
-std::uint64_t Tracker::rejected_capacity() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return rejected_capacity_;
 }
 
 std::size_t Tracker::peer_count(util::ChannelId channel) const {

@@ -6,13 +6,15 @@
 // child count vs capacity) and samples candidate parents, preferring peers
 // with spare capacity. Sampling is randomized so the tree keeps spreading.
 //
-// Thread safety: every public method takes the tracker's mutex. On a live
-// transport the tracker is genuinely shared — Channel Manager handler loops
-// sample peers while root join-observers push load updates and the control
-// loop sweeps stale entries.
+// Thread safety: every public method takes the tracker's mutex, except the
+// counter reads, which load registry atomics. On a live transport the
+// tracker is genuinely shared — Channel Manager handler loops sample peers
+// while root join-observers push load updates and the control loop sweeps
+// stale entries.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -40,7 +42,10 @@ class Tracker : public services::PeerDirectory {
     util::SimTime registration_window = 0;
   };
 
-  explicit Tracker(crypto::SecureRandom rng);
+  /// Directory activity is counted in `registry` (tracker.* counters; the
+  /// live membership size as a gauge), which must outlive the tracker;
+  /// without one the tracker counts into a registry of its own.
+  explicit Tracker(crypto::SecureRandom rng, obs::Registry* registry = nullptr);
 
   void set_limits(Limits limits);
 
@@ -75,12 +80,8 @@ class Tracker : public services::PeerDirectory {
   double utilization(util::ChannelId channel) const;
 
   /// Registrations rejected by the per-source rate limit / channel cap.
-  std::uint64_t rejected_rate() const;
-  std::uint64_t rejected_capacity() const;
-
-  /// Mirror directory activity into `registry` (tracker.* counters; the
-  /// live membership size as a gauge). Pass nullptr to stop.
-  void bind_registry(obs::Registry* registry);
+  std::uint64_t rejected_rate() const { return rejected_rate_.value(); }
+  std::uint64_t rejected_capacity() const { return rejected_capacity_.value(); }
 
  private:
   struct PeerState {
@@ -100,19 +101,19 @@ class Tracker : public services::PeerDirectory {
   std::map<util::ChannelId, std::map<util::NodeId, PeerState>> channels_;
   Limits limits_;
   std::map<std::uint32_t, SourceWindow> source_windows_;
-  std::uint64_t rejected_rate_ = 0;
-  std::uint64_t rejected_capacity_ = 0;
   crypto::SecureRandom rng_;
 
-  // Registry mirrors (null until bind_registry).
-  obs::Counter* m_announcements_ = nullptr;
-  obs::Counter* m_load_updates_ = nullptr;
-  obs::Counter* m_unregisters_ = nullptr;
-  obs::Counter* m_evictions_ = nullptr;
-  obs::Counter* m_samples_ = nullptr;
-  obs::Counter* m_rejected_rate_ = nullptr;
-  obs::Counter* m_rejected_capacity_ = nullptr;
-  obs::Gauge* m_peers_ = nullptr;
+  /// Set when no registry was given at construction.
+  std::unique_ptr<obs::Registry> owned_registry_;
+  obs::Registry& registry_;
+  obs::Counter& announcements_;
+  obs::Counter& load_updates_;
+  obs::Counter& unregisters_;
+  obs::Counter& evictions_;
+  obs::Counter& samples_;
+  obs::Counter& rejected_rate_;
+  obs::Counter& rejected_capacity_;
+  obs::Gauge& peers_;
 };
 
 }  // namespace p2pdrm::p2p

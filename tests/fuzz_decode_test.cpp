@@ -595,7 +595,10 @@ TEST(FuzzDecodeTest, MalformedServiceRequestsAreCountedAndDropped) {
     probe(cm, net::MsgKind::kSwitch1Request);
     probe(cm, net::MsgKind::kSwitch2Request);
   }
-  ASSERT_GE(sent, 4);
+  // The channel root serves JOIN through the same routine.
+  ASSERT_TRUE(d.network().attached(net::Deployment::kChannelRootBase + 1));
+  probe(net::Deployment::kChannelRootBase + 1, net::MsgKind::kJoinRequest);
+  ASSERT_GE(sent, 5);
 
   d.run_for(1 * util::kSecond);
   const obs::Counter* drops = d.registry().find_counter("server.drops{malformed}");

@@ -178,7 +178,8 @@ TEST(ServiceNodeTest, MalformedPacketsSilentlyDropped) {
       services::UserManagerConfig{}, crypto::generate_rsa_keypair(rng, 512),
       rng.bytes(32));
   services::UserManager um(domain, nullptr, rng.fork());
-  UserManagerNode um_node(um, net, 2);
+  obs::Registry registry;
+  ServiceNode um_node(net, 2, user_manager_routes(um), registry);
   RecordingNode client;
   net.attach(1, util::parse_netaddr("10.0.0.1"), &client);
   net.attach(2, util::parse_netaddr("10.0.0.2"), &um_node);
@@ -194,6 +195,44 @@ TEST(ServiceNodeTest, MalformedPacketsSilentlyDropped) {
   net.send(1, 2, bad_payload.encode());
   sim.run();
   EXPECT_TRUE(client.received.empty());
+  const obs::Counter* malformed = registry.find_counter("server.drops{malformed}");
+  ASSERT_NE(malformed, nullptr);
+  EXPECT_EQ(malformed->value(), 2u);  // the garbage and the bad payload
+}
+
+TEST(ServiceNodeTest, UnservedKindDrawsNoReplyAndIsNotMalformed) {
+  // A well-formed request of a kind the node has no route for is someone
+  // else's traffic: ignored, and not counted as a malformed drop.
+  sim::Simulation sim;
+  Network net(sim, fast_link(), crypto::SecureRandom(11));
+  services::RedirectionManager rm;
+  obs::Registry registry;
+  ServiceNode node(net, 2, redirection_routes(rm), registry);
+  RecordingNode client;
+  net.attach(1, util::parse_netaddr("10.0.0.1"), &client);
+  net.attach(2, util::parse_netaddr("10.0.0.2"), &node);
+
+  for (MsgKind kind : {MsgKind::kLogin1Request, MsgKind::kSwitch2Request,
+                       MsgKind::kJoinRequest, MsgKind::kRedirectResponse}) {
+    Envelope env;
+    env.kind = kind;
+    env.request_id = 1;
+    env.payload = services::RedirectRequest{"a@x.com"}.encode();
+    net.send(1, 2, env.encode());
+  }
+  sim.run();
+  EXPECT_TRUE(client.received.empty());
+  EXPECT_EQ(registry.find_counter("server.drops{malformed}"), nullptr);
+
+  // The same node does count a request it serves but cannot decode.
+  Envelope bad;
+  bad.kind = MsgKind::kRedirectRequest;
+  net.send(1, 2, bad.encode());
+  sim.run();
+  EXPECT_TRUE(client.received.empty());
+  const obs::Counter* malformed = registry.find_counter("server.drops{malformed}");
+  ASSERT_NE(malformed, nullptr);
+  EXPECT_EQ(malformed->value(), 1u);
 }
 
 TEST(ServiceNodeTest, ProcessingDelayDefersResponse) {
@@ -208,7 +247,8 @@ TEST(ServiceNodeTest, ProcessingDelayDefersResponse) {
   rm.assign_user("a@x.com", 0);
   ProcessingModel slow;
   slow.light = 500 * kMillisecond;
-  RedirectionNode node(rm, net, 2, slow);
+  obs::Registry registry;
+  ServiceNode node(net, 2, redirection_routes(rm), registry, slow);
   RecordingNode client;
   net.attach(1, util::parse_netaddr("10.0.0.1"), &client);
   net.attach(2, util::parse_netaddr("10.0.0.2"), &node);

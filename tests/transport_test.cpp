@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/critical_path.h"
 #include "net/deployment.h"
 #include "net/network.h"
 #include "obs/registry.h"
@@ -346,6 +347,27 @@ TEST(CrossBackendTest, RunOpReturnsNulloptAtDeadlineOnSim) {
 
 TEST(CrossBackendTest, RunOpReturnsNulloptAtDeadlineOnThread) {
   run_op_times_out(net::TransportKind::kThread);
+}
+
+/// On the live backend a serve span covers the handler's real run time, so
+/// the critical-path split credits LOGIN2's RSA signing to the server's
+/// service component instead of the client residual (processing delay is
+/// zero here, so the span length is the handler alone).
+TEST(CrossBackendTest, LiveServeSpansCoverHandlerTime) {
+  net::DeploymentConfig cfg = two_node_config(net::TransportKind::kThread);
+  cfg.tracing = true;
+  net::Deployment d(cfg);
+  d.add_user("e@example.com", "pw");
+  net::AsyncClient& c = d.add_client("e@example.com", "pw", d.geo().region_at(0));
+  const std::optional<core::DrmError> result =
+      d.run_op(c, [&c](auto done) { c.login(std::move(done)); }, 2 * util::kMinute);
+  d.transport().shutdown();  // quiesce before reading the tracer
+  ASSERT_EQ(result, core::DrmError::kOk);
+
+  const analysis::CriticalPathReport report =
+      analysis::analyze_critical_path(d.tracer());
+  ASSERT_TRUE(report.rounds.contains("LOGIN2"));
+  EXPECT_GT(report.rounds.at("LOGIN2").service_us, 0);
 }
 
 TEST(CrossBackendTest, ShutdownJoinsCleanlyUnderProtocolLoad) {
