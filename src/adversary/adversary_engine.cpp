@@ -37,18 +37,19 @@ util::Bytes flip_middle_bit(util::Bytes bytes) {
 AdversaryEngine::AdversaryEngine(net::Deployment& deployment, AdversaryPlan plan,
                                  AdversaryEngineConfig config)
     : dep_(deployment), plan_(std::move(plan)), config_(config),
-      rng_(config.seed) {
-  obs::Registry& reg = dep_.registry();
-  m_probes_sent_ = &reg.counter("abuse.probes.sent");
-  m_probes_accepted_ = &reg.counter("abuse.probes.accepted");
-  m_probes_rejected_ = &reg.counter("abuse.probes.rejected");
-  m_probes_timed_out_ = &reg.counter("abuse.probes.timeout");
-  m_fuzz_mutations_ = &reg.counter("abuse.fuzz.mutations");
-  m_sybil_admitted_ = &reg.counter("abuse.sybil.admitted");
-  m_sybil_rejected_ = &reg.counter("abuse.sybil.rejected");
-  m_ring_evictions_ = &reg.counter("abuse.ring.evictions");
-  m_ring_survivors_ = &reg.counter("abuse.ring.survivors");
-}
+      rng_(config.seed),
+      probes_sent_(deployment.registry().counter("abuse.probes.sent")),
+      probes_accepted_(deployment.registry().counter("abuse.probes.accepted")),
+      probes_rejected_(deployment.registry().counter("abuse.probes.rejected")),
+      probes_timed_out_(deployment.registry().counter("abuse.probes.timeout")),
+      fuzz_mutations_(deployment.registry().counter("abuse.fuzz.mutations")),
+      sybil_attempted_(deployment.registry().counter("abuse.sybil.attempted")),
+      sybil_admitted_(deployment.registry().counter("abuse.sybil.admitted")),
+      sybil_rejected_(deployment.registry().counter("abuse.sybil.rejected")),
+      ring_logins_ok_(deployment.registry().counter("abuse.ring.logins_ok")),
+      ring_switches_ok_(deployment.registry().counter("abuse.ring.switches_ok")),
+      ring_renewals_ok_(deployment.registry().counter("abuse.ring.survivors")),
+      ring_renewals_refused_(deployment.registry().counter("abuse.ring.evictions")) {}
 
 AdversaryEngine::~AdversaryEngine() {
   dep_.network().remove_interceptor(this);
@@ -119,8 +120,7 @@ net::SendInterceptor::Verdict AdversaryEngine::on_send(const net::SendContext& c
     if (!w.scope.contains(ctx.from_addr) && !w.scope.contains(ctx.to_addr)) continue;
     if (!rng_.chance(w.rate)) continue;
     v.replace = corrupt_locked(*ctx.data);
-    fuzz_mutations_.fetch_add(1, std::memory_order_relaxed);
-    m_fuzz_mutations_->inc();
+    fuzz_mutations_.inc();
     break;  // one corruption per packet, even under overlapping windows
   }
   return v;
@@ -268,14 +268,11 @@ void AdversaryEngine::record_probe(const std::string& probe,
   }
 
   if (resp == nullptr) {
-    probes_timed_out_.fetch_add(1, std::memory_order_relaxed);
-    m_probes_timed_out_->inc();
+    probes_timed_out_.inc();
   } else if (accepted) {
-    probes_accepted_.fetch_add(1, std::memory_order_relaxed);
-    m_probes_accepted_->inc();
+    probes_accepted_.inc();
   } else {
-    probes_rejected_.fetch_add(1, std::memory_order_relaxed);
-    m_probes_rejected_->inc();
+    probes_rejected_.inc();
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -289,8 +286,7 @@ void AdversaryEngine::run_probe_chain(std::shared_ptr<ProbeRun> run,
                                       std::size_t step) {
   const auto send = [&](const char* probe, util::NodeId to, net::MsgKind kind,
                         util::Bytes payload, net::MsgKind expect) {
-    probes_sent_.fetch_add(1, std::memory_order_relaxed);
-    m_probes_sent_->inc();
+    probes_sent_.inc();
     std::string label = probe;
     run->attacker->send(
         to, kind, std::move(payload), config_.probe_timeout,
@@ -385,8 +381,7 @@ void AdversaryEngine::run_probe_chain(std::shared_ptr<ProbeRun> run,
         run_probe_chain(run, step + 1);
         return;
       }
-      probes_sent_.fetch_add(1, std::memory_order_relaxed);
-      m_probes_sent_->inc();
+      probes_sent_.inc();
       run->attacker->replay(
           run->cm_node, run->captured_switch2, config_.probe_timeout,
           [this, run, step](const net::Envelope* e) {
@@ -413,7 +408,7 @@ void AdversaryEngine::run_probe_chain(std::shared_ptr<ProbeRun> run,
     }
     default:
       note("replay-probe chain complete (" +
-           std::to_string(probes_sent_.load(std::memory_order_relaxed)) +
+           std::to_string(probes_sent_.value()) +
            " probes so far)");
       return;
   }
@@ -466,15 +461,13 @@ void AdversaryEngine::launch_sybil_flood(const AdversaryEvent& ev) {
     // Bogus identities are never attached to the network: an honest client
     // steered to one just times out and walks on — that timeout is the
     // collateral the tracker limits are there to bound.
-    sybil_attempted_.fetch_add(1, std::memory_order_relaxed);
+    sybil_attempted_.inc();
     if (dep_.tracker().register_peer(ev.channel, core::PeerInfo{node, src}, 8,
                                      dep_.now())) {
       ++admitted;
-      sybil_admitted_.fetch_add(1, std::memory_order_relaxed);
-      m_sybil_admitted_->inc();
+      sybil_admitted_.inc();
     } else {
-      sybil_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_sybil_rejected_->inc();
+      sybil_rejected_.inc();
     }
   }
   note("sybil flood: " + std::to_string(admitted) + "/" +
@@ -518,7 +511,7 @@ void AdversaryEngine::launch_cred_share(const AdversaryEvent& ev) {
           set_outcome(slot, "login-failed:" + std::string(core::to_string(err)));
           return;
         }
-        ring_logins_ok_.fetch_add(1, std::memory_order_relaxed);
+        ring_logins_ok_.inc();
         member.switch_channel(channel, [this, &member, slot, renew_after,
                                         set_outcome](DrmError err2) {
           if (err2 != DrmError::kOk) {
@@ -526,18 +519,16 @@ void AdversaryEngine::launch_cred_share(const AdversaryEvent& ev) {
                         "switch-failed:" + std::string(core::to_string(err2)));
             return;
           }
-          ring_switches_ok_.fetch_add(1, std::memory_order_relaxed);
+          ring_switches_ok_.inc();
           dep_.network().post(
               member.config().node, renew_after, [this, &member, slot, set_outcome] {
                 member.renew_channel_ticket([this, slot,
                                              set_outcome](DrmError err3) {
                   if (err3 == DrmError::kOk) {
-                    ring_renewals_ok_.fetch_add(1, std::memory_order_relaxed);
-                    m_ring_survivors_->inc();
+                    ring_renewals_ok_.inc();
                     set_outcome(slot, "renewed");
                   } else {
-                    ring_renewals_refused_.fetch_add(1, std::memory_order_relaxed);
-                    m_ring_evictions_->inc();
+                    ring_renewals_refused_.inc();
                     set_outcome(slot,
                                 "refused:" + std::string(core::to_string(err3)));
                   }

@@ -11,7 +11,6 @@
 // outcomes and the exact same AbuseReport on the sim backend.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -76,38 +75,38 @@ class AdversaryEngine final : public net::SendInterceptor {
 
   // --- forgery / replay accounting -------------------------------------
 
-  std::uint64_t probes_sent() const { return probes_sent_.load(std::memory_order_relaxed); }
+  std::uint64_t probes_sent() const { return probes_sent_.value(); }
   /// Probes the services granted a ticket / session to. The abuse gate is
   /// this being zero.
-  std::uint64_t probes_accepted() const { return probes_accepted_.load(std::memory_order_relaxed); }
-  std::uint64_t probes_rejected() const { return probes_rejected_.load(std::memory_order_relaxed); }
-  std::uint64_t probes_timed_out() const { return probes_timed_out_.load(std::memory_order_relaxed); }
+  std::uint64_t probes_accepted() const { return probes_accepted_.value(); }
+  std::uint64_t probes_rejected() const { return probes_rejected_.value(); }
+  std::uint64_t probes_timed_out() const { return probes_timed_out_.value(); }
   std::vector<ProbeOutcome> probe_outcomes() const;
 
   // --- fuzz accounting ---------------------------------------------------
 
   /// Packets this engine truncated or bit-flipped (Verdict::replace).
-  std::uint64_t fuzz_mutations() const { return fuzz_mutations_.load(std::memory_order_relaxed); }
+  std::uint64_t fuzz_mutations() const { return fuzz_mutations_.value(); }
 
   // --- overlay attacks ---------------------------------------------------
 
   const std::vector<std::unique_ptr<RoguePeer>>& rogues() const { return rogues_; }
-  std::uint64_t sybil_attempted() const { return sybil_attempted_.load(std::memory_order_relaxed); }
+  std::uint64_t sybil_attempted() const { return sybil_attempted_.value(); }
   /// Identities the tracker admitted (bounded by its Limits — ideally far
   /// below attempted).
-  std::uint64_t sybil_admitted() const { return sybil_admitted_.load(std::memory_order_relaxed); }
-  std::uint64_t sybil_rejected() const { return sybil_rejected_.load(std::memory_order_relaxed); }
+  std::uint64_t sybil_admitted() const { return sybil_admitted_.value(); }
+  std::uint64_t sybil_rejected() const { return sybil_rejected_.value(); }
 
   // --- credential-sharing ring -------------------------------------------
 
   /// Ring members (owned by the deployment; includes evicted ones).
   const std::vector<net::AsyncClient*>& ring() const { return ring_; }
-  std::uint64_t ring_logins_ok() const { return ring_logins_ok_.load(std::memory_order_relaxed); }
-  std::uint64_t ring_switches_ok() const { return ring_switches_ok_.load(std::memory_order_relaxed); }
+  std::uint64_t ring_logins_ok() const { return ring_logins_ok_.value(); }
+  std::uint64_t ring_switches_ok() const { return ring_switches_ok_.value(); }
   /// Renewal outcomes: at most one member may renew (the survivor); the
   /// rest must be refused — that refusal is the eviction.
-  std::uint64_t ring_renewals_ok() const { return ring_renewals_ok_.load(std::memory_order_relaxed); }
-  std::uint64_t ring_renewals_refused() const { return ring_renewals_refused_.load(std::memory_order_relaxed); }
+  std::uint64_t ring_renewals_ok() const { return ring_renewals_ok_.value(); }
+  std::uint64_t ring_renewals_refused() const { return ring_renewals_refused_.value(); }
   /// Per-member final state, ring order: "renewed" | "refused:<err>" |
   /// "login-failed:<err>" | "switch-failed:<err>" | "pending".
   std::vector<std::string> ring_outcomes() const;
@@ -159,30 +158,21 @@ class AdversaryEngine final : public net::SendInterceptor {
   util::NodeId next_rogue_ = kRoguePeerBase;
   util::NodeId next_sybil_ = kSybilBase;
 
-  std::atomic<std::uint64_t> probes_sent_{0};
-  std::atomic<std::uint64_t> probes_accepted_{0};
-  std::atomic<std::uint64_t> probes_rejected_{0};
-  std::atomic<std::uint64_t> probes_timed_out_{0};
-  std::atomic<std::uint64_t> fuzz_mutations_{0};
-  std::atomic<std::uint64_t> sybil_attempted_{0};
-  std::atomic<std::uint64_t> sybil_admitted_{0};
-  std::atomic<std::uint64_t> sybil_rejected_{0};
-  std::atomic<std::uint64_t> ring_logins_ok_{0};
-  std::atomic<std::uint64_t> ring_switches_ok_{0};
-  std::atomic<std::uint64_t> ring_renewals_ok_{0};
-  std::atomic<std::uint64_t> ring_renewals_refused_{0};
-
-  // Registry mirrors (bound at construction; the deployment's registry
-  // outlives the engine).
-  obs::Counter* m_probes_sent_ = nullptr;
-  obs::Counter* m_probes_accepted_ = nullptr;
-  obs::Counter* m_probes_rejected_ = nullptr;
-  obs::Counter* m_probes_timed_out_ = nullptr;
-  obs::Counter* m_fuzz_mutations_ = nullptr;
-  obs::Counter* m_sybil_admitted_ = nullptr;
-  obs::Counter* m_sybil_rejected_ = nullptr;
-  obs::Counter* m_ring_evictions_ = nullptr;
-  obs::Counter* m_ring_survivors_ = nullptr;
+  // The engine's accounting, held in the deployment registry under
+  // "abuse.*" (resolved at construction; the registry outlives the engine).
+  // The accessors above read these counters.
+  obs::Counter& probes_sent_;            // abuse.probes.sent
+  obs::Counter& probes_accepted_;        // abuse.probes.accepted
+  obs::Counter& probes_rejected_;        // abuse.probes.rejected
+  obs::Counter& probes_timed_out_;       // abuse.probes.timeout
+  obs::Counter& fuzz_mutations_;         // abuse.fuzz.mutations
+  obs::Counter& sybil_attempted_;        // abuse.sybil.attempted
+  obs::Counter& sybil_admitted_;         // abuse.sybil.admitted
+  obs::Counter& sybil_rejected_;         // abuse.sybil.rejected
+  obs::Counter& ring_logins_ok_;         // abuse.ring.logins_ok
+  obs::Counter& ring_switches_ok_;       // abuse.ring.switches_ok
+  obs::Counter& ring_renewals_ok_;       // abuse.ring.survivors
+  obs::Counter& ring_renewals_refused_;  // abuse.ring.evictions
 };
 
 }  // namespace p2pdrm::adversary

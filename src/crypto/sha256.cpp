@@ -72,6 +72,9 @@ void Sha256::compress(const std::uint8_t* block) {
 }
 
 void Sha256::update(util::BytesView data) {
+  // An empty view may carry a null data(): memcpy from it is undefined even
+  // for zero bytes.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buffer_len_ > 0) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 namespace p2pdrm::fault {
 
@@ -22,6 +24,38 @@ std::string pct(double fraction) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f%%", fraction * 100.0);
   return buf;
+}
+
+/// "ok=120 access-denied=3" style rendering of (key, count) pairs in the
+/// given order, zero counts omitted; "(no requests)" when all are zero.
+std::string render_counts(
+    const std::vector<std::pair<std::string_view, std::uint64_t>>& fields) {
+  std::string out;
+  for (const auto& [key, n] : fields) {
+    if (n == 0) continue;
+    if (!out.empty()) out += " ";
+    out += std::string(key) + "=" + std::to_string(n);
+  }
+  return out.empty() ? "(no requests)" : out;
+}
+
+/// Outcome counts in core::DrmError enum order.
+std::string render_outcomes(const OutcomeCounts& counts) {
+  std::vector<std::pair<std::string_view, std::uint64_t>> fields;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    fields.emplace_back(core::to_string(static_cast<core::DrmError>(i)), counts[i]);
+  }
+  return render_counts(fields);
+}
+
+/// Add the "server.outcome" counts of request kind `kind` into `counts`.
+void add_outcomes(const obs::Registry& registry, net::MsgKind kind,
+                  OutcomeCounts& counts) {
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const obs::Counter* c = registry.find_counter(
+        net::outcome_metric(kind, core::to_string(static_cast<core::DrmError>(i))));
+    if (c != nullptr) counts[i] += c->value();
+  }
 }
 
 }  // namespace
@@ -68,13 +102,19 @@ ResilienceReport ResilienceReport::collect(const net::Deployment& deployment) {
   }
   std::sort(report.rejoin_latencies.begin(), report.rejoin_latencies.end());
 
-  report.login_ops.merge(deployment.um_domain().login1_stats);
-  report.login_ops.merge(deployment.um_domain().login2_stats);
-  for (std::size_t p = 0; p < deployment.partition_count(); ++p) {
-    const auto& partition = deployment.cm_partition(static_cast<std::uint32_t>(p));
-    report.switch_ops.merge(partition.switch1_stats);
-    report.switch_ops.merge(partition.switch2_stats);
-    report.key_ops.merge(partition.key_stats);
+  const obs::Registry& registry = deployment.registry();
+  add_outcomes(registry, net::MsgKind::kLogin1Request, report.login_ops);
+  add_outcomes(registry, net::MsgKind::kLogin2Request, report.login_ops);
+  add_outcomes(registry, net::MsgKind::kSwitch1Request, report.switch_ops);
+  add_outcomes(registry, net::MsgKind::kSwitch2Request, report.switch_ops);
+  if (const obs::Counter* c = registry.find_counter("keys.rotations_issued")) {
+    report.rotations_issued = c->value();
+  }
+  if (const obs::Counter* c = registry.find_counter("keys.epochs_delivered")) {
+    report.epochs_delivered = c->value();
+  }
+  if (const obs::Gauge* g = registry.find_gauge("keys.max_staleness_us")) {
+    report.max_key_staleness_us = g->value();
   }
   return report;
 }
@@ -104,8 +144,13 @@ std::string ResilienceReport::to_string() const {
         << " max=" << secs(rejoin_latencies.back());
   }
   out << "\n";
-  out << "manager ops: login[" << login_ops.to_string() << "] switch["
-      << switch_ops.to_string() << "] keys[" << key_ops.to_string() << "]\n";
+  const std::string keys = render_counts(
+      {{"rotations-issued", rotations_issued},
+       {"epochs-delivered", epochs_delivered},
+       {"max-key-staleness-us",
+        static_cast<std::uint64_t>(std::max<std::int64_t>(0, max_key_staleness_us))}});
+  out << "manager ops: login[" << render_outcomes(login_ops) << "] switch["
+      << render_outcomes(switch_ops) << "] keys[" << keys << "]\n";
   return out.str();
 }
 

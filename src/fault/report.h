@@ -2,20 +2,26 @@
 // viewer's side of the wire. Aggregates every client's protocol-round
 // feedback log into per-round availability, sums the clients' recovery
 // counters (retransmits, failovers, re-logins, rejoins), computes rejoin
-// latency percentiles, and folds the manager farms' OpsCounters into one
-// logical-manager view. Rendering is byte-stable: identical runs produce
-// identical report strings (the determinism test diffs them directly).
+// latency percentiles, and reads the manager farms' outcome counters and
+// the key pipeline from the deployment registry as one logical-manager
+// view. Rendering is byte-stable: identical runs produce identical report
+// strings (the determinism test diffs them directly).
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/round.h"
 #include "net/deployment.h"
-#include "services/metrics.h"
 
 namespace p2pdrm::fault {
+
+/// Request counts by verdict, indexed by core::DrmError (kWrongDomain is
+/// its last value).
+using OutcomeCounts =
+    std::array<std::uint64_t, static_cast<std::size_t>(core::DrmError::kWrongDomain) + 1>;
 
 struct RoundStats {
   std::uint64_t attempts = 0;
@@ -48,14 +54,17 @@ struct ResilienceReport {
   std::uint64_t rejoins = 0;
   std::vector<util::SimTime> rejoin_latencies;  // sorted ascending
 
-  /// Farm-wide manager ops (shared-state counters merged per logical
-  /// manager: LOGIN1+LOGIN2 for the domain, SWITCH1+SWITCH2 across all
-  /// partitions).
-  services::OpsCounters login_ops;
-  services::OpsCounters switch_ops;
-  /// Content-key rotation pipeline across all partitions: rotations issued
-  /// vs epochs delivered, plus the worst peer key staleness observed.
-  services::OpsCounters key_ops;
+  /// Farm-wide manager ops per logical manager, from the registry's
+  /// "server.outcome" family: LOGIN1+LOGIN2 for the domain, SWITCH1+SWITCH2
+  /// across all partitions.
+  OutcomeCounts login_ops{};
+  OutcomeCounts switch_ops{};
+  /// Content-key rotation pipeline across all partitions ("keys.*"):
+  /// rotations issued vs epochs delivered, plus the worst peer key
+  /// staleness observed.
+  std::uint64_t rotations_issued = 0;
+  std::uint64_t epochs_delivered = 0;
+  std::int64_t max_key_staleness_us = 0;
 
   RoundStats& round(core::Round r) { return rounds[static_cast<std::size_t>(r)]; }
   const RoundStats& round(core::Round r) const {

@@ -192,11 +192,8 @@ void AsyncClient::on_key_installed(const core::ContentKey& key) {
     // Margin: how far ahead of activation the epoch landed (0 = late).
     const util::SimTime margin = key.activation - now;
     key_margin_hist_->record(margin > 0 ? margin : 0);
-    if (margin < 0 && -margin > key_staleness_gauge_->value()) {
-      key_staleness_gauge_->set(-margin);
-    }
+    if (margin < 0) key_staleness_gauge_->set_max(-margin);
   }
-  if (key_delivery_hook_) key_delivery_hook_(key, now);
 }
 
 // ---------------------------------------------------------------------------

@@ -161,14 +161,6 @@ class AsyncClient final : public Node {
   void bind_observability(obs::Registry* registry, obs::Tracer* tracer,
                           obs::SloMonitor* slo = nullptr);
 
-  /// Called whenever this client's overlay peer installs a rotated key
-  /// epoch delivered over the fan-out (after the registry metrics update).
-  using KeyDeliveryHook =
-      std::function<void(const core::ContentKey& key, util::SimTime at)>;
-  void set_key_delivery_hook(KeyDeliveryHook hook) {
-    key_delivery_hook_ = std::move(hook);
-  }
-
  private:
   /// Overlay fan-out delivered a rotated key epoch to our embedded peer.
   void on_key_installed(const core::ContentKey& key);
@@ -229,7 +221,6 @@ class AsyncClient final : public Node {
   obs::Counter* keys_delivered_ = nullptr;
   obs::LatencyHistogram* key_margin_hist_ = nullptr;
   obs::Gauge* key_staleness_gauge_ = nullptr;
-  KeyDeliveryHook key_delivery_hook_;
 
   std::optional<services::RedirectResponse> redirect_;
   std::optional<core::SignedUserTicket> user_ticket_;

@@ -524,7 +524,6 @@ void Deployment::schedule_rotation(util::ChannelId id) {
     ChannelSource& source = it2->second;
     for (const core::ContentKey& key : source.server->advance(now())) {
       registry_.counter("keys.rotations_issued").inc();
-      cm_partitions_[source.partition]->key_stats.record_rotation_issued();
       if (!tracing_) {
         source.root->announce_key(key);
         continue;
@@ -673,21 +672,6 @@ AsyncClient& Deployment::add_client(const std::string& email,
       make_client_config(email, password, region), *network_, rng_.fork()));
   AsyncClient* client = clients_.back().get();
   client->bind_observability(&registry_, tracing_ ? &tracer_ : nullptr, slo_);
-  // Route rotated-epoch installs into the owning partition's key ops so the
-  // resilience report can show issued vs delivered and worst staleness.
-  client->set_key_delivery_hook(
-      [this, client](const core::ContentKey& key, util::SimTime at) {
-        std::uint32_t partition = 0;
-        if (client->channel_ticket()) {
-          if (const core::ChannelRecord* rec = cpm_->find_channel(
-                  client->channel_ticket()->ticket.channel_id)) {
-            partition = rec->partition;
-          }
-        }
-        services::OpsCounters& ops = cm_partitions_[partition]->key_stats;
-        ops.record_epoch_delivered();
-        if (at > key.activation) ops.note_key_staleness(at - key.activation);
-      });
   return *client;
 }
 

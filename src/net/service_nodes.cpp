@@ -98,6 +98,11 @@ bool sheddable_kind(MsgKind kind) {
 
 }  // namespace
 
+std::string outcome_metric(MsgKind request, std::string_view outcome) {
+  return "server.outcome{" + std::string(to_string(request)) + ":" +
+         std::string(outcome) + "}";
+}
+
 std::vector<Route> redirection_routes(services::RedirectionManager& rm) {
   return {route<services::RedirectRequest>(
       MsgKind::kRedirectRequest, MsgKind::kRedirectResponse, &ProcessingModel::light,
@@ -153,7 +158,7 @@ ServiceNode::ServiceNode(Network& network, util::NodeId self, std::vector<Route>
       depth_("server.queue.depth{" + std::to_string(self) + "}") {
   for (Route& r : routes) {
     std::string shed = "server.shed{" + std::string(to_string(r.request)) + "}";
-    routes_.push_back(Served{std::move(r), LazyMetric<obs::Counter>(std::move(shed))});
+    routes_.push_back(Served{std::move(r), LazyMetric<obs::Counter>(std::move(shed)), {}});
   }
 }
 
@@ -170,10 +175,23 @@ void ServiceNode::on_packet(const Packet& packet) {
   admit_or_shed(packet, *env, *it);
 }
 
-void ServiceNode::serve(const Packet& packet, const Envelope& env, const Route& route) {
-  if (!serve_request(network_, self_, tracer_, processing_, route, packet, env)) {
+void ServiceNode::serve(const Packet& packet, const Envelope& env, Served& served) {
+  const auto outcome =
+      serve_request(network_, self_, tracer_, processing_, served.route, packet, env);
+  if (!outcome) {
     malformed_.in(registry_).inc();
+    return;
   }
+  outcome_counter(served, *outcome).inc();
+}
+
+obs::Counter& ServiceNode::outcome_counter(Served& served, std::string_view outcome) {
+  for (auto& [name, counter] : served.outcomes) {
+    if (name == outcome) return *counter;
+  }
+  obs::Counter& counter = registry_.counter(outcome_metric(served.route.request, outcome));
+  served.outcomes.emplace_back(std::string(outcome), &counter);
+  return counter;
 }
 
 /// Route one decoded request through the node's admission queue. Without a
@@ -184,7 +202,7 @@ void ServiceNode::serve(const Packet& packet, const Envelope& env, const Route& 
 void ServiceNode::admit_or_shed(const Packet& packet, const Envelope& env,
                                 Served& served) {
   if (queue_ == nullptr) {
-    serve(packet, env, served.route);
+    serve(packet, env, served);
     return;
   }
   const util::SimTime now = network_.now();
@@ -217,7 +235,7 @@ void ServiceNode::admit_or_shed(const Packet& packet, const Envelope& env,
     return;
   }
   if (d.wait <= 0) {
-    serve(packet, env, served.route);
+    serve(packet, env, served);
     return;
   }
   if (tracer_ != nullptr) {
@@ -226,11 +244,11 @@ void ServiceNode::admit_or_shed(const Packet& packet, const Envelope& env,
     tracer_->tag(span, "depth", std::to_string(d.depth));
     tracer_->end_span(span, now + d.wait, true);
   }
-  network_.post(self_, d.wait, [this, &route = served.route, packet, env] {
+  network_.post(self_, d.wait, [this, &served, packet, env] {
     // An instance that crashed while the request was queued loses it; the
     // client's retransmission machinery takes over.
     if (!network_.attached(self_)) return;
-    serve(packet, env, route);
+    serve(packet, env, served);
   });
 }
 

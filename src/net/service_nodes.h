@@ -2,9 +2,11 @@
 // (redirect, LOGIN1/2, channel list, SWITCH1/2) and a peer's JOIN is the same
 // exchange: decode the request, run the manager's handler, record a serve
 // span, send the response envelope back. One routine does that for every
-// kind; a ServiceNode differs from another only in its route table.
-// Malformed packets are dropped and counted under "server.drops{malformed}"
-// — retries are the client's job.
+// kind; a ServiceNode differs from another only in its route table. Each
+// served request's verdict is counted once, under "server.outcome{kind:
+// outcome}" — the farm-wide view of a logical manager (§V). Malformed
+// packets are dropped and counted under "server.drops{malformed}" —
+// retries are the client's job.
 //
 // Handler processing time is modeled per request (the service objects
 // compute instantly in-process; a real server would not), so end-to-end
@@ -19,6 +21,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/envelope.h"
@@ -67,6 +70,11 @@ std::vector<Route> user_manager_routes(services::UserManager& um);
 std::vector<Route> channel_policy_routes(services::ChannelPolicyManager& cpm);
 std::vector<Route> channel_manager_routes(services::ChannelManager& cm);
 
+/// The counter a ServiceNode bumps once per served request, by request
+/// kind and handler verdict: "server.outcome{login1-req:ok}". Shed and
+/// malformed requests are not served, so they are not counted here.
+std::string outcome_metric(MsgKind request, std::string_view outcome);
+
 /// A registry metric looked up on its first use and held after. It appears
 /// in scrapes only once its event has happened, while later events skip
 /// the registry lock. Not thread-safe: owned by a loop-confined node.
@@ -95,7 +103,7 @@ class LazyMetric {
 /// ignored (not for this node), not counted as malformed.
 class ServiceNode final : public Node {
  public:
-  /// `registry` receives the drop, shed and queue-depth metrics. A disabled
+  /// `registry` receives the outcome, drop, shed and queue-depth metrics. A disabled
   /// `overload` policy (workers == 0) serves every request on arrival.
   ServiceNode(Network& network, util::NodeId self, std::vector<Route> routes,
               obs::Registry& registry, ProcessingModel processing = {},
@@ -109,10 +117,13 @@ class ServiceNode final : public Node {
   struct Served {
     Route route;
     LazyMetric<obs::Counter> shed;  // server.shed{kind}
+    /// server.outcome{kind:outcome}, each resolved on its first use.
+    std::vector<std::pair<std::string, obs::Counter*>> outcomes;
   };
 
   void admit_or_shed(const Packet& packet, const Envelope& env, Served& served);
-  void serve(const Packet& packet, const Envelope& env, const Route& route);
+  void serve(const Packet& packet, const Envelope& env, Served& served);
+  obs::Counter& outcome_counter(Served& served, std::string_view outcome);
 
   Network& network_;
   util::NodeId self_;

@@ -5,8 +5,9 @@
 // scrapes; components hold plain references to their metrics, so the hot
 // path is a single integer bump. Names are free-form dotted strings
 // ("net.packets.sent"); *families* are labelled counter sets rendered as
-// "family{label}" ("um.login1{ok}", "um.login1{access-denied}") — the shape
-// per-DrmError operational counters use. Iteration order is the map's
+// "family{label}" ("server.outcome{login1-req:ok}",
+// "server.outcome{switch2-req:access-denied}") — the shape per-DrmError
+// operational counters use. Iteration order is the map's
 // lexicographic name order, so every rendering is deterministic.
 //
 // Thread safety: Counter and Gauge are atomics (relaxed — they are

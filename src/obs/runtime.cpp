@@ -172,51 +172,60 @@ struct Frame {
   std::int64_t child_time;
 };
 
+/// Replay one thread's begin/end events as a call stack and call
+/// `on_close(open, frame, dur)` for each frame as it closes: `open` holds
+/// the frames still open around it (outermost first), `dur` is its wall
+/// time clamped at 0. A mismatched end unwinds to the matching open frame,
+/// closing everything above it, and is dropped when no such frame is open;
+/// frames still open at the end close at the last event's timestamp.
+template <typename Events, typename OnClose>
+void walk_frames(const Events& events, OnClose on_close) {
+  std::vector<Frame> stack;
+  std::int64_t last_t = 0;
+  const auto close_frame = [&](std::int64_t at) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    const std::int64_t dur = std::max<std::int64_t>(0, at - f.start);
+    on_close(stack, f, dur);
+    if (!stack.empty()) stack.back().child_time += dur;
+  };
+  for (const auto& ev : events) {
+    last_t = ev.t_us;
+    if (ev.begin) {
+      stack.push_back(Frame{ev.name, ev.t_us, 0});
+      continue;
+    }
+    bool open = false;
+    for (const Frame& f : stack) {
+      if (std::string_view(f.name) == ev.name) open = true;
+    }
+    if (!open) continue;
+    while (!stack.empty()) {
+      const bool match = std::string_view(stack.back().name) == ev.name;
+      close_frame(ev.t_us);
+      if (match) break;
+    }
+  }
+  while (!stack.empty()) close_frame(last_t);
+}
+
 }  // namespace
 
 std::string Profiler::collapsed() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::map<std::string, std::int64_t> agg;
   for (const std::unique_ptr<ThreadLog>& log : logs_) {
-    std::vector<Frame> stack;
-    std::int64_t last_t = 0;
-    auto close_frame = [&](std::int64_t at) {
-      const Frame f = stack.back();
-      stack.pop_back();
-      std::int64_t dur = at - f.start;
-      if (dur < 0) dur = 0;
-      std::int64_t self = dur - f.child_time;
-      if (self < 0) self = 0;
+    walk_frames(log->events, [&](const std::vector<Frame>& open, const Frame& f,
+                                 std::int64_t dur) {
       std::string key = log->label;
-      for (const Frame& outer : stack) {
+      for (const Frame& outer : open) {
         key += ';';
         key += outer.name;
       }
       key += ';';
       key += f.name;
-      agg[key] += self;
-      if (!stack.empty()) stack.back().child_time += dur;
-    };
-    for (const Event& ev : log->events) {
-      last_t = ev.t_us;
-      if (ev.begin) {
-        stack.push_back(Frame{ev.name, ev.t_us, 0});
-        continue;
-      }
-      // Tolerate mismatched ends: unwind to the matching frame if one is
-      // open anywhere on the stack, else drop the event.
-      bool open = false;
-      for (const Frame& f : stack) {
-        if (std::string_view(f.name) == ev.name) open = true;
-      }
-      if (!open) continue;
-      while (!stack.empty()) {
-        const bool match = std::string_view(stack.back().name) == ev.name;
-        close_frame(ev.t_us);
-        if (match) break;
-      }
-    }
-    while (!stack.empty()) close_frame(last_t);
+      agg[key] += std::max<std::int64_t>(0, dur - f.child_time);
+    });
   }
   std::string out;
   char line[64];
@@ -242,37 +251,13 @@ std::string Profiler::chrome_trace_events() const {
     emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%" PRIu64
          ",\"tid\":%zu,\"args\":{\"name\":\"%s\"}}",
          kChromePid, tid, json_escape(log.label).c_str());
-    std::vector<Frame> stack;
-    std::int64_t last_t = 0;
-    auto close_frame = [&](std::int64_t at) {
-      const Frame f = stack.back();
-      stack.pop_back();
-      std::int64_t dur = at - f.start;
-      if (dur < 0) dur = 0;
+    walk_frames(log.events, [&](const std::vector<Frame>&, const Frame& f,
+                                std::int64_t dur) {
       out += ",\n";
       emit("{\"name\":\"%s\",\"cat\":\"profile\",\"ph\":\"X\",\"ts\":%" PRId64
            ",\"dur\":%" PRId64 ",\"pid\":%" PRIu64 ",\"tid\":%zu}",
            json_escape(f.name).c_str(), f.start, dur, kChromePid, tid);
-      if (!stack.empty()) stack.back().child_time += dur;
-    };
-    for (const Event& ev : log.events) {
-      last_t = ev.t_us;
-      if (ev.begin) {
-        stack.push_back(Frame{ev.name, ev.t_us, 0});
-        continue;
-      }
-      bool open = false;
-      for (const Frame& f : stack) {
-        if (std::string_view(f.name) == ev.name) open = true;
-      }
-      if (!open) continue;
-      while (!stack.empty()) {
-        const bool match = std::string_view(stack.back().name) == ev.name;
-        close_frame(ev.t_us);
-        if (match) break;
-      }
-    }
-    while (!stack.empty()) close_frame(last_t);
+    });
   }
   return out;
 }

@@ -203,9 +203,9 @@ std::optional<DrmError> ChannelManager::validate(const util::Bytes& user_ticket_
   return std::nullopt;
 }
 
-core::Switch1Response ChannelManager::do_switch1(const core::Switch1Request& req,
-                                                     util::NetAddr conn_addr,
-                                                     util::SimTime now) {
+core::Switch1Response ChannelManager::handle_switch1(const core::Switch1Request& req,
+                                                      util::NetAddr conn_addr,
+                                                      util::SimTime now) {
   core::Switch1Response resp;
   ValidatedRequest validated;
   if (const auto err = validate(req.user_ticket, req.channel_id, req.expiring_ticket,
@@ -220,7 +220,7 @@ core::Switch1Response ChannelManager::do_switch1(const core::Switch1Request& req
   return resp;
 }
 
-core::Switch2Response ChannelManager::do_switch2(const core::Switch2Request& req,
+core::Switch2Response ChannelManager::handle_switch2(const core::Switch2Request& req,
                                                      util::NetAddr conn_addr,
                                                      util::SimTime now) {
   core::Switch2Response resp;
@@ -309,22 +309,6 @@ core::Switch2Response ChannelManager::do_switch2(const core::Switch2Request& req
     resp.peers = peers_->sample_peers(ticket.channel_id,
                                       partition_->config.peer_list_size, conn_addr);
   }
-  return resp;
-}
-
-core::Switch1Response ChannelManager::handle_switch1(const core::Switch1Request& req,
-                                                      util::NetAddr conn_addr,
-                                                      util::SimTime now) {
-  core::Switch1Response resp = do_switch1(req, conn_addr, now);
-  partition_->switch1_stats.record(resp.error);
-  return resp;
-}
-
-core::Switch2Response ChannelManager::handle_switch2(const core::Switch2Request& req,
-                                                     util::NetAddr conn_addr,
-                                                     util::SimTime now) {
-  core::Switch2Response resp = do_switch2(req, conn_addr, now);
-  partition_->switch2_stats.record(resp.error);
   return resp;
 }
 

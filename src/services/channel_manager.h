@@ -17,7 +17,6 @@
 #include "core/policy.h"
 #include "core/ticket.h"
 #include "crypto/chacha20.h"
-#include "services/metrics.h"
 #include "crypto/rsa.h"
 #include "util/ids.h"
 
@@ -126,14 +125,6 @@ struct ChannelManagerPartition {
   util::Bytes farm_secret;
   std::map<util::ChannelId, core::ChannelRecord> channels;
   ViewingLog log;
-
-  /// Farm-wide operational counters per protocol round.
-  OpsCounters switch1_stats;
-  OpsCounters switch2_stats;
-  /// Content-key rotation pipeline: rotations issued by this partition's
-  /// channel servers vs epochs delivered to peers over the overlay fan-out
-  /// (written by the deployment layer, not the manager handlers).
-  OpsCounters key_stats;
 };
 
 class ChannelManager {
@@ -165,11 +156,6 @@ class ChannelManager {
   const ChannelManagerPartition& partition() const { return *partition_; }
 
  private:
-  core::Switch1Response do_switch1(const core::Switch1Request& req,
-                                   util::NetAddr conn_addr, util::SimTime now);
-  core::Switch2Response do_switch2(const core::Switch2Request& req,
-                                   util::NetAddr conn_addr, util::SimTime now);
-
   struct ValidatedRequest {
     core::SignedUserTicket user_ticket;
     util::ChannelId channel_id = 0;

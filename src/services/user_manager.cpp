@@ -50,7 +50,7 @@ util::Bytes UserManager::login_binding(const std::string& email,
   return w.take();
 }
 
-core::Login1Response UserManager::do_login1(const core::Login1Request& req,
+core::Login1Response UserManager::handle_login1(const core::Login1Request& req,
                                                 util::NetAddr /*conn_addr*/,
                                                 util::SimTime now) {
   core::Login1Response resp;
@@ -115,7 +115,7 @@ core::Login1Response UserManager::do_login1(const core::Login1Request& req,
   return resp;
 }
 
-core::Login2Response UserManager::do_login2(const core::Login2Request& req,
+core::Login2Response UserManager::handle_login2(const core::Login2Request& req,
                                                 util::NetAddr conn_addr,
                                                 util::SimTime now) {
   core::Login2Response resp;
@@ -193,22 +193,6 @@ core::Login2Response UserManager::do_login2(const core::Login2Request& req,
   }
 
   resp.ticket = core::SignedUserTicket::sign(ticket, domain_->keys.priv);
-  return resp;
-}
-
-core::Login1Response UserManager::handle_login1(const core::Login1Request& req,
-                                                util::NetAddr conn_addr,
-                                                util::SimTime now) {
-  core::Login1Response resp = do_login1(req, conn_addr, now);
-  domain_->login1_stats.record(resp.error);
-  return resp;
-}
-
-core::Login2Response UserManager::handle_login2(const core::Login2Request& req,
-                                                util::NetAddr conn_addr,
-                                                util::SimTime now) {
-  core::Login2Response resp = do_login2(req, conn_addr, now);
-  domain_->login2_stats.record(resp.error);
   return resp;
 }
 

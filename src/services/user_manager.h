@@ -21,7 +21,6 @@
 #include "crypto/rsa.h"
 #include "geo/geodb.h"
 #include "services/account_manager.h"
-#include "services/metrics.h"
 #include "util/ids.h"
 
 namespace p2pdrm::services {
@@ -78,10 +77,6 @@ struct UserManagerDomain {
   /// Channel Attribute List pushed by the Channel Policy Manager; source of
   /// utime stamps on user attributes.
   core::AttributeSet channel_attribute_list;
-
-  /// Farm-wide operational counters per protocol round.
-  OpsCounters login1_stats;
-  OpsCounters login2_stats;
 };
 
 class UserManager {
@@ -127,11 +122,6 @@ class UserManager {
   util::UserIN user_in_of(const std::string& email) const;
 
  private:
-  core::Login1Response do_login1(const core::Login1Request& req,
-                                 util::NetAddr conn_addr, util::SimTime now);
-  core::Login2Response do_login2(const core::Login2Request& req,
-                                 util::NetAddr conn_addr, util::SimTime now);
-
   util::Bytes login_binding(const std::string& email,
                             const crypto::RsaPublicKey& client_key,
                             std::uint32_t client_version,

@@ -174,6 +174,56 @@ TEST(AdversaryEngineTest, ProbeOutcomesDeterministicAcrossRuns) {
   EXPECT_EQ(run(), run());
 }
 
+TEST(AdversaryEngineTest, AccessorsReadTheAbuseCounters) {
+  net::DeploymentConfig cfg;
+  cfg.seed = 7;
+  cfg.default_link.latency.floor = 10 * kMillisecond;
+  cfg.default_link.latency.median = 40 * kMillisecond;
+  net::Deployment d(cfg);
+  d.add_regional_channel(1, "news", d.geo().region_at(0));
+  d.start_channel_server(1);
+
+  AdversaryPlan plan;
+  plan.replay_probe(10 * kSecond, "victim@abuse.example", "pw-victim", 1);
+  plan.fuzz(2 * kMinute, 3 * kMinute, fault::AddrBlock::parse("*"), 0.5);
+  plan.sybil_flood(30 * kSecond, 1, 16, fault::AddrBlock::parse("10.66.0.0/16"), 2);
+  plan.cred_share(40 * kSecond, "shared@abuse.example", "pw-shared", 1, 2,
+                  8 * kMinute);
+  AdversaryEngine engine(d, std::move(plan));
+  engine.arm();
+  d.run_until(10 * kMinute);
+
+  // One store: every accessor is its "abuse.*" registry counter.
+  const obs::Registry& reg = d.registry();
+  const auto counter = [&reg](const char* name) {
+    const obs::Counter* c = reg.find_counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? 0 : c->value();
+  };
+  EXPECT_EQ(engine.probes_sent(), counter("abuse.probes.sent"));
+  EXPECT_EQ(engine.probes_accepted(), counter("abuse.probes.accepted"));
+  EXPECT_EQ(engine.probes_rejected(), counter("abuse.probes.rejected"));
+  EXPECT_EQ(engine.probes_timed_out(), counter("abuse.probes.timeout"));
+  EXPECT_EQ(engine.fuzz_mutations(), counter("abuse.fuzz.mutations"));
+  EXPECT_EQ(engine.sybil_attempted(), counter("abuse.sybil.attempted"));
+  EXPECT_EQ(engine.sybil_admitted(), counter("abuse.sybil.admitted"));
+  EXPECT_EQ(engine.sybil_rejected(), counter("abuse.sybil.rejected"));
+  EXPECT_EQ(engine.ring_logins_ok(), counter("abuse.ring.logins_ok"));
+  EXPECT_EQ(engine.ring_switches_ok(), counter("abuse.ring.switches_ok"));
+  EXPECT_EQ(engine.ring_renewals_ok(), counter("abuse.ring.survivors"));
+  EXPECT_EQ(engine.ring_renewals_refused(), counter("abuse.ring.evictions"));
+
+  // And the run exercised them.
+  EXPECT_GE(engine.probes_sent(), 8u);
+  EXPECT_GT(engine.fuzz_mutations(), 0u);
+  EXPECT_EQ(engine.sybil_attempted(), 16u);
+  EXPECT_EQ(engine.sybil_admitted() + engine.sybil_rejected(), 16u);
+  EXPECT_EQ(engine.ring_logins_ok(), 2u);
+  // The channel is regional: only the member in its region is admitted.
+  EXPECT_EQ(engine.ring_switches_ok(), 1u);
+  EXPECT_EQ(engine.ring_renewals_ok() + engine.ring_renewals_refused(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Credential-sharing regression on the thread transport (§IV-D)
 

@@ -63,6 +63,24 @@ TEST(Sha256Test, ExactBlockBoundaries) {
   }
 }
 
+TEST(Sha256Test, EmptyUpdateMidBlockLeavesDigestUnchanged) {
+  // One byte buffered, then an empty (null-data) view: nothing is hashed.
+  Sha256 h;
+  h.update(bytes_of("a"));
+  h.update(util::BytesView());
+  h.update(util::BytesView());
+  EXPECT_EQ(h.finish(), sha256(bytes_of("a")));
+}
+
+TEST(Sha256Test, EmptyUpdateAtBlockBoundaryLeavesDigestUnchanged) {
+  const Bytes block(kSha256BlockSize, 0x5a);
+  Sha256 h;
+  h.update(util::BytesView());  // fresh state
+  h.update(block);
+  h.update(util::BytesView());  // buffer drained by a whole block
+  EXPECT_EQ(h.finish(), sha256(block));
+}
+
 TEST(Sha256Test, ResetReusesObject) {
   Sha256 h;
   h.update(bytes_of("abc"));

@@ -450,5 +450,71 @@ TEST(FaultDeterminismTest, ScriptedChaosIsByteIdenticalAcrossRuns) {
   EXPECT_NE(first.report.find("rejoins="), std::string::npos);
 }
 
+// --- the report's manager-ops line ---
+
+/// The "manager ops: ..." line of a rendered report.
+std::string manager_ops_line(const ResilienceReport& report) {
+  const std::string text = report.to_string();
+  const std::size_t at = text.find("manager ops: ");
+  return text.substr(at, text.find('\n', at) - at);
+}
+
+std::size_t at(DrmError e) { return static_cast<std::size_t>(e); }
+
+TEST(ResilienceReportTest, ManagerOpsLineRendersOutcomesAndKeyPipeline) {
+  ResilienceReport report;
+  EXPECT_EQ(manager_ops_line(report),
+            "manager ops: login[(no requests)] switch[(no requests)] "
+            "keys[(no requests)]");
+
+  // Outcomes in DrmError enum order, zero counts omitted.
+  report.login_ops[at(DrmError::kAccessDenied)] = 1;
+  report.login_ops[at(DrmError::kOk)] = 2;
+  report.login_ops[at(DrmError::kTicketExpired)] = 1;
+  report.switch_ops[at(DrmError::kWrongDomain)] = 4;
+  report.switch_ops[at(DrmError::kUnknownUser)] = 3;
+  EXPECT_EQ(manager_ops_line(report),
+            "manager ops: login[ok=2 ticket-expired=1 access-denied=1] "
+            "switch[unknown-user=3 wrong-domain=4] keys[(no requests)]");
+
+  // The key pipeline: issued, delivered, worst staleness; zeros omitted
+  // and a negative staleness clamps to zero.
+  report.rotations_issued = 1;
+  report.epochs_delivered = 1;
+  report.max_key_staleness_us = 1234;
+  EXPECT_NE(manager_ops_line(report).find(
+                "keys[rotations-issued=1 epochs-delivered=1 max-key-staleness-us=1234]"),
+            std::string::npos);
+  report.rotations_issued = 0;
+  report.max_key_staleness_us = -5;
+  EXPECT_NE(manager_ops_line(report).find("keys[epochs-delivered=1]"),
+            std::string::npos);
+}
+
+TEST(ResilienceReportTest, CollectReadsTheDeploymentRegistry) {
+  auto dep = FaultScenarioTest::make_deployment(chaos_config(), 2);
+  dep->run_for(1 * kMinute);
+  const ResilienceReport report = ResilienceReport::collect(*dep);
+  const obs::Registry& reg = dep->registry();
+  const auto outcomes = [&reg](const char* kind_a, const char* kind_b, DrmError e) {
+    std::uint64_t n = 0;
+    for (const char* kind : {kind_a, kind_b}) {
+      const std::string name = "server.outcome{" + std::string(kind) + ":" +
+                               std::string(core::to_string(e)) + "}";
+      if (const obs::Counter* c = reg.find_counter(name)) n += c->value();
+    }
+    return n;
+  };
+  EXPECT_GE(report.login_ops[at(DrmError::kOk)], 4u);   // two LOGIN1 + LOGIN2
+  EXPECT_GE(report.switch_ops[at(DrmError::kOk)], 4u);  // two SWITCH1 + SWITCH2
+  for (std::size_t i = 0; i < report.login_ops.size(); ++i) {
+    const auto e = static_cast<DrmError>(i);
+    EXPECT_EQ(report.login_ops[i], outcomes("login1-req", "login2-req", e)) << i;
+    EXPECT_EQ(report.switch_ops[i], outcomes("switch1-req", "switch2-req", e)) << i;
+  }
+  EXPECT_EQ(report.rotations_issued, reg.find_counter("keys.rotations_issued")->value());
+  EXPECT_GT(report.rotations_issued, 0u);
+}
+
 }  // namespace
 }  // namespace p2pdrm::fault

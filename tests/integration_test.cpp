@@ -359,15 +359,25 @@ TEST_F(IntegrationTest, OpsCountersAggregateAcrossProtocol) {
   ASSERT_EQ(switch_to(d_, alice, 1), DrmError::kOk);
   ASSERT_EQ(switch_to(d_, alice, 2), DrmError::kAccessDenied);
 
-  const services::UserManagerDomain& domain = d_.um_domain();
-  EXPECT_EQ(domain.login1_stats.successes(), 1u);
-  EXPECT_EQ(domain.login2_stats.successes(), 1u);
+  // Every farm instance counts into the deployment registry, so the
+  // "server.outcome" family is the logical manager's view (§V).
+  const obs::Registry& reg = d_.registry();
+  const auto count = [&reg](const char* name) -> std::uint64_t {
+    const obs::Counter* c = reg.find_counter(name);
+    return c == nullptr ? 0 : c->value();
+  };
+  EXPECT_EQ(count("server.outcome{login1-req:ok}"), 1u);
+  EXPECT_EQ(count("server.outcome{login2-req:ok}"), 1u);
 
-  const services::ChannelManagerPartition& partition = d_.cm_partition(0);
-  EXPECT_EQ(partition.switch1_stats.total(), 2u);
-  EXPECT_EQ(partition.switch2_stats.count(DrmError::kAccessDenied), 1u);
-  EXPECT_EQ(partition.switch2_stats.successes(), 1u);
-  EXPECT_DOUBLE_EQ(partition.switch2_stats.success_rate(), 0.5);
+  std::uint64_t switch1 = 0, switch2 = 0;
+  for (const auto& [label, counter] : reg.family("server.outcome")) {
+    if (label.rfind("switch1-req:", 0) == 0) switch1 += counter->value();
+    if (label.rfind("switch2-req:", 0) == 0) switch2 += counter->value();
+  }
+  EXPECT_EQ(switch1, 2u);
+  EXPECT_EQ(switch2, 2u);
+  EXPECT_EQ(count("server.outcome{switch2-req:access-denied}"), 1u);
+  EXPECT_EQ(count("server.outcome{switch2-req:ok}"), 1u);
 }
 
 TEST_F(IntegrationTest, PpvEndToEnd) {

@@ -235,6 +235,90 @@ TEST(ServiceNodeTest, UnservedKindDrawsNoReplyAndIsNotMalformed) {
   EXPECT_EQ(malformed->value(), 1u);
 }
 
+TEST(ServiceNodeTest, ServedRequestCountsOneOutcomeShedAndMalformedNone) {
+  sim::Simulation sim;
+  Network net(sim, fast_link(), crypto::SecureRandom(12));
+  obs::Registry registry;
+  RecordingNode client;
+  net.attach(1, util::parse_netaddr("10.0.0.1"), &client);
+
+  // Served: one bump of server.outcome{<kind>:<verdict>} per request.
+  services::RedirectionManager rm;
+  rm.register_domain(0, {util::parse_netaddr("10.0.0.9"), {}});
+  rm.assign_user("a@x.com", 0);
+  ServiceNode redirect(net, 2, redirection_routes(rm), registry);
+  net.attach(2, util::parse_netaddr("10.0.0.2"), &redirect);
+  const auto send_redirect = [&](const std::string& email) {
+    Envelope env;
+    env.kind = MsgKind::kRedirectRequest;
+    env.request_id = 1;
+    env.payload = services::RedirectRequest{email}.encode();
+    net.send(1, 2, env.encode());
+    sim.run();
+  };
+  send_redirect("a@x.com");
+  const obs::Counter* ok = registry.find_counter("server.outcome{redirect-req:ok}");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_EQ(ok->value(), 1u);
+  EXPECT_EQ(registry.find_counter("server.outcome{redirect-req:unknown-user}"), nullptr);
+  send_redirect("nobody@x.com");
+  EXPECT_EQ(ok->value(), 1u);
+  EXPECT_EQ(registry.find_counter("server.outcome{redirect-req:unknown-user}")->value(),
+            1u);
+
+  // Malformed: a drop, not an outcome.
+  Envelope bad;
+  bad.kind = MsgKind::kRedirectRequest;
+  net.send(1, 2, bad.encode());
+  sim.run();
+  EXPECT_EQ(registry.find_counter("server.drops{malformed}")->value(), 1u);
+  EXPECT_EQ(registry.family("server.outcome").size(), 2u);
+  EXPECT_EQ(ok->value(), 1u);
+  EXPECT_EQ(client.received.size(), 2u);
+
+  // Shed: a BUSY reply and a server.shed bump, no outcome. One worker, a
+  // one-deep high-water mark and a 1 s service time shed the third of
+  // three concurrent LOGIN1s.
+  crypto::SecureRandom rng(13);
+  auto domain = std::make_shared<services::UserManagerDomain>(
+      services::UserManagerConfig{}, crypto::generate_rsa_keypair(rng, 512),
+      rng.bytes(32));
+  services::UserManager um(domain, nullptr, rng.fork());
+  ProcessingModel slow;
+  slow.light = 1 * kSecond;
+  OverloadPolicy overload;
+  overload.workers = 1;
+  overload.high_water = 1;
+  ServiceNode um_node(net, 3, user_manager_routes(um), registry, slow, overload);
+  net.attach(3, util::parse_netaddr("10.0.0.3"), &um_node);
+  client.received.clear();
+  core::Login1Request login1;
+  login1.email = "ghost@x.com";
+  login1.client_public_key = crypto::generate_rsa_keypair(rng, 512).pub;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    Envelope env;
+    env.kind = MsgKind::kLogin1Request;
+    env.request_id = id;
+    env.payload = login1.encode();
+    net.send(1, 3, env.encode());
+  }
+  sim.run();
+  std::uint64_t answered = 0, busy = 0;
+  for (const Packet& packet : client.received) {
+    const auto env = Envelope::decode(packet.data);
+    ASSERT_TRUE(env);
+    env->kind == MsgKind::kBusy ? ++busy : ++answered;
+  }
+  EXPECT_EQ(answered, 2u);
+  EXPECT_EQ(busy, 1u);
+  EXPECT_EQ(registry.find_counter("server.shed{login1-req}")->value(), 1u);
+  std::uint64_t login1_outcomes = 0;
+  for (const auto& [label, counter] : registry.family("server.outcome")) {
+    if (label.rfind("login1-req:", 0) == 0) login1_outcomes += counter->value();
+  }
+  EXPECT_EQ(login1_outcomes, 2u);
+}
+
 TEST(ServiceNodeTest, ProcessingDelayDefersResponse) {
   sim::Simulation sim;
   LinkConfig instant;

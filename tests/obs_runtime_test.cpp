@@ -144,11 +144,31 @@ TEST(ProfilerTest, MismatchedEndsAreTolerated) {
   p.enable();
   p.attach_thread("t");
   p.end("never_began");  // dropped silently
+  p.begin("outer");
+  p.begin("inner");
+  p.end("outer");        // unwinds: closes inner, then outer
   p.begin("open_at_exit");
   p.disable();
   const std::string out = p.collapsed();
   EXPECT_EQ(out.find("t;never_began"), std::string::npos);
+  EXPECT_NE(out.find("t;outer;inner "), std::string::npos);
+  EXPECT_NE(out.find("t;outer "), std::string::npos);
   EXPECT_NE(out.find("t;open_at_exit "), std::string::npos);
+
+  // The Chrome export walks the same buffer: one slice per closed frame.
+  const std::string trace = p.chrome_trace();
+  EXPECT_EQ(trace.find("\"never_began\""), std::string::npos);
+  for (const char* name : {"\"outer\"", "\"inner\"", "\"open_at_exit\""}) {
+    const std::size_t at = trace.find(name);
+    ASSERT_NE(at, std::string::npos) << name;
+    EXPECT_EQ(trace.find(name, at + 1), std::string::npos) << name;
+  }
+  std::size_t slices = 0;
+  for (std::size_t at = trace.find("\"ph\":\"X\""); at != std::string::npos;
+       at = trace.find("\"ph\":\"X\"", at + 1)) {
+    ++slices;
+  }
+  EXPECT_EQ(slices, 3u);
 }
 
 TEST(ProfilerTest, BufferCapCountsDrops) {

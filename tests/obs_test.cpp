@@ -388,12 +388,17 @@ TEST(NamingTest, InventoryObeysTheConvention) {
       // keys
       "keys.rotations_issued", "keys.epochs_delivered",
       "keys.max_staleness_us", "keys.delivery_margin_us",
-      // ops / server / client
-      "ops.total", "ops{ok}", "ops{access-denied}", "ops{timeout}",
-      "server.drops{malformed}", "server.shed{login1-req}", "server.busy_sent",
+      // server / client
+      "server.outcome{login1-req:ok}", "server.outcome{switch2-req:access-denied}",
+      "server.outcome{redirect-req:unknown-user}", "server.drops{malformed}", "server.shed{login1-req}", "server.busy_sent",
       "server.queue.depth{0}", "client.round.LOGIN1", "client.round.JOIN",
       "client.breaker.fast_fail", "client.retry_budget.exhausted",
       "client.busy.received", "client.busy.deferred",
+      // adversary
+      "abuse.probes.sent", "abuse.probes.accepted", "abuse.probes.rejected",
+      "abuse.probes.timeout", "abuse.fuzz.mutations", "abuse.sybil.attempted",
+      "abuse.sybil.admitted", "abuse.sybil.rejected", "abuse.ring.logins_ok",
+      "abuse.ring.switches_ok", "abuse.ring.survivors", "abuse.ring.evictions",
       // tracker
       "tracker.announcements", "tracker.load_updates", "tracker.unregisters",
       "tracker.evictions", "tracker.samples", "tracker.peers",

@@ -13,6 +13,7 @@
 #include "client_ops.h"
 #include "fault/fault_engine.h"
 #include "fault/fault_plan.h"
+#include "fault/report.h"
 #include "net/envelope.h"
 #include "obs/export.h"
 
@@ -318,12 +319,16 @@ TEST(TracingTest, KeyRotationFansOutAsSpanTreeWithMetrics) {
   EXPECT_EQ(reg.find_histogram("keys.delivery_margin_us")->count(),
             reg.find_counter("keys.epochs_delivered")->value());
 
-  // The Channel Manager partition's ops counters carry the same pipeline
-  // for the resilience report.
-  const services::OpsCounters& ops = dep->cm_partition(0).key_stats;
-  EXPECT_GE(ops.rotations_issued(), 3u);
-  EXPECT_GE(ops.epochs_delivered(), 1u);
-  EXPECT_NE(ops.to_string().find("rotations-issued="), std::string::npos);
+  // The resilience report reads the same "keys.*" values: one store.
+  const fault::ResilienceReport report = fault::ResilienceReport::collect(*dep);
+  EXPECT_EQ(report.rotations_issued,
+            reg.find_counter("keys.rotations_issued")->value());
+  EXPECT_EQ(report.epochs_delivered,
+            reg.find_counter("keys.epochs_delivered")->value());
+  ASSERT_NE(reg.find_gauge("keys.max_staleness_us"), nullptr);
+  EXPECT_EQ(report.max_key_staleness_us,
+            reg.find_gauge("keys.max_staleness_us")->value());
+  EXPECT_NE(report.to_string().find("rotations-issued="), std::string::npos);
 }
 
 // --- the headline guarantee: byte-identical traces for the same seed ---

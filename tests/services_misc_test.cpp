@@ -2,7 +2,6 @@
 
 #include "services/account_manager.h"
 #include "services/channel_server.h"
-#include "services/metrics.h"
 #include "services/redirection_manager.h"
 
 namespace p2pdrm::services {
@@ -213,27 +212,6 @@ TEST(ChannelServerTest, RejectsBadConfig) {
   ChannelServerConfig bad2 = server_config();
   bad2.key_history = 0;
   EXPECT_THROW(ChannelServer(bad2, std::move(rng2), 0), std::invalid_argument);
-}
-
-// --- OpsCounters ---
-
-TEST(OpsCountersTest, CountsAndRates) {
-  OpsCounters c;
-  EXPECT_EQ(c.total(), 0u);
-  EXPECT_DOUBLE_EQ(c.success_rate(), 0.0);
-  EXPECT_EQ(c.to_string(), "(no requests)");
-
-  c.record(core::DrmError::kOk);
-  c.record(core::DrmError::kOk);
-  c.record(core::DrmError::kAccessDenied);
-  c.record(core::DrmError::kTicketExpired);
-  EXPECT_EQ(c.total(), 4u);
-  EXPECT_EQ(c.successes(), 2u);
-  EXPECT_EQ(c.count(core::DrmError::kAccessDenied), 1u);
-  EXPECT_EQ(c.count(core::DrmError::kBadTicket), 0u);
-  EXPECT_DOUBLE_EQ(c.success_rate(), 0.5);
-  EXPECT_NE(c.to_string().find("ok=2"), std::string::npos);
-  EXPECT_NE(c.to_string().find("access-denied=1"), std::string::npos);
 }
 
 }  // namespace

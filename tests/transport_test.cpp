@@ -20,7 +20,6 @@
 #include "obs/registry.h"
 #include "obs/runtime.h"
 #include "obs/trace.h"
-#include "services/metrics.h"
 #include "transport/sim_transport.h"
 #include "transport/thread_transport.h"
 
@@ -480,28 +479,6 @@ TEST(StressTest, RegistryConcurrentSenders) {
     family_total += counter->value();
   }
   EXPECT_EQ(family_total, static_cast<std::uint64_t>(kThreads * kOps));
-}
-
-TEST(StressTest, OpsCountersConcurrent) {
-  services::OpsCounters ops;
-  constexpr int kThreads = 8;
-  constexpr int kOps = 5000;
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&] {
-      for (int i = 0; i < kOps; ++i) {
-        ops.record(core::DrmError::kOk);
-        ops.record(core::DrmError::kAccessDenied);
-        ops.note_key_staleness(i);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  EXPECT_EQ(ops.total(), static_cast<std::uint64_t>(2 * kThreads * kOps));
-  EXPECT_EQ(ops.successes(), static_cast<std::uint64_t>(kThreads * kOps));
-  EXPECT_EQ(ops.count(core::DrmError::kAccessDenied),
-            static_cast<std::uint64_t>(kThreads * kOps));
-  EXPECT_EQ(ops.max_key_staleness_us(), kOps - 1);
 }
 
 TEST(StressTest, TracerConcurrentSpans) {
