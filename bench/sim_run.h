@@ -1,6 +1,6 @@
 // SimRun: the one way a bench binary talks to the outside world.
 //
-// Every fig*/ablation*/bench* executable used to hand-roll its own argv
+// Every fig*/ablation* executable used to hand-roll its own argv
 // scanning, environment fallbacks, and artifact plumbing. SimRun collapses
 // that into a single object with three responsibilities:
 //
@@ -173,33 +173,26 @@ class SimRun {
     have_runtime_ = true;
   }
 
-  /// Serialize one MacroRuntimeStats as a JSON object value. Shared by the
-  /// envelope and by benches that emit per-run runtime blocks.
-  static void write_runtime_json(obs::JsonWriter& j,
-                                 const sim::MacroRuntimeStats& rt) {
-    j.begin_object();
-    j.key("shard_events").begin_array();
-    for (const std::uint64_t e : rt.shard_events) j.value(e);
-    j.end_array();
-    j.kv("windows", rt.windows);
-    j.kv("imbalance_mean", rt.imbalance_mean);
-    j.kv("imbalance_max", rt.imbalance_max);
-    j.kv("window_wall_seconds", rt.window_wall_seconds);
-    j.kv("coordinator_wall_seconds", rt.coordinator_wall_seconds);
-    j.kv("barrier_wait_seconds", rt.barrier_wait_seconds);
-    j.kv("barrier_wait_fraction", rt.barrier_wait_fraction);
-    j.key("worker_busy_seconds").begin_array();
-    for (const double b : rt.worker_busy_seconds) j.value(b);
-    j.end_array();
-    j.end_object();
-  }
-
   /// Close the envelope (the bench must have completed its "results" value),
   /// stamp the wall clock, and write the artifact file.
   void finish_artifact() {
     if (have_runtime_) {
-      json_.key("runtime");
-      write_runtime_json(json_, runtime_);
+      const sim::MacroRuntimeStats& rt = runtime_;
+      json_.key("runtime").begin_object();
+      json_.key("shard_events").begin_array();
+      for (const std::uint64_t e : rt.shard_events) json_.value(e);
+      json_.end_array();
+      json_.kv("windows", rt.windows);
+      json_.kv("imbalance_mean", rt.imbalance_mean);
+      json_.kv("imbalance_max", rt.imbalance_max);
+      json_.kv("window_wall_seconds", rt.window_wall_seconds);
+      json_.kv("coordinator_wall_seconds", rt.coordinator_wall_seconds);
+      json_.kv("barrier_wait_seconds", rt.barrier_wait_seconds);
+      json_.kv("barrier_wait_fraction", rt.barrier_wait_fraction);
+      json_.key("worker_busy_seconds").begin_array();
+      for (const double b : rt.worker_busy_seconds) json_.value(b);
+      json_.end_array();
+      json_.end_object();
     }
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - started_;

@@ -110,24 +110,4 @@ Reservoir Reservoir::merged(std::size_t capacity, std::uint64_t seed,
   return out;
 }
 
-std::vector<CdfPoint> empirical_cdf(std::vector<double> values,
-                                    std::size_t max_points) {
-  std::vector<CdfPoint> out;
-  if (values.empty() || max_points == 0) return out;
-  std::sort(values.begin(), values.end());
-  const std::size_t steps = std::min(max_points, values.size());
-  out.reserve(steps);
-  for (std::size_t i = 1; i <= steps; ++i) {
-    const double p = static_cast<double>(i) / static_cast<double>(steps);
-    // Smallest index whose empirical probability reaches p.
-    const std::size_t idx = std::min(
-        values.size() - 1,
-        static_cast<std::size_t>(
-            std::ceil(p * static_cast<double>(values.size()))) -
-            1);
-    out.push_back({values[idx], p});
-  }
-  return out;
-}
-
 }  // namespace p2pdrm::analysis

@@ -54,14 +54,4 @@ class Reservoir {
   crypto::SecureRandom rng_;
 };
 
-/// One point of an empirical CDF.
-struct CdfPoint {
-  double value;
-  double cumulative_probability;
-};
-
-/// Empirical CDF with at most `max_points` evenly spaced probability steps.
-std::vector<CdfPoint> empirical_cdf(std::vector<double> values,
-                                    std::size_t max_points = 200);
-
 }  // namespace p2pdrm::analysis

@@ -142,61 +142,4 @@ std::optional<util::Bytes> decrypt_packet(const ContentKey& key,
       .crypt_copy(packet.payload);
 }
 
-namespace {
-
-/// Per-key MAC key for authenticated packets, derived so the cipher key is
-/// never reused as a MAC key.
-util::Bytes packet_mac_key(const ContentKey& key) {
-  return crypto::derive_key(key.key, util::bytes_of("p2pdrm-packet-mac"), 32);
-}
-
-crypto::Sha256Digest packet_mac(const ContentKey& key, util::ChannelId channel,
-                                std::uint64_t seq, util::BytesView ciphertext) {
-  crypto::HmacSha256 h(packet_mac_key(key));
-  util::WireWriter header;
-  header.u32(channel);
-  header.u8(key.serial);
-  header.u64(seq);
-  h.update(header.data());
-  h.update(ciphertext);
-  return h.finish();
-}
-
-}  // namespace
-
-ContentPacket encrypt_packet_authenticated(const ContentKey& key,
-                                           util::ChannelId channel,
-                                           std::uint64_t seq,
-                                           util::BytesView plaintext) {
-  ContentPacket p = encrypt_packet(key, channel, seq, plaintext);
-  const crypto::Sha256Digest mac = packet_mac(key, channel, seq, p.payload);
-  p.payload.insert(p.payload.end(), mac.begin(), mac.end());
-  return p;
-}
-
-AuthenticatedPayload decrypt_packet_authenticated(const ContentKey& key,
-                                                  const ContentPacket& packet) {
-  if (packet.key_serial != key.serial) {
-    return {PacketVerdict::kUnknownKey, {}};
-  }
-  if (packet.payload.size() < crypto::kSha256DigestSize) {
-    return {PacketVerdict::kHijacked, {}};
-  }
-  const std::size_t cipher_len = packet.payload.size() - crypto::kSha256DigestSize;
-  const util::BytesView ciphertext(packet.payload.data(), cipher_len);
-  const util::BytesView mac(packet.payload.data() + cipher_len,
-                            crypto::kSha256DigestSize);
-  const crypto::Sha256Digest expected =
-      packet_mac(key, packet.channel, packet.seq, ciphertext);
-  if (!util::constant_time_equal(
-          util::BytesView(expected.data(), expected.size()), mac)) {
-    return {PacketVerdict::kHijacked, {}};
-  }
-  AuthenticatedPayload out;
-  out.verdict = PacketVerdict::kOk;
-  out.plaintext =
-      crypto::AesCtr(key.key, packet_nonce(key, packet.seq)).crypt_copy(ciphertext);
-  return out;
-}
-
 }  // namespace p2pdrm::core

@@ -8,9 +8,9 @@
 // each of its children.
 //
 // Wrapping is encrypt-then-MAC under the session key so a forged or
-// corrupted key blob is detected rather than silently yielding garbage
-// (which is also how channel hijacking is detected: content that fails to
-// decrypt under the advertised serial is rogue).
+// corrupted key blob is detected rather than silently yielding garbage.
+// Content packets themselves are plain AES-CTR with no MAC, so a relaying
+// peer can corrupt what it forwards undetected (DESIGN.md §12).
 #pragma once
 
 #include <optional>
@@ -88,32 +88,5 @@ ContentPacket encrypt_packet(const ContentKey& key, util::ChannelId channel,
 /// the key's serial.
 std::optional<util::Bytes> decrypt_packet(const ContentKey& key,
                                           const ContentPacket& packet);
-
-/// Authenticated variant — the channel-hijack detector (§IV-E purpose 2):
-/// "to detect when the channel has been hijacked, whereby rogue contents
-/// are accidentally or maliciously injected into the P2P network".
-/// The packet carries an HMAC (keyed by the content key) over its header
-/// and ciphertext; a peer that cannot produce the current content key
-/// cannot forge a packet that authenticates.
-ContentPacket encrypt_packet_authenticated(const ContentKey& key,
-                                           util::ChannelId channel,
-                                           std::uint64_t seq,
-                                           util::BytesView plaintext);
-
-/// Verify and decrypt an authenticated packet. Distinguishes the outcomes
-/// a receiver reacts differently to.
-enum class PacketVerdict : std::uint8_t {
-  kOk = 0,          // authentic, decrypted
-  kUnknownKey = 1,  // serial does not match this key (try another)
-  kHijacked = 2,    // authentication failed: rogue or corrupted content
-};
-
-struct AuthenticatedPayload {
-  PacketVerdict verdict = PacketVerdict::kHijacked;
-  util::Bytes plaintext;  // valid only when verdict == kOk
-};
-
-AuthenticatedPayload decrypt_packet_authenticated(const ContentKey& key,
-                                                  const ContentPacket& packet);
 
 }  // namespace p2pdrm::core

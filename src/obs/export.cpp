@@ -4,6 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "obs/json_writer.h"
+
 namespace p2pdrm::obs {
 namespace {
 
@@ -22,85 +24,7 @@ void append_json_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void append_tags_json(std::string& out, const Span& span) {
-  out += "[";
-  bool first = true;
-  for (const auto& [key, value] : span.tags) {
-    if (!first) out += ",";
-    first = false;
-    out += "[";
-    append_json_string(out, key);
-    out += ",";
-    append_json_string(out, value);
-    out += "]";
-  }
-  out += "]";
-}
-
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string spans_to_jsonl(const Tracer& tracer) {
-  std::string out;
-  for (const Span& span : tracer.spans()) {
-    append_fmt(out, "{\"id\":%" PRIu64 ",\"parent\":%" PRIu64 ",\"cat\":",
-               span.id, span.parent);
-    append_json_string(out, span.category);
-    out += ",\"name\":";
-    append_json_string(out, span.name);
-    append_fmt(out,
-               ",\"actor\":%" PRIu64 ",\"start\":%" PRId64 ",\"end\":%" PRId64
-               ",\"open\":%s,\"ok\":%s,\"tags\":",
-               span.actor, span.start, span.end, span.open ? "true" : "false",
-               span.ok ? "true" : "false");
-    append_tags_json(out, span);
-    out += ",\"events\":[";
-    bool first = true;
-    for (const SpanEvent& ev : span.events) {
-      if (!first) out += ",";
-      first = false;
-      append_fmt(out, "{\"at\":%" PRId64 ",\"name\":", ev.at);
-      append_json_string(out, ev.name);
-      out += ",\"detail\":";
-      append_json_string(out, ev.detail);
-      out += "}";
-    }
-    out += "]}\n";
-  }
-  return out;
-}
 
 std::string spans_to_chrome_trace(const Tracer& tracer) {
   std::string out = "{\"traceEvents\":[";
@@ -139,16 +63,6 @@ std::string spans_to_chrome_trace(const Tracer& tracer) {
     }
   }
   out += "\n]}\n";
-  return out;
-}
-
-std::string histograms_to_csv(const Registry& registry) {
-  std::string out = "name,count,min_us,max_us,mean_us,p50_us,p95_us,p99_us\n";
-  for (const auto& [name, h] : registry.histograms()) {
-    append_fmt(out, "%s,%" PRIu64 ",%" PRId64 ",%" PRId64 ",%.1f,%.1f,%.1f,%.1f\n",
-               name.c_str(), h.count(), h.empty() ? 0 : h.min(),
-               h.empty() ? 0 : h.max(), h.mean(), h.p50(), h.p95(), h.p99());
-  }
   return out;
 }
 
@@ -267,19 +181,6 @@ std::string registry_to_prometheus(const Registry& registry) {
     append_sample(out, metric + "_sum", "", "", value);
     std::snprintf(value, sizeof(value), "%" PRIu64, h.count());
     append_sample(out, metric + "_count", "", "", value);
-  }
-  return out;
-}
-
-std::string histogram_buckets_to_csv(const std::string& name,
-                                     const LatencyHistogram& histogram) {
-  std::string out = "name,lower_us,upper_us,count\n";
-  const auto& buckets = histogram.buckets();
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    append_fmt(out, "%s,%" PRId64 ",%" PRId64 ",%" PRIu64 "\n", name.c_str(),
-               LatencyHistogram::bucket_lower(i),
-               LatencyHistogram::bucket_upper(i), buckets[i]);
   }
   return out;
 }

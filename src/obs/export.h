@@ -2,15 +2,10 @@
 // fixed printf formatting, span/metric iteration in deterministic order —
 // two runs of the same seed export identical bytes (asserted by test).
 //
-//  - spans_to_jsonl:        one JSON object per span, id order. The
-//                           grep/jq-friendly archival format.
 //  - spans_to_chrome_trace: Chrome trace_event JSON ("traceEvents" array),
 //                           loadable in about:tracing or Perfetto; spans
 //                           become complete ("X") slices keyed pid=actor,
 //                           span events become instant ("i") markers.
-//  - histograms_to_csv:     per-histogram quantile summary table.
-//  - histogram_buckets_to_csv: full bucket dump of one histogram (plotting
-//                           CDFs outside the repo).
 //  - registry_to_prometheus: Prometheus text exposition of a whole
 //                           registry — counters/gauges under sanitized
 //                           names, families as labelled samples,
@@ -24,12 +19,7 @@
 
 namespace p2pdrm::obs {
 
-std::string spans_to_jsonl(const Tracer& tracer);
 std::string spans_to_chrome_trace(const Tracer& tracer);
-
-std::string histograms_to_csv(const Registry& registry);
-std::string histogram_buckets_to_csv(const std::string& name,
-                                     const LatencyHistogram& histogram);
 
 /// Prometheus text exposition format (version 0.0.4). Dots and dashes in
 /// metric names become underscores; a registry family "fam{label}" renders
@@ -40,9 +30,6 @@ std::string histogram_buckets_to_csv(const std::string& name,
 /// sample. Iteration follows the registry's name order, so output is
 /// byte-stable.
 std::string registry_to_prometheus(const Registry& registry);
-
-/// JSON string escaping (exposed for the exporters' tests).
-std::string json_escape(const std::string& s);
 
 /// Prometheus label-value escaping: backslash, double quote, newline
 /// (exposed for the exporters' tests).

@@ -1,7 +1,8 @@
 // Streaming JSON emitter for artifacts (BENCH_*.json, ABUSE_*.json): fields
 // come out in write order with ", " / "\": " separators, and str() adds the
 // trailing newline. Not a general-purpose serializer; obs/export's compact
-// trace JSON is a different format.
+// trace JSON is a different format, but both escape strings with
+// json_escape below.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +11,31 @@
 #include <vector>
 
 namespace p2pdrm::obs {
+
+/// JSON string escaping: quote, backslash, \n, \r and \t by name, other
+/// control bytes as \u00XX, everything else verbatim.
+inline std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 class JsonWriter {
  public:
@@ -21,7 +47,7 @@ class JsonWriter {
   JsonWriter& key(const std::string& k) {
     item();
     out_ += '"';
-    append_escaped(k);
+    out_ += json_escape(k);
     out_ += "\": ";
     after_key_ = true;
     return *this;
@@ -30,7 +56,7 @@ class JsonWriter {
   JsonWriter& value(const std::string& v) {
     item();
     out_ += '"';
-    append_escaped(v);
+    out_ += json_escape(v);
     out_ += '"';
     return *this;
   }
@@ -66,25 +92,6 @@ class JsonWriter {
       first_.back() = false;
     }
   }
-  void append_escaped(const std::string& s) {
-    for (const char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
-  }
-
   std::string out_;
   std::vector<bool> first_;
   bool after_key_ = false;

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "obs/export.h"
+#include "obs/json_writer.h"
 #include "obs/trace.h"
 
 namespace p2pdrm::obs {

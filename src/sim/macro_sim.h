@@ -5,11 +5,11 @@
 // concurrent) logging in, switching channels, joining overlays, and
 // renewing tickets against a small farm of User Managers and Channel
 // Managers. The protocol *logic* is exact (which rounds happen when, what
-// gets renewed, what a renewal costs); the *costs* are a calibrated model:
-// per-request service times measured from this repo's own crypto/protocol
-// microbenchmarks, heavy-tailed residential RTTs, and c-server FIFO queues
-// for the manager farms. Running real RSA for ~80 million simulated rounds
-// would measure our CPU, not the architecture.
+// gets renewed, what a renewal costs); the *costs* are a model: hand-set
+// per-request service times (ServiceCosts; ROADMAP item 1 would derive them
+// from perfbench's measured handler layer), heavy-tailed residential RTTs,
+// and c-server FIFO queues for the manager farms. Running real RSA for ~80
+// million simulated rounds would measure our CPU, not the architecture.
 //
 // Output: per-hour latency reservoirs for the five protocol rounds
 // (LOGIN1, LOGIN2, SWITCH1, SWITCH2, JOIN), the concurrency curve, and
@@ -34,10 +34,11 @@
 
 namespace p2pdrm::sim {
 
-/// Mean server-side service time per request type. Defaults were calibrated
-/// with bench/microbench_crypto and bench/microbench_protocol (1024-bit
-/// RSA): LOGIN2/SWITCH2 are dominated by an RSA sign + verify, LOGIN1 by
-/// symmetric crypto and the DB lookup, JOIN by the peer's RSA encrypt.
+/// Mean server-side service time per request type. The defaults are
+/// hand-set, not measured: LOGIN2/SWITCH2 are dominated by an RSA sign +
+/// verify, LOGIN1 by symmetric crypto and the DB lookup, JOIN by the peer's
+/// RSA encrypt. perfbench's `services.*_us_p50` keys measure the live
+/// handler layer these stand for (1024-bit RSA, on the host that runs it).
 struct ServiceCosts {
   util::SimTime login1 = 300 * util::kMicrosecond;
   util::SimTime login2 = 8 * util::kMillisecond;

@@ -140,11 +140,17 @@ TEST(RsaDecryptTest, WrongLengthRejected) {
 }
 
 TEST(RsaSignTest, SignVerifyRoundTrip) {
-  const auto& kp = test_keypair();
-  const Bytes msg = bytes_of("user ticket body bytes");
-  const Bytes sig = rsa_sign(kp.priv, msg);
-  EXPECT_EQ(sig.size(), kp.pub.modulus_bytes());
-  EXPECT_TRUE(rsa_verify(kp.pub, msg, sig));
+  // Also at 2048 bits, the widest key the suite covers; one fixed-seed key
+  // keeps the keygen cost bounded.
+  SecureRandom rng(2048);
+  const RsaKeyPair wide = generate_rsa_keypair(rng, 2048);
+  ASSERT_EQ(wide.pub.n.bit_length(), 2048u);
+  for (const RsaKeyPair* kp : {&test_keypair(), &wide}) {
+    const Bytes msg = bytes_of("user ticket body bytes");
+    const Bytes sig = rsa_sign(kp->priv, msg);
+    EXPECT_EQ(sig.size(), kp->pub.modulus_bytes());
+    EXPECT_TRUE(rsa_verify(kp->pub, msg, sig));
+  }
 }
 
 TEST(RsaSignTest, SignatureIsDeterministic) {

@@ -10,7 +10,6 @@
 #include "core/content.h"
 #include "core/messages.h"
 #include "net/deployment.h"
-#include "core/secure_channel.h"
 #include "core/ticket.h"
 #include "crypto/chacha20.h"
 #include "net/envelope.h"
@@ -55,7 +54,6 @@ std::vector<Decoder> all_decoders() {
       {"ChannelListResponse",
        [](util::BytesView b) { core::ChannelListResponse::decode(b); }},
       {"ContentPacket", [](util::BytesView b) { core::ContentPacket::decode(b); }},
-      {"SecureHello", [](util::BytesView b) { core::SecureHello::decode(b); }},
       {"RedirectRequest",
        [](util::BytesView b) { services::RedirectRequest::decode(b); }},
       {"RedirectResponse",
@@ -422,8 +420,6 @@ std::vector<CorpusEntry> envelope_corpus() {
       [](util::BytesView b) { core::ContentPacket::decode(b); });
   add("BusyPayload", net::BusyPayload{}.encode(),
       [](util::BytesView b) { net::BusyPayload::decode(b); });
-  add("SecureHello", core::SecureHello{}.encode(),
-      [](util::BytesView b) { core::SecureHello::decode(b); });
   add("Snapshot", store::Snapshot{}.encode(),
       [](util::BytesView b) { store::Snapshot::decode(b); });
   {

@@ -83,6 +83,24 @@ TEST_F(IntegrationTest, WatchFreeChannelEndToEnd) {
   broadcast("live frame 0");
   EXPECT_EQ(alice.content_decrypted(), 1u);
   EXPECT_EQ(alice.content_undecryptable(), 0u);
+
+  // The same login and switch with the deployed 1024-bit keys (every other
+  // test uses the faster 512-bit default).
+  DeploymentConfig cfg = make_config();
+  cfg.key_bits = 1024;
+  Deployment d(cfg);
+  d.add_user("alice@example.com", "alices-password");
+  const geo::RegionId region = d.geo().region_at(0);
+  d.add_regional_channel(1, "news", region);
+  d.start_channel_server(1);
+  AsyncClient& alice1024 = d.add_client("alice@example.com", "alices-password", region);
+  ASSERT_EQ(login(d, alice1024), DrmError::kOk);
+  EXPECT_TRUE(alice1024.user_ticket()->verify(d.um_domain().keys.pub));
+  EXPECT_EQ(d.um_domain().keys.pub.n.bit_length(), 1024u);
+  ASSERT_EQ(switch_to(d, alice1024, 1), DrmError::kOk);
+  d.broadcast(1, util::bytes_of("live frame 0"));
+  d.run_for(5 * kSecond);
+  EXPECT_EQ(alice1024.content_decrypted(), 1u);
 }
 
 TEST_F(IntegrationTest, ForeignRegionChannelDenied) {

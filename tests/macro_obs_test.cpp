@@ -33,7 +33,7 @@ std::vector<obs::SloObjective> objectives() {
 
 struct ObsRun {
   std::string slo_report;
-  std::string trace_jsonl;
+  std::string trace_chrome;
   std::string timeseries_csv;
   std::string breakdown;
 };
@@ -66,7 +66,7 @@ ObsRun run_observed() {
 
   ObsRun out;
   out.slo_report = slo.report();
-  out.trace_jsonl = obs::spans_to_jsonl(tracer);
+  out.trace_chrome = obs::spans_to_chrome_trace(tracer);
   out.timeseries_csv = ts.to_csv();
   out.breakdown = analysis::analyze_critical_path(tracer).to_table();
   return out;
@@ -211,10 +211,11 @@ TEST(MacroObsTest, SloMonitorSeesRoundsAndLoadSignal) {
 TEST(MacroObsTest, SameSeedRunsExportIdenticalBytes) {
   const ObsRun a = run_observed();
   const ObsRun b = run_observed();
-  EXPECT_FALSE(a.trace_jsonl.empty());
+  // Not just the empty envelope: at least one span slice was exported.
+  EXPECT_NE(a.trace_chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_FALSE(a.timeseries_csv.empty());
   EXPECT_EQ(a.slo_report, b.slo_report);
-  EXPECT_EQ(a.trace_jsonl, b.trace_jsonl);
+  EXPECT_EQ(a.trace_chrome, b.trace_chrome);
   EXPECT_EQ(a.timeseries_csv, b.timeseries_csv);
   EXPECT_EQ(a.breakdown, b.breakdown);
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/json_writer.h"
 #include "obs/registry.h"
 #include "obs/runtime.h"
 #include "obs/trace.h"
@@ -267,32 +268,26 @@ TEST(ExportTest, JsonEscape) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("l1\nl2\t."), "l1\\nl2\\t.");
+  EXPECT_EQ(json_escape("cr\r"), "cr\\r");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
-TEST(ExportTest, JsonlOneLinePerSpan) {
-  Tracer t;
-  const SpanId a = t.begin_span("client", "LOGIN1", 1000, 5);
-  t.tag(a, "kind", "login1-req");
-  t.end_span(a, 15, true);
-  t.begin_span("net", "hop \"x\"", 2, 7);
-
-  const std::string out = spans_to_jsonl(t);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-  EXPECT_NE(out.find("\"name\":\"LOGIN1\""), std::string::npos);
-  EXPECT_NE(out.find("\"tags\":[[\"kind\",\"login1-req\"]]"), std::string::npos);
-  EXPECT_NE(out.find("\\\"x\\\""), std::string::npos);  // escaped quote
-  EXPECT_NE(out.find("\"open\":true"), std::string::npos);  // the unended span
+  // The artifact writer escapes through the same function.
+  JsonWriter w;
+  w.begin_object().kv("k\r", "a\"b").end_object();
+  EXPECT_EQ(w.str(), "{\"k\\r\": \"a\\\"b\"}\n");
 }
 
 TEST(ExportTest, ChromeTraceShape) {
   Tracer t;
   const SpanId a = t.begin_span("client", "LOGIN1", 1000, 5);
   t.event(a, 8, "retransmit");
+  t.tag(a, "kind", "login1-req");
   t.end_span(a, 15, true);
+  t.begin_span("net", "hop \"x\"", 2, 7);
 
   const std::string out = spans_to_chrome_trace(t);
   EXPECT_EQ(out.find("{\"traceEvents\":["), 0u);
+  EXPECT_NE(out.find("\"kind\":\"login1-req\""), std::string::npos);  // tag
+  EXPECT_NE(out.find("\\\"x\\\""), std::string::npos);  // escaped quote
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);  // complete slice
   EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);  // instant event
   EXPECT_NE(out.find("\"dur\":10"), std::string::npos);
@@ -418,22 +413,6 @@ TEST(NamingTest, InventoryObeysTheConvention) {
   for (const char* name : kNames) {
     EXPECT_TRUE(metric_name_ok(name)) << name;
   }
-}
-
-TEST(ExportTest, HistogramCsv) {
-  Registry reg;
-  LatencyHistogram& h = reg.histogram("x.latency");
-  for (int i = 1; i <= 100; ++i) h.record(i * 10);
-
-  const std::string summary = histograms_to_csv(reg);
-  EXPECT_EQ(summary.find("name,count,min_us,max_us,mean_us,p50_us,p95_us,p99_us"),
-            0u);
-  EXPECT_NE(summary.find("x.latency,100,10,1000"), std::string::npos);
-
-  const std::string buckets = histogram_buckets_to_csv("x.latency", h);
-  EXPECT_EQ(buckets.find("name,lower_us,upper_us,count"), 0u);
-  // Zero buckets are skipped: every emitted row carries a count.
-  EXPECT_EQ(buckets.find(",0\n"), std::string::npos);
 }
 
 }  // namespace

@@ -40,6 +40,9 @@ void expect_identical(const MacroSimResult& a, const MacroSimResult& b,
   EXPECT_EQ(a.ct_renewals, b.ct_renewals) << label;
   EXPECT_EQ(a.ut_renewals, b.ut_renewals) << label;
   EXPECT_EQ(a.join_retries, b.join_retries) << label;
+  EXPECT_EQ(a.logins_shed, b.logins_shed) << label;
+  EXPECT_EQ(a.busy_retries, b.busy_retries) << label;
+  EXPECT_EQ(a.busy_abandoned, b.busy_abandoned) << label;
   EXPECT_EQ(a.events, b.events) << label;
   EXPECT_EQ(a.peak_observed_concurrency, b.peak_observed_concurrency) << label;
   EXPECT_EQ(a.um_utilization, b.um_utilization) << label;
@@ -108,6 +111,26 @@ TEST(ShardedEngineTest, SameSeedByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(t8.threads_used, 4u);  // clamped to the 4 shards
   expect_identical(t1, t2, "threads 1 vs 2");
   expect_identical(t1, t8, "threads 1 vs 8");
+}
+
+TEST(ShardedEngineTest, PaperScaleDayByteIdenticalAcrossThreadCounts) {
+  // The paper's measurement setting (§VI) for one day: 25k peak viewers,
+  // 200 channels, 2 User Managers and 4 Channel Managers, 8 shards.
+  MacroSimConfig cfg;
+  cfg.days = 1;
+  cfg.peak_concurrent = 25000;
+  cfg.num_channels = 200;
+  cfg.user_manager_servers = 2;
+  cfg.channel_manager_servers = 4;
+  cfg.seed = 20080623;
+  cfg.shards = 8;
+  cfg.threads = 1;
+  const MacroSimResult t1 = run_macro_sim(cfg);
+  cfg.threads = 4;
+  const MacroSimResult t4 = run_macro_sim(cfg);
+  EXPECT_EQ(t4.threads_used, 4u);
+  EXPECT_GT(t1.events, 0u);
+  expect_identical(t1, t4, "paper-scale threads 1 vs 4");
 }
 
 TEST(ShardedEngineTest, ObservabilityIdenticalAcrossThreadCounts) {

@@ -212,31 +212,5 @@ TEST(ReservoirTest, EmptyQuantileIsZero) {
   EXPECT_DOUBLE_EQ(r.median(), 0.0);
 }
 
-TEST(CdfTest, MonotoneAndComplete) {
-  std::vector<double> values;
-  crypto::SecureRandom rng(8);
-  for (int i = 0; i < 5000; ++i) values.push_back(rng.uniform_real());
-  const auto cdf = analysis::empirical_cdf(values, 100);
-  ASSERT_EQ(cdf.size(), 100u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].value, cdf[i - 1].value);
-    EXPECT_GT(cdf[i].cumulative_probability, cdf[i - 1].cumulative_probability);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().cumulative_probability, 1.0);
-  EXPECT_NEAR(cdf[49].value, 0.5, 0.05);  // p=0.5 near the true median
-}
-
-TEST(CdfTest, EmptyInput) {
-  EXPECT_TRUE(analysis::empirical_cdf({}, 10).empty());
-  EXPECT_TRUE(analysis::empirical_cdf({1.0}, 0).empty());
-}
-
-TEST(CdfTest, SmallInput) {
-  const auto cdf = analysis::empirical_cdf({3.0, 1.0, 2.0}, 100);
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf[2].value, 3.0);
-}
-
 }  // namespace
 }  // namespace p2pdrm
