@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "crypto/chacha20.h"
 
@@ -449,6 +451,18 @@ inline Limb mul_add(Limb a, Limb b, Limb c, Limb& carry) {
   return lo;
 }
 
+/// out = t mod n for a k + 1-limb t < 2n: keep t - n unless it borrows past
+/// t's top limb t[k] (t < n).
+inline void subtract_if_ge(Limb* out, const Limb* t, const Limb* n, std::size_t k) {
+  Limb borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const Wide diff = static_cast<Wide>(t[i]) - n[i] - borrow;
+    out[i] = static_cast<Limb>(diff);
+    borrow = static_cast<Limb>(diff >> 64) & 1;
+  }
+  if (borrow > t[k]) std::copy_n(t, k, out);
+}
+
 /// out = a * b * R^{-1} mod n for a, b < n, by one FIOS (finely integrated
 /// operand scanning) pass per limb of a: m is derived from t[0] + a[i] * b[0]
 /// first, then one j loop runs the product carry chain (c1) and the reduction
@@ -487,14 +501,7 @@ class Fios {
       t[k] = static_cast<Limb>(top >> 64);
     }
 
-    // t < 2n: keep t - n unless it borrows past t's top limb t[k] (t < n).
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const Wide diff = static_cast<Wide>(t[i]) - n[i] - borrow;
-      out[i] = static_cast<Limb>(diff);
-      borrow = static_cast<Limb>(diff >> 64) & 1;
-    }
-    if (borrow > t[k]) std::copy_n(t, k, out);
+    subtract_if_ge(out, t, n, k);
   }
 
  private:
@@ -503,6 +510,214 @@ class Fios {
   std::size_t k_;
   std::conditional_t<K != 0, std::array<Limb, K + 1>, std::vector<Limb>> t_;
 };
+
+#if defined(__x86_64__)
+/// What the mulx/adx kernels read through one base register: the multiplier
+/// b and the modulus n, copied in per multiply, and n'.
+template <std::size_t K>
+struct AdxArgs {
+  Limb b[K];
+  Limb n[K];
+  Limb n_prime;
+  Limb top;  // the register rows' top carry limb, held across the reduction
+};
+
+// The mulx/adx rows. Each row adds x * b (x = a[i], in rdx) and then m * n
+// (m = t[0] * n' mod 2^64, also in rdx) into the accumulator t and drops
+// t[0], which the second pass zeroes. Each pass runs two carry chains that
+// do not touch each other's flag: the low product limbs go in with adcx
+// (CF) and the high ones with adox (OF). t < 2n between rows, so after a row
+// its top limb t[k] is 0 or 1; within one, after the x * b pass, t may
+// carry one limb higher still when n's top limb is all ones.
+
+// t_j += low(rdx * v_j) on CF, t_{j+1} += high(rdx * v_j) on OF, with t in
+// the registers t0..tk; v is b or n, as an offset into AdxArgs.
+#define P2PDRM_ADX_STEP(v, j, j1)                \
+  "mulx " v "+8*" #j "(%[s]), %[lo], %[hi]\n\t" \
+  "adcx %[lo], %[t" #j "]\n\t"                  \
+  "adox %[hi], %[t" #j1 "]\n\t"
+#define P2PDRM_ADX_PASS4(v)                                            \
+  P2PDRM_ADX_STEP(v, 0, 1) P2PDRM_ADX_STEP(v, 1, 2) P2PDRM_ADX_STEP(v, 2, 3) \
+  P2PDRM_ADX_STEP(v, 3, 4)
+#define P2PDRM_ADX_PASS8(v)                                            \
+  P2PDRM_ADX_PASS4(v) P2PDRM_ADX_STEP(v, 4, 5) P2PDRM_ADX_STEP(v, 5, 6)      \
+  P2PDRM_ADX_STEP(v, 6, 7) P2PDRM_ADX_STEP(v, 7, 8)
+
+// One row with t in registers. The carry limb above tk after the x * b pass
+// waits in AdxArgs::top; the new top limb comes out in t0's register, whose
+// limb the row has dropped, so the caller renames t down by one limb.
+#define P2PDRM_ADX_ROW(PASS, k)                                        \
+  "xor %k[lo], %k[lo]\n\t" /* clear CF and OF */                       \
+  PASS("%c[b]")                                                        \
+  "mov $0, %k[lo]\n\t" /* mov leaves the flags alone */                \
+  "adcx %[lo], %[t" #k "]\n\t"                                         \
+  "mov $0, %k[hi]\n\t"                                                 \
+  "adcx %[lo], %[hi]\n\t"                                              \
+  "adox %[lo], %[hi]\n\t"                                              \
+  "mov %[hi], %c[top](%[s])\n\t"                                       \
+  "mov %[t0], %[x]\n\t"                                                \
+  "imul %c[np](%[s]), %[x]\n\t"                                        \
+  "xor %k[lo], %k[lo]\n\t"                                             \
+  PASS("%c[n]")                                                        \
+  "adcx %[t0], %[t" #k "]\n\t" /* t0 is now 0 */                       \
+  "mov %c[top](%[s]), %[hi]\n\t"                                       \
+  "adcx %[t0], %[hi]\n\t"                                              \
+  "adox %[t0], %[hi]\n\t"                                              \
+  "mov %[hi], %[t0]\n\t"
+
+// The same with t in memory, for widths whose t does not fit in registers:
+// w points at this row's t[0], and two registers carry t_j and t_{j+1},
+// swapping roles every step. Each pass ends by storing t_k and the carry
+// limb above it; the caller moves w up one limb instead of shifting t.
+#define P2PDRM_ADX_MSTEP(v, j, c, y)                   \
+  "mulx " v "+8*" #j "(%[s]), %[lo], %[hi]\n\t"       \
+  "adcx %[lo], %[" #c "]\n\t"                         \
+  "adox %[hi], %[" #y "]\n\t"                         \
+  "mov %[" #c "], 8*" #j "(%[w])\n\t"                 \
+  "mov 8*" #j "+16(%[w]), %[" #c "]\n\t"
+#define P2PDRM_ADX_MPASS16(v)                                                  \
+  "xor %k[lo], %k[lo]\n\t"                                                     \
+  "mov (%[w]), %[r0]\n\t"                                                      \
+  "mov 8(%[w]), %[r1]\n\t"                                                     \
+  P2PDRM_ADX_MSTEP(v, 0, r0, r1) P2PDRM_ADX_MSTEP(v, 1, r1, r0)                \
+  P2PDRM_ADX_MSTEP(v, 2, r0, r1) P2PDRM_ADX_MSTEP(v, 3, r1, r0)                \
+  P2PDRM_ADX_MSTEP(v, 4, r0, r1) P2PDRM_ADX_MSTEP(v, 5, r1, r0)                \
+  P2PDRM_ADX_MSTEP(v, 6, r0, r1) P2PDRM_ADX_MSTEP(v, 7, r1, r0)                \
+  P2PDRM_ADX_MSTEP(v, 8, r0, r1) P2PDRM_ADX_MSTEP(v, 9, r1, r0)                \
+  P2PDRM_ADX_MSTEP(v, 10, r0, r1) P2PDRM_ADX_MSTEP(v, 11, r1, r0)              \
+  P2PDRM_ADX_MSTEP(v, 12, r0, r1) P2PDRM_ADX_MSTEP(v, 13, r1, r0)              \
+  P2PDRM_ADX_MSTEP(v, 14, r0, r1) P2PDRM_ADX_MSTEP(v, 15, r1, r0)              \
+  "mov $0, %k[lo]\n\t" /* r0 holds t_16, r1 the limb above */                  \
+  "adcx %[lo], %[r0]\n\t"                                                      \
+  "adcx %[lo], %[r1]\n\t"                                                      \
+  "adox %[lo], %[r1]\n\t"                                                      \
+  "mov %[r0], 8*16(%[w])\n\t"                                                  \
+  "mov %[r1], 8*17(%[w])\n\t"
+#define P2PDRM_ADX_MROW16                     \
+  P2PDRM_ADX_MPASS16("%c[b]")                 \
+  "mov (%[w]), %[x]\n\t"                      \
+  "imul %c[np](%[s]), %[x]\n\t"               \
+  P2PDRM_ADX_MPASS16("%c[n]")
+
+#define P2PDRM_ADX_INPUTS(K)                                              \
+  [s] "r"(&args), [b] "i"(offsetof(AdxArgs<K>, b)),                       \
+      [n] "i"(offsetof(AdxArgs<K>, n)),                                   \
+      [np] "i"(offsetof(AdxArgs<K>, n_prime)),                            \
+      [top] "i"(offsetof(AdxArgs<K>, top))
+
+/// Row I of the register kernel. Limb j of the accumulator is t[(I + 1 + j)
+/// % (K + 1)] going in, so the row's new top limb, which it leaves in t0's
+/// register, lands where the next row wants it: the limbs are renamed, not
+/// moved, and after the last row t is in order.
+template <std::size_t K, std::size_t I>
+__attribute__((always_inline)) inline void adx_row(
+    std::array<Limb, K + 1>& t, Limb x, const AdxArgs<K>& args) {
+  constexpr auto at = [](std::size_t j) { return (I + 1 + j) % (K + 1); };
+  Limb lo = 0, hi = 0;
+  if constexpr (K == 4) {
+    asm(P2PDRM_ADX_ROW(P2PDRM_ADX_PASS4, 4)
+        : [t0] "+r"(t[at(0)]), [t1] "+r"(t[at(1)]), [t2] "+r"(t[at(2)]),
+          [t3] "+r"(t[at(3)]), [t4] "+r"(t[at(4)]), [lo] "=&r"(lo), [hi] "=&r"(hi),
+          [x] "+d"(x)
+        : P2PDRM_ADX_INPUTS(K)
+        : "cc", "memory");
+  } else {
+    asm(P2PDRM_ADX_ROW(P2PDRM_ADX_PASS8, 8)
+        : [t0] "+r"(t[at(0)]), [t1] "+r"(t[at(1)]), [t2] "+r"(t[at(2)]),
+          [t3] "+r"(t[at(3)]), [t4] "+r"(t[at(4)]), [t5] "+r"(t[at(5)]),
+          [t6] "+r"(t[at(6)]), [t7] "+r"(t[at(7)]), [t8] "+r"(t[at(8)]),
+          [lo] "=&r"(lo), [hi] "=&r"(hi), [x] "+d"(x)
+        : P2PDRM_ADX_INPUTS(K)
+        : "cc", "memory");
+  }
+}
+
+template <std::size_t K, std::size_t... I>
+__attribute__((always_inline)) inline void adx_rows(
+    std::array<Limb, K + 1>& t, const Limb* a, const AdxArgs<K>& args,
+    std::index_sequence<I...>) {
+  (adx_row<K, I>(t, a[I], args), ...);
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+template <std::size_t K>
+void mont_mul_fios(Limb* out, const Limb* a, const Limb* b, const Limb* n, Limb n_prime) {
+  Fios<K>(n, n_prime, K)(out, a, b);
+}
+
+template void mont_mul_fios<4>(Limb*, const Limb*, const Limb*, const Limb*, Limb);
+template void mont_mul_fios<8>(Limb*, const Limb*, const Limb*, const Limb*, Limb);
+template void mont_mul_fios<16>(Limb*, const Limb*, const Limb*, const Limb*, Limb);
+
+#if defined(__x86_64__)
+bool cpu_has_adx() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx");
+}
+
+template <std::size_t K>
+__attribute__((target("bmi2,adx"))) void mont_mul_adx(Limb* out, const Limb* a,
+                                                      const Limb* b, const Limb* n,
+                                                      Limb n_prime) {
+  static_assert(K == 4 || K == 8 || K == 16);
+  AdxArgs<K> args{};
+  std::copy_n(b, K, args.b);
+  std::copy_n(n, K, args.n);
+  args.n_prime = n_prime;
+  if constexpr (K == 16) {
+    // Row i works on t[i .. i + K + 1]; the product ends in t[K .. 2K].
+    std::array<Limb, 2 * K + 1> t{};
+    for (std::size_t i = 0; i < K; ++i) {
+      Limb lo = 0, hi = 0, r0 = 0, r1 = 0, x = a[i];
+      // volatile: the row's results are the stores through w.
+      asm volatile(P2PDRM_ADX_MROW16
+          : [lo] "=&r"(lo), [hi] "=&r"(hi), [r0] "=&r"(r0), [r1] "=&r"(r1), [x] "+d"(x)
+          : P2PDRM_ADX_INPUTS(K), [w] "r"(t.data() + i)
+          : "cc", "memory");
+    }
+    subtract_if_ge(out, t.data() + K, n, K);
+  } else {
+    std::array<Limb, K + 1> t{};
+    adx_rows(t, a, args, std::make_index_sequence<K>{});
+    // A copy, so that t's own address is never taken and t stays in registers.
+    const std::array<Limb, K + 1> result = t;
+    subtract_if_ge(out, result.data(), n, K);
+  }
+}
+
+template void mont_mul_adx<4>(Limb*, const Limb*, const Limb*, const Limb*, Limb);
+template void mont_mul_adx<8>(Limb*, const Limb*, const Limb*, const Limb*, Limb);
+template void mont_mul_adx<16>(Limb*, const Limb*, const Limb*, const Limb*, Limb);
+
+#undef P2PDRM_ADX_STEP
+#undef P2PDRM_ADX_PASS4
+#undef P2PDRM_ADX_PASS8
+#undef P2PDRM_ADX_ROW
+#undef P2PDRM_ADX_MSTEP
+#undef P2PDRM_ADX_MPASS16
+#undef P2PDRM_ADX_MROW16
+#undef P2PDRM_ADX_INPUTS
+#endif
+
+}  // namespace detail
+
+namespace {
+
+/// The kernel for width K, picked on first use.
+template <std::size_t K>
+detail::MontMulKernel kernel_for_width() {
+  static const detail::MontMulKernel kernel = [] {
+#if defined(__x86_64__)
+    if (detail::cpu_has_adx()) return &detail::mont_mul_adx<K>;
+#endif
+    return &detail::mont_mul_fios<K>;
+  }();
+  return kernel;
+}
 
 }  // namespace
 
@@ -544,8 +759,15 @@ BigUInt Montgomery::pow(const BigUInt& base, const BigUInt& exp) const {
 
 template <std::size_t K>
 BigUInt Montgomery::pow_width(const BigUInt& base, const BigUInt& exp) const {
-  Fios<K> mul(n64_.data(), n_prime_, k_);
-  const std::size_t k = mul.k();
+  const std::size_t k = K != 0 ? K : k_;
+  auto mul = [&] {
+    if constexpr (K == 0) {
+      return Fios<0>(n64_.data(), n_prime_, k_);
+    } else {
+      return [kernel = kernel_for_width<K>(), n = n64_.data(), n_prime = n_prime_](
+                 Limb* out, const Limb* a, const Limb* b) { kernel(out, a, b, n, n_prime); };
+    }
+  }();
   const std::size_t bits = exp.bit_length();
   const unsigned w = window_bits(bits);
   const std::size_t entries = std::size_t{1} << w;

@@ -3,11 +3,13 @@
 // exponentiation, extended-Euclid inverse. BigUInt stores 32-bit limbs with
 // 64-bit intermediates so the general arithmetic is portable and easy to
 // audit. The Montgomery kernel, which is nearly all of an RSA private
-// operation, repacks its operands into 64-bit limbs and multiplies them with
-// 128-bit products.
+// operation, repacks its operands into 64-bit limbs; on x86-64 CPUs with
+// BMI2 and ADX it multiplies them with mulx and two carry chains, elsewhere
+// with portable 128-bit products.
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -96,18 +98,48 @@ struct DivModResult {
   BigUInt remainder;
 };
 
+namespace detail {
+
+/// Montgomery multiply kernels at a fixed width of K 64-bit limbs, compiled
+/// for K = 4, 8 and 16 (256-, 512- and 1024-bit moduli): out = a * b *
+/// R^{-1} mod n with R = 2^(64K), for a, b < n, n odd, and n_prime =
+/// -n^{-1} mod 2^64. out may alias a or b. Montgomery::pow is the production
+/// caller; both kernels give the same limbs for the same inputs.
+using MontMulKernel = void (*)(std::uint64_t* out, const std::uint64_t* a,
+                               const std::uint64_t* b, const std::uint64_t* n,
+                               std::uint64_t n_prime);
+/// Portable FIOS with 128-bit products.
+template <std::size_t K>
+void mont_mul_fios(std::uint64_t* out, const std::uint64_t* a, const std::uint64_t* b,
+                   const std::uint64_t* n, std::uint64_t n_prime);
+#if defined(__x86_64__)
+/// The CPU has both BMI2 (mulx) and ADX (adcx, adox).
+bool cpu_has_adx();
+/// mulx with two carry chains (adcx, adox). Requires cpu_has_adx().
+template <std::size_t K>
+__attribute__((target("bmi2,adx"))) void mont_mul_adx(std::uint64_t* out,
+                                                      const std::uint64_t* a,
+                                                      const std::uint64_t* b,
+                                                      const std::uint64_t* n,
+                                                      std::uint64_t n_prime);
+#endif
+
+}  // namespace detail
+
 /// Montgomery exponentiation for a fixed odd modulus n. Operands are 64-bit
-/// limbs; products are 128-bit. The context holds n, -n^{-1} mod 2^64 and
-/// R^2 mod n (R = 2^(64k)). BigUInt::mod_pow builds one per exponentiation,
-/// and so RSA does too; building it costs one division, which is negligible
-/// beside the exponentiation. Miller–Rabin reuses one across its rounds.
-/// Each multiply is one FIOS pass per limb: the product and reduction carry
-/// chains run side by side in one inner loop. The kernel and the
-/// exponentiation around it are one template on the limb count k, compiled
-/// with k fixed for k = 4, 8 and 16 (256-, 512- and 1024-bit moduli: the RSA
-/// halves and public operations of 512- and 1024-bit keys) and with k read
-/// at run time for every other width.
-/// Variable-time: this is a reproduction, not a hardened library.
+/// limbs. The context holds n, -n^{-1} mod 2^64 and R^2 mod n
+/// (R = 2^(64k)). BigUInt::mod_pow builds one per exponentiation, and so RSA
+/// does too; building it costs one division, which is negligible beside the
+/// exponentiation. Miller–Rabin reuses one across its rounds.
+/// At k = 4, 8 and 16 limbs (256-, 512- and 1024-bit moduli: the RSA halves
+/// and public operations of 512- and 1024-bit keys) each multiply is one of
+/// the detail:: kernels, picked once per process: mont_mul_adx on x86-64
+/// CPUs with BMI2 and ADX, else mont_mul_fios. Every other width runs the
+/// same FIOS code with k read at run time. FIOS is one pass per limb with
+/// 128-bit products, the product and reduction carry chains side by side in
+/// one inner loop.
+/// Variable-time, both kernels included: this is a reproduction, not a
+/// hardened library.
 class Montgomery {
  public:
   /// mod must be odd and >= 3.
@@ -125,7 +157,8 @@ class Montgomery {
  private:
   using Limb = std::uint64_t;
 
-  /// pow for exp > 0 with k fixed at K limbs, or read from k_ when K = 0.
+  /// pow for exp > 0 with k fixed at K limbs (multiplying with the kernel
+  /// picked for K), or read from k_ when K = 0.
   template <std::size_t K>
   BigUInt pow_width(const BigUInt& base, const BigUInt& exp) const;
 

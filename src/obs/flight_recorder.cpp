@@ -62,6 +62,8 @@ void crash_handler(int sig) {
 /// Small write buffer flushed with write(2); every formatter below is
 /// loop-and-arithmetic only (no stdio, no malloc, no locale).
 struct FdWriter {
+  explicit FdWriter(int out_fd) : fd(out_fd) {}
+
   int fd;
   char buf[512];
   std::size_t len = 0;

@@ -293,6 +293,157 @@ TEST(MontgomeryTest, MatchesReferenceAtEveryKernelWidth) {
   }
 }
 
+// The width-K Montgomery kernels, called directly. Production reaches
+// mont_mul_fios at these widths only on CPUs without BMI2/ADX, and
+// mont_mul_adx only on CPUs with them, so these cases check each against the
+// other and against BigUInt arithmetic. There is no switch to force either
+// path in production.
+#if defined(__x86_64__)
+using Limbs = std::vector<std::uint64_t>;
+
+Limbs to_limbs(const BigUInt& v, std::size_t k) {
+  const util::Bytes be = v.to_bytes_be(8 * k);
+  Limbs out(k);
+  for (std::size_t i = 0; i < 8 * k; ++i) {
+    out[i / 8] |= std::uint64_t{be[8 * k - 1 - i]} << (8 * (i % 8));
+  }
+  return out;
+}
+
+BigUInt from_limbs(const Limbs& v) {
+  util::Bytes be(8 * v.size());
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    be[be.size() - 1 - i] = static_cast<std::uint8_t>(v[i / 8] >> (8 * (i % 8)));
+  }
+  return BigUInt::from_bytes_be(be);
+}
+
+struct KernelPair {
+  detail::MontMulKernel fios;
+  detail::MontMulKernel adx;
+};
+
+KernelPair kernels_at(std::size_t k) {
+  switch (k) {
+    case 4: return {&detail::mont_mul_fios<4>, &detail::mont_mul_adx<4>};
+    case 8: return {&detail::mont_mul_fios<8>, &detail::mont_mul_adx<8>};
+    default: return {&detail::mont_mul_fios<16>, &detail::mont_mul_adx<16>};
+  }
+}
+
+/// An odd modulus of exactly k limbs with its n' = -n^{-1} mod 2^64.
+struct Modulus {
+  explicit Modulus(const BigUInt& v, std::size_t k) : value(v), limbs(to_limbs(v, k)) {
+    std::uint64_t inv = 1;
+    for (int i = 0; i < 6; ++i) inv *= 2 - limbs[0] * inv;
+    n_prime = ~inv + 1;
+  }
+  BigUInt value;
+  Limbs limbs;
+  std::uint64_t n_prime;
+};
+
+class MontKernelTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    if (!detail::cpu_has_adx()) GTEST_SKIP() << "CPU lacks BMI2 or ADX";
+  }
+
+  std::size_t k() const { return GetParam(); }
+
+  /// A random modulus, R - 1, and one whose top limb is all ones.
+  std::vector<Modulus> moduli(SecureRandom& rng) const {
+    const BigUInt r_minus_1 = (BigUInt(1) << (64 * k())) - BigUInt(1);
+    BigUInt random_mod = BigUInt::random_with_bits(rng, 64 * k());
+    if (random_mod.is_even()) random_mod += BigUInt(1);
+    const BigUInt top_ones_mod =
+        r_minus_1 - ((BigUInt::random_below(rng, r_minus_1) >> 65) << 1);
+    return {Modulus(random_mod, k()), Modulus(r_minus_1, k()),
+            Modulus(top_ones_mod, k())};
+  }
+
+  /// Runs both kernels on a * b, expects the same limbs from each and that
+  /// they are a * b * R^{-1} mod n, and returns them.
+  Limbs expect_kernels_agree(const Modulus& m, const Limbs& a, const Limbs& b) const {
+    const KernelPair kp = kernels_at(k());
+    Limbs fios(k()), adx(k());
+    kp.fios(fios.data(), a.data(), b.data(), m.limbs.data(), m.n_prime);
+    kp.adx(adx.data(), a.data(), b.data(), m.limbs.data(), m.n_prime);
+    EXPECT_EQ(adx, fios) << k() << " limbs, n=" << m.value.to_hex()
+                         << " a=" << from_limbs(a).to_hex() << " b=" << from_limbs(b).to_hex();
+    // out * R == a * b (mod n), and out < n.
+    const BigUInt out = from_limbs(adx);
+    EXPECT_LT(out, m.value);
+    EXPECT_EQ((out << (64 * k())) % m.value, (from_limbs(a) * from_limbs(b)) % m.value);
+    return adx;
+  }
+};
+
+TEST_P(MontKernelTest, AdxMatchesFiosOnRandomOperands) {
+  SecureRandom rng(22 + k());
+  for (const Modulus& m : moduli(rng)) {
+    for (int iter = 0; iter < 200; ++iter) {
+      expect_kernels_agree(m, to_limbs(BigUInt::random_below(rng, m.value), k()),
+                           to_limbs(BigUInt::random_below(rng, m.value), k()));
+    }
+  }
+}
+
+TEST_P(MontKernelTest, AdxMatchesFiosOnEdgeOperands) {
+  SecureRandom rng(220 + k());
+  for (const Modulus& m : moduli(rng)) {
+    const std::vector<Limbs> edges = {to_limbs(BigUInt(), k()), to_limbs(BigUInt(1), k()),
+                                      to_limbs(m.value - BigUInt(1), k()),
+                                      to_limbs(BigUInt::random_below(rng, m.value), k())};
+    for (const Limbs& a : edges) {
+      for (const Limbs& b : edges) expect_kernels_agree(m, a, b);
+    }
+  }
+}
+
+TEST_P(MontKernelTest, AdxOutputMayAliasEitherOperand) {
+  SecureRandom rng(2200 + k());
+  const KernelPair kp = kernels_at(k());
+  for (const Modulus& m : moduli(rng)) {
+    const Limbs a = to_limbs(BigUInt::random_below(rng, m.value), k());
+    const Limbs b = to_limbs(BigUInt::random_below(rng, m.value), k());
+    const Limbs ab = expect_kernels_agree(m, a, b);
+    const Limbs aa = expect_kernels_agree(m, a, a);
+    Limbs out = a;
+    kp.adx(out.data(), out.data(), b.data(), m.limbs.data(), m.n_prime);
+    EXPECT_EQ(out, ab);
+    out = b;
+    kp.adx(out.data(), a.data(), out.data(), m.limbs.data(), m.n_prime);
+    EXPECT_EQ(out, ab);
+    out = a;
+    kp.adx(out.data(), out.data(), out.data(), m.limbs.data(), m.n_prime);
+    EXPECT_EQ(out, aa);
+  }
+}
+
+// 10^4 chained products, each kernel feeding on its own output, so an
+// error in any step carries to the end.
+TEST_P(MontKernelTest, AdxMatchesFiosOverAChainedProduct) {
+  SecureRandom rng(22000 + k());
+  const KernelPair kp = kernels_at(k());
+  for (const Modulus& m : moduli(rng)) {
+    Limbs x_fios = to_limbs(BigUInt::random_below(rng, m.value), k());
+    Limbs y_fios = to_limbs(BigUInt::random_below(rng, m.value), k());
+    Limbs x_adx = x_fios, y_adx = y_fios;
+    for (int step = 0; step < 10000; ++step) {
+      kp.fios(x_fios.data(), x_fios.data(), y_fios.data(), m.limbs.data(), m.n_prime);
+      kp.fios(y_fios.data(), y_fios.data(), y_fios.data(), m.limbs.data(), m.n_prime);
+      kp.adx(x_adx.data(), x_adx.data(), y_adx.data(), m.limbs.data(), m.n_prime);
+      kp.adx(y_adx.data(), y_adx.data(), y_adx.data(), m.limbs.data(), m.n_prime);
+      ASSERT_EQ(x_adx, x_fios) << k() << " limbs, step " << step;
+    }
+    EXPECT_EQ(y_adx, y_fios);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, MontKernelTest, ::testing::Values(4, 8, 16));
+#endif
+
 TEST(MontgomeryTest, RejectsEvenModulus) {
   EXPECT_THROW(Montgomery(BigUInt(8)), std::domain_error);
   EXPECT_THROW(Montgomery(BigUInt(1)), std::domain_error);

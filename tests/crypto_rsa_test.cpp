@@ -221,5 +221,24 @@ TEST(RsaGoldenTest, Rsa1024KeyAndSignaturePinned) {
             "c80f63eada2cbdd1792e55d1478d6315f062edb51fab9c10fd5e4357b10fe668");
 }
 
+// Byte identity at the client key size: clients hold 512-bit keys, so the
+// CRT halves run the 256-bit (4-limb) Montgomery kernel and the public
+// operations the 512-bit one. Values recorded before the mulx/adx kernel.
+TEST(RsaGoldenTest, Rsa512KeySignatureAndDecryptPinned) {
+  SecureRandom rng(512);
+  const RsaKeyPair kp = generate_rsa_keypair(rng, 512);
+  EXPECT_EQ(util::to_hex(kp.pub.fingerprint()),
+            "c4b9f75a6a6e825d8238cc19a79b9f24fcc7b9c2ec76d7ae54cf485dde4d5f16");
+  EXPECT_EQ(util::to_hex(rsa_sign(kp.priv, bytes_of("client login body"))),
+            "045ea101fa71fb8f71685162376bbcd4120b38a8d12d4cf071f6828b0779348e"
+            "31e252dde815fb43d94ea4c22e19a110a74cd76b8045cfc7135565bd8b8ee608");
+  SecureRandom padding(5120);
+  const Bytes ct = rsa_encrypt(kp.pub, bytes_of("session key"), padding);
+  EXPECT_EQ(util::to_hex(ct),
+            "7b831d13f2853db9fb2499612711b4fe57cda2f5061f63005a1c52f886994d35"
+            "a68a4dfc71c76c578dcfff11ea103685cbbb91614fc60b812f9bfb4d2e1aaabe");
+  EXPECT_EQ(rsa_decrypt(kp.priv, ct), bytes_of("session key"));
+}
+
 }  // namespace
 }  // namespace p2pdrm::crypto

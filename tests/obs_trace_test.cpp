@@ -48,7 +48,7 @@ class KindDropper final : public SendInterceptor {
       if (const auto env = Envelope::decode(*ctx.data);
           env && env->kind == kind_) {
         --remaining_;
-        return {.drop = true};
+        return {.drop = true, .extra_delay = 0, .replace = std::nullopt};
       }
     }
     return {};
@@ -69,7 +69,7 @@ class FixedDelay final : public SendInterceptor {
 
   Verdict on_send(const SendContext&) override {
     ++seen_;
-    return {.drop = false, .extra_delay = delay_};
+    return {.drop = false, .extra_delay = delay_, .replace = std::nullopt};
   }
 
   std::uint64_t seen() const { return seen_; }
