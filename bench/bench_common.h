@@ -68,7 +68,7 @@ inline void write_file(const std::string& path, const std::string& content) {
   }
   std::fwrite(content.data(), 1, content.size(), f);
   std::fclose(f);
-  std::printf("# wrote %s (%zu bytes)\n", path.c_str(), content.size());
+  std::printf("# wrote %s\n", path.c_str());
 }
 
 /// Round SLOs for the paper-scale macro-sim: generous targets (the paper's

@@ -32,21 +32,6 @@ std::string AttrValue::to_string() const {
   return "?";
 }
 
-void AttrValue::encode(util::WireWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(kind_));
-  if (kind_ == Kind::kValue) w.str(value_);
-}
-
-AttrValue AttrValue::decode(util::WireReader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(Kind::kNull)) {
-    throw util::WireError("AttrValue: bad kind " + std::to_string(raw));
-  }
-  const Kind kind = static_cast<Kind>(raw);
-  if (kind == Kind::kValue) return of(r.str());
-  return AttrValue(kind);
-}
-
 bool values_match(const AttrValue& rule, const AttrValue& presented) {
   using Kind = AttrValue::Kind;
   // NONE/NULL on either side never match.
@@ -68,24 +53,6 @@ std::string Attribute::to_string() const {
   return "<" + name + "=" + value.to_string() + ", stime=" + util::format_time(stime) +
          ", etime=" + util::format_time(etime) + ", utime=" + util::format_time(utime) +
          ">";
-}
-
-void Attribute::encode(util::WireWriter& w) const {
-  w.str(name);
-  value.encode(w);
-  w.i64(stime);
-  w.i64(etime);
-  w.i64(utime);
-}
-
-Attribute Attribute::decode(util::WireReader& r) {
-  Attribute a;
-  a.name = r.str();
-  a.value = AttrValue::decode(r);
-  a.stime = r.i64();
-  a.etime = r.i64();
-  a.utime = r.i64();
-  return a;
 }
 
 std::size_t AttributeSet::remove_all(const std::string& name) {
@@ -136,20 +103,6 @@ std::optional<util::SimTime> AttributeSet::latest_update() const {
     if (!latest || a.utime > *latest) latest = a.utime;
   }
   return latest;
-}
-
-void AttributeSet::encode(util::WireWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(attrs_.size()));
-  for (const Attribute& a : attrs_) a.encode(w);
-}
-
-AttributeSet AttributeSet::decode(util::WireReader& r) {
-  const std::uint32_t count = r.u32();
-  // Sanity bound: a ticket with millions of attributes is malformed.
-  if (count > 10000) throw util::WireError("AttributeSet: implausible count");
-  AttributeSet out;
-  for (std::uint32_t i = 0; i < count; ++i) out.add(Attribute::decode(r));
-  return out;
 }
 
 }  // namespace p2pdrm::core

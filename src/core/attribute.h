@@ -59,13 +59,26 @@ class AttrValue {
   /// Rendering: concrete value as-is, specials as "ANY"/"ALL"/"NONE"/"NULL".
   std::string to_string() const;
 
-  void encode(util::WireWriter& w) const;
-  static AttrValue decode(util::WireReader& r);
+  void encode(util::WireWriter& w) const { w(*this); }
+  static AttrValue decode(util::WireReader& r) { return r.read<AttrValue>(); }
 
   friend bool operator==(const AttrValue&, const AttrValue&) = default;
+  friend constexpr util::EnumRange<Kind> wire_range(Kind) {
+    return {Kind::kValue, Kind::kNull};
+  }
 
  private:
+  friend class util::WireWriter;
+  friend class util::WireReader;
+
   explicit AttrValue(Kind kind) : kind_(kind) {}
+
+  /// The kind, then the string for a concrete value only.
+  template <class Io>
+  void fields(Io& io) {
+    io(kind_);
+    if (kind_ == Kind::kValue) io(value_);
+  }
 
   Kind kind_ = Kind::kNull;
   std::string value_;
@@ -92,8 +105,12 @@ struct Attribute {
 
   std::string to_string() const;
 
-  void encode(util::WireWriter& w) const;
-  static Attribute decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(name, value, stime, etime, utime);
+  }
+  void encode(util::WireWriter& w) const { w(*this); }
+  static Attribute decode(util::WireReader& r) { return r.read<Attribute>(); }
 
   friend bool operator==(const Attribute&, const Attribute&) = default;
 };
@@ -133,12 +150,21 @@ class AttributeSet {
   /// Latest non-null utime across all attributes (nullopt if none).
   std::optional<util::SimTime> latest_update() const;
 
-  void encode(util::WireWriter& w) const;
-  static AttributeSet decode(util::WireReader& r);
+  void encode(util::WireWriter& w) const { w(*this); }
+  static AttributeSet decode(util::WireReader& r) { return r.read<AttributeSet>(); }
 
   friend bool operator==(const AttributeSet&, const AttributeSet&) = default;
 
  private:
+  friend class util::WireWriter;
+  friend class util::WireReader;
+
+  /// Sanity bound: a ticket with millions of attributes is malformed.
+  template <class Io>
+  void fields(Io& io) {
+    io(util::counted(attrs_, 10000));
+  }
+
   std::vector<Attribute> attrs_;
 };
 

@@ -20,20 +20,6 @@ util::Bytes challenge_mac(util::BytesView farm_secret, std::string_view context,
 
 }  // namespace
 
-void Challenge::encode(util::WireWriter& w) const {
-  w.bytes(nonce);
-  w.i64(issued_at);
-  w.bytes(mac);
-}
-
-Challenge Challenge::decode(util::WireReader& r) {
-  Challenge c;
-  c.nonce = r.bytes();
-  c.issued_at = r.i64();
-  c.mac = r.bytes();
-  return c;
-}
-
 Challenge make_challenge(util::BytesView farm_secret, std::string_view context,
                          util::BytesView binding, util::BytesView nonce,
                          util::SimTime now) {

@@ -23,8 +23,12 @@ struct Challenge {
   util::SimTime issued_at = 0;  // manager clock when issued
   util::Bytes mac;              // binds nonce + context + issued_at to the farm secret
 
-  void encode(util::WireWriter& w) const;
-  static Challenge decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(nonce, issued_at, mac);
+  }
+  void encode(util::WireWriter& w) const { w(*this); }
+  static Challenge decode(util::WireReader& r) { return r.read<Challenge>(); }
 
   friend bool operator==(const Challenge&, const Challenge&) = default;
 };

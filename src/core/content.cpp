@@ -4,23 +4,6 @@
 
 namespace p2pdrm::core {
 
-void ContentKey::encode(util::WireWriter& w) const {
-  w.u8(serial);
-  w.raw(key);
-  w.u64(nonce);
-  w.i64(activation);
-}
-
-ContentKey ContentKey::decode(util::WireReader& r) {
-  ContentKey k;
-  k.serial = r.u8();
-  const util::Bytes raw = r.raw(crypto::kAesKeySize);
-  std::copy(raw.begin(), raw.end(), k.key.begin());
-  k.nonce = r.u64();
-  k.activation = r.i64();
-  return k;
-}
-
 ContentKey generate_content_key(crypto::SecureRandom& rng, std::uint8_t serial,
                                 util::SimTime activation) {
   ContentKey k;
@@ -94,25 +77,6 @@ std::optional<ContentKey> unwrap_content_key(util::BytesView blob,
   } catch (const util::WireError&) {
     return std::nullopt;
   }
-}
-
-util::Bytes ContentPacket::encode() const {
-  util::WireWriter w;
-  w.u32(channel);
-  w.u8(key_serial);
-  w.u64(seq);
-  w.bytes(payload);
-  return w.take();
-}
-
-ContentPacket ContentPacket::decode(util::BytesView data) {
-  util::WireReader r(data);
-  ContentPacket p;
-  p.channel = r.u32();
-  p.key_serial = r.u8();
-  p.seq = r.u64();
-  p.payload = r.bytes();
-  return p;
 }
 
 namespace {

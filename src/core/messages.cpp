@@ -24,302 +24,4 @@ std::string_view to_string(DrmError e) {
   return "unknown-error";
 }
 
-namespace {
-
-DrmError decode_error(util::WireReader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(DrmError::kWrongDomain)) {
-    throw util::WireError("DrmError: bad code " + std::to_string(raw));
-  }
-  return static_cast<DrmError>(raw);
-}
-
-}  // namespace
-
-void ChecksumParams::encode(util::WireWriter& w) const {
-  w.u32(offset);
-  w.u32(length);
-  w.u64(salt);
-}
-
-ChecksumParams ChecksumParams::decode(util::WireReader& r) {
-  ChecksumParams p;
-  p.offset = r.u32();
-  p.length = r.u32();
-  p.salt = r.u64();
-  return p;
-}
-
-util::Bytes Login1Request::encode() const {
-  util::WireWriter w;
-  w.u16(version);
-  w.str(email);
-  w.bytes(client_public_key.encode());
-  w.u32(client_version);
-  return w.take();
-}
-
-Login1Request Login1Request::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Login1Request m;
-  m.version = r.u16();
-  m.email = r.str();
-  m.client_public_key = crypto::RsaPublicKey::decode(r.bytes());
-  m.client_version = r.u32();
-  return m;
-}
-
-util::Bytes Login1Response::encode() const {
-  util::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(error));
-  w.bytes(encrypted_params);
-  challenge.encode(w);
-  return w.take();
-}
-
-Login1Response Login1Response::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Login1Response m;
-  m.error = decode_error(r);
-  m.encrypted_params = r.bytes();
-  m.challenge = Challenge::decode(r);
-  return m;
-}
-
-util::Bytes Login2Request::encode() const {
-  util::WireWriter w;
-  w.u16(version);
-  w.str(email);
-  w.bytes(client_public_key.encode());
-  w.u32(client_version);
-  params.encode(w);
-  w.bytes(checksum);
-  challenge.encode(w);
-  w.bytes(proof);
-  return w.take();
-}
-
-Login2Request Login2Request::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Login2Request m;
-  m.version = r.u16();
-  m.email = r.str();
-  m.client_public_key = crypto::RsaPublicKey::decode(r.bytes());
-  m.client_version = r.u32();
-  m.params = ChecksumParams::decode(r);
-  m.checksum = r.bytes();
-  m.challenge = Challenge::decode(r);
-  m.proof = r.bytes();
-  return m;
-}
-
-util::Bytes Login2Response::encode() const {
-  util::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(error));
-  w.u8(ticket.has_value() ? 1 : 0);
-  if (ticket) w.bytes(ticket->encode());
-  w.i64(server_time);
-  w.u32(minimum_version);
-  return w.take();
-}
-
-Login2Response Login2Response::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Login2Response m;
-  m.error = decode_error(r);
-  if (r.u8() == 1) m.ticket = SignedUserTicket::decode(r.bytes());
-  m.server_time = r.i64();
-  m.minimum_version = r.u32();
-  return m;
-}
-
-util::Bytes Switch1Request::encode() const {
-  util::WireWriter w;
-  w.u16(version);
-  w.bytes(user_ticket);
-  w.u32(channel_id);
-  w.bytes(expiring_ticket);
-  return w.take();
-}
-
-Switch1Request Switch1Request::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Switch1Request m;
-  m.version = r.u16();
-  m.user_ticket = r.bytes();
-  m.channel_id = r.u32();
-  m.expiring_ticket = r.bytes();
-  return m;
-}
-
-util::Bytes Switch1Response::encode() const {
-  util::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(error));
-  challenge.encode(w);
-  return w.take();
-}
-
-Switch1Response Switch1Response::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Switch1Response m;
-  m.error = decode_error(r);
-  m.challenge = Challenge::decode(r);
-  return m;
-}
-
-void PeerInfo::encode(util::WireWriter& w) const {
-  w.u32(node);
-  w.u32(addr.ip);
-}
-
-PeerInfo PeerInfo::decode(util::WireReader& r) {
-  PeerInfo p;
-  p.node = r.u32();
-  p.addr.ip = r.u32();
-  return p;
-}
-
-util::Bytes Switch2Request::encode() const {
-  util::WireWriter w;
-  w.u16(version);
-  w.bytes(user_ticket);
-  w.u32(channel_id);
-  w.bytes(expiring_ticket);
-  challenge.encode(w);
-  w.bytes(proof);
-  return w.take();
-}
-
-Switch2Request Switch2Request::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Switch2Request m;
-  m.version = r.u16();
-  m.user_ticket = r.bytes();
-  m.channel_id = r.u32();
-  m.expiring_ticket = r.bytes();
-  m.challenge = Challenge::decode(r);
-  m.proof = r.bytes();
-  return m;
-}
-
-util::Bytes Switch2Response::encode() const {
-  util::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(error));
-  w.u8(ticket.has_value() ? 1 : 0);
-  if (ticket) w.bytes(ticket->encode());
-  w.u32(static_cast<std::uint32_t>(peers.size()));
-  for (const PeerInfo& p : peers) p.encode(w);
-  return w.take();
-}
-
-Switch2Response Switch2Response::decode(util::BytesView data) {
-  util::WireReader r(data);
-  Switch2Response m;
-  m.error = decode_error(r);
-  if (r.u8() == 1) m.ticket = SignedChannelTicket::decode(r.bytes());
-  const std::uint32_t count = r.u32();
-  if (count > 100000) throw util::WireError("Switch2Response: implausible peer count");
-  m.peers.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) m.peers.push_back(PeerInfo::decode(r));
-  return m;
-}
-
-util::Bytes JoinRequest::encode() const {
-  util::WireWriter w;
-  w.u16(version);
-  w.bytes(channel_ticket);
-  w.u32(substream_mask);
-  return w.take();
-}
-
-JoinRequest JoinRequest::decode(util::BytesView data) {
-  util::WireReader r(data);
-  JoinRequest m;
-  m.version = r.u16();
-  m.channel_ticket = r.bytes();
-  m.substream_mask = r.u32();
-  return m;
-}
-
-util::Bytes JoinResponse::encode() const {
-  util::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(error));
-  w.bytes(encrypted_session_key);
-  w.bytes(encrypted_content_key);
-  return w.take();
-}
-
-JoinResponse JoinResponse::decode(util::BytesView data) {
-  util::WireReader r(data);
-  JoinResponse m;
-  m.error = decode_error(r);
-  m.encrypted_session_key = r.bytes();
-  m.encrypted_content_key = r.bytes();
-  return m;
-}
-
-util::Bytes ChannelListRequest::encode() const {
-  util::WireWriter w;
-  w.u16(version);
-  w.bytes(user_ticket);
-  w.u32(static_cast<std::uint32_t>(stale_attributes.size()));
-  for (const std::string& s : stale_attributes) w.str(s);
-  return w.take();
-}
-
-ChannelListRequest ChannelListRequest::decode(util::BytesView data) {
-  util::WireReader r(data);
-  ChannelListRequest m;
-  m.version = r.u16();
-  m.user_ticket = r.bytes();
-  const std::uint32_t count = r.u32();
-  if (count > 100000) throw util::WireError("ChannelListRequest: implausible count");
-  m.stale_attributes.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) m.stale_attributes.push_back(r.str());
-  return m;
-}
-
-void PartitionInfo::encode(util::WireWriter& w) const {
-  w.u32(partition);
-  w.u32(manager_addr.ip);
-  w.bytes(manager_public_key);
-}
-
-PartitionInfo PartitionInfo::decode(util::WireReader& r) {
-  PartitionInfo p;
-  p.partition = r.u32();
-  p.manager_addr.ip = r.u32();
-  p.manager_public_key = r.bytes();
-  return p;
-}
-
-util::Bytes ChannelListResponse::encode() const {
-  util::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(error));
-  w.u32(static_cast<std::uint32_t>(channels.size()));
-  for (const ChannelRecord& c : channels) c.encode(w);
-  w.u32(static_cast<std::uint32_t>(partitions.size()));
-  for (const PartitionInfo& p : partitions) p.encode(w);
-  return w.take();
-}
-
-ChannelListResponse ChannelListResponse::decode(util::BytesView data) {
-  util::WireReader r(data);
-  ChannelListResponse m;
-  m.error = decode_error(r);
-  const std::uint32_t channel_count = r.u32();
-  if (channel_count > 100000) throw util::WireError("ChannelListResponse: implausible count");
-  m.channels.reserve(channel_count);
-  for (std::uint32_t i = 0; i < channel_count; ++i) {
-    m.channels.push_back(ChannelRecord::decode(r));
-  }
-  const std::uint32_t partition_count = r.u32();
-  if (partition_count > 100000) throw util::WireError("ChannelListResponse: implausible count");
-  m.partitions.reserve(partition_count);
-  for (std::uint32_t i = 0; i < partition_count; ++i) {
-    m.partitions.push_back(PartitionInfo::decode(r));
-  }
-  return m;
-}
-
 }  // namespace p2pdrm::core

@@ -4,9 +4,9 @@
 //   peer join        — JOIN round with a target peer,
 // plus the Channel List fetch from the Channel Policy Manager.
 //
-// Every struct has encode()/decode() over the bounds-checked wire codec;
-// handlers parse untrusted bytes through these and treat WireError as a
-// protocol rejection.
+// Each struct states its wire layout once, as a field list (`fields`), and
+// encode()/decode() walk that list (util/wire.h); handlers parse untrusted
+// bytes through these and treat WireError as a protocol rejection.
 #pragma once
 
 #include <optional>
@@ -45,6 +45,11 @@ enum class DrmError : std::uint8_t {
 /// Human-readable error name (stable, for logs and tests).
 std::string_view to_string(DrmError e);
 
+/// Decoders reject codes past kWrongDomain.
+constexpr util::EnumRange<DrmError> wire_range(DrmError) {
+  return {DrmError::kOk, DrmError::kWrongDomain};
+}
+
 // ---------------------------------------------------------------------------
 // Login protocol (client <-> User Manager)
 
@@ -56,8 +61,12 @@ struct ChecksumParams {
   std::uint32_t length = 0;
   std::uint64_t salt = 0;
 
-  void encode(util::WireWriter& w) const;
-  static ChecksumParams decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(offset, length, salt);
+  }
+  void encode(util::WireWriter& w) const { w(*this); }
+  static ChecksumParams decode(util::WireReader& r) { return r.read<ChecksumParams>(); }
   friend bool operator==(const ChecksumParams&, const ChecksumParams&) = default;
 };
 
@@ -67,8 +76,14 @@ struct Login1Request {
   crypto::RsaPublicKey client_public_key;
   std::uint32_t client_version = 0;
 
-  util::Bytes encode() const;
-  static Login1Request decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, email, client_public_key, client_version);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Login1Request decode(util::BytesView data) {
+    return util::decode_fields<Login1Request>(data);
+  }
 };
 
 /// The nonce and checksum parameters are encrypted under the secure hash of
@@ -79,8 +94,14 @@ struct Login1Response {
   util::Bytes encrypted_params;  // Enc_shp(nonce || checksum params || server time)
   Challenge challenge;
 
-  util::Bytes encode() const;
-  static Login1Response decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(error, encrypted_params, challenge);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Login1Response decode(util::BytesView data) {
+    return util::decode_fields<Login1Response>(data);
+  }
 };
 
 struct Login2Request {
@@ -93,8 +114,15 @@ struct Login2Request {
   Challenge challenge;         // echoed from LOGIN1
   util::Bytes proof;           // client signature over (nonce || checksum)
 
-  util::Bytes encode() const;
-  static Login2Request decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, email, client_public_key, client_version, params, checksum, challenge,
+       proof);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Login2Request decode(util::BytesView data) {
+    return util::decode_fields<Login2Request>(data);
+  }
 };
 
 struct Login2Response {
@@ -103,8 +131,14 @@ struct Login2Response {
   util::SimTime server_time = 0;       // "timing information" for clock sync
   std::uint32_t minimum_version = 0;   // enforced minimum client version
 
-  util::Bytes encode() const;
-  static Login2Response decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(error, ticket, server_time, minimum_version);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Login2Response decode(util::BytesView data) {
+    return util::decode_fields<Login2Response>(data);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -120,16 +154,28 @@ struct Switch1Request {
 
   bool is_renewal() const { return !expiring_ticket.empty(); }
 
-  util::Bytes encode() const;
-  static Switch1Request decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, user_ticket, channel_id, expiring_ticket);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Switch1Request decode(util::BytesView data) {
+    return util::decode_fields<Switch1Request>(data);
+  }
 };
 
 struct Switch1Response {
   DrmError error = DrmError::kOk;
   Challenge challenge;
 
-  util::Bytes encode() const;
-  static Switch1Response decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(error, challenge);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Switch1Response decode(util::BytesView data) {
+    return util::decode_fields<Switch1Response>(data);
+  }
 };
 
 /// Address + overlay id of a peer carrying the channel.
@@ -137,8 +183,10 @@ struct PeerInfo {
   util::NodeId node = util::kInvalidNode;
   util::NetAddr addr;
 
-  void encode(util::WireWriter& w) const;
-  static PeerInfo decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(node, addr);
+  }
   friend bool operator==(const PeerInfo&, const PeerInfo&) = default;
 };
 
@@ -152,8 +200,14 @@ struct Switch2Request {
 
   bool is_renewal() const { return !expiring_ticket.empty(); }
 
-  util::Bytes encode() const;
-  static Switch2Request decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, user_ticket, channel_id, expiring_ticket, challenge, proof);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Switch2Request decode(util::BytesView data) {
+    return util::decode_fields<Switch2Request>(data);
+  }
 };
 
 struct Switch2Response {
@@ -162,8 +216,14 @@ struct Switch2Response {
   /// Deliberately NOT covered by any signature (§IV-G1 discusses why).
   std::vector<PeerInfo> peers;
 
-  util::Bytes encode() const;
-  static Switch2Response decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(error, ticket, util::counted(peers, 100000));
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static Switch2Response decode(util::BytesView data) {
+    return util::decode_fields<Switch2Response>(data);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -177,8 +237,14 @@ struct JoinRequest {
   /// single-parent, single-stream case.
   std::uint32_t substream_mask = 0xffffffff;
 
-  util::Bytes encode() const;
-  static JoinRequest decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, channel_ticket, substream_mask);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static JoinRequest decode(util::BytesView data) {
+    return util::decode_fields<JoinRequest>(data);
+  }
 };
 
 struct JoinResponse {
@@ -190,8 +256,14 @@ struct JoinResponse {
   /// session key.
   util::Bytes encrypted_content_key;
 
-  util::Bytes encode() const;
-  static JoinResponse decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(error, encrypted_session_key, encrypted_content_key);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static JoinResponse decode(util::BytesView data) {
+    return util::decode_fields<JoinResponse>(data);
+  }
 };
 
 // ---------------------------------------------------------------------------
@@ -204,8 +276,14 @@ struct ChannelListRequest {
   /// (empty = full fetch).
   std::vector<std::string> stale_attributes;
 
-  util::Bytes encode() const;
-  static ChannelListRequest decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, user_ticket, util::counted(stale_attributes, 100000));
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static ChannelListRequest decode(util::BytesView data) {
+    return util::decode_fields<ChannelListRequest>(data);
+  }
 };
 
 /// Channel Manager coordinates for a partition (§V): clients learn, per
@@ -215,8 +293,10 @@ struct PartitionInfo {
   util::NetAddr manager_addr;
   util::Bytes manager_public_key;  // encoded RsaPublicKey
 
-  void encode(util::WireWriter& w) const;
-  static PartitionInfo decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(partition, manager_addr, manager_public_key);
+  }
   friend bool operator==(const PartitionInfo&, const PartitionInfo&) = default;
 };
 
@@ -225,8 +305,14 @@ struct ChannelListResponse {
   std::vector<ChannelRecord> channels;
   std::vector<PartitionInfo> partitions;
 
-  util::Bytes encode() const;
-  static ChannelListResponse decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(error, util::counted(channels, 100000), util::counted(partitions, 100000));
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static ChannelListResponse decode(util::BytesView data) {
+    return util::decode_fields<ChannelListResponse>(data);
+  }
 };
 
 }  // namespace p2pdrm::core

@@ -8,18 +8,6 @@ std::string PolicyTerm::to_string() const {
   return attr_name + "=" + rule.to_string();
 }
 
-void PolicyTerm::encode(util::WireWriter& w) const {
-  w.str(attr_name);
-  rule.encode(w);
-}
-
-PolicyTerm PolicyTerm::decode(util::WireReader& r) {
-  PolicyTerm t;
-  t.attr_name = r.str();
-  t.rule = AttrValue::decode(r);
-  return t;
-}
-
 std::string Policy::to_string() const {
   std::string s = "Priority " + std::to_string(priority) + ": ";
   for (std::size_t i = 0; i < terms.size(); ++i) {
@@ -28,48 +16,6 @@ std::string Policy::to_string() const {
   }
   s += (action == PolicyAction::kAccept) ? ", Return ACCEPT" : ", Return REJECT";
   return s;
-}
-
-void Policy::encode(util::WireWriter& w) const {
-  w.u32(priority);
-  w.u32(static_cast<std::uint32_t>(terms.size()));
-  for (const PolicyTerm& t : terms) t.encode(w);
-  w.u8(static_cast<std::uint8_t>(action));
-}
-
-Policy Policy::decode(util::WireReader& r) {
-  Policy p;
-  p.priority = r.u32();
-  const std::uint32_t count = r.u32();
-  if (count > 10000) throw util::WireError("Policy: implausible term count");
-  p.terms.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) p.terms.push_back(PolicyTerm::decode(r));
-  const std::uint8_t action = r.u8();
-  if (action > 1) throw util::WireError("Policy: bad action");
-  p.action = static_cast<PolicyAction>(action);
-  return p;
-}
-
-void ChannelRecord::encode(util::WireWriter& w) const {
-  w.u32(id);
-  w.str(name);
-  attributes.encode(w);
-  w.u32(static_cast<std::uint32_t>(policies.size()));
-  for (const Policy& p : policies) p.encode(w);
-  w.u32(partition);
-}
-
-ChannelRecord ChannelRecord::decode(util::WireReader& r) {
-  ChannelRecord c;
-  c.id = r.u32();
-  c.name = r.str();
-  c.attributes = AttributeSet::decode(r);
-  const std::uint32_t count = r.u32();
-  if (count > 10000) throw util::WireError("ChannelRecord: implausible policy count");
-  c.policies.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) c.policies.push_back(Policy::decode(r));
-  c.partition = r.u32();
-  return c;
 }
 
 namespace {

@@ -27,6 +27,10 @@ namespace p2pdrm::core {
 
 enum class PolicyAction : std::uint8_t { kReject = 0, kAccept = 1 };
 
+constexpr util::EnumRange<PolicyAction> wire_range(PolicyAction) {
+  return {PolicyAction::kReject, PolicyAction::kAccept};
+}
+
 /// One conjunct of a policy: "the user must present an attribute `name`
 /// matching `rule`, and the channel must have an active attribute `name`
 /// matching `rule` for the term to be grounded".
@@ -35,8 +39,12 @@ struct PolicyTerm {
   AttrValue rule;
 
   std::string to_string() const;
-  void encode(util::WireWriter& w) const;
-  static PolicyTerm decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(attr_name, rule);
+  }
+  void encode(util::WireWriter& w) const { w(*this); }
+  static PolicyTerm decode(util::WireReader& r) { return r.read<PolicyTerm>(); }
 
   friend bool operator==(const PolicyTerm&, const PolicyTerm&) = default;
 };
@@ -47,8 +55,12 @@ struct Policy {
   PolicyAction action = PolicyAction::kReject;
 
   std::string to_string() const;
-  void encode(util::WireWriter& w) const;
-  static Policy decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(priority, util::counted(terms, 10000), action);
+  }
+  void encode(util::WireWriter& w) const { w(*this); }
+  static Policy decode(util::WireReader& r) { return r.read<Policy>(); }
 
   friend bool operator==(const Policy&, const Policy&) = default;
 };
@@ -63,8 +75,12 @@ struct ChannelRecord {
   std::vector<Policy> policies;
   std::uint32_t partition = 0;
 
-  void encode(util::WireWriter& w) const;
-  static ChannelRecord decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(id, name, attributes, util::counted(policies, 10000), partition);
+  }
+  void encode(util::WireWriter& w) const { w(*this); }
+  static ChannelRecord decode(util::WireReader& r) { return r.read<ChannelRecord>(); }
 
   friend bool operator==(const ChannelRecord&, const ChannelRecord&) = default;
 };

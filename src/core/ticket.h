@@ -34,8 +34,15 @@ struct UserTicket {
   util::SimTime expiry_time = 0;
   AttributeSet attributes;
 
-  util::Bytes encode() const;
-  static UserTicket decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, user_in, client_public_key, start_time, expiry_time, attributes);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  /// Throws util::WireError on malformed input, trailing bytes included.
+  static UserTicket decode(util::BytesView data) {
+    return util::decode_fields_exact<UserTicket>(data);
+  }
 
   bool expired_at(util::SimTime now) const { return now > expiry_time; }
 
@@ -52,8 +59,16 @@ struct ChannelTicket {
   util::SimTime start_time = 0;
   util::SimTime expiry_time = 0;
 
-  util::Bytes encode() const;
-  static ChannelTicket decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(version, user_in, channel_id, client_public_key, net_addr, renewal, start_time,
+       expiry_time);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  /// Throws util::WireError on malformed input, trailing bytes included.
+  static ChannelTicket decode(util::BytesView data) {
+    return util::decode_fields_exact<ChannelTicket>(data);
+  }
 
   bool expired_at(util::SimTime now) const { return now > expiry_time; }
 
@@ -82,18 +97,15 @@ struct Signed {
     return crypto::rsa_verify(issuer_key, body, signature);
   }
 
-  util::Bytes encode() const {
-    util::WireWriter w;
-    w.bytes(body);
-    w.bytes(signature);
-    return w.take();
+  /// On the wire: body and signature; `ticket` is parsed back from body.
+  template <class Io>
+  void fields(Io& io) {
+    io(body, signature);
   }
+  util::Bytes encode() const { return util::encode_fields(*this); }
 
   static Signed decode(util::BytesView data) {
-    util::WireReader r(data);
-    Signed out;
-    out.body = r.bytes();
-    out.signature = r.bytes();
+    Signed out = util::decode_fields<Signed>(data);
     out.ticket = TicketT::decode(out.body);
     return out;
   }

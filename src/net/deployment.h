@@ -287,7 +287,6 @@ class Deployment {
   /// and hands the tracer to every node and client, current and future.
   /// Idempotent.
   void enable_tracing();
-  bool tracing_enabled() const { return tracing_; }
   /// Periodic observability sweep on the simulation clock: every `interval`
   /// the SLO monitor ticks (closing a load/latency correlation bucket with
   /// the live-client count as the load signal) and the time-series engine

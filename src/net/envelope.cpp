@@ -27,46 +27,17 @@ std::string_view to_string(MsgKind kind) {
   return "?";
 }
 
-util::Bytes BusyPayload::encode() const {
-  util::WireWriter w;
-  w.i64(retry_after);
-  w.u32(queue_depth);
-  return w.take();
-}
-
 BusyPayload BusyPayload::decode(util::BytesView data) {
-  util::WireReader r(data);
-  BusyPayload p;
-  p.retry_after = r.i64();
-  p.queue_depth = r.u32();
-  if (!r.at_end()) throw util::WireError("BusyPayload: trailing bytes");
+  const BusyPayload p = util::decode_fields_exact<BusyPayload>(data);
   if (p.retry_after < 0 || p.retry_after > kMaxRetryAfter) {
     throw util::WireError("BusyPayload: retry-after out of range");
   }
   return p;
 }
 
-util::Bytes Envelope::encode() const {
-  util::WireWriter w;
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u64(request_id);
-  w.bytes(payload);
-  return w.take();
-}
-
 std::optional<Envelope> Envelope::decode(util::BytesView data) {
   try {
-    util::WireReader r(data);
-    Envelope e;
-    const std::uint8_t raw = r.u8();
-    if (raw < 1 || raw > static_cast<std::uint8_t>(MsgKind::kBusy)) {
-      return std::nullopt;
-    }
-    e.kind = static_cast<MsgKind>(raw);
-    e.request_id = r.u64();
-    e.payload = r.bytes();
-    if (!r.at_end()) return std::nullopt;
-    return e;
+    return util::decode_fields_exact<Envelope>(data);
   } catch (const util::WireError&) {
     return std::nullopt;
   }

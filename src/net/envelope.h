@@ -41,6 +41,11 @@ enum class MsgKind : std::uint8_t {
 
 std::string_view to_string(MsgKind kind);
 
+/// Decoders reject kinds outside [kRedirectRequest, kBusy].
+constexpr util::EnumRange<MsgKind> wire_range(MsgKind) {
+  return {MsgKind::kRedirectRequest, MsgKind::kBusy};
+}
+
 /// Payload of a kBusy envelope: the server shed this request at admission
 /// (queue past its bound or past the high-water mark for sheddable kinds)
 /// and tells the client when a retransmission has a chance of being
@@ -54,7 +59,11 @@ struct BusyPayload {
   util::SimTime retry_after = 0;   // earliest useful retransmit, relative
   std::uint32_t queue_depth = 0;   // server backlog when it shed (diagnostic)
 
-  util::Bytes encode() const;
+  template <class Io>
+  void fields(Io& io) {
+    io(retry_after, queue_depth);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
   /// Throws util::WireError on truncation, trailing bytes, a negative
   /// retry-after, or one above kMaxRetryAfter.
   static BusyPayload decode(util::BytesView data);
@@ -65,8 +74,13 @@ struct Envelope {
   std::uint64_t request_id = 0;
   util::Bytes payload;
 
-  util::Bytes encode() const;
-  /// nullopt on malformed input (dropped at the receiver).
+  template <class Io>
+  void fields(Io& io) {
+    io(kind, request_id, payload);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  /// nullopt on malformed input, trailing bytes included (dropped at the
+  /// receiver).
   static std::optional<Envelope> decode(util::BytesView data);
 };
 

@@ -51,7 +51,6 @@ ServiceQueue::Decision ServiceQueue::admit(util::SimTime now,
   free_at_.push(start + service);
   starts_.push_back(start);
   ++admitted_;
-  peak_depth_ = std::max(peak_depth_, depth(now));
   return d;
 }
 
@@ -72,13 +71,6 @@ bool TokenBucket::try_take(util::SimTime now) {
   if (tokens_ < 1.0) return false;
   tokens_ -= 1.0;
   return true;
-}
-
-double TokenBucket::tokens(util::SimTime now) const {
-  if (unlimited()) return 0;
-  TokenBucket copy = *this;
-  copy.refill(now);
-  return copy.tokens_;
 }
 
 bool CircuitBreaker::allow(util::SimTime now) {

@@ -73,7 +73,6 @@ class ServiceQueue {
 
   std::uint64_t admitted() const { return admitted_; }
   std::uint64_t shed() const { return shed_; }
-  std::size_t peak_depth() const { return peak_depth_; }
   const OverloadPolicy& policy() const { return policy_; }
 
  private:
@@ -89,7 +88,6 @@ class ServiceQueue {
   mutable std::deque<util::SimTime> starts_;
   std::uint64_t admitted_ = 0;
   std::uint64_t shed_ = 0;
-  std::size_t peak_depth_ = 0;
 };
 
 /// Token-bucket retry budget: starts full, refills continuously, and every
@@ -102,7 +100,6 @@ class TokenBucket {
 
   /// Take one token at `now`; false when the budget is exhausted.
   bool try_take(util::SimTime now);
-  double tokens(util::SimTime now) const;
   bool unlimited() const { return capacity_ <= 0; }
 
  private:

@@ -173,13 +173,6 @@ std::optional<util::Bytes> Peer::decrypt(const core::ContentPacket& packet) cons
   return core::decrypt_packet(it->second, packet);
 }
 
-std::vector<util::NodeId> Peer::forward_targets() const {
-  std::vector<util::NodeId> out;
-  out.reserve(children_.size());
-  for (const auto& [node, link] : children_) out.push_back(node);
-  return out;
-}
-
 std::vector<util::NodeId> Peer::forward_targets_for(std::uint64_t seq) const {
   const std::size_t substreams = std::max<std::size_t>(1, config_.substreams);
   const std::uint32_t bit = 1u << (seq % substreams % 32);

@@ -114,10 +114,6 @@ class Peer {
   /// Decrypt a packet with the matching installed key.
   std::optional<util::Bytes> decrypt(const core::ContentPacket& packet) const;
 
-  /// All children (key distribution goes to everyone regardless of
-  /// sub-stream assignment — every peer needs every content key).
-  std::vector<util::NodeId> forward_targets() const;
-
   /// Children subscribed to the sub-stream that packet sequence `seq`
   /// belongs to (seq % config().substreams).
   std::vector<util::NodeId> forward_targets_for(std::uint64_t seq) const;

@@ -15,6 +15,7 @@
 
 #include "core/auth.h"
 #include "util/time.h"
+#include "util/wire.h"
 
 namespace p2pdrm::services {
 
@@ -23,6 +24,11 @@ struct SubscriptionGrant {
   std::string package;                       // e.g. "101" (Fig. 2's example)
   util::SimTime stime = util::kNullTime;     // null = active immediately
   util::SimTime etime = util::kNullTime;     // null = never expires
+
+  template <class Io>
+  void fields(Io& io) {
+    io(package, stime, etime);
+  }
 
   friend bool operator==(const SubscriptionGrant&, const SubscriptionGrant&) = default;
 };
@@ -33,6 +39,13 @@ struct AccountRecord {
   std::vector<SubscriptionGrant> subscriptions;
   util::SimTime created_at = 0;
   bool suspended = false;
+
+  /// A grant takes at least 17 bytes on the wire, so decoders reject grant
+  /// counts the rest of the input cannot back.
+  template <class Io>
+  void fields(Io& io) {
+    io(email, shp, util::counted_backed(subscriptions, 17), created_at, suspended);
+  }
 };
 
 /// Provisioning message pushed to the User Manager whenever an account

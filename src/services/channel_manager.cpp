@@ -73,13 +73,7 @@ std::map<util::ChannelId, std::size_t> ViewingLog::views_per_channel() const {
 util::Bytes ViewingLog::encode() const {
   util::WireWriter w;
   w.u64(audit_.size());
-  for (const Entry& e : audit_) {
-    w.u64(e.user_in);
-    w.u32(e.channel);
-    w.u32(e.addr.ip);
-    w.i64(e.time);
-    w.u8(e.renewal ? 1 : 0);
-  }
+  for (const Entry& e : audit_) w(e);
   w.u64(rotated_count_);
   w.u32(static_cast<std::uint32_t>(rotated_views_.size()));
   for (const auto& [channel, count] : rotated_views_) {
@@ -96,15 +90,7 @@ ViewingLog ViewingLog::decode(util::BytesView data) {
   if (count > data.size() / 25) throw util::WireError("ViewingLog: implausible count");
   ViewingLog log;
   for (std::uint64_t i = 0; i < count; ++i) {
-    Entry e;
-    e.user_in = r.u64();
-    e.channel = r.u32();
-    e.addr.ip = r.u32();
-    e.time = r.i64();
-    const std::uint8_t renewal = r.u8();
-    if (renewal > 1) throw util::WireError("ViewingLog: bad renewal flag");
-    e.renewal = renewal == 1;
-    log.record(e);  // rebuilds the latest-entry index as a side effect
+    log.record(r.read<Entry>());  // rebuilds the latest-entry index as a side effect
   }
   log.rotated_count_ = r.u64();
   const std::uint32_t agg_count = r.u32();

@@ -45,6 +45,11 @@ class ViewingLog {
     util::NetAddr addr;
     util::SimTime time = 0;
     bool renewal = false;
+
+    template <class Io>
+    void fields(Io& io) {
+      io(user_in, channel, addr, time, renewal);
+    }
   };
 
   void record(const Entry& entry);
@@ -61,7 +66,6 @@ class ViewingLog {
 
   /// 0 = unbounded (default).
   void set_audit_cap(std::size_t cap);
-  std::size_t audit_cap() const { return audit_cap_; }
 
   /// Fresh-issue view counts per channel (royalty/advertising reporting);
   /// exact even after rotation, via the retained aggregates.

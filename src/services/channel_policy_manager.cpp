@@ -36,18 +36,6 @@ bool ChannelPolicyManager::remove_channel(util::ChannelId id, util::SimTime now)
   return true;
 }
 
-void ChannelPolicyManager::add_channel_attribute(util::ChannelId id, core::Attribute attr,
-                                                 util::SimTime now) {
-  const auto it = channels_.find(id);
-  if (it == channels_.end()) {
-    throw std::invalid_argument("ChannelPolicyManager: unknown channel");
-  }
-  it->second.attributes.add(std::move(attr));
-  touch_channel(it->second, now);
-  rebuild_attribute_list(&it->second);
-  push_updates();
-}
-
 std::size_t ChannelPolicyManager::remove_channel_attribute(util::ChannelId id,
                                                            const std::string& name,
                                                            util::SimTime now) {

@@ -34,8 +34,6 @@ class ChannelPolicyManager {
   void add_channel(core::ChannelRecord channel, util::SimTime now);
   /// Remove a channel; returns false if unknown.
   bool remove_channel(util::ChannelId id, util::SimTime now);
-  /// Add an attribute to a channel (throws on unknown channel).
-  void add_channel_attribute(util::ChannelId id, core::Attribute attr, util::SimTime now);
   /// Remove attributes by name from a channel; returns count removed.
   std::size_t remove_channel_attribute(util::ChannelId id, const std::string& name,
                                        util::SimTime now);

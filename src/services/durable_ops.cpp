@@ -1,100 +1,28 @@
 #include "services/durable_ops.h"
 
-#include <algorithm>
-
 #include "util/wire.h"
 
 namespace p2pdrm::services {
-namespace {
-
-void encode_account(util::WireWriter& w, const AccountRecord& a) {
-  w.str(a.email);
-  w.raw(util::BytesView(a.shp.data(), a.shp.size()));
-  w.u32(static_cast<std::uint32_t>(a.subscriptions.size()));
-  for (const SubscriptionGrant& g : a.subscriptions) {
-    w.str(g.package);
-    w.i64(g.stime);
-    w.i64(g.etime);
-  }
-  w.i64(a.created_at);
-  w.u8(a.suspended ? 1 : 0);
-}
-
-AccountRecord decode_account(util::WireReader& r) {
-  AccountRecord a;
-  a.email = r.str();
-  const util::Bytes shp = r.raw(a.shp.size());
-  std::copy(shp.begin(), shp.end(), a.shp.begin());
-  const std::uint32_t grants = r.u32();
-  // 17 bytes minimum per grant (4-byte package prefix + two times + flag
-  // margin); reject counts the input cannot back.
-  if (grants > r.remaining() / 17) {
-    throw util::WireError("account: implausible grant count");
-  }
-  for (std::uint32_t i = 0; i < grants; ++i) {
-    SubscriptionGrant g;
-    g.package = r.str();
-    g.stime = r.i64();
-    g.etime = r.i64();
-    a.subscriptions.push_back(std::move(g));
-  }
-  a.created_at = r.i64();
-  const std::uint8_t suspended = r.u8();
-  if (suspended > 1) throw util::WireError("account: bad suspended flag");
-  a.suspended = suspended == 1;
-  return a;
-}
-
-}  // namespace
 
 util::Bytes encode_viewing_entry(const ViewingLog::Entry& entry) {
-  util::WireWriter w;
-  w.u64(entry.user_in);
-  w.u32(entry.channel);
-  w.u32(entry.addr.ip);
-  w.i64(entry.time);
-  w.u8(entry.renewal ? 1 : 0);
-  return w.take();
+  return util::encode_fields(entry);
 }
 
 ViewingLog::Entry decode_viewing_entry(util::BytesView data) {
-  util::WireReader r(data);
-  ViewingLog::Entry e;
-  e.user_in = r.u64();
-  e.channel = r.u32();
-  e.addr.ip = r.u32();
-  e.time = r.i64();
-  const std::uint8_t renewal = r.u8();
-  if (renewal > 1) throw util::WireError("viewing entry: bad renewal flag");
-  e.renewal = renewal == 1;
-  if (!r.at_end()) throw util::WireError("viewing entry: trailing bytes");
-  return e;
+  return util::decode_fields_exact<ViewingLog::Entry>(data);
 }
 
-util::Bytes encode_user_record(const UserRecord& rec) {
-  util::WireWriter w;
-  w.u64(rec.user_in);
-  encode_account(w, rec.account);
-  return w.take();
-}
+util::Bytes encode_user_record(const UserRecord& rec) { return util::encode_fields(rec); }
 
 UserRecord decode_user_record(util::BytesView data) {
-  util::WireReader r(data);
-  UserRecord rec;
-  rec.user_in = r.u64();
-  rec.account = decode_account(r);
-  if (!r.at_end()) throw util::WireError("user record: trailing bytes");
-  return rec;
+  return util::decode_fields_exact<UserRecord>(data);
 }
 
 util::Bytes encode_user_directory(const UserDirectory& dir) {
   util::WireWriter w;
   w.u64(dir.next_user_in);
   w.u32(static_cast<std::uint32_t>(dir.users.size()));
-  for (const auto& [email, rec] : dir.users) {
-    w.u64(rec.user_in);
-    encode_account(w, rec.account);
-  }
+  for (const auto& [email, rec] : dir.users) w(rec);
   return w.take();
 }
 
@@ -109,9 +37,7 @@ UserDirectory decode_user_directory(util::BytesView data) {
     throw util::WireError("user directory: implausible record count");
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    UserRecord rec;
-    rec.user_in = r.u64();
-    rec.account = decode_account(r);
+    UserRecord rec = r.read<UserRecord>();
     if (dir.users.count(rec.account.email) > 0) {
       throw util::WireError("user directory: duplicate email");
     }

@@ -1,7 +1,8 @@
 // Wire codecs for the per-op payloads a durable farm replica journals and
 // replicates (store::ReplicatedOp bodies) and for the snapshot form of the
-// UM user directory. Kept out of the domain classes so the store layer
-// stays ignorant of what it is persisting.
+// UM user directory. The records carry their own field lists; these
+// functions frame them, so the store layer stays ignorant of what it is
+// persisting.
 #pragma once
 
 #include "services/channel_manager.h"

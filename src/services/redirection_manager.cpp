@@ -2,48 +2,6 @@
 
 namespace p2pdrm::services {
 
-void ManagerCoordinates::encode(util::WireWriter& w) const {
-  w.u32(addr.ip);
-  w.bytes(public_key);
-}
-
-ManagerCoordinates ManagerCoordinates::decode(util::WireReader& r) {
-  ManagerCoordinates m;
-  m.addr.ip = r.u32();
-  m.public_key = r.bytes();
-  return m;
-}
-
-util::Bytes RedirectRequest::encode() const {
-  util::WireWriter w;
-  w.str(email);
-  return w.take();
-}
-
-RedirectRequest RedirectRequest::decode(util::BytesView data) {
-  util::WireReader r(data);
-  return RedirectRequest{r.str()};
-}
-
-util::Bytes RedirectResponse::encode() const {
-  util::WireWriter w;
-  w.u8(found ? 1 : 0);
-  w.u32(domain);
-  user_manager.encode(w);
-  channel_policy_manager.encode(w);
-  return w.take();
-}
-
-RedirectResponse RedirectResponse::decode(util::BytesView data) {
-  util::WireReader r(data);
-  RedirectResponse m;
-  m.found = r.u8() == 1;
-  m.domain = r.u32();
-  m.user_manager = ManagerCoordinates::decode(r);
-  m.channel_policy_manager = ManagerCoordinates::decode(r);
-  return m;
-}
-
 void RedirectionManager::register_domain(std::uint32_t domain, ManagerCoordinates um) {
   Domain& d = domains_[domain];
   for (Instance& existing : d.instances) {
@@ -71,21 +29,6 @@ void RedirectionManager::set_instance_health(std::uint32_t domain, util::NetAddr
   for (Instance& instance : it->second.instances) {
     if (instance.coords.addr == addr) instance.healthy = healthy;
   }
-}
-
-std::size_t RedirectionManager::healthy_instances(std::uint32_t domain) const {
-  const auto it = domains_.find(domain);
-  if (it == domains_.end()) return 0;
-  std::size_t n = 0;
-  for (const Instance& instance : it->second.instances) {
-    if (instance.healthy) ++n;
-  }
-  return n;
-}
-
-std::size_t RedirectionManager::instance_count(std::uint32_t domain) const {
-  const auto it = domains_.find(domain);
-  return it == domains_.end() ? 0 : it->second.instances.size();
 }
 
 RedirectResponse RedirectionManager::handle_lookup(const RedirectRequest& req) const {

@@ -24,16 +24,24 @@ struct ManagerCoordinates {
   util::NetAddr addr;
   util::Bytes public_key;  // encoded RsaPublicKey
 
-  void encode(util::WireWriter& w) const;
-  static ManagerCoordinates decode(util::WireReader& r);
+  template <class Io>
+  void fields(Io& io) {
+    io(addr, public_key);
+  }
   friend bool operator==(const ManagerCoordinates&, const ManagerCoordinates&) = default;
 };
 
 struct RedirectRequest {
   std::string email;
 
-  util::Bytes encode() const;
-  static RedirectRequest decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(email);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static RedirectRequest decode(util::BytesView data) {
+    return util::decode_fields<RedirectRequest>(data);
+  }
 };
 
 struct RedirectResponse {
@@ -42,8 +50,14 @@ struct RedirectResponse {
   ManagerCoordinates user_manager;
   ManagerCoordinates channel_policy_manager;
 
-  util::Bytes encode() const;
-  static RedirectResponse decode(util::BytesView data);
+  template <class Io>
+  void fields(Io& io) {
+    io(util::lenient_flag(found), domain, user_manager, channel_policy_manager);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  static RedirectResponse decode(util::BytesView data) {
+    return util::decode_fields<RedirectResponse>(data);
+  }
 };
 
 class RedirectionManager {
@@ -61,12 +75,8 @@ class RedirectionManager {
   /// which farm members it crashed); a production redirector would run
   /// heartbeats instead.
   void set_instance_health(std::uint32_t domain, util::NetAddr addr, bool healthy);
-  std::size_t healthy_instances(std::uint32_t domain) const;
-  std::size_t instance_count(std::uint32_t domain) const;
 
   RedirectResponse handle_lookup(const RedirectRequest& req) const;
-
-  std::size_t user_count() const { return user_domain_.size(); }
 
  private:
   struct Instance {

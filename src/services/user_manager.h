@@ -43,6 +43,11 @@ struct UserManagerConfig {
 struct UserRecord {
   util::UserIN user_in = 0;
   AccountRecord account;
+
+  template <class Io>
+  void fields(Io& io) {
+    io(user_in, account);
+  }
 };
 
 /// The user DB proper — the *mutable* half of a User Manager's state.

@@ -2,25 +2,10 @@
 
 #include <utility>
 
-#include "util/wire.h"
-
 namespace p2pdrm::store {
 
-util::Bytes ReplicatedOp::encode() const {
-  util::WireWriter w;
-  w.u32(origin);
-  w.u64(origin_seq);
-  w.bytes(payload);
-  return w.take();
-}
-
 ReplicatedOp ReplicatedOp::decode(util::BytesView data) {
-  util::WireReader r(data);
-  ReplicatedOp op;
-  op.origin = r.u32();
-  op.origin_seq = r.u64();
-  op.payload = r.bytes();
-  if (!r.at_end()) throw util::WireError("replicated op: trailing bytes");
+  const ReplicatedOp op = util::decode_fields_exact<ReplicatedOp>(data);
   if (op.origin_seq == 0) throw util::WireError("replicated op: zero seq");
   return op;
 }

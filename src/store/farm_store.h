@@ -23,19 +23,24 @@
 #include "store/journal.h"
 #include "store/snapshot.h"
 #include "util/bytes.h"
+#include "util/wire.h"
 
 namespace p2pdrm::store {
 
 /// One replicated state-machine operation, as journaled and as shipped
 /// between farm instances.
-/// Layout: origin u32 | origin_seq u64 | payload bytes (u32-prefixed)
 struct ReplicatedOp {
   std::uint32_t origin = 0;
   std::uint64_t origin_seq = 0;
   util::Bytes payload;
 
-  util::Bytes encode() const;
-  static ReplicatedOp decode(util::BytesView data);  // throws WireError
+  template <class Io>
+  void fields(Io& io) {
+    io(origin, origin_seq, payload);
+  }
+  util::Bytes encode() const { return util::encode_fields(*this); }
+  /// Throws WireError on malformed input, trailing bytes or a zero seq.
+  static ReplicatedOp decode(util::BytesView data);
   static std::optional<ReplicatedOp> try_decode(util::BytesView data);
 };
 

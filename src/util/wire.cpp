@@ -79,6 +79,26 @@ std::string WireReader::str() {
   return s;
 }
 
+void WireReader::copy_to(std::uint8_t* out, std::size_t n) {
+  need(n);
+  std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), n, out);
+  pos_ += n;
+}
+
+std::uint32_t WireReader::count(std::uint32_t max_count, std::size_t min_item_bytes) {
+  const std::uint32_t n = u32();
+  if (n > max_count || (min_item_bytes > 0 && n > remaining() / min_item_bytes)) {
+    throw WireError("wire: implausible count " + std::to_string(n));
+  }
+  return n;
+}
+
+std::uint8_t WireReader::code(std::uint8_t first, std::uint8_t last) {
+  const std::uint8_t v = u8();
+  if (v < first || v > last) throw WireError("wire: bad code " + std::to_string(v));
+  return v;
+}
+
 Bytes WireReader::raw(std::size_t n) {
   need(n);
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

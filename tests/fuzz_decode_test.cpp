@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 
 #include "core/content.h"
 #include "core/messages.h"
 #include "net/deployment.h"
 #include "core/ticket.h"
 #include "crypto/chacha20.h"
+#include "crypto/sha256.h"
 #include "net/envelope.h"
 #include "services/catalog.h"
 #include "services/channel_manager.h"
@@ -540,6 +542,377 @@ TEST(FuzzDecodeTest, RoundTripAfterSuccessfulFuzzDecode) {
   }
   // With a 4-byte length prefix most random buffers fail; some must pass.
   (void)accepted;
+}
+
+/// `head`, a u32 count, `count` copies of `item`, then `tail`.
+Bytes counted_input(const Bytes& head, std::uint32_t count, const Bytes& item,
+                    const Bytes& tail) {
+  util::WireWriter w;
+  w.raw(head);
+  w.u32(count);
+  for (std::uint32_t i = 0; i < count; ++i) w.raw(item);
+  w.raw(tail);
+  return w.take();
+}
+
+TEST(FuzzDecodeTest, CountCapsAreExact) {
+  // A count at its cap decodes when the input backs every item; one more
+  // item, also backed, is a WireError. Items are the smallest legal ones.
+  struct Case {
+    const char* name;
+    std::uint32_t cap;
+    Bytes head;
+    Bytes item;
+    Bytes tail;
+    std::function<void(util::BytesView)> decode;
+  };
+  const Bytes u32_zero(4, 0);
+  const Bytes empty_attr = {0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};  // NULL value
+  const Bytes empty_term = {0, 0, 0, 0, 4};
+  const Bytes empty_policy(9, 0);
+  const Bytes empty_record(20, 0);
+  const std::vector<Case> cases = {
+      {"Switch2Response.peers", 100000, {0, 0}, Bytes(8, 0), {},
+       [](util::BytesView b) { core::Switch2Response::decode(b); }},
+      {"ChannelListRequest.stale_attributes", 100000, {4, 0, 0, 0, 0, 0}, u32_zero, {},
+       [](util::BytesView b) { core::ChannelListRequest::decode(b); }},
+      {"ChannelListResponse.channels", 100000, {0}, empty_record, u32_zero,
+       [](util::BytesView b) { core::ChannelListResponse::decode(b); }},
+      {"ChannelListResponse.partitions", 100000, {0, 0, 0, 0, 0}, Bytes(12, 0), {},
+       [](util::BytesView b) { core::ChannelListResponse::decode(b); }},
+      {"AttributeSet", 10000, {}, empty_attr, {},
+       [](util::BytesView b) {
+         util::WireReader r(b);
+         core::AttributeSet::decode(r);
+       }},
+      {"Policy.terms", 10000, u32_zero, empty_term, {0},
+       [](util::BytesView b) {
+         util::WireReader r(b);
+         core::Policy::decode(r);
+       }},
+      {"ChannelRecord.policies", 10000, Bytes(12, 0), empty_policy, u32_zero,
+       [](util::BytesView b) {
+         util::WireReader r(b);
+         core::ChannelRecord::decode(r);
+       }},
+  };
+  for (const Case& c : cases) {
+    EXPECT_NO_THROW(c.decode(counted_input(c.head, c.cap, c.item, c.tail))) << c.name;
+    EXPECT_THROW(c.decode(counted_input(c.head, c.cap + 1, c.item, c.tail)),
+                 util::WireError)
+        << c.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Acceptance digest: which damaged inputs each decoder accepts, and what it
+// decodes them to. For every corpus entry the sweep feeds the decoder each
+// truncation, each single-bit flip and each byte overwritten with 0x00,
+// 0x01, 0x02 and 0xff, and hashes, per input, accept or reject plus the
+// re-encoding of what was accepted. A changed flag check, count cap,
+// trailing-byte check or field order moves that entry's digest.
+
+struct AcceptanceEntry {
+  std::string name;
+  Bytes valid;
+  /// Decode and re-encode; throws util::WireError on rejection.
+  std::function<Bytes(util::BytesView)> reencode;
+};
+
+template <class T>
+AcceptanceEntry framed(std::string name, const T& x) {
+  return {std::move(name), x.encode(),
+          [](util::BytesView b) { return T::decode(b).encode(); }};
+}
+
+template <class T>
+AcceptanceEntry nested(std::string name, const T& x) {
+  util::WireWriter w;
+  x.encode(w);
+  return {std::move(name), w.take(), [](util::BytesView b) {
+            util::WireReader r(b);
+            const T back = T::decode(r);
+            util::WireWriter out;
+            back.encode(out);
+            return out.take();
+          }};
+}
+
+std::vector<AcceptanceEntry> acceptance_corpus() {
+  crypto::SecureRandom rng(0xacce);
+  const crypto::RsaKeyPair keys = crypto::generate_rsa_keypair(rng, 512);
+
+  core::AttributeSet attrs;
+  attrs.add({core::kAttrRegion, core::AttrValue::any(), 100, 200, 50});
+  attrs.add({core::kAttrSubscription, core::AttrValue::of("101"), util::kNullTime,
+             util::kNullTime, 7});
+  attrs.add({"n", core::AttrValue::none(), 1, 2, 3});
+  attrs.add({"a", core::AttrValue::all(), 4, 5, 6});
+  attrs.add({"u", core::AttrValue::null(), 7, 8, 9});
+
+  core::UserTicket ut;
+  ut.user_in = 5;
+  ut.client_public_key = keys.pub;
+  ut.start_time = 10;
+  ut.expiry_time = 20;
+  ut.attributes.add({core::kAttrRegion, core::AttrValue::of("100"), 1, 2, 3});
+  core::ChannelTicket ct;
+  ct.user_in = 5;
+  ct.channel_id = 3;
+  ct.client_public_key = keys.pub;
+  ct.net_addr = util::parse_netaddr("10.0.0.9");
+  ct.renewal = true;
+  ct.start_time = 10;
+  ct.expiry_time = 20;
+  const auto sut = core::SignedUserTicket::sign(ut, keys.priv);
+  const auto sct = core::SignedChannelTicket::sign(ct, keys.priv);
+
+  const core::Challenge challenge =
+      core::make_challenge(util::bytes_of("secret"), "switch", util::bytes_of("b"),
+                           Bytes(core::kNonceSize, 0x33), 99);
+
+  core::ChannelRecord record;
+  record.id = 4;
+  record.name = "c";
+  record.attributes = attrs;
+  record.policies.push_back(
+      *core::parse_policy("Priority 100: Region=ANY, Return REJECT"));
+  record.policies.push_back(
+      *core::parse_policy("Priority 50: Region=100 & Subscription=101, Return ACCEPT"));
+  record.partition = 1;
+
+  std::vector<AcceptanceEntry> c;
+  c.push_back(framed("UserTicket", ut));
+  c.push_back(framed("ChannelTicket", ct));
+  c.push_back(framed("SignedUserTicket", sut));
+  c.push_back(framed("SignedChannelTicket", sct));
+  c.push_back(framed("Login1Request{}", core::Login1Request{}));
+  c.push_back(framed("Login1Request", core::Login1Request{.email = "e@x",
+                                                           .client_public_key = keys.pub,
+                                                           .client_version = 2}));
+  c.push_back(framed("Login1Response{}", core::Login1Response{}));
+  c.push_back(framed("Login1Response",
+                     core::Login1Response{core::DrmError::kWrongDomain,
+                                          util::bytes_of("sealed"), challenge}));
+  c.push_back(framed("Login2Request{}", core::Login2Request{}));
+  {
+    core::Login2Request m;
+    m.email = "e@x";
+    m.client_public_key = keys.pub;
+    m.client_version = 2;
+    m.params = {1, 2, 3};
+    m.checksum = Bytes(4, 0xcc);
+    m.challenge = challenge;
+    m.proof = util::bytes_of("proof");
+    c.push_back(framed("Login2Request", m));
+  }
+  c.push_back(framed("Login2Response{}", core::Login2Response{}));
+  c.push_back(framed("Login2Response",
+                     core::Login2Response{core::DrmError::kOk, sut, 1234, 2}));
+  c.push_back(framed("Switch1Request{}", core::Switch1Request{}));
+  c.push_back(framed("Switch1Request",
+                     core::Switch1Request{.user_ticket = util::bytes_of("ut"),
+                                          .channel_id = 3,
+                                          .expiring_ticket = util::bytes_of("ct")}));
+  c.push_back(framed("Switch1Response{}", core::Switch1Response{}));
+  c.push_back(framed("Switch1Response",
+                     core::Switch1Response{core::DrmError::kBadTicket, challenge}));
+  c.push_back(framed("Switch2Request{}", core::Switch2Request{}));
+  {
+    core::Switch2Request m;
+    m.user_ticket = util::bytes_of("ut");
+    m.channel_id = 3;
+    m.expiring_ticket = util::bytes_of("ct");
+    m.challenge = challenge;
+    m.proof = util::bytes_of("proof");
+    c.push_back(framed("Switch2Request", m));
+  }
+  c.push_back(framed("Switch2Response{}", core::Switch2Response{}));
+  c.push_back(framed("Switch2Response",
+                     core::Switch2Response{core::DrmError::kOk, sct,
+                                           {{1, util::parse_netaddr("10.0.0.1")},
+                                            {2, util::parse_netaddr("10.0.0.2")}}}));
+  c.push_back(framed("JoinRequest{}", core::JoinRequest{}));
+  c.push_back(framed("JoinRequest",
+                     core::JoinRequest{.channel_ticket = util::bytes_of("ct"),
+                                       .substream_mask = 6}));
+  c.push_back(framed("JoinResponse{}", core::JoinResponse{}));
+  c.push_back(framed("JoinResponse",
+                     core::JoinResponse{core::DrmError::kNoCapacity, util::bytes_of("sk"),
+                                        util::bytes_of("ck")}));
+  c.push_back(framed("ChannelListRequest{}", core::ChannelListRequest{}));
+  c.push_back(framed("ChannelListRequest",
+                     core::ChannelListRequest{.user_ticket = util::bytes_of("ut"),
+                                              .stale_attributes = {"Region", "AS"}}));
+  c.push_back(framed("ChannelListResponse{}", core::ChannelListResponse{}));
+  c.push_back(framed(
+      "ChannelListResponse",
+      core::ChannelListResponse{
+          core::DrmError::kOk,
+          {record},
+          {{1, util::parse_netaddr("10.1.0.1"), util::bytes_of("key")}}}));
+  c.push_back(nested("ChannelRecord", record));
+  c.push_back(nested("AttributeSet", attrs));
+  c.push_back(nested("Challenge", challenge));
+  c.push_back(nested("ContentKey", core::generate_content_key(rng, 7, 100)));
+  c.push_back(framed("ContentPacket{}", core::ContentPacket{}));
+  c.push_back(framed("ContentPacket", core::ContentPacket{3, 7, 11, Bytes(6, 0xee)}));
+  {
+    net::Envelope env;
+    env.kind = net::MsgKind::kContent;
+    env.request_id = 12;
+    env.payload = util::bytes_of("payload");
+    c.push_back({"Envelope", env.encode(), [](util::BytesView b) {
+                   const std::optional<net::Envelope> e = net::Envelope::decode(b);
+                   if (!e) throw util::WireError("envelope rejected");
+                   return e->encode();
+                 }});
+  }
+  c.push_back(framed("BusyPayload", net::BusyPayload{2 * util::kSecond, 9}));
+  c.push_back(framed("RedirectRequest", services::RedirectRequest{"e@x"}));
+  c.push_back(framed("RedirectResponse{}", services::RedirectResponse{}));
+  c.push_back(framed("RedirectResponse",
+                     services::RedirectResponse{
+                         true, 3, {util::parse_netaddr("10.0.1.1"), util::bytes_of("um")},
+                         {util::parse_netaddr("10.0.1.2"), util::bytes_of("cpm")}}));
+  {
+    services::ViewingLog::Entry e;
+    e.user_in = 9;
+    e.channel = 2;
+    e.addr = util::parse_netaddr("10.0.0.3");
+    e.time = 77;
+    e.renewal = true;
+    c.push_back({"ViewingEntry", services::encode_viewing_entry(e),
+                 [](util::BytesView b) {
+                   return services::encode_viewing_entry(
+                       services::decode_viewing_entry(b));
+                 }});
+  }
+  services::UserRecord rec;
+  rec.user_in = 8;
+  rec.account.email = "e@x";
+  rec.account.shp.fill(0x11);
+  rec.account.subscriptions = {{"101", 1, 2}, {"202", util::kNullTime, 5}};
+  rec.account.created_at = 3;
+  rec.account.suspended = true;
+  c.push_back({"UserRecord", services::encode_user_record(rec), [](util::BytesView b) {
+                 return services::encode_user_record(services::decode_user_record(b));
+               }});
+  services::UserDirectory dir;
+  dir.next_user_in = 10;
+  dir.users[rec.account.email] = rec;
+  rec.user_in = 9;
+  rec.account.email = "f@x";
+  rec.account.subscriptions.clear();
+  dir.users[rec.account.email] = rec;
+  c.push_back({"UserDirectory", services::encode_user_directory(dir),
+               [](util::BytesView b) {
+                 return services::encode_user_directory(
+                     services::decode_user_directory(b));
+               }});
+  services::ViewingLog log;
+  log.set_audit_cap(2);
+  log.record({9, 2, util::parse_netaddr("10.0.0.3"), 77, false});
+  log.record({9, 2, util::parse_netaddr("10.0.0.3"), 78, true});
+  log.record({8, 3, util::parse_netaddr("10.0.0.4"), 79, false});
+  c.push_back(framed("ViewingLog", log));
+  c.push_back(framed("ReplicatedOp", store::ReplicatedOp{1, 2, util::bytes_of("op")}));
+  return c;
+}
+
+/// First 16 hex digits of the hash of the entry's accept/reject pattern.
+std::string acceptance_digest(const AcceptanceEntry& entry) {
+  crypto::Sha256 h;
+  const auto feed = [&](const Bytes& input) {
+    std::uint8_t accepted = 0;
+    Bytes out;
+    try {
+      out = entry.reencode(input);
+      accepted = 1;
+    } catch (const util::WireError&) {
+    }
+    util::WireWriter w;
+    w.u8(accepted);
+    if (accepted == 1) w.bytes(out);
+    h.update(w.data());
+  };
+  const Bytes& valid = entry.valid;
+  for (std::size_t len = 0; len <= valid.size(); ++len) {
+    feed(Bytes(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len)));
+  }
+  for (std::size_t pos = 0; pos < valid.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes m = valid;
+      m[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      feed(m);
+    }
+    for (const std::uint8_t v : {0x00, 0x01, 0x02, 0xff}) {
+      Bytes m = valid;
+      m[pos] = v;
+      feed(m);
+    }
+  }
+  const crypto::Sha256Digest d = h.finish();
+  return util::to_hex(util::BytesView(d.data(), 8));
+}
+
+TEST(FuzzDecodeTest, AcceptanceDigestPerDecoder) {
+  const std::map<std::string, std::string> expected = {
+      {"UserTicket", "fa6ae56f39b9885e"},
+      {"ChannelTicket", "f6d4efa11116a136"},
+      {"SignedUserTicket", "df58806fad7688ca"},
+      {"SignedChannelTicket", "195ac518032a31f9"},
+      {"Login1Request{}", "ba482593b192795f"},
+      {"Login1Request", "c2d8e758d1d8d164"},
+      {"Login1Response{}", "700f176dfbb3f0e6"},
+      {"Login1Response", "c40516e009c7b8bd"},
+      {"Login2Request{}", "431efcafc80a7201"},
+      {"Login2Request", "c3b40ce911bc2fc1"},
+      {"Login2Response{}", "6e64124de1a20e21"},
+      {"Login2Response", "b636e5ef9f81eecf"},
+      {"Switch1Request{}", "d8e3c4a86f33411d"},
+      {"Switch1Request", "4ed379e79bb5e898"},
+      {"Switch1Response{}", "e5ca688dd834cb73"},
+      {"Switch1Response", "4ae6fa7b6200a358"},
+      {"Switch2Request{}", "7ef82893265ecb26"},
+      {"Switch2Request", "ffb29830e6fb50a5"},
+      {"Switch2Response{}", "a1ea59cafadf2d6d"},
+      {"Switch2Response", "017f4a169ab094eb"},
+      {"JoinRequest{}", "0cefd2cc77171413"},
+      {"JoinRequest", "1537f5262569a55c"},
+      {"JoinResponse{}", "74f7f93b372bac42"},
+      {"JoinResponse", "a133e11dff0ec79a"},
+      {"ChannelListRequest{}", "8c8ccd88465336e5"},
+      {"ChannelListRequest", "943f6da632888ee2"},
+      {"ChannelListResponse{}", "74f7f93b372bac42"},
+      {"ChannelListResponse", "9bc53c3805ac80e2"},
+      {"ChannelRecord", "0e9c74bb55b6f1a7"},
+      {"AttributeSet", "69356337e8e2a221"},
+      {"Challenge", "f2a703eb80fc2f44"},
+      {"ContentKey", "be9e354f7d380f0c"},
+      {"ContentPacket{}", "3018efbaeb598289"},
+      {"ContentPacket", "d4e383c5b69a0c31"},
+      {"Envelope", "d43778fabc3bb805"},
+      {"BusyPayload", "6f6cabdda9aace46"},
+      {"RedirectRequest", "c012db4652f8f1d4"},
+      {"RedirectResponse{}", "51fbd4ca827987e0"},
+      {"RedirectResponse", "575ae74dd10b8813"},
+      {"ViewingEntry", "612f1e97fa62ceb1"},
+      {"UserRecord", "76f5ceb4adeb9d9f"},
+      {"UserDirectory", "577eef4cb6328bf2"},
+      {"ViewingLog", "b71632d47fd682fe"},
+      {"ReplicatedOp", "b609715694b2a134"},
+  };
+  std::size_t checked = 0;
+  for (const AcceptanceEntry& entry : acceptance_corpus()) {
+    const std::string got = acceptance_digest(entry);
+    const auto it = expected.find(entry.name);
+    if (it == expected.end()) continue;
+    EXPECT_EQ(got, it->second) << entry.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, expected.size());
 }
 
 // ---------------------------------------------------------------------------
