@@ -62,7 +62,7 @@ void AttackClient::replay(util::NodeId to, const util::Bytes& wire,
 }
 
 void AttackClient::on_packet(const net::Packet& packet) {
-  const auto env = net::Envelope::decode(packet.data);
+  const auto env = net::Envelope::decode(packet.data());
   if (!env) return;  // the fuzzer can chew our own responses; shrug
   Handler handler;
   {
@@ -89,7 +89,7 @@ RoguePeer::~RoguePeer() {
 }
 
 void RoguePeer::on_packet(const net::Packet& packet) {
-  const auto env = net::Envelope::decode(packet.data);
+  const auto env = net::Envelope::decode(packet.data());
   if (!env) return;
   switch (env->kind) {
     case net::MsgKind::kJoinRequest: {

@@ -100,7 +100,7 @@ ContentPacket encrypt_packet(const ContentKey& key, util::ChannelId channel,
 }
 
 std::optional<util::Bytes> decrypt_packet(const ContentKey& key,
-                                          const ContentPacket& packet) {
+                                          const ContentPacketView& packet) {
   if (packet.key_serial != key.serial) return std::nullopt;
   return crypto::AesCtr(key.key, packet_nonce(key, packet.seq))
       .crypt_copy(packet.payload);

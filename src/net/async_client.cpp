@@ -38,7 +38,7 @@ void request(Transmitter& tx, util::NodeId to, MsgKind kind, util::Bytes payload
              std::function<void(Response)> on_ok) {
   tx.send(
       to, kind, std::move(payload), expect, round,
-      [done, on_ok = std::move(on_ok)](const Envelope& env) {
+      [done, on_ok = std::move(on_ok)](const EnvelopeView& env) {
         std::optional<Response> resp = decode_as<Response>(env.payload);
         if (!resp) {
           done(DrmError::kBadTicket);
@@ -79,7 +79,7 @@ void AsyncClient::leave() {
 }
 
 void AsyncClient::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
+  const auto env = EnvelopeView::decode(packet.data());
   if (!env) return;
   switch (env->kind) {
     // Peer-plane messages are served by the embedded overlay half.
@@ -87,7 +87,7 @@ void AsyncClient::on_packet(const Packet& packet) {
     case MsgKind::kRenewalPresent:
     case MsgKind::kKeyBlob:
     case MsgKind::kContent:
-      if (peer_node_) peer_node_->on_packet(packet);
+      if (peer_node_) peer_node_->on_envelope(packet, *env);
       return;
     default:
       tx_.on_envelope(packet.from, *env);
@@ -550,12 +550,12 @@ void AsyncClient::do_switch_channel(util::ChannelId channel, Callback done) {
         [this](const core::ContentKey& key) { on_key_installed(key); });
     reassembly_ = std::make_unique<p2p::SubstreamBuffer>(1024);
     router_.reset();
-    peer_node_->set_content_sink([this](const core::ContentPacket& packet,
-                                        const std::optional<util::Bytes>& plain) {
+    peer_node_->set_content_sink([this](const core::ContentPacketView& packet,
+                                        std::optional<util::Bytes> plain) {
       last_content_ = network_.now();
       if (plain) {
         ++content_decrypted_;
-        content_in_order_ += reassembly_->insert(packet.seq, *plain).size();
+        content_in_order_ += reassembly_->insert(packet.seq, std::move(*plain)).size();
       } else {
         ++content_undecryptable_;
       }
@@ -623,7 +623,7 @@ void AsyncClient::join(std::shared_ptr<JoinState> state, Callback done) {
   tx_.send(
       target.node, MsgKind::kJoinRequest, req.encode(), MsgKind::kJoinResponse,
       Round::kJoin,
-      [this, state, target, mask, done](const Envelope& env) {
+      [this, state, target, mask, done](const EnvelopeView& env) {
         const auto resp = decode_as<core::JoinResponse>(env.payload);
         if (resp && resp->error == DrmError::kOk &&
             peer_node_->peer().complete_join(target.node, *resp)) {
@@ -668,13 +668,13 @@ void AsyncClient::do_renew_channel_ticket(Callback done) {
         }
         for (std::size_t i = 1; i < parents.size(); ++i) {
           tx_.send(parents[i], MsgKind::kRenewalPresent, channel_ticket_->encode(),
-                   MsgKind::kRenewalAck, Round::kSwitch2, [](const Envelope&) {},
+                   MsgKind::kRenewalAck, Round::kSwitch2, [](const EnvelopeView&) {},
                    [](DrmError) {});
         }
         tx_.send(
             parents[0], MsgKind::kRenewalPresent, channel_ticket_->encode(),
             MsgKind::kRenewalAck, Round::kSwitch2,
-            [done](const Envelope&) { done(DrmError::kOk); },
+            [done](const EnvelopeView&) { done(DrmError::kOk); },
             [done](DrmError) { done(DrmError::kOk); });  // best effort
       });
 }

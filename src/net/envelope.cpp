@@ -35,12 +35,4 @@ BusyPayload BusyPayload::decode(util::BytesView data) {
   return p;
 }
 
-std::optional<Envelope> Envelope::decode(util::BytesView data) {
-  try {
-    return util::decode_fields_exact<Envelope>(data);
-  } catch (const util::WireError&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace p2pdrm::net

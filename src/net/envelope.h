@@ -69,10 +69,15 @@ struct BusyPayload {
   static BusyPayload decode(util::BytesView data);
 };
 
-struct Envelope {
+/// The envelope over one payload type: Envelope owns its payload (what
+/// senders build), EnvelopeView reads the payload as a view into the
+/// received packet (no copy; valid while the packet lives), and
+/// BasicEnvelope<util::Nested<T>> writes a struct in place as the payload.
+template <class Payload>
+struct BasicEnvelope {
   MsgKind kind = MsgKind::kRedirectRequest;
   std::uint64_t request_id = 0;
-  util::Bytes payload;
+  Payload payload;
 
   template <class Io>
   void fields(Io& io) {
@@ -81,7 +86,16 @@ struct Envelope {
   util::Bytes encode() const { return util::encode_fields(*this); }
   /// nullopt on malformed input, trailing bytes included (dropped at the
   /// receiver).
-  static std::optional<Envelope> decode(util::BytesView data);
+  static std::optional<BasicEnvelope> decode(util::BytesView data) {
+    try {
+      return util::decode_fields_exact<BasicEnvelope>(data);
+    } catch (const util::WireError&) {
+      return std::nullopt;
+    }
+  }
 };
+
+using Envelope = BasicEnvelope<util::Bytes>;
+using EnvelopeView = BasicEnvelope<util::BytesView>;
 
 }  // namespace p2pdrm::net

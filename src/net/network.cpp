@@ -140,7 +140,7 @@ util::SimTime Network::local_time(util::NodeId id) const {
   return transport_->now() + (it == clock_skew_.end() ? 0 : it->second);
 }
 
-void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
+void Network::send(util::NodeId from, util::NodeId to, Buffer data) {
   counters_.sent.inc();
   // Post-mortem breadcrumb; a single relaxed load when the recorder is
   // disarmed (the default).
@@ -161,7 +161,7 @@ void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
   }
 
   SendContext ctx{from, from_addr, to,          to_addr,
-                  transport_->now(), &data,     data.size()};
+                  transport_->now(), data.get(), data->size()};
 
   // The interceptor chain sees the packet before the link's own loss model,
   // so partition drops are counted separately from ambient loss. Every
@@ -178,10 +178,11 @@ void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
     if (v.replace) {
       // In-flight payload rewrite (the adversary fuzzer's corruption seam):
       // interceptors later in the chain and the receiver see the mutated
-      // bytes. The original payload is gone, as it would be on a real wire.
-      data = std::move(*v.replace);
-      ctx.data = &data;
-      ctx.bytes = data.size();
+      // bytes. The original payload is gone, as it would be on a real wire;
+      // the buffer it came in stays intact for the sends that share it.
+      data = std::make_shared<const util::Bytes>(std::move(*v.replace));
+      ctx.data = data.get();
+      ctx.bytes = data->size();
       counters_.mutated.inc();
       obs::FlightRecorder::global().record("net.mutate", from, to);
     }
@@ -221,10 +222,10 @@ void Network::send(util::NodeId from, util::NodeId to, util::Bytes data) {
   // other delivery and timer of that node.
   Packet packet{from, from_addr, to, std::move(data)};
   transport_->post(group_of(to), delay, [this, to_addr, delay,
-                                         packet = std::move(packet)]() mutable {
+                                         packet = std::move(packet)] {
     SendContext arrival{packet.from, packet.from_addr, packet.to,
-                        to_addr,     transport_->now(), &packet.data,
-                        packet.data.size()};
+                        to_addr,     transport_->now(), packet.buffer.get(),
+                        packet.buffer->size()};
     const std::shared_ptr<const Chain> arrival_chain = chain_snapshot();
     Node* node = nullptr;
     {

@@ -20,6 +20,15 @@
 // node X is posted to X's transport group, so a node's on_packet calls are
 // serialized; detach/attach of X must likewise run on X's group loop when
 // the transport is live.
+//
+// Packet buffers: a datagram's bytes live in one immutable, shared Buffer
+// from the send to the last receiver. Sends that carry the same bytes share
+// it — a relay's fan-out to its children, a request's retransmissions — and
+// no loop ever writes to it, so any loop may read it without a lock. An
+// interceptor's Verdict::replace swaps a new buffer into that one send
+// only; every other send of the old buffer carries the old bytes. Decoded
+// views (EnvelopeView, core::ContentPacketView) point into the buffer and
+// live as long as the Packet, or a copy of it, that holds the buffer.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +48,17 @@
 
 namespace p2pdrm::net {
 
+/// A datagram's bytes, immutable and shared by every send that carries
+/// them (see the header comment).
+using Buffer = std::shared_ptr<const util::Bytes>;
+
 struct Packet {
   util::NodeId from = util::kInvalidNode;
   util::NetAddr from_addr;
   util::NodeId to = util::kInvalidNode;
-  util::Bytes data;
+  Buffer buffer;
+
+  const util::Bytes& data() const { return *buffer; }
 };
 
 /// Something attached to the network.
@@ -98,7 +113,8 @@ class SendInterceptor {
     // the chain and onto the wire — the corruption seam the adversary
     // fuzzer uses to truncate/bit-flip live traffic. Later interceptors
     // (and the receiver) see the mutated bytes; counted as
-    // net.packets.mutated.
+    // net.packets.mutated. The new bytes go into a new buffer for this send
+    // only: other sends sharing the old buffer are untouched.
     std::optional<util::Bytes> replace;
   };
 
@@ -142,8 +158,13 @@ class Network {
   void set_link(util::NodeId id, LinkConfig link);
 
   /// Fire-and-forget datagram. Packets to unknown destinations vanish
-  /// (like the real Internet).
-  void send(util::NodeId from, util::NodeId to, util::Bytes data);
+  /// (like the real Internet). The buffer is shared, not copied: pass the
+  /// same one to every destination that gets the same bytes.
+  void send(util::NodeId from, util::NodeId to, Buffer data);
+  /// Send bytes built for this one send (moved into a new buffer).
+  void send(util::NodeId from, util::NodeId to, util::Bytes data) {
+    send(from, to, std::make_shared<const util::Bytes>(std::move(data)));
+  }
 
   std::optional<util::NetAddr> addr_of(util::NodeId id) const;
   /// Reverse lookup (exact address match).

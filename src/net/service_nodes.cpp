@@ -35,7 +35,7 @@ void respond_after(Network& network, util::NodeId self, util::NodeId to,
 /// sim backend) plus the modeled processing delay. `outcome` tags the
 /// handler's verdict.
 void trace_serve(obs::Tracer* tracer, Network& network, util::NodeId self,
-                 const Packet& packet, const Envelope& env, util::SimTime start,
+                 const Packet& packet, const EnvelopeView& env, util::SimTime start,
                  util::SimTime processing, std::string_view outcome) {
   if (tracer == nullptr) return;
   const obs::SpanId parent = tracer->bound_request(packet.from, env.request_id);
@@ -54,7 +54,7 @@ std::optional<std::string_view> serve_request(Network& network, util::NodeId sel
                                               obs::Tracer* tracer,
                                               const ProcessingModel& processing,
                                               const Route& route, const Packet& packet,
-                                              const Envelope& env) {
+                                              const EnvelopeView& env) {
   const util::SimTime start = network.now();
   Reply reply;
   try {
@@ -163,7 +163,7 @@ ServiceNode::ServiceNode(Network& network, util::NodeId self, std::vector<Route>
 }
 
 void ServiceNode::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
+  const auto env = EnvelopeView::decode(packet.data());
   if (!env) {
     malformed_.in(registry_).inc();
     return;
@@ -175,7 +175,7 @@ void ServiceNode::on_packet(const Packet& packet) {
   admit_or_shed(packet, *env, *it);
 }
 
-void ServiceNode::serve(const Packet& packet, const Envelope& env, Served& served) {
+void ServiceNode::serve(const Packet& packet, const EnvelopeView& env, Served& served) {
   const auto outcome =
       serve_request(network_, self_, tracer_, processing_, served.route, packet, env);
   if (!outcome) {
@@ -199,7 +199,7 @@ obs::Counter& ServiceNode::outcome_counter(Served& served, std::string_view outc
 /// With one, the request either waits for a worker — served at service
 /// start, after an observable "queue" span — or is shed with a kBusy
 /// response carrying a retry-after hint. Shedding is never silent.
-void ServiceNode::admit_or_shed(const Packet& packet, const Envelope& env,
+void ServiceNode::admit_or_shed(const Packet& packet, const EnvelopeView& env,
                                 Served& served) {
   if (queue_ == nullptr) {
     serve(packet, env, served);
@@ -244,6 +244,7 @@ void ServiceNode::admit_or_shed(const Packet& packet, const Envelope& env,
     tracer_->tag(span, "depth", std::to_string(d.depth));
     tracer_->end_span(span, now + d.wait, true);
   }
+  // The copy of `packet` keeps the buffer that `env` views alive.
   network_.post(self_, d.wait, [this, &served, packet, env] {
     // An instance that crashed while the request was queued loses it; the
     // client's retransmission machinery takes over.
@@ -264,17 +265,20 @@ PeerNode::PeerNode(std::unique_ptr<p2p::Peer> peer, Network& network,
           })) {}
 
 void PeerNode::on_packet(const Packet& packet) {
-  const auto env = Envelope::decode(packet.data);
+  const auto env = EnvelopeView::decode(packet.data());
   if (!env) {
     count_malformed();
     return;
   }
-  const util::SimTime now = network_.local_time(id());
-  switch (env->kind) {
+  on_envelope(packet, *env);
+}
+
+void PeerNode::on_envelope(const Packet& packet, const EnvelopeView& env) {
+  switch (env.kind) {
     case MsgKind::kJoinRequest: {
       // The managers' serve routine, without an admission queue.
       const auto outcome =
-          serve_request(network_, id(), tracer_, processing_, join_route_, packet, *env);
+          serve_request(network_, id(), tracer_, processing_, join_route_, packet, env);
       if (!outcome) {
         count_malformed();
       } else if (*outcome == "ok" && join_observer_) {
@@ -283,35 +287,37 @@ void PeerNode::on_packet(const Packet& packet) {
       return;
     }
     case MsgKind::kRenewalPresent: {
-      const bool ok = peer_->present_renewal(packet.from, env->payload, now);
+      const bool ok =
+          peer_->present_renewal(packet.from, env.payload, network_.local_time(id()));
       util::WireWriter w;
       w.u8(ok ? 1 : 0);
       respond_after(network_, id(), packet.from, MsgKind::kRenewalAck,
-                    env->request_id, w.take(), processing_.light);
+                    env.request_id, w.take(), processing_.light);
       return;
     }
     case MsgKind::kKeyBlob: {
       std::vector<p2p::Outgoing> forwards =
-          peer_->handle_key_blob(packet.from, env->payload);
+          peer_->handle_key_blob(packet.from, env.payload);
       if (forwards.empty()) return;  // leaf install or duplicate epoch
-      if (tracer_ != nullptr && env->request_id != 0) {
+      if (tracer_ != nullptr && env.request_id != 0) {
         // Parent this relay under the incoming blob's binding (the sender's
         // relay span, or the rotation root span) and bind our own epoch so
         // the outgoing hops attach here.
+        const util::SimTime now = network_.local_time(id());
         const obs::SpanId parent =
-            tracer_->bound_request(packet.from, env->request_id);
+            tracer_->bound_request(packet.from, env.request_id);
         const obs::SpanId relay =
             tracer_->begin_span("p2p", "relay key", id(), now, parent);
         tracer_->tag(relay, "children", std::to_string(forwards.size()));
         if (bound_epoch_ != 0) tracer_->unbind_request(id(), bound_epoch_);
-        tracer_->bind_request(id(), env->request_id, relay);
-        bound_epoch_ = env->request_id;
+        tracer_->bind_request(id(), env.request_id, relay);
+        bound_epoch_ = env.request_id;
         tracer_->end_span(relay, now);
       }
       for (p2p::Outgoing& out : forwards) {
         Envelope fwd;
         fwd.kind = MsgKind::kKeyBlob;
-        fwd.request_id = env->request_id;
+        fwd.request_id = env.request_id;
         fwd.payload = std::move(out.payload);
         network_.send(id(), out.to, fwd.encode());
         ++keys_relayed_;
@@ -319,16 +325,17 @@ void PeerNode::on_packet(const Packet& packet) {
       return;
     }
     case MsgKind::kContent: {
-      core::ContentPacket content;
+      core::ContentPacketView content;
       try {
-        content = core::ContentPacket::decode(env->payload);
+        content = core::ContentPacketView::decode(env.payload);
       } catch (const util::WireError&) {
         count_malformed();
         return;
       }
       ++content_received_;
       if (content_sink_) content_sink_(content, peer_->decrypt(content));
-      forward_content(content);
+      // Relay what arrived: the source's encryption travels unchanged.
+      fan_out(packet.buffer, content.seq);
       return;
     }
     default:
@@ -349,15 +356,17 @@ void PeerNode::announce_key(const core::ContentKey& key,
 }
 
 void PeerNode::forward_content(const core::ContentPacket& packet) {
-  Envelope env;
-  env.kind = MsgKind::kContent;
-  env.payload = packet.encode();
-  const util::Bytes wire = env.encode();
+  // One encoding: the packet's fields are written in place as the payload.
+  const BasicEnvelope<util::Nested<core::ContentPacket>> env{MsgKind::kContent, 0,
+                                                             {packet}};
+  fan_out(std::make_shared<const util::Bytes>(env.encode()), packet.seq);
+}
+
+void PeerNode::fan_out(const Buffer& wire, std::uint64_t seq) {
   // Sub-stream aware: each child only receives the sub-streams it asked
   // this parent for (peer-division multiplexing).
-  for (util::NodeId child : peer_->forward_targets_for(packet.seq)) {
-    network_.send(id(), child, wire);
-  }
+  peer_->for_each_target(seq,
+                         [&](util::NodeId child) { network_.send(id(), child, wire); });
 }
 
 }  // namespace p2pdrm::net

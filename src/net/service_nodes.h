@@ -121,8 +121,8 @@ class ServiceNode final : public Node {
     std::vector<std::pair<std::string, obs::Counter*>> outcomes;
   };
 
-  void admit_or_shed(const Packet& packet, const Envelope& env, Served& served);
-  void serve(const Packet& packet, const Envelope& env, Served& served);
+  void admit_or_shed(const Packet& packet, const EnvelopeView& env, Served& served);
+  void serve(const Packet& packet, const EnvelopeView& env, Served& served);
   obs::Counter& outcome_counter(Served& served, std::string_view outcome);
 
   Network& network_;
@@ -139,11 +139,16 @@ class ServiceNode final : public Node {
 
 /// A peer in the overlay: answers joins and renewal presentations, relays
 /// key blobs to children, forwards content packets down the tree, and
-/// hands received content to an optional sink (the player).
+/// hands received content to an optional sink (the player). A relay sends
+/// its children the buffer it received, unchanged: content is encrypted
+/// once, at the source, and only key blobs are re-wrapped per link.
 class PeerNode : public Node {
  public:
+  /// Receives each content packet (a view into the received buffer) and its
+  /// plaintext, decrypted into a buffer the sink now owns (nullopt without
+  /// the packet's key).
   using ContentSink =
-      std::function<void(const core::ContentPacket&, const std::optional<util::Bytes>&)>;
+      std::function<void(const core::ContentPacketView&, std::optional<util::Bytes>)>;
   /// Called after each accepted join with the new child and the updated
   /// child count (trackers subscribe to keep load fresh).
   using JoinObserver = std::function<void(util::NodeId child, std::size_t children)>;
@@ -152,6 +157,9 @@ class PeerNode : public Node {
            ProcessingModel processing = {});
 
   void on_packet(const Packet& packet) override;
+  /// on_packet for a caller that has decoded the envelope already (the
+  /// client this node is embedded in). `env` points into `packet`.
+  void on_envelope(const Packet& packet, const EnvelopeView& env);
 
   p2p::Peer& peer() { return *peer_; }
   const p2p::Peer& peer() const { return *peer_; }
@@ -169,7 +177,8 @@ class PeerNode : public Node {
   /// and relay spans can correlate the whole fan-out under one rotation
   /// span (0 = untraced legacy announcements).
   void announce_key(const core::ContentKey& key, std::uint64_t request_id = 0);
-  /// Encrypt nothing — forward an already-encrypted packet to all children.
+  /// Root use: encode an already-encrypted packet once and send that one
+  /// buffer to every subscribed child.
   void forward_content(const core::ContentPacket& packet);
 
   std::uint64_t content_received() const { return content_received_; }
@@ -182,6 +191,8 @@ class PeerNode : public Node {
   void count_malformed() {
     if (registry_ != nullptr) malformed_.in(*registry_).inc();
   }
+  /// Send `wire`, a content envelope, to the children subscribed to `seq`.
+  void fan_out(const Buffer& wire, std::uint64_t seq);
 
   std::unique_ptr<p2p::Peer> peer_;
   Network& network_;

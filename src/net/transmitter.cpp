@@ -123,7 +123,8 @@ void Transmitter::send(util::NodeId to, MsgKind kind, util::Bytes payload,
   }
   const std::uint64_t request_id = next_request_id_++;
   Pending pending{.expect = expect, .to = to,
-                  .wire = Envelope{kind, request_id, std::move(payload)}.encode(),
+                  .wire = std::make_shared<const util::Bytes>(
+                      Envelope{kind, request_id, std::move(payload)}.encode()),
                   .retries_left = config_.max_retries, .round = round,
                   .started = network_.now(), .on_response = std::move(on_response),
                   .on_fail = std::move(on_fail)};
@@ -192,7 +193,7 @@ void Transmitter::arm_timeout(std::uint64_t request_id) {
   });
 }
 
-void Transmitter::on_envelope(util::NodeId from, const Envelope& env) {
+void Transmitter::on_envelope(util::NodeId from, const EnvelopeView& env) {
   const auto it = pending_.find(env.request_id);
   if (it == pending_.end()) return;  // stale duplicate
   // Request ids count up from 1 in every client, so any node can name one
@@ -212,7 +213,7 @@ void Transmitter::on_envelope(util::NodeId from, const Envelope& env) {
   pending.on_response(env);
 }
 
-void Transmitter::handle_busy(PendingMap::iterator it, const Envelope& env) {
+void Transmitter::handle_busy(PendingMap::iterator it, const EnvelopeView& env) {
   BusyPayload busy;
   try {
     busy = BusyPayload::decode(env.payload);

@@ -53,7 +53,8 @@ class Transmitter {
   /// How many BUSY responses one request tolerates before giving up.
   static constexpr int kBusyMaxDefers = 8;
 
-  using OnResponse = std::function<void(const Envelope&)>;
+  /// Sees the response as a view into its packet, valid for the call.
+  using OnResponse = std::function<void(const EnvelopeView&)>;
   using OnFail = std::function<void(core::DrmError)>;
 
   /// `self` is the client's node id; `rng` its generator (jitter draws
@@ -75,7 +76,7 @@ class Transmitter {
   /// A non-peer-plane envelope from `from`: a response or a BUSY for one of
   /// our pending requests. Anything else — a stale duplicate, a kind we do
   /// not expect, a sender we did not ask — is dropped.
-  void on_envelope(util::NodeId from, const Envelope& env);
+  void on_envelope(util::NodeId from, const EnvelopeView& env);
 
   /// Drop every pending request without calling its on_fail (the session
   /// is over, nobody is listening); their timers find nothing.
@@ -121,7 +122,7 @@ class Transmitter {
   struct Pending {
     MsgKind expect;
     util::NodeId to = util::kInvalidNode;
-    util::Bytes wire;  // full envelope for retransmission
+    Buffer wire;  // full envelope, shared by every retransmission
     int retries_left = 0;
     int busy_defers = 0;        // BUSY responses absorbed so far
     std::uint64_t attempt = 0;  // invalidates stale timeout events
@@ -140,7 +141,7 @@ class Transmitter {
   void arm_timeout(std::uint64_t request_id);
   /// A BUSY answered `it`: resend after its retry-after hint, or fail when
   /// the request is out of defers or the round's retry budget is dry.
-  void handle_busy(PendingMap::iterator it, const Envelope& env);
+  void handle_busy(PendingMap::iterator it, const EnvelopeView& env);
   /// Open a fresh attempt span; hops and serves parent under it.
   void begin_attempt_span(std::uint64_t request_id, Pending& pending);
   /// End the request's spans with the final outcome and drop its binding.

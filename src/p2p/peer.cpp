@@ -167,20 +167,10 @@ std::vector<Outgoing> Peer::handle_key_blob(util::NodeId from, util::BytesView b
   return out;
 }
 
-std::optional<util::Bytes> Peer::decrypt(const core::ContentPacket& packet) const {
+std::optional<util::Bytes> Peer::decrypt(const core::ContentPacketView& packet) const {
   const auto it = keys_.find(packet.key_serial);
   if (it == keys_.end()) return std::nullopt;
   return core::decrypt_packet(it->second, packet);
-}
-
-std::vector<util::NodeId> Peer::forward_targets_for(std::uint64_t seq) const {
-  const std::size_t substreams = std::max<std::size_t>(1, config_.substreams);
-  const std::uint32_t bit = 1u << (seq % substreams % 32);
-  std::vector<util::NodeId> out;
-  for (const auto& [node, link] : children_) {
-    if (link.substream_mask & bit) out.push_back(node);
-  }
-  return out;
 }
 
 std::vector<util::NodeId> Peer::parents() const {

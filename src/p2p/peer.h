@@ -16,6 +16,7 @@
 //     renewal ticket being presented (§IV-D).
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
@@ -112,11 +113,18 @@ class Peer {
   // --- content packets ---
 
   /// Decrypt a packet with the matching installed key.
-  std::optional<util::Bytes> decrypt(const core::ContentPacket& packet) const;
+  std::optional<util::Bytes> decrypt(const core::ContentPacketView& packet) const;
 
-  /// Children subscribed to the sub-stream that packet sequence `seq`
-  /// belongs to (seq % config().substreams).
-  std::vector<util::NodeId> forward_targets_for(std::uint64_t seq) const;
+  /// Call `fn(child)` for each child subscribed to the sub-stream that
+  /// packet sequence `seq` belongs to (seq % config().substreams).
+  template <class Fn>
+  void for_each_target(std::uint64_t seq, Fn&& fn) const {
+    const std::size_t substreams = std::max<std::size_t>(1, config_.substreams);
+    const std::uint32_t bit = 1u << (seq % substreams % 32);
+    for (const auto& [node, link] : children_) {
+      if (link.substream_mask & bit) fn(node);
+    }
+  }
 
   // --- introspection ---
 

@@ -70,6 +70,14 @@ Bytes WireReader::bytes() {
   return raw(n);
 }
 
+BytesView WireReader::bytes_view() {
+  const std::uint32_t n = u32();
+  need(n);
+  const BytesView v = data_.subspan(pos_, n);
+  pos_ += n;
+  return v;
+}
+
 std::string WireReader::str() {
   const std::uint32_t n = u32();
   need(n);

@@ -18,12 +18,18 @@
 //   - a uint8 enum: one byte; the reader rejects codes outside the range
 //     that `wire_range(E{})` (found by ADL) returns;
 //   - Bytes and std::string: u32 length, then the bytes;
+//   - BytesView: the same bytes as Bytes; the reader hands back a view into
+//     its input instead of a copy, valid as long as that input is;
 //   - std::array<uint8_t, N>: N raw bytes; NetAddr: its u32 address;
 //   - std::optional<T>: a presence byte, then T when the byte is 1 (any
 //     other byte reads as absent);
 //   - counted(vec, max) / counted_backed(vec, min_item_bytes): u32 count,
 //     then the items; the reader caps the count;
 //   - lenient_flag(b): one byte that reads as `byte == 1`;
+//   - Nested<T>: T's field list as a length-prefixed blob, written in place
+//     (the bytes of a Bytes field holding T's encoding, without building
+//     that encoding first). Write-only: a reader takes the blob as Bytes or
+//     BytesView and decodes T from it;
 //   - a type with `Bytes encode() const` and `static T decode(BytesView)`
 //     (RsaPublicKey, Signed<T>): its own encoding as a length-prefixed blob;
 //   - any other struct: its field list, inline.
@@ -93,6 +99,13 @@ struct LenientFlag {
 
 inline LenientFlag lenient_flag(bool& value) { return {value}; }
 
+/// A struct written as a length-prefixed blob of its field list (see the
+/// header comment).
+template <class T>
+struct Nested {
+  const T& value;
+};
+
 namespace wire_detail {
 
 template <class T>
@@ -104,6 +117,11 @@ template <class T>
 struct IsCounted : std::false_type {};
 template <class V>
 struct IsCounted<Counted<V>> : std::true_type {};
+
+template <class T>
+struct IsNested : std::false_type {};
+template <class T>
+struct IsNested<Nested<T>> : std::true_type {};
 
 template <class T>
 struct IsByteArray : std::false_type {};
@@ -176,6 +194,8 @@ class WireReader {
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   Bytes bytes();
+  /// A length-prefixed byte string as a view into the input (no copy).
+  BytesView bytes_view();
   std::string str();
   /// Read exactly n raw bytes.
   Bytes raw(std::size_t n);
@@ -238,7 +258,7 @@ void WireWriter::put(const T& v) {
     u64(v);
   } else if constexpr (std::is_same_v<T, std::int64_t>) {
     i64(v);
-  } else if constexpr (std::is_same_v<T, Bytes>) {
+  } else if constexpr (std::is_same_v<T, Bytes> || std::is_same_v<T, BytesView>) {
     bytes(v);
   } else if constexpr (std::is_same_v<T, std::string>) {
     str(v);
@@ -248,6 +268,11 @@ void WireWriter::put(const T& v) {
     u32(v.ip);
   } else if constexpr (std::is_same_v<T, LenientFlag>) {
     u8(v.value ? 1 : 0);
+  } else if constexpr (IsNested<T>::value) {
+    const std::size_t at = buf_.size();
+    u32(0);  // the length, patched once the fields are down
+    fields_of(v.value);
+    store_le32(buf_.data() + at, static_cast<std::uint32_t>(buf_.size() - at - 4));
   } else if constexpr (IsOptional<T>::value) {
     u8(v.has_value() ? 1 : 0);
     if (v) put(*v);
@@ -285,6 +310,8 @@ void WireReader::get(T& v) {
     v = i64();
   } else if constexpr (std::is_same_v<T, Bytes>) {
     v = bytes();
+  } else if constexpr (std::is_same_v<T, BytesView>) {
+    v = bytes_view();
   } else if constexpr (std::is_same_v<T, std::string>) {
     v = str();
   } else if constexpr (IsByteArray<T>::value) {

@@ -356,7 +356,7 @@ class GarbagePeer final : public Node {
   GarbagePeer(Network& network, util::NodeId self) : network_(network), self_(self) {}
   void on_packet(const Packet& packet) override {
     ++requests_seen;
-    const auto env = Envelope::decode(packet.data);
+    const auto env = Envelope::decode(packet.data());
     if (!env) return;
     Envelope reply;
     reply.kind = MsgKind::kJoinResponse;

@@ -821,6 +821,27 @@ std::vector<AcceptanceEntry> acceptance_corpus() {
   return c;
 }
 
+/// The damaged inputs of the acceptance sweep, in order: each truncation of
+/// `valid`, then per byte each single-bit flip and the overwrites with 0x00,
+/// 0x01, 0x02 and 0xff.
+std::vector<Bytes> damaged_inputs(const Bytes& valid) {
+  std::vector<Bytes> out;
+  for (std::size_t len = 0; len <= valid.size(); ++len) {
+    out.emplace_back(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len));
+  }
+  for (std::size_t pos = 0; pos < valid.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      out.push_back(valid);
+      out.back()[pos] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+    for (const std::uint8_t v : {0x00, 0x01, 0x02, 0xff}) {
+      out.push_back(valid);
+      out.back()[pos] = v;
+    }
+  }
+  return out;
+}
+
 /// First 16 hex digits of the hash of the entry's accept/reject pattern.
 std::string acceptance_digest(const AcceptanceEntry& entry) {
   crypto::Sha256 h;
@@ -837,22 +858,7 @@ std::string acceptance_digest(const AcceptanceEntry& entry) {
     if (accepted == 1) w.bytes(out);
     h.update(w.data());
   };
-  const Bytes& valid = entry.valid;
-  for (std::size_t len = 0; len <= valid.size(); ++len) {
-    feed(Bytes(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len)));
-  }
-  for (std::size_t pos = 0; pos < valid.size(); ++pos) {
-    for (int bit = 0; bit < 8; ++bit) {
-      Bytes m = valid;
-      m[pos] ^= static_cast<std::uint8_t>(1u << bit);
-      feed(m);
-    }
-    for (const std::uint8_t v : {0x00, 0x01, 0x02, 0xff}) {
-      Bytes m = valid;
-      m[pos] = v;
-      feed(m);
-    }
-  }
+  for (const Bytes& input : damaged_inputs(entry.valid)) feed(input);
   const crypto::Sha256Digest d = h.finish();
   return util::to_hex(util::BytesView(d.data(), 8));
 }
@@ -913,6 +919,61 @@ TEST(FuzzDecodeTest, AcceptanceDigestPerDecoder) {
     ++checked;
   }
   EXPECT_EQ(checked, expected.size());
+}
+
+// The receive path decodes a content packet in place: EnvelopeView over the
+// received buffer, then ContentPacketView over its payload. Over every
+// content-in-envelope entry and each of its damaged inputs, that must accept
+// exactly when the owning decoders (Envelope, then ContentPacket) accept,
+// yield the same fields, and point into the input rather than copy it.
+TEST(FuzzDecodeTest, ContentViewDecodeAgreesWithOwningDecoders) {
+  std::vector<Bytes> corpus;
+  for (const core::ContentPacket& p :
+       {core::ContentPacket{}, core::ContentPacket{3, 7, 11, Bytes(6, 0xee)}}) {
+    corpus.push_back(net::Envelope{net::MsgKind::kContent, 0, p.encode()}.encode());
+    corpus.push_back(net::Envelope{net::MsgKind::kContent, 12, p.encode()}.encode());
+  }
+  corpus.push_back(
+      net::Envelope{net::MsgKind::kContent, 12, util::bytes_of("payload")}.encode());
+
+  std::size_t inputs = 0;
+  std::size_t accepted = 0;
+  for (const Bytes& valid : corpus) {
+    for (const Bytes& input : damaged_inputs(valid)) {
+      ++inputs;
+      std::optional<core::ContentPacket> owned;
+      const std::optional<net::Envelope> env = net::Envelope::decode(input);
+      if (env) {
+        try {
+          owned = core::ContentPacket::decode(env->payload);
+        } catch (const util::WireError&) {
+        }
+      }
+      std::optional<core::ContentPacketView> view;
+      const std::optional<net::EnvelopeView> env_view = net::EnvelopeView::decode(input);
+      ASSERT_EQ(env_view.has_value(), env.has_value()) << util::to_hex(input);
+      if (env_view) {
+        EXPECT_EQ(env_view->kind, env->kind);
+        EXPECT_EQ(env_view->request_id, env->request_id);
+        try {
+          view = core::ContentPacketView::decode(env_view->payload);
+        } catch (const util::WireError&) {
+        }
+      }
+      ASSERT_EQ(view.has_value(), owned.has_value()) << util::to_hex(input);
+      if (!view) continue;
+      ++accepted;
+      EXPECT_EQ(view->channel, owned->channel);
+      EXPECT_EQ(view->key_serial, owned->key_serial);
+      EXPECT_EQ(view->seq, owned->seq);
+      EXPECT_EQ(Bytes(view->payload.begin(), view->payload.end()), owned->payload);
+      EXPECT_GE(view->payload.data(), input.data());
+      EXPECT_LE(view->payload.data() + view->payload.size(), input.data() + input.size());
+    }
+  }
+  // The sweep exercises both verdicts.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, inputs);
 }
 
 // ---------------------------------------------------------------------------

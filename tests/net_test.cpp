@@ -80,7 +80,7 @@ TEST(NetworkTest, DeliversWithLatency) {
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_EQ(b.received[0].from, 1u);
   EXPECT_EQ(b.received[0].from_addr, util::parse_netaddr("10.0.0.1"));
-  EXPECT_EQ(b.received[0].data, bytes_of("hello"));
+  EXPECT_EQ(b.received[0].data(), bytes_of("hello"));
   EXPECT_GE(sim.now(), 10 * kMillisecond);  // at least the floor
 }
 
@@ -162,7 +162,7 @@ TEST(NetworkTest, DeterministicForSeed) {
     for (int i = 0; i < 100; ++i) net.send(1, 2, {static_cast<std::uint8_t>(i)});
     sim.run();
     std::vector<std::uint8_t> order;
-    for (const Packet& p : b.received) order.push_back(p.data[0]);
+    for (const Packet& p : b.received) order.push_back(p.data()[0]);
     return order;
   };
   EXPECT_EQ(run(), run());
@@ -305,7 +305,7 @@ TEST(ServiceNodeTest, ServedRequestCountsOneOutcomeShedAndMalformedNone) {
   sim.run();
   std::uint64_t answered = 0, busy = 0;
   for (const Packet& packet : client.received) {
-    const auto env = Envelope::decode(packet.data);
+    const auto env = Envelope::decode(packet.data());
     ASSERT_TRUE(env);
     env->kind == MsgKind::kBusy ? ++busy : ++answered;
   }
@@ -362,7 +362,7 @@ TEST(NetworkTest, LatencyCanReorderDatagrams) {
   ASSERT_EQ(b.received.size(), 200u);
   bool reordered = false;
   for (std::size_t i = 1; i < b.received.size(); ++i) {
-    if (b.received[i].data[0] < b.received[i - 1].data[0]) reordered = true;
+    if (b.received[i].data()[0] < b.received[i - 1].data()[0]) reordered = true;
   }
   EXPECT_TRUE(reordered);
 }
@@ -438,7 +438,7 @@ class ScriptedServer final : public Node {
   }
   void on_packet(const Packet& packet) override {
     arrivals.push_back(net_.now());
-    const auto env = Envelope::decode(packet.data);
+    const auto env = Envelope::decode(packet.data());
     if (env && script) script(*env);
   }
   /// Send `kind` for `request_id` back to the client.
@@ -465,7 +465,7 @@ struct TransmitterHost final : Node {
     net.attach(kTxClient, util::parse_netaddr("10.0.0.1"), this);
   }
   void on_packet(const Packet& packet) override {
-    if (const auto env = Envelope::decode(packet.data)) {
+    if (const auto env = EnvelopeView::decode(packet.data())) {
       tx.on_envelope(packet.from, *env);
     }
   }
@@ -487,9 +487,9 @@ void send_redirect(Network& net, Transmitter& tx, TxResult& result) {
   tx.send(
       kTxServer, MsgKind::kRedirectRequest, bytes_of("req"),
       MsgKind::kRedirectResponse, core::Round::kLogin1,
-      [&net, &result](const Envelope& env) {
+      [&net, &result](const EnvelopeView& env) {
         ++result.responses;
-        result.payload = env.payload;
+        result.payload.assign(env.payload.begin(), env.payload.end());
         result.done_at = net.now();
       },
       [&net, &result](core::DrmError err) {

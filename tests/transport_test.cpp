@@ -1,15 +1,18 @@
 // The transport seam: ThreadTransport semantics (timer ordering, FIFO
 // confinement, graceful shutdown), SimTransport delegation, cross-backend
 // protocol equivalence, shutdown-under-load, the interceptor add/remove
-// race, and concurrent-senders stress on the shared observability
-// structures. The stress tests are the TSan targets for the thread-safety
-// contract (DESIGN.md §10) — run them under P2PDRM_SANITIZE=thread.
+// race, a relay's fan-out of one shared content buffer, and
+// concurrent-senders stress on the shared observability structures. The
+// stress tests are the TSan targets for the thread-safety contract
+// (DESIGN.md §10) — run them under P2PDRM_SANITIZE=thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "obs/registry.h"
 #include "obs/runtime.h"
 #include "obs/trace.h"
+#include "relay_tree.h"
 #include "transport/sim_transport.h"
 #include "transport/thread_transport.h"
 
@@ -450,6 +454,139 @@ TEST(InterceptorRaceTest, AddRemoveDuringConcurrentSends) {
   EXPECT_EQ(net.packets_sent(), static_cast<std::uint64_t>(2 * kSends));
   EXPECT_EQ(net.packets_delivered(), static_cast<std::uint64_t>(2 * kSends));
   EXPECT_LE(probe.seen.load(), static_cast<std::uint64_t>(2 * kSends));
+}
+
+/// Records the content packets a relay tree carries: what each node
+/// received, and each send of `relay` (bytes and buffer address). On the
+/// relay's send to `victim` it flips the last ciphertext byte through
+/// Verdict::replace.
+class ContentTap final : public net::SendInterceptor {
+ public:
+  struct Copy {
+    util::Bytes bytes;
+    const util::Bytes* buffer = nullptr;
+  };
+  using Key = std::pair<util::NodeId, std::uint64_t>;  // (node, seq)
+
+  ContentTap(util::NodeId relay, util::NodeId victim) : relay_(relay), victim_(victim) {}
+
+  Verdict on_send(const net::SendContext& ctx) override {
+    const auto seq = content_seq(*ctx.data);
+    if (ctx.from != relay_ || !seq) return {};
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      sent_[{ctx.to, *seq}] = {*ctx.data, ctx.data};
+    }
+    Verdict v;
+    if (ctx.to == victim_) {
+      v.replace = *ctx.data;
+      v.replace->back() ^= 0x01;
+    }
+    return v;
+  }
+
+  void on_packet_fate(const net::SendContext& ctx, net::PacketFate fate,
+                      util::SimTime) override {
+    const auto seq = content_seq(*ctx.data);
+    if (fate != net::PacketFate::kDelivered || !seq) return;
+    std::lock_guard<std::mutex> lk(mu_);
+    received_[{ctx.to, *seq}] = {*ctx.data, ctx.data};
+    deliveries_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::uint64_t deliveries() const { return deliveries_.load(std::memory_order_relaxed); }
+  // Read after the transport has shut down.
+  const std::map<Key, Copy>& sent() const { return sent_; }
+  const std::map<Key, Copy>& received() const { return received_; }
+
+  static std::optional<std::uint64_t> content_seq(const util::Bytes& wire) {
+    const auto env = net::EnvelopeView::decode(wire);
+    if (!env || env->kind != net::MsgKind::kContent) return std::nullopt;
+    return core::ContentPacketView::decode(env->payload).seq;
+  }
+
+ private:
+  util::NodeId relay_;
+  util::NodeId victim_;
+  std::mutex mu_;
+  std::map<Key, Copy> sent_;
+  std::map<Key, Copy> received_;
+  std::atomic<std::uint64_t> deliveries_{0};
+};
+
+/// `viewer`'s plaintext of the content packet in `wire`.
+std::optional<util::Bytes> decrypt_at(net::AsyncClient& viewer, const util::Bytes& wire) {
+  const auto env = net::EnvelopeView::decode(wire);
+  if (!env) return std::nullopt;
+  return viewer.peer_node()->peer().decrypt(
+      core::ContentPacketView::decode(env->payload));
+}
+
+/// Relay A of the three-deep tree sends its children B, C and D the one
+/// buffer it received: same bytes, same address. An interceptor's replace
+/// on A's send to C changes C's copy only; B, D and E (below B) receive
+/// and decrypt the source's bytes.
+void run_relay_fan_out(net::TransportKind kind) {
+  net::Deployment d(net::relay_tree_config(kind));
+  net::RelayTree tree = net::build_relay_tree(d);
+  ASSERT_FALSE(::testing::Test::HasFailure());
+  const util::NodeId a = tree.a().config().node;
+  ContentTap tap(a, tree.c().config().node);
+  d.network().add_interceptor(&tap);
+
+  constexpr std::size_t kPackets = 8;
+  crypto::SecureRandom rng(9);
+  std::vector<util::Bytes> payloads;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    payloads.push_back(rng.bytes(1400));
+    const util::SimTime at = static_cast<util::SimTime>(i) * 5 * kMillisecond;
+    d.network().post(net::RelayTree::kRoot, at, [&d, p = payloads.back()] {
+      d.broadcast(net::RelayTree::kChannel, p);
+    });
+  }
+  const std::uint64_t expected = kPackets * tree.viewers.size();
+  if (kind == net::TransportKind::kSim) {
+    d.run_for(5 * kSecond);
+  } else {
+    EXPECT_TRUE(eventually([&] { return tap.deliveries() >= expected; }));
+  }
+  d.transport().shutdown();  // quiesce before reading loop-confined state
+  ASSERT_EQ(tap.deliveries(), expected);
+
+  std::size_t i = 0;
+  for (const auto& [key, at_a] : tap.received()) {
+    if (key.first != a) continue;
+    const std::uint64_t seq = key.second;
+    SCOPED_TRACE("seq " + std::to_string(seq));
+    ASSERT_LT(i, kPackets);
+    const util::Bytes& plain = payloads[i++];
+    for (net::AsyncClient* child : {&tree.b(), &tree.c(), &tree.d()}) {
+      const ContentTap::Copy& out = tap.sent().at({child->config().node, seq});
+      EXPECT_EQ(out.bytes, at_a.bytes);
+      EXPECT_EQ(out.buffer, at_a.buffer) << "the relay copied the packet";
+    }
+    for (net::AsyncClient* viewer : {&tree.b(), &tree.d(), &tree.e()}) {
+      const util::Bytes& got = tap.received().at({viewer->config().node, seq}).bytes;
+      EXPECT_EQ(got, at_a.bytes);
+      EXPECT_EQ(decrypt_at(*viewer, got), plain);
+    }
+    const util::Bytes& mutated = tap.received().at({tree.c().config().node, seq}).bytes;
+    EXPECT_NE(mutated, at_a.bytes);
+    EXPECT_NE(decrypt_at(tree.c(), mutated), plain);
+  }
+  EXPECT_EQ(i, kPackets);
+  for (const auto& viewer : tree.viewers) {
+    EXPECT_EQ(viewer->content_decrypted(), kPackets);
+    EXPECT_EQ(viewer->content_undecryptable(), 0u);
+  }
+}
+
+TEST(RelayFanOutTest, ChildrenShareTheReceivedBufferOnSim) {
+  run_relay_fan_out(net::TransportKind::kSim);
+}
+
+TEST(RelayFanOutTest, ChildrenShareTheReceivedBufferOnThread) {
+  run_relay_fan_out(net::TransportKind::kThread);
 }
 
 TEST(StressTest, RegistryConcurrentSenders) {

@@ -370,6 +370,29 @@ TEST(WireGoldenTest, EnvelopeAndBusy) {
                 "b9b147186e80d55585680105fde005a9b5eac85f524406a9e7de4478f60105d3");
 }
 
+/// A content packet written in place as an envelope's payload
+/// (util::Nested) is the same bytes as the envelope around its encoding,
+/// and reads back through the views without a copy.
+TEST(WireGoldenTest, ContentEnvelopeWrittenInPlace) {
+  crypto::SecureRandom krng(7);
+  const core::ContentKey key = core::generate_content_key(krng, 3, 60000000);
+  const core::ContentPacket p =
+      core::encrypt_packet(key, 9, 12, util::bytes_of("golden frame"));
+  using InPlace = net::BasicEnvelope<util::Nested<core::ContentPacket>>;
+  const util::Bytes wire = InPlace{net::MsgKind::kContent, 5, {p}}.encode();
+  EXPECT_EQ(wire, (net::Envelope{net::MsgKind::kContent, 5, p.encode()}.encode()));
+
+  const auto env = net::EnvelopeView::decode(wire);
+  ASSERT_TRUE(env.has_value());
+  const core::ContentPacketView view = core::ContentPacketView::decode(env->payload);
+  EXPECT_EQ(view.channel, p.channel);
+  EXPECT_EQ(view.key_serial, p.key_serial);
+  EXPECT_EQ(view.seq, p.seq);
+  EXPECT_EQ(util::Bytes(view.payload.begin(), view.payload.end()), p.payload);
+  EXPECT_EQ(view.payload.data() + view.payload.size(), wire.data() + wire.size());
+  EXPECT_EQ(core::decrypt_packet(key, view), util::bytes_of("golden frame"));
+}
+
 TEST(WireGoldenTest, Redirect) {
   expect_golden(services::RedirectRequest{"golden@example.com"}, 22u,
                 "637b314581c9fc36da8b63604a577f2ce368fc88c775ef8a1b67a5b64ee16f0e");
