@@ -85,28 +85,45 @@ Reservoir Reservoir::merged(std::size_t capacity, std::uint64_t seed,
   // stream items, so its key is log(u)/ (N/k) (the log form of u^(1/w));
   // the `capacity` largest keys survive. Keys come from one generator
   // walking parts in order, so the merge is scheduling-independent.
+  // Survivors are ordered by key descending, ties by stream position (the
+  // sample's index in the concatenation of the parts): a strict total
+  // order, so selecting the top `capacity` and sorting only those gives
+  // exactly the prefix a stable sort of every key would.
   struct Keyed {
     double key;
-    double value;
+    std::size_t pos;
   };
   std::vector<Keyed> keyed;
   keyed.reserve(total_samples);
+  std::vector<const Reservoir*> sources;  // the non-empty parts, in order
+  std::vector<std::size_t> ends;          // their cumulative sample counts
   crypto::SecureRandom key_rng(seed);
   for (const Reservoir* p : parts) {
     if (p == nullptr || p->samples_.empty()) continue;
     const double weight = static_cast<double>(p->seen_) /
                           static_cast<double>(p->samples_.size());
-    for (double v : p->samples_) {
+    for (std::size_t i = 0; i < p->samples_.size(); ++i) {
       double u = key_rng.uniform_real();
       if (u <= 0.0) u = std::numeric_limits<double>::min();
-      keyed.push_back({std::log(u) / weight, v});
+      keyed.push_back({std::log(u) / weight, keyed.size()});
     }
+    sources.push_back(p);
+    ends.push_back(keyed.size());
   }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [](const Keyed& a, const Keyed& b) { return a.key > b.key; });
+  const auto before = [](const Keyed& a, const Keyed& b) {
+    return a.key > b.key || (a.key == b.key && a.pos < b.pos);
+  };
   const std::size_t take = std::min(capacity, keyed.size());
+  const auto last = keyed.begin() + static_cast<std::ptrdiff_t>(take);
+  std::nth_element(keyed.begin(), last, keyed.end(), before);
+  std::sort(keyed.begin(), last, before);
   out.samples_.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) out.samples_.push_back(keyed[i].value);
+  for (auto it = keyed.begin(); it != last; ++it) {
+    const std::size_t part = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), it->pos) - ends.begin());
+    const std::size_t start = part == 0 ? 0 : ends[part - 1];
+    out.samples_.push_back(sources[part]->samples_[it->pos - start]);
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "crypto/chacha20.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -9,33 +10,48 @@ namespace p2pdrm::crypto {
 
 namespace {
 
-inline std::uint32_t rotl(std::uint32_t x, int n) {
-  return (x << n) | (x >> (32 - n));
-}
+// Word i of the four lanes' states: lane j's word i is element j. GCC and
+// Clang vector extensions, so the round function below is the scalar one
+// and compiles to whatever SIMD the target has.
+typedef std::uint32_t Lanes __attribute__((vector_size(16)));
+static_assert(sizeof(Lanes) == detail::kChaChaLanes * sizeof(std::uint32_t));
 
-inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
-                          std::uint32_t& d) {
+inline Lanes rotl(Lanes x, int n) { return (x << n) | (x >> (32 - n)); }
+
+inline void quarter_round(Lanes& a, Lanes& b, Lanes& c, Lanes& d) {
   a += b; d ^= a; d = rotl(d, 16);
   c += d; b ^= c; b = rotl(b, 12);
   a += b; d ^= a; d = rotl(d, 8);
   c += d; b ^= c; b = rotl(b, 7);
 }
 
+inline Lanes broadcast(std::uint32_t v) { return Lanes{v, v, v, v}; }
+
 }  // namespace
 
-void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
-                    std::uint32_t counter, std::uint8_t out[kChaChaBlockSize]) {
-  std::uint32_t state[16];
-  state[0] = 0x61707865;
-  state[1] = 0x3320646e;
-  state[2] = 0x79622d32;
-  state[3] = 0x6b206574;
-  for (int i = 0; i < 8; ++i) state[4 + i] = util::load_le32(key.data() + 4 * i);
-  state[12] = counter;
-  for (int i = 0; i < 3; ++i) state[13 + i] = util::load_le32(nonce.data() + 4 * i);
+void detail::chacha20_blocks(const ChaChaKey& key, const ChaChaNonce& nonce,
+                             std::uint32_t counter,
+                             std::uint8_t out[kChaChaLanes * kChaChaBlockSize]) {
+  Lanes state[16];
+  state[0] = broadcast(0x61707865);
+  state[1] = broadcast(0x3320646e);
+  state[2] = broadcast(0x79622d32);
+  state[3] = broadcast(0x6b206574);
+  for (int i = 0; i < 8; ++i) state[4 + i] = broadcast(util::load_le32(key.data() + 4 * i));
+  std::uint32_t n[3];
+  for (int i = 0; i < 3; ++i) n[i] = util::load_le32(nonce.data() + 4 * i);
+  for (std::uint32_t j = 0; j < kChaChaLanes; ++j) {
+    const std::uint32_t c = counter + j;
+    if (j > 0 && c == 0) {
+      // This lane is past the counter wrap: roll the nonce.
+      if (++n[0] == 0 && ++n[1] == 0) ++n[2];
+    }
+    state[12][j] = c;
+    for (int i = 0; i < 3; ++i) state[13 + i][j] = n[i];
+  }
 
-  std::uint32_t w[16];
-  std::memcpy(w, state, sizeof(w));
+  Lanes w[16];
+  for (int i = 0; i < 16; ++i) w[i] = state[i];
   for (int i = 0; i < 10; ++i) {
     quarter_round(w[0], w[4], w[8], w[12]);
     quarter_round(w[1], w[5], w[9], w[13]);
@@ -46,19 +62,37 @@ void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
     quarter_round(w[2], w[7], w[8], w[13]);
     quarter_round(w[3], w[4], w[9], w[14]);
   }
-  for (int i = 0; i < 16; ++i) util::store_le32(out + 4 * i, w[i] + state[i]);
+  for (int i = 0; i < 16; ++i) {
+    const Lanes sum = w[i] + state[i];
+    for (std::size_t j = 0; j < kChaChaLanes; ++j) {
+      util::store_le32(out + kChaChaBlockSize * j + 4 * i, sum[j]);
+    }
+  }
+}
+
+void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
+                    std::uint32_t counter, std::uint8_t out[kChaChaBlockSize]) {
+  std::uint8_t blocks[detail::kChaChaLanes * kChaChaBlockSize];
+  detail::chacha20_blocks(key, nonce, counter, blocks);
+  std::memcpy(out, blocks, kChaChaBlockSize);
 }
 
 void chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
                   std::uint32_t initial_counter, std::span<std::uint8_t> data) {
-  std::uint8_t block[kChaChaBlockSize];
+  std::uint8_t blocks[detail::kChaChaLanes * kChaChaBlockSize];
   std::uint32_t counter = initial_counter;
   std::size_t pos = 0;
   while (pos < data.size()) {
-    chacha20_block(key, nonce, counter++, block);
-    const std::size_t take = std::min(kChaChaBlockSize, data.size() - pos);
-    for (std::size_t i = 0; i < take; ++i) data[pos + i] ^= block[i];
+    detail::chacha20_blocks(key, nonce, counter, blocks);
+    // Use only the lanes before the counter wrap, where the core would roll
+    // the nonce; the next pass restarts at counter 0 under the same nonce.
+    const std::uint64_t to_wrap = (std::uint64_t{1} << 32) - counter;
+    const std::size_t lanes =
+        static_cast<std::size_t>(std::min<std::uint64_t>(detail::kChaChaLanes, to_wrap));
+    const std::size_t take = std::min(lanes * kChaChaBlockSize, data.size() - pos);
+    for (std::size_t i = 0; i < take; ++i) data[pos + i] ^= blocks[i];
     pos += take;
+    counter += static_cast<std::uint32_t>(lanes);
   }
 }
 
@@ -75,10 +109,13 @@ SecureRandom::SecureRandom(util::BytesView seed) {
 }
 
 void SecureRandom::refill() {
-  chacha20_block(key_, nonce_, counter_, buffer_.data());
+  detail::chacha20_blocks(key_, nonce_, counter_, buffer_.data());
   buffer_pos_ = 0;
-  if (++counter_ == 0) {
-    // Counter wrapped (after 256 GiB of output): roll the nonce.
+  const std::uint32_t first = counter_;
+  counter_ += detail::kChaChaLanes;
+  if (counter_ < first) {
+    // Counter wrapped (after 256 GiB of output): roll the nonce, as the
+    // core did for the lanes past the wrap.
     for (std::size_t i = 0; i < kChaChaNonceSize; ++i) {
       if (++nonce_[i] != 0) break;
     }
@@ -88,9 +125,8 @@ void SecureRandom::refill() {
 void SecureRandom::fill(std::span<std::uint8_t> out) {
   std::size_t pos = 0;
   while (pos < out.size()) {
-    if (buffer_pos_ == kChaChaBlockSize) refill();
-    const std::size_t take =
-        std::min(kChaChaBlockSize - buffer_pos_, out.size() - pos);
+    if (buffer_pos_ == kBufferSize) refill();
+    const std::size_t take = std::min(kBufferSize - buffer_pos_, out.size() - pos);
     std::memcpy(out.data() + pos, buffer_.data() + buffer_pos_, take);
     buffer_pos_ += take;
     pos += take;
@@ -103,13 +139,27 @@ util::Bytes SecureRandom::bytes(std::size_t n) {
   return out;
 }
 
+// next_u32 and next_u64 read the bytes fill() would give, straight from
+// the buffer unless the draw straddles a refill.
 std::uint32_t SecureRandom::next_u32() {
+  if (buffer_pos_ == kBufferSize) refill();
+  if (kBufferSize - buffer_pos_ >= 4) {
+    const std::uint32_t v = util::load_be32(buffer_.data() + buffer_pos_);
+    buffer_pos_ += 4;
+    return v;
+  }
   std::uint8_t b[4];
   fill(b);
   return util::load_be32(b);
 }
 
 std::uint64_t SecureRandom::next_u64() {
+  if (buffer_pos_ == kBufferSize) refill();
+  if (kBufferSize - buffer_pos_ >= 8) {
+    const std::uint64_t v = util::load_be64(buffer_.data() + buffer_pos_);
+    buffer_pos_ += 8;
+    return v;
+  }
   std::uint8_t b[8];
   fill(b);
   return util::load_be64(b);

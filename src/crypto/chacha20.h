@@ -18,11 +18,28 @@ constexpr std::size_t kChaChaBlockSize = 64;
 using ChaChaKey = std::array<std::uint8_t, kChaChaKeySize>;
 using ChaChaNonce = std::array<std::uint8_t, kChaChaNonceSize>;
 
+namespace detail {
+
+/// Blocks per run of the ChaCha20 core.
+constexpr std::size_t kChaChaLanes = 4;
+
+/// The one ChaCha20 core: four consecutive keystream blocks in one pass of
+/// the round function, one block per vector lane. Lane j is the block at
+/// counter + j; a lane past the 2^32 counter wrap runs with the nonce
+/// incremented (as a 96-bit little-endian integer), which is where the DRBG
+/// rolls its nonce. Lane j's block goes to out[64 j, 64 j + 64).
+void chacha20_blocks(const ChaChaKey& key, const ChaChaNonce& nonce,
+                     std::uint32_t counter,
+                     std::uint8_t out[kChaChaLanes * kChaChaBlockSize]);
+
+}  // namespace detail
+
 /// Compute one 64-byte ChaCha20 keystream block.
 void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
                     std::uint32_t counter, std::uint8_t out[kChaChaBlockSize]);
 
-/// XOR the ChaCha20 keystream into data (encrypt == decrypt).
+/// XOR the ChaCha20 keystream into data (encrypt == decrypt). The block
+/// counter wraps modulo 2^32 under the same nonce.
 void chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
                   std::uint32_t initial_counter, std::span<std::uint8_t> data);
 
@@ -62,13 +79,17 @@ class SecureRandom {
   SecureRandom fork();
 
  private:
+  static constexpr std::size_t kBufferSize =
+      detail::kChaChaLanes * kChaChaBlockSize;
+
+  /// Compute the next kChaChaLanes blocks of the stream into buffer_.
   void refill();
 
   ChaChaKey key_{};
   ChaChaNonce nonce_{};
-  std::uint32_t counter_ = 0;
-  std::array<std::uint8_t, kChaChaBlockSize> buffer_{};
-  std::size_t buffer_pos_ = kChaChaBlockSize;
+  std::uint32_t counter_ = 0;  // first block of the next refill
+  std::array<std::uint8_t, kBufferSize> buffer_{};
+  std::size_t buffer_pos_ = kBufferSize;
   bool have_spare_normal_ = false;
   double spare_normal_ = 0.0;
 };

@@ -98,14 +98,19 @@ void Sha256::update(util::BytesView data) {
 }
 
 Sha256Digest Sha256::finish() {
-  const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad80 = 0x80;
-  update(util::BytesView(&pad80, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(util::BytesView(&zero, 1));
-  std::uint8_t len_be[8];
-  util::store_be64(len_be, bit_len);
-  update(util::BytesView(len_be, 8));
+  // Pad in place: 0x80, zeros up to byte 56 of a block (spilling into a
+  // second block when fewer than 8 bytes remain), then the bit length.
+  // update() leaves buffer_len_ below a full block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, kSha256BlockSize - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  util::store_be64(buffer_.data() + 56, total_len_ * 8);
+  compress(buffer_.data());
+  buffer_len_ = 0;
 
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) util::store_be32(out.data() + 4 * i, state_[i]);

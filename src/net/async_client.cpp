@@ -80,7 +80,10 @@ void AsyncClient::leave() {
 
 void AsyncClient::on_packet(const Packet& packet) {
   const auto env = EnvelopeView::decode(packet.data());
-  if (!env) return;
+  if (!env) {
+    if (tx_.registry() != nullptr) malformed_.in(*tx_.registry()).inc();
+    return;
+  }
   switch (env->kind) {
     // Peer-plane messages are served by the embedded overlay half.
     case MsgKind::kJoinRequest:

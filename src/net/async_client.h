@@ -218,6 +218,8 @@ class AsyncClient final : public Node {
   /// Declared after rng_: it draws retransmission jitter from it.
   Transmitter tx_;
 
+  /// Envelopes that do not decode, counted like the overlay half's drops.
+  LazyMetric<obs::Counter> malformed_{"server.drops{malformed}"};
   obs::Counter* keys_delivered_ = nullptr;
   obs::LatencyHistogram* key_margin_hist_ = nullptr;
   obs::Gauge* key_staleness_gauge_ = nullptr;

@@ -72,41 +72,4 @@ void xor_into(std::span<std::uint8_t> a, BytesView b) {
   for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
 }
 
-void store_be32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-void store_be64(std::uint8_t* p, std::uint64_t v) {
-  store_be32(p, static_cast<std::uint32_t>(v >> 32));
-  store_be32(p + 4, static_cast<std::uint32_t>(v));
-}
-
-std::uint32_t load_be32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
-}
-
-std::uint64_t load_be64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(load_be32(p)) << 32) | load_be32(p + 4);
-}
-
-void store_le32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace p2pdrm::util

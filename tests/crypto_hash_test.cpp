@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -60,6 +63,27 @@ TEST(Sha256Test, ExactBlockBoundaries) {
     Sha256 h;
     h.update(msg);
     EXPECT_EQ(h.finish(), sha256(msg)) << "len " << len;
+  }
+}
+
+TEST(Sha256Test, PaddingEdgeKnownAnswers) {
+  // Message bytes 0, 1, 2, ...: 55 is the longest message whose padding
+  // fits one block, 56-63 spill the length into a second, 64 and 119 end a
+  // block exactly or leave 55 bytes in the second. Digests are those of
+  // the byte-at-a-time padding this implementation used before, and of
+  // Python's hashlib.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"},
+      {56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"},
+      {63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"},
+      {64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"},
+      {119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6"},
+  };
+  for (const auto& [len, want] : cases) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(i);
+    EXPECT_EQ(digest_hex(sha256(msg)), want) << "len " << len;
   }
 }
 
@@ -205,6 +229,53 @@ TEST(ChaCha20Test, Rfc8439Encryption) {
             "6e2e359a2568f98041ba0728dd0d6981");
 }
 
+TEST(ChaCha20Test, FourLaneCoreEqualsOneBlockAtATime) {
+  ChaChaKey key;
+  for (int i = 0; i < 32; ++i) key[i] = static_cast<std::uint8_t>(3 * i + 1);
+  // The low nonce word is all ones, so rolling it carries into the next.
+  ChaChaNonce nonce{0xff, 0xff, 0xff, 0xff, 0x09, 0, 0, 0, 0x4a, 0, 0, 0};
+  ChaChaNonce rolled{0, 0, 0, 0, 0x0a, 0, 0, 0, 0x4a, 0, 0, 0};
+
+  std::uint8_t lanes[detail::kChaChaLanes * kChaChaBlockSize];
+  std::uint8_t block[kChaChaBlockSize];
+  detail::chacha20_blocks(key, nonce, 0, lanes);
+  for (std::uint32_t j = 0; j < detail::kChaChaLanes; ++j) {
+    chacha20_block(key, nonce, j, block);
+    EXPECT_EQ(to_hex(util::BytesView(lanes + kChaChaBlockSize * j, kChaChaBlockSize)),
+              to_hex(util::BytesView(block, kChaChaBlockSize)))
+        << "counter " << j;
+  }
+
+  // Across the wrap: 0xfffffffe, 0xffffffff, then counters 0 and 1 under
+  // the rolled nonce, as the DRBG's stream continues.
+  const std::pair<std::uint32_t, const ChaChaNonce*> expected[] = {
+      {0xfffffffe, &nonce}, {0xffffffff, &nonce}, {0, &rolled}, {1, &rolled}};
+  detail::chacha20_blocks(key, nonce, 0xfffffffe, lanes);
+  for (std::size_t j = 0; j < detail::kChaChaLanes; ++j) {
+    chacha20_block(key, *expected[j].second, expected[j].first, block);
+    EXPECT_EQ(to_hex(util::BytesView(lanes + kChaChaBlockSize * j, kChaChaBlockSize)),
+              to_hex(util::BytesView(block, kChaChaBlockSize)))
+        << "lane " << j;
+  }
+}
+
+TEST(ChaCha20Test, XorCounterWrapsUnderTheSameNonce) {
+  ChaChaKey key{};
+  key[5] = 9;
+  const ChaChaNonce nonce{1, 2, 3};
+  Bytes data(5 * kChaChaBlockSize, 0);
+  chacha20_xor(key, nonce, 0xfffffffe, data);  // zeros in: keystream out
+  const std::uint32_t counters[] = {0xfffffffe, 0xffffffff, 0, 1, 2};
+  std::uint8_t block[kChaChaBlockSize];
+  for (std::size_t b = 0; b < 5; ++b) {
+    chacha20_block(key, nonce, counters[b], block);
+    EXPECT_EQ(Bytes(data.begin() + b * kChaChaBlockSize,
+                    data.begin() + (b + 1) * kChaChaBlockSize),
+              Bytes(block, block + kChaChaBlockSize))
+        << "block " << b;
+  }
+}
+
 TEST(ChaCha20Test, XorIsInvolution) {
   ChaChaKey key{};
   key[0] = 7;
@@ -223,6 +294,43 @@ TEST(SecureRandomTest, DeterministicFromSeed) {
   SecureRandom a(42), b(42);
   EXPECT_EQ(a.bytes(64), b.bytes(64));
   EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(SecureRandomTest, InterleavedDrawsKnownAnswer) {
+  // 64 KiB from an interleaving of every draw width, so draws start at
+  // every offset and straddle the block and refill boundaries. The digest
+  // was recorded when the generator made one block per refill and every
+  // draw went through fill().
+  SecureRandom rng(20080623);
+  Bytes out;
+  std::uint8_t word[8];
+  for (std::size_t step = 0; out.size() < 65536; ++step) {
+    switch (step % 5) {
+      case 0:
+        util::store_be32(word, rng.next_u32());
+        out.insert(out.end(), word, word + 4);
+        break;
+      case 1:
+        util::store_be64(word, rng.next_u64());
+        out.insert(out.end(), word, word + 8);
+        break;
+      case 2:
+        util::store_be64(word, std::bit_cast<std::uint64_t>(rng.uniform_real()));
+        out.insert(out.end(), word, word + 8);
+        break;
+      case 3: {
+        const Bytes b = rng.bytes(step % 7 == 0 ? 301 : 2 * (step % 41) + 1);
+        out.insert(out.end(), b.begin(), b.end());
+        break;
+      }
+      default:
+        util::store_be64(word, rng.uniform(1000003));
+        out.insert(out.end(), word, word + 8);
+    }
+  }
+  out.resize(65536);
+  EXPECT_EQ(digest_hex(sha256(out)),
+            "2d6d4c0ff7191fabdf15d0f6ce76933383124a30f8063a3406087a37ec2f10f8");
 }
 
 TEST(SecureRandomTest, DifferentSeedsDiffer) {

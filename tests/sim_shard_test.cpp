@@ -4,9 +4,13 @@
 // validation, deterministic reservoir merging, and the channel partition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/export.h"
 #include "obs/slo.h"
@@ -298,6 +302,78 @@ TEST(ReservoirMergedTest, SinglePartIsExactCopy) {
   const analysis::Reservoir merged = analysis::Reservoir::merged(100, 7, {&a});
   EXPECT_EQ(merged.seen(), a.seen());
   EXPECT_EQ(merged.samples(), a.samples());
+}
+
+/// The merge as first written: key every retained sample, stable-sort all
+/// of them by key descending, keep the first `capacity` values. Reservoir::
+/// merged must give exactly this output.
+std::vector<double> stable_sort_merge(std::size_t capacity, std::uint64_t seed,
+                                      const std::vector<const analysis::Reservoir*>& parts) {
+  std::vector<double> out;
+  std::size_t total = 0;
+  for (const analysis::Reservoir* p : parts) {
+    if (p != nullptr) total += p->samples().size();
+  }
+  if (total <= capacity) {
+    for (const analysis::Reservoir* p : parts) {
+      if (p != nullptr) out.insert(out.end(), p->samples().begin(), p->samples().end());
+    }
+    return out;
+  }
+  std::vector<std::pair<double, double>> keyed;  // {key, value}
+  crypto::SecureRandom key_rng(seed);
+  for (const analysis::Reservoir* p : parts) {
+    if (p == nullptr || p->samples().empty()) continue;
+    const double weight = static_cast<double>(p->seen()) /
+                          static_cast<double>(p->samples().size());
+    for (double v : p->samples()) {
+      double u = key_rng.uniform_real();
+      if (u <= 0.0) u = std::numeric_limits<double>::min();
+      keyed.push_back({std::log(u) / weight, v});
+    }
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (std::size_t i = 0; i < capacity; ++i) out.push_back(keyed[i].second);
+  return out;
+}
+
+TEST(ReservoirMergedTest, MatchesStableSortOracle) {
+  crypto::SecureRandom rng(2011);
+  for (int round = 0; round < 120; ++round) {
+    // Up to 8 parts: some null, some empty, some never full, some that saw
+    // many times their capacity (so their samples carry large weights).
+    const std::size_t num_parts = 1 + rng.uniform(8);
+    std::vector<std::unique_ptr<analysis::Reservoir>> owned;
+    std::vector<const analysis::Reservoir*> parts;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < num_parts; ++i) {
+      if (rng.uniform(6) == 0) {
+        parts.push_back(nullptr);
+        continue;
+      }
+      const std::size_t cap = 1 + rng.uniform(60);
+      auto r = std::make_unique<analysis::Reservoir>(cap, 100 + round * 8 + i);
+      const std::size_t n = rng.uniform(4) == 0 ? 0 : rng.uniform(cap * 20);
+      // Few distinct values, so equal values from different parts meet.
+      for (std::size_t k = 0; k < n; ++k) r->add(static_cast<double>(rng.uniform(50)));
+      total += r->samples().size();
+      parts.push_back(r.get());
+      owned.push_back(std::move(r));
+    }
+    std::vector<std::size_t> capacities = {1, total + 1, 1 + rng.uniform(total + 1)};
+    if (total > 0) {
+      capacities.push_back(total);
+      capacities.push_back(total - 1);
+    }
+    for (const std::size_t capacity : capacities) {
+      if (capacity == 0) continue;  // Reservoir capacity is at least 1
+      const std::uint64_t seed = 7 + static_cast<std::uint64_t>(round);
+      const analysis::Reservoir m = analysis::Reservoir::merged(capacity, seed, parts);
+      ASSERT_EQ(m.samples(), stable_sort_merge(capacity, seed, parts))
+          << "round " << round << ", capacity " << capacity << " of " << total;
+    }
+  }
 }
 
 TEST(ChannelPartitionTest, CoversAllChannelsAndSharesSumToOne) {
