@@ -77,14 +77,12 @@ int run_thread(int argc, char** argv) {
                       std::to_string(drivers) + " driver threads, " +
                       std::to_string(sessions) + " sessions)");
 
-  // Post-mortem + profiling hooks, both opt-in via environment: the flight
-  // recorder dumps structured event rings if the live stack crashes, the
-  // profiler writes collapsed stacks + a Chrome trace at exit.
+  // Post-mortem hook, opt-in via environment: the flight recorder dumps
+  // structured event rings if the live stack crashes.
   if (obs::FlightRecorder::global().arm_from_env()) {
     std::printf("# flight recorder armed -> %s\n",
                 obs::FlightRecorder::global().dump_path());
   }
-  const std::string profile_out = obs::Profiler::enable_global_from_env();
 
   net::DeploymentConfig cfg;
   cfg.seed = 99;
@@ -265,15 +263,6 @@ int run_thread(int argc, char** argv) {
   }
   j.end_array().end_object();
   bench::write_file(out, j.str());
-
-  if (!profile_out.empty()) {
-    obs::Profiler& prof = obs::Profiler::global();
-    prof.disable();
-    obs::write_text_file(profile_out, prof.collapsed());
-    obs::write_text_file(profile_out + ".trace.json", prof.chrome_trace());
-    std::printf("# profiler output written to %s (+.trace.json)\n",
-                profile_out.c_str());
-  }
 
   if (protocol_errors.load() != 0) {
     std::fprintf(stderr, "FAIL: %llu protocol errors on the live stack\n",

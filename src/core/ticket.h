@@ -41,7 +41,7 @@ struct UserTicket {
   util::Bytes encode() const { return util::encode_fields(*this); }
   /// Throws util::WireError on malformed input, trailing bytes included.
   static UserTicket decode(util::BytesView data) {
-    return util::decode_fields_exact<UserTicket>(data);
+    return util::decode_fields<UserTicket>(data);
   }
 
   bool expired_at(util::SimTime now) const { return now > expiry_time; }
@@ -67,7 +67,7 @@ struct ChannelTicket {
   util::Bytes encode() const { return util::encode_fields(*this); }
   /// Throws util::WireError on malformed input, trailing bytes included.
   static ChannelTicket decode(util::BytesView data) {
-    return util::decode_fields_exact<ChannelTicket>(data);
+    return util::decode_fields<ChannelTicket>(data);
   }
 
   bool expired_at(util::SimTime now) const { return now > expiry_time; }

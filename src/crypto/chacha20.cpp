@@ -77,25 +77,6 @@ void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
   std::memcpy(out, blocks, kChaChaBlockSize);
 }
 
-void chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
-                  std::uint32_t initial_counter, std::span<std::uint8_t> data) {
-  std::uint8_t blocks[detail::kChaChaLanes * kChaChaBlockSize];
-  std::uint32_t counter = initial_counter;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    detail::chacha20_blocks(key, nonce, counter, blocks);
-    // Use only the lanes before the counter wrap, where the core would roll
-    // the nonce; the next pass restarts at counter 0 under the same nonce.
-    const std::uint64_t to_wrap = (std::uint64_t{1} << 32) - counter;
-    const std::size_t lanes =
-        static_cast<std::size_t>(std::min<std::uint64_t>(detail::kChaChaLanes, to_wrap));
-    const std::size_t take = std::min(lanes * kChaChaBlockSize, data.size() - pos);
-    for (std::size_t i = 0; i < take; ++i) data[pos + i] ^= blocks[i];
-    pos += take;
-    counter += static_cast<std::uint32_t>(lanes);
-  }
-}
-
 SecureRandom::SecureRandom(std::uint64_t seed) {
   std::uint8_t seed_bytes[8];
   util::store_be64(seed_bytes, seed);

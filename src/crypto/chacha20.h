@@ -38,11 +38,6 @@ void chacha20_blocks(const ChaChaKey& key, const ChaChaNonce& nonce,
 void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
                     std::uint32_t counter, std::uint8_t out[kChaChaBlockSize]);
 
-/// XOR the ChaCha20 keystream into data (encrypt == decrypt). The block
-/// counter wraps modulo 2^32 under the same nonce.
-void chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce,
-                  std::uint32_t initial_counter, std::span<std::uint8_t> data);
-
 /// Deterministic random bit generator running ChaCha20 in counter mode.
 /// Also exposes the convenience integer/real draws the simulator and
 /// workload generator need.

@@ -24,9 +24,18 @@ util::Bytes RsaPublicKey::encode() const {
 
 RsaPublicKey RsaPublicKey::decode(util::BytesView data) {
   util::WireReader r(data);
+  // Minimal big-endian integers only, so a key has one encoding.
+  const auto integer = [&r] {
+    const util::BytesView be = r.bytes_view();
+    if (!be.empty() && be[0] == 0) {
+      throw util::WireError("rsa key: leading zero byte");
+    }
+    return BigUInt::from_bytes_be(be);
+  };
   RsaPublicKey out;
-  out.n = BigUInt::from_bytes_be(r.bytes());
-  out.e = BigUInt::from_bytes_be(r.bytes());
+  out.n = integer();
+  out.e = integer();
+  if (!r.at_end()) throw util::WireError("rsa key: trailing bytes");
   return out;
 }
 

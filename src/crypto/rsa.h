@@ -26,7 +26,8 @@ struct RsaPublicKey {
 
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 
-  /// Wire encoding (length-prefixed n and e).
+  /// Wire encoding (length-prefixed minimal big-endian n and e); decode
+  /// rejects any other form.
   util::Bytes encode() const;
   static RsaPublicKey decode(util::BytesView data);
 

@@ -28,7 +28,7 @@ std::string_view to_string(MsgKind kind) {
 }
 
 BusyPayload BusyPayload::decode(util::BytesView data) {
-  const BusyPayload p = util::decode_fields_exact<BusyPayload>(data);
+  const BusyPayload p = util::decode_fields<BusyPayload>(data);
   if (p.retry_after < 0 || p.retry_after > kMaxRetryAfter) {
     throw util::WireError("BusyPayload: retry-after out of range");
   }

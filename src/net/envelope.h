@@ -88,7 +88,7 @@ struct BasicEnvelope {
   /// receiver).
   static std::optional<BasicEnvelope> decode(util::BytesView data) {
     try {
-      return util::decode_fields_exact<BasicEnvelope>(data);
+      return util::decode_fields<BasicEnvelope>(data);
     } catch (const util::WireError&) {
       return std::nullopt;
     }

@@ -9,13 +9,13 @@ util::Bytes encode_viewing_entry(const ViewingLog::Entry& entry) {
 }
 
 ViewingLog::Entry decode_viewing_entry(util::BytesView data) {
-  return util::decode_fields_exact<ViewingLog::Entry>(data);
+  return util::decode_fields<ViewingLog::Entry>(data);
 }
 
 util::Bytes encode_user_record(const UserRecord& rec) { return util::encode_fields(rec); }
 
 UserRecord decode_user_record(util::BytesView data) {
-  return util::decode_fields_exact<UserRecord>(data);
+  return util::decode_fields<UserRecord>(data);
 }
 
 util::Bytes encode_user_directory(const UserDirectory& dir) {
@@ -38,8 +38,10 @@ UserDirectory decode_user_directory(util::BytesView data) {
   }
   for (std::uint32_t i = 0; i < count; ++i) {
     UserRecord rec = r.read<UserRecord>();
-    if (dir.users.count(rec.account.email) > 0) {
-      throw util::WireError("user directory: duplicate email");
+    // The encoder writes records in email order; any other order, or a
+    // duplicate, is not an encoding of a directory.
+    if (!dir.users.empty() && rec.account.email <= dir.users.rbegin()->first) {
+      throw util::WireError("user directory: emails out of order");
     }
     dir.users[rec.account.email] = std::move(rec);
   }

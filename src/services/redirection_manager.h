@@ -52,7 +52,7 @@ struct RedirectResponse {
 
   template <class Io>
   void fields(Io& io) {
-    io(util::lenient_flag(found), domain, user_manager, channel_policy_manager);
+    io(found, domain, user_manager, channel_policy_manager);
   }
   util::Bytes encode() const { return util::encode_fields(*this); }
   static RedirectResponse decode(util::BytesView data) {

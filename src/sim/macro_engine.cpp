@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
 
-#include "obs/runtime.h"
 #include "sim/macro_shard.h"
 #include "util/rng.h"
 
@@ -64,11 +62,6 @@ class MacroEngine::Pool {
 
  private:
   void worker_main(std::size_t tid) {
-    {
-      char label[32];
-      std::snprintf(label, sizeof(label), "macro-worker-%zu", tid);
-      obs::Profiler::global().attach_thread(label);
-    }
     std::uint64_t seen = 0;
     for (;;) {
       util::SimTime end = 0;
@@ -81,7 +74,6 @@ class MacroEngine::Pool {
       }
       const auto t0 = std::chrono::steady_clock::now();
       try {
-        obs::Profiler::Scope scope(obs::Profiler::global(), "macro.run_window");
         for (std::size_t s = tid; s < shards_.size(); s += workers_.size()) {
           shards_[s]->run_window(end);
         }
@@ -182,7 +174,6 @@ void MacroEngine::run_windows() {
     if (pool) {
       pool->run_window(t_next);
     } else {
-      obs::Profiler::Scope scope(obs::Profiler::global(), "macro.run_window");
       for (auto& shard : shards_) shard->run_window(t_next);
     }
     const auto w1 = std::chrono::steady_clock::now();
@@ -212,10 +203,7 @@ void MacroEngine::run_windows() {
       imbalance_gauge.set_max(std::llround(imbalance * 1000.0));
     }
 
-    {
-      obs::Profiler::Scope scope(obs::Profiler::global(), "macro.coordinate");
-      coordinate(t, t_next, static_cast<double>(total));
-    }
+    coordinate(t, t_next, static_cast<double>(total));
     runtime_.coordinator_wall_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - w1)
             .count();

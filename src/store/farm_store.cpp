@@ -5,7 +5,7 @@
 namespace p2pdrm::store {
 
 ReplicatedOp ReplicatedOp::decode(util::BytesView data) {
-  const ReplicatedOp op = util::decode_fields_exact<ReplicatedOp>(data);
+  const ReplicatedOp op = util::decode_fields<ReplicatedOp>(data);
   if (op.origin_seq == 0) throw util::WireError("replicated op: zero seq");
   return op;
 }

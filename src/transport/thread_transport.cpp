@@ -81,7 +81,6 @@ void ThreadTransport::release(std::size_t group, TimerId id) {
 void ThreadTransport::run_loop(Loop& loop, std::size_t index) {
   char label[24];
   std::snprintf(label, sizeof(label), "loop-%zu", index);
-  obs::Profiler::global().attach_thread(label);
   obs::FlightRecorder& flight = obs::FlightRecorder::global();
   flight.attach_thread(label);
 
@@ -103,10 +102,7 @@ void ThreadTransport::run_loop(Loop& loop, std::size_t index) {
       lk.unlock();
       const util::SimTime t0 = now();
       loop.sched_latency.record(std::max<util::SimTime>(0, t0 - item.due));
-      {
-        obs::Profiler::Scope scope(obs::Profiler::global(), "transport.task");
-        item.task();
-      }
+      item.task();
       item.task = nullptr;  // destroy captures outside the lock
       const util::SimTime t1 = now();
       lk.lock();

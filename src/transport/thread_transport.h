@@ -18,7 +18,7 @@
 // export_into() publishes them into an obs::Registry in the
 // "transport.loop.*" / "transport.sched_latency_us" families (idempotent,
 // so a periodic scrape tick can call it repeatedly). Loop threads register
-// with the global Profiler and FlightRecorder as "loop-<n>".
+// with the global FlightRecorder as "loop-<n>".
 //
 // Shutdown is graceful: each loop finishes the tasks already in its ready
 // queue, discards undue timers, and joins. Tasks posted after shutdown

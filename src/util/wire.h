@@ -21,11 +21,10 @@
 //   - BytesView: the same bytes as Bytes; the reader hands back a view into
 //     its input instead of a copy, valid as long as that input is;
 //   - std::array<uint8_t, N>: N raw bytes; NetAddr: its u32 address;
-//   - std::optional<T>: a presence byte, then T when the byte is 1 (any
-//     other byte reads as absent);
+//   - std::optional<T>: a presence byte, 0 (absent) or 1 (then T); the
+//     reader rejects anything above 1;
 //   - counted(vec, max) / counted_backed(vec, min_item_bytes): u32 count,
 //     then the items; the reader caps the count;
-//   - lenient_flag(b): one byte that reads as `byte == 1`;
 //   - Nested<T>: T's field list as a length-prefixed blob, written in place
 //     (the bytes of a Bytes field holding T's encoding, without building
 //     that encoding first). Write-only: a reader takes the blob as Bytes or
@@ -90,14 +89,6 @@ template <class V>
 Counted<V> counted_backed(V& items, std::size_t min_item_bytes) {
   return {items, UINT32_MAX, min_item_bytes};
 }
-
-/// A flag read as `byte == 1`, so stray values read as false rather than
-/// fail (RedirectResponse::found has always been read this way).
-struct LenientFlag {
-  bool& value;
-};
-
-inline LenientFlag lenient_flag(bool& value) { return {value}; }
 
 /// A struct written as a length-prefixed blob of its field list (see the
 /// header comment).
@@ -266,8 +257,6 @@ void WireWriter::put(const T& v) {
     raw(BytesView(v.data(), v.size()));
   } else if constexpr (std::is_same_v<T, NetAddr>) {
     u32(v.ip);
-  } else if constexpr (std::is_same_v<T, LenientFlag>) {
-    u8(v.value ? 1 : 0);
   } else if constexpr (IsNested<T>::value) {
     const std::size_t at = buf_.size();
     u32(0);  // the length, patched once the fields are down
@@ -318,10 +307,8 @@ void WireReader::get(T& v) {
     copy_to(v.data(), v.size());
   } else if constexpr (std::is_same_v<T, NetAddr>) {
     v.ip = u32();
-  } else if constexpr (std::is_same_v<T, LenientFlag>) {
-    v.value = u8() == 1;
   } else if constexpr (IsOptional<T>::value) {
-    if (u8() == 1) v = read<typename T::value_type>();
+    if (code(0, 1) == 1) v = read<typename T::value_type>();
   } else if constexpr (IsCounted<T>::value) {
     const std::uint32_t n = count(v.max_count, v.min_item_bytes);
     // Every item takes at least one byte, so this never over-reserves for
@@ -347,18 +334,10 @@ Bytes encode_fields(const T& msg) {
   return w.take();
 }
 
-/// Parse `data` as T's field list. Bytes past the last field are ignored.
+/// Parse `data` as T's field list. Bytes past the last field are a
+/// WireError, so every accepted input is the encoding of what it decodes to.
 template <class T>
 T decode_fields(BytesView data) {
-  WireReader r(data);
-  T msg{};
-  r.fields_of(msg);
-  return msg;
-}
-
-/// As decode_fields, but bytes past the last field are a WireError.
-template <class T>
-T decode_fields_exact(BytesView data) {
   WireReader r(data);
   T msg{};
   r.fields_of(msg);

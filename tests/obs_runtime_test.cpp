@@ -1,12 +1,10 @@
 // Runtime-telemetry unit tests: the metric naming convention, event-loop
-// stats export (idempotence under repeated scrapes), the scoped-timer
-// profiler's collapsed-stack / Chrome-trace renderings, and the crash
+// stats export (idempotence under repeated scrapes), and the crash
 // flight recorder (ring wraparound, sanitization, dump format). Recorder
 // tests use local instances — only the global one installs signal
 // handlers, so these stay signal-free and sanitizer-friendly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -15,11 +13,9 @@
 #include <thread>
 #include <vector>
 
-#include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/registry.h"
 #include "obs/runtime.h"
-#include "obs/trace.h"
 
 namespace p2pdrm::obs {
 namespace {
@@ -101,153 +97,6 @@ TEST(LoopStatsTest, ExportIsIdempotentAcrossScrapes) {
   for (const auto& [name, g] : reg.gauges()) {
     EXPECT_TRUE(metric_name_ok(name)) << name;
   }
-}
-
-// --- profiler ---
-
-TEST(ProfilerTest, DisabledHooksRecordNothing) {
-  Profiler p;
-  p.begin("a");
-  p.end("a");
-  { Profiler::Scope scope(p, "b"); }
-  p.attach_thread("t");
-  EXPECT_EQ(p.recorded(), 0u);
-  EXPECT_TRUE(p.collapsed().empty());
-}
-
-TEST(ProfilerTest, CollapsedStacksNestAndSort) {
-  Profiler p;
-  p.enable();
-  p.attach_thread("worker");
-  p.begin("outer");
-  p.begin("inner");
-  p.end("inner");
-  p.end("outer");
-  p.begin("alone");
-  p.end("alone");
-  p.disable();
-
-  EXPECT_EQ(p.recorded(), 6u);
-  EXPECT_EQ(p.dropped(), 0u);
-  const std::string out = p.collapsed();
-  EXPECT_NE(out.find("worker;outer "), std::string::npos);
-  EXPECT_NE(out.find("worker;outer;inner "), std::string::npos);
-  EXPECT_NE(out.find("worker;alone "), std::string::npos);
-  // Lexicographically sorted: "alone" before "outer".
-  EXPECT_LT(out.find("worker;alone "), out.find("worker;outer "));
-  // Three distinct stacks, one line each.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
-}
-
-TEST(ProfilerTest, MismatchedEndsAreTolerated) {
-  Profiler p;
-  p.enable();
-  p.attach_thread("t");
-  p.end("never_began");  // dropped silently
-  p.begin("outer");
-  p.begin("inner");
-  p.end("outer");        // unwinds: closes inner, then outer
-  p.begin("open_at_exit");
-  p.disable();
-  const std::string out = p.collapsed();
-  EXPECT_EQ(out.find("t;never_began"), std::string::npos);
-  EXPECT_NE(out.find("t;outer;inner "), std::string::npos);
-  EXPECT_NE(out.find("t;outer "), std::string::npos);
-  EXPECT_NE(out.find("t;open_at_exit "), std::string::npos);
-
-  // The Chrome export walks the same buffer: one slice per closed frame.
-  const std::string trace = p.chrome_trace();
-  EXPECT_EQ(trace.find("\"never_began\""), std::string::npos);
-  for (const char* name : {"\"outer\"", "\"inner\"", "\"open_at_exit\""}) {
-    const std::size_t at = trace.find(name);
-    ASSERT_NE(at, std::string::npos) << name;
-    EXPECT_EQ(trace.find(name, at + 1), std::string::npos) << name;
-  }
-  std::size_t slices = 0;
-  for (std::size_t at = trace.find("\"ph\":\"X\""); at != std::string::npos;
-       at = trace.find("\"ph\":\"X\"", at + 1)) {
-    ++slices;
-  }
-  EXPECT_EQ(slices, 3u);
-}
-
-TEST(ProfilerTest, BufferCapCountsDrops) {
-  Profiler p;
-  p.enable();
-  p.attach_thread("hot");
-  for (std::size_t i = 0; i < Profiler::kMaxEventsPerThread + 5; ++i) {
-    p.begin("x");
-  }
-  p.disable();
-  EXPECT_EQ(p.recorded(), Profiler::kMaxEventsPerThread);
-  EXPECT_EQ(p.dropped(), 5u);
-}
-
-TEST(ProfilerTest, ChromeTraceShapeAndMerge) {
-  Profiler p;
-  p.enable();
-  p.attach_thread("loop-0");
-  {
-    Profiler::Scope scope(p, "transport.task");
-  }
-  p.disable();
-
-  const std::string trace = p.chrome_trace();
-  EXPECT_EQ(trace.find("{\"traceEvents\":["), 0u);
-  EXPECT_NE(trace.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(trace.find("\"loop-0\""), std::string::npos);
-  EXPECT_NE(trace.find("\"transport.task\""), std::string::npos);
-  EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_EQ(trace.rfind("]}\n"), trace.size() - 3);
-
-  // Merged with a tracer: both the span and the profiler frame land in the
-  // same traceEvents array, once each.
-  Tracer t;
-  const SpanId s = t.begin_span("client", "LOGIN1", 1000, 5);
-  t.end_span(s, 15, true);
-  const std::string merged = merged_chrome_trace(t, p);
-  EXPECT_EQ(merged.find("{\"traceEvents\":["), 0u);
-  EXPECT_NE(merged.find("\"LOGIN1\""), std::string::npos);
-  EXPECT_NE(merged.find("\"transport.task\""), std::string::npos);
-  EXPECT_EQ(merged.rfind("]}\n"), merged.size() - 3);
-  // Well-formed splice: braces stay balanced.
-  EXPECT_EQ(std::count(merged.begin(), merged.end(), '{'),
-            std::count(merged.begin(), merged.end(), '}'));
-}
-
-TEST(ProfilerTest, ResetDropsBuffersAndReclaims) {
-  Profiler p;
-  p.enable();
-  p.begin("a");
-  p.end("a");
-  EXPECT_EQ(p.recorded(), 2u);
-  p.reset();
-  EXPECT_EQ(p.recorded(), 0u);
-  p.begin("b");  // re-claims a fresh buffer after the generation bump
-  EXPECT_EQ(p.recorded(), 1u);
-  p.disable();
-}
-
-// A thread caches its buffer per Profiler; a second Profiler built at a dead
-// one's address must not inherit the dead one's buffer.
-TEST(ProfilerTest, SuccessiveProfilersInOneSlotKeepTheirOwnFrames) {
-  std::optional<Profiler> slot;
-  const Profiler* first = &slot.emplace();
-  slot->enable();
-  slot->attach_thread("first");
-  { Profiler::Scope scope(*slot, "first_frame"); }
-  slot->disable();
-  EXPECT_NE(slot->collapsed().find("first;first_frame "), std::string::npos);
-
-  slot.emplace();
-  ASSERT_EQ(&*slot, first);
-  slot->enable();
-  { Profiler::Scope scope(*slot, "second_frame"); }
-  slot->disable();
-  EXPECT_EQ(slot->recorded(), 2u);
-  const std::string out = slot->collapsed();
-  EXPECT_EQ(out.find("first"), std::string::npos) << out;
-  EXPECT_NE(out.find(";second_frame "), std::string::npos) << out;
 }
 
 // --- flight recorder ---
@@ -380,8 +229,8 @@ TEST(FlightRecorderTest, ResetForgetsRingsAndReclaims) {
   EXPECT_EQ(snap[0].events[0].kind, "after");
 }
 
-// The recorder caches a thread's ring the way the profiler caches its
-// buffer; a second recorder at a dead one's address must claim its own.
+// The recorder caches a thread's ring per (owner, generation); a second
+// recorder at a dead one's address must claim its own.
 TEST(FlightRecorderTest, SuccessiveRecordersInOneSlotKeepTheirOwnRings) {
   std::optional<FlightRecorder> slot;
   const FlightRecorder* first = &slot.emplace();

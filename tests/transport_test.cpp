@@ -196,6 +196,27 @@ TEST(ThreadTransportTest, TimerHeapHighWaterTracksPending) {
   EXPECT_EQ(stats[0].timers_fired, static_cast<std::uint64_t>(kTimers));
 }
 
+TEST(ThreadTransportTest, BusyTimeCoversTheTaskOnItsOwnLoop) {
+  // busy_us is the one per-task wall timer on the live loops: a task that
+  // spins for 20 ms is charged in full to the loop that ran it, and to no
+  // other.
+  transport::ThreadTransport tt({3});
+  constexpr auto kSpin = std::chrono::milliseconds(20);
+  tt.post(1, 0, [kSpin] {
+    const auto until = std::chrono::steady_clock::now() + kSpin;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
+  ASSERT_TRUE(eventually([&] { return tt.tasks_executed() == 1; }));
+  tt.shutdown();
+  const std::vector<obs::LoopStats> stats = tt.loop_stats();
+  ASSERT_EQ(stats.size(), 3u);
+  constexpr std::int64_t kSpinUs = 20'000;
+  EXPECT_GE(stats[1].busy_us, kSpinUs);
+  EXPECT_LT(stats[0].busy_us, kSpinUs);
+  EXPECT_LT(stats[2].busy_us, kSpinUs);
+}
+
 TEST(ThreadTransportTest, ReleasedTimerNeverRunsAndFreesItsCaptures) {
   transport::ThreadTransport tt({1});
   std::vector<int> order;
