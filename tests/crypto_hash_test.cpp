@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <utility>
+#include <vector>
 
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
@@ -117,6 +119,111 @@ TEST(Sha256Test, ResetReusesObject) {
 
 TEST(Sha256Test, BytesHelper) {
   EXPECT_EQ(sha256_bytes(bytes_of("abc")).size(), kSha256DigestSize);
+}
+
+// --- SHA-256 compression kernels ---
+// Sha256 runs the SHA-NI kernel on CPUs with the SHA extensions and the
+// portable one elsewhere, with no switch to force either; these cases call
+// each kernel directly. The cases that need SHA-NI skip on CPUs without it.
+
+constexpr std::uint32_t kSha256Init[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// SHA-256 of msg with its blocks compressed by `kernel`.
+Sha256Digest sha256_with(detail::Sha256Kernel kernel, util::BytesView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % kSha256BlockSize != 56) padded.push_back(0);
+  std::uint8_t bits[8];
+  util::store_be64(bits, 8 * static_cast<std::uint64_t>(msg.size()));
+  padded.insert(padded.end(), bits, bits + 8);
+  std::uint32_t state[8];
+  std::copy(std::begin(kSha256Init), std::end(kSha256Init), state);
+  kernel(state, padded.data(), padded.size() / kSha256BlockSize);
+  Sha256Digest out;
+  for (int i = 0; i < 8; ++i) util::store_be32(out.data() + 4 * i, state[i]);
+  return out;
+}
+
+/// HMAC-SHA-256 (RFC 2104) over sha256_with.
+Sha256Digest hmac_with(detail::Sha256Kernel kernel, util::BytesView key,
+                       util::BytesView msg) {
+  Bytes k(key.begin(), key.end());
+  if (k.size() > kSha256BlockSize) {
+    const Sha256Digest d = sha256_with(kernel, k);
+    k.assign(d.begin(), d.end());
+  }
+  k.resize(kSha256BlockSize, 0);
+  Bytes inner(kSha256BlockSize), outer(kSha256BlockSize);
+  for (std::size_t i = 0; i < kSha256BlockSize; ++i) {
+    inner[i] = k[i] ^ 0x36;
+    outer[i] = k[i] ^ 0x5c;
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const Sha256Digest inner_digest = sha256_with(kernel, inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return sha256_with(kernel, outer);
+}
+
+std::vector<detail::Sha256Kernel> sha256_kernels() {
+  std::vector<detail::Sha256Kernel> out = {&detail::sha256_compress_portable};
+#if defined(__x86_64__)
+  if (detail::cpu_has_sha()) out.push_back(&detail::sha256_compress_shani);
+#endif
+  return out;
+}
+
+#if defined(__x86_64__)
+TEST(Sha256KernelTest, ShaniMatchesPortableOnRandomStatesAndBlocks) {
+  if (!detail::cpu_has_sha()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  SecureRandom rng(256);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::uint32_t portable[8], shani[8];
+    for (std::uint32_t& w : portable) w = rng.next_u32();
+    std::copy(std::begin(portable), std::end(portable), shani);
+    const std::size_t blocks = 1 + rng.uniform(4);
+    const Bytes data = rng.bytes(blocks * kSha256BlockSize);
+    detail::sha256_compress_portable(portable, data.data(), blocks);
+    detail::sha256_compress_shani(shani, data.data(), blocks);
+    ASSERT_TRUE(std::equal(std::begin(portable), std::end(portable), shani))
+        << "iteration " << iter << ", " << blocks << " blocks";
+  }
+}
+#endif
+
+TEST(Sha256KernelTest, EveryKernelGivesTheKnownAnswers) {
+  // The inputs of the Sha256Test and HmacTest known-answer cases, which pin
+  // sha256() and hmac_sha256(): each kernel must give the same digests.
+  std::vector<Bytes> messages = {{}, bytes_of("abc"),
+                                 bytes_of("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+                                 Bytes(1000000, 'a')};
+  for (const std::size_t len : {55u, 56u, 63u, 64u, 119u}) {
+    Bytes msg(len);
+    for (std::size_t i = 0; i < len; ++i) msg[i] = static_cast<std::uint8_t>(i);
+    messages.push_back(msg);
+  }
+  Bytes key4(25);
+  for (std::size_t i = 0; i < key4.size(); ++i) key4[i] = static_cast<std::uint8_t>(i + 1);
+  const std::vector<std::pair<Bytes, Bytes>> macs = {
+      {Bytes(20, 0x0b), bytes_of("Hi There")},
+      {bytes_of("Jefe"), bytes_of("what do ya want for nothing?")},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd)},
+      {key4, Bytes(50, 0xcd)},
+      {Bytes(131, 0xaa), bytes_of("Test Using Larger Than Block-Size Key - Hash Key First")},
+      {Bytes(131, 0xaa),
+       bytes_of("This is a test using a larger than block-size key and a larger than "
+                "block-size data. The key needs to be hashed before being used by the HMAC "
+                "algorithm.")}};
+  for (const detail::Sha256Kernel kernel : sha256_kernels()) {
+    for (const Bytes& msg : messages) {
+      EXPECT_EQ(digest_hex(sha256_with(kernel, msg)), digest_hex(sha256(msg)))
+          << msg.size() << " bytes";
+    }
+    for (const auto& [key, msg] : macs) {
+      EXPECT_EQ(digest_hex(hmac_with(kernel, key, msg)), digest_hex(hmac_sha256(key, msg)))
+          << key.size() << "-byte key";
+    }
+  }
 }
 
 // --- HMAC-SHA-256: RFC 4231 vectors ---

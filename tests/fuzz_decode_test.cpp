@@ -363,123 +363,6 @@ TEST(FuzzDecodeTest, ViewingEntryRoundTripAfterFuzzDecode) {
   }
 }
 
-/// One valid encoding per wire envelope payload, paired with its decoder.
-/// Default-constructed messages encode to legal (if boring) wire images;
-/// the corpus tests below truncate and bit-flip each one.
-struct CorpusEntry {
-  const char* name;
-  Bytes valid;
-  std::function<void(util::BytesView)> decode;
-};
-
-std::vector<CorpusEntry> envelope_corpus() {
-  std::vector<CorpusEntry> corpus;
-  const auto add = [&corpus](const char* name, Bytes valid,
-                             std::function<void(util::BytesView)> decode) {
-    corpus.push_back({name, std::move(valid), std::move(decode)});
-  };
-  add("RedirectRequest", services::RedirectRequest{"a@b.c"}.encode(),
-      [](util::BytesView b) { services::RedirectRequest::decode(b); });
-  add("RedirectResponse", services::RedirectResponse{}.encode(),
-      [](util::BytesView b) { services::RedirectResponse::decode(b); });
-  add("Login1Request", core::Login1Request{}.encode(),
-      [](util::BytesView b) { core::Login1Request::decode(b); });
-  add("Login1Response", core::Login1Response{}.encode(),
-      [](util::BytesView b) { core::Login1Response::decode(b); });
-  add("Login2Request", core::Login2Request{}.encode(),
-      [](util::BytesView b) { core::Login2Request::decode(b); });
-  add("Login2Response", core::Login2Response{}.encode(),
-      [](util::BytesView b) { core::Login2Response::decode(b); });
-  add("ChannelListRequest", core::ChannelListRequest{}.encode(),
-      [](util::BytesView b) { core::ChannelListRequest::decode(b); });
-  add("ChannelListResponse", core::ChannelListResponse{}.encode(),
-      [](util::BytesView b) { core::ChannelListResponse::decode(b); });
-  add("Switch1Request", core::Switch1Request{}.encode(),
-      [](util::BytesView b) { core::Switch1Request::decode(b); });
-  add("Switch1Response", core::Switch1Response{}.encode(),
-      [](util::BytesView b) { core::Switch1Response::decode(b); });
-  add("Switch2Request", core::Switch2Request{}.encode(),
-      [](util::BytesView b) { core::Switch2Request::decode(b); });
-  add("Switch2Response", core::Switch2Response{}.encode(),
-      [](util::BytesView b) { core::Switch2Response::decode(b); });
-  add("JoinRequest", core::JoinRequest{}.encode(),
-      [](util::BytesView b) { core::JoinRequest::decode(b); });
-  add("JoinResponse", core::JoinResponse{}.encode(),
-      [](util::BytesView b) { core::JoinResponse::decode(b); });
-  // Renewal presentation carries a SignedChannelTicket on the wire.
-  {
-    crypto::SecureRandom rng(0xc0de);
-    const crypto::RsaKeyPair keys = crypto::generate_rsa_keypair(rng, 512);
-    core::ChannelTicket t;
-    t.user_in = 3;
-    t.channel_id = 1;
-    t.expiry_time = 500;
-    add("SignedChannelTicket(renewal)",
-        core::SignedChannelTicket::sign(t, keys.priv).encode(),
-        [](util::BytesView b) { core::SignedChannelTicket::decode(b); });
-  }
-  add("ContentPacket", core::ContentPacket{}.encode(),
-      [](util::BytesView b) { core::ContentPacket::decode(b); });
-  add("BusyPayload", net::BusyPayload{}.encode(),
-      [](util::BytesView b) { net::BusyPayload::decode(b); });
-  add("Snapshot", store::Snapshot{}.encode(),
-      [](util::BytesView b) { store::Snapshot::decode(b); });
-  {
-    store::ReplicatedOp op;
-    op.origin = 1;
-    op.origin_seq = 1;  // decode rejects zero seq
-    op.payload = util::bytes_of("gossip payload");
-    add("ReplicatedOp", op.encode(),
-        [](util::BytesView b) { store::ReplicatedOp::decode(b); });
-  }
-  {
-    services::ViewingLog::Entry e;
-    e.user_in = 9;
-    e.channel = 2;
-    e.time = 77;
-    add("ViewingEntry", services::encode_viewing_entry(e),
-        [](util::BytesView b) { services::decode_viewing_entry(b); });
-  }
-  return corpus;
-}
-
-TEST(FuzzDecodeTest, CorpusEveryEnvelopeDecodesItsOwnEncoding) {
-  for (const CorpusEntry& entry : envelope_corpus()) {
-    EXPECT_NO_THROW(entry.decode(entry.valid)) << entry.name;
-  }
-}
-
-TEST(FuzzDecodeTest, CorpusEveryEnvelopeTruncationGraceful) {
-  // Every prefix of every valid envelope payload: succeed or WireError.
-  for (const CorpusEntry& entry : envelope_corpus()) {
-    const Decoder decoder{entry.name, entry.decode};
-    for (std::size_t len = 0; len < entry.valid.size(); ++len) {
-      expect_graceful(decoder, Bytes(entry.valid.begin(),
-                                     entry.valid.begin() +
-                                         static_cast<std::ptrdiff_t>(len)));
-    }
-  }
-}
-
-TEST(FuzzDecodeTest, CorpusEveryEnvelopeBitFlipsGraceful) {
-  // Seeded single- and multi-bit corruption of every valid envelope payload.
-  crypto::SecureRandom rng(0xb17f11b);
-  for (const CorpusEntry& entry : envelope_corpus()) {
-    if (entry.valid.empty()) continue;
-    const Decoder decoder{entry.name, entry.decode};
-    for (int iter = 0; iter < 150; ++iter) {
-      Bytes mutated = entry.valid;
-      const int flips = 1 + static_cast<int>(rng.uniform(4));
-      for (int f = 0; f < flips; ++f) {
-        const std::size_t pos =
-            static_cast<std::size_t>(rng.uniform(mutated.size()));
-        mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
-      }
-      expect_graceful(decoder, mutated);
-    }
-  }
-}
-
 TEST(FuzzDecodeTest, EnvelopeFramingNeverThrows) {
   // The outer envelope reports failure by value (optional), never by
   // exception: random bytes, truncations, and bit-flips of a valid frame.
@@ -526,22 +409,33 @@ TEST(FuzzDecodeTest, KeyBlobUnwrapNeverThrows) {
 }
 
 TEST(FuzzDecodeTest, RoundTripAfterSuccessfulFuzzDecode) {
-  // Any random buffer a decoder accepts must re-encode/decode stably (no
-  // "parses but corrupts" states). Checked for ContentPacket, whose inputs
-  // come from untrusted peers.
+  // Any buffer a decoder accepts must re-encode/decode stably (no "parses
+  // but corrupts" states). Checked for ContentPacket, whose inputs come from
+  // untrusted peers: random header bytes and a random payload behind a
+  // consistent length prefix, which must all decode, and a quarter of them
+  // with one trailing byte more, which must not.
   crypto::SecureRandom rng(79);
   int accepted = 0;
+  int consistent = 0;
   for (int iter = 0; iter < 2000; ++iter) {
-    const Bytes input = rng.bytes(17 + static_cast<std::size_t>(rng.uniform(64)));
+    util::WireWriter w;
+    w.raw(rng.bytes(13));  // channel, key serial, seq
+    w.bytes(rng.bytes(rng.uniform(64)));
+    const bool trailing = rng.uniform(4) == 0;
+    if (trailing) w.u8(static_cast<std::uint8_t>(rng.next_u32()));
+    else ++consistent;
+    const Bytes input = w.take();
     try {
       const core::ContentPacket p = core::ContentPacket::decode(input);
       ++accepted;
+      EXPECT_EQ(p.encode(), input);
       EXPECT_EQ(core::ContentPacket::decode(p.encode()), p);
     } catch (const util::WireError&) {
+      EXPECT_TRUE(trailing);
     }
   }
-  // With a 4-byte length prefix most random buffers fail; some must pass.
-  (void)accepted;
+  EXPECT_GT(accepted, 0);
+  EXPECT_EQ(accepted, consistent);
 }
 
 /// `head`, a u32 count, `count` copies of `item`, then `tail`.
@@ -819,6 +713,7 @@ std::vector<AcceptanceEntry> acceptance_corpus() {
   log.record({8, 3, util::parse_netaddr("10.0.0.4"), 79, false});
   c.push_back(framed("ViewingLog", log));
   c.push_back(framed("ReplicatedOp", store::ReplicatedOp{1, 2, util::bytes_of("op")}));
+  c.push_back(framed("Snapshot{}", store::Snapshot{}));
   return c;
 }
 
@@ -922,13 +817,16 @@ TEST(FuzzDecodeTest, AcceptanceDigestPerDecoder) {
   EXPECT_EQ(checked, expected.size());
 }
 
-// The wire is canonical: over the acceptance sweep's damaged inputs,
-// whatever a decoder accepts re-encodes to exactly the bytes it was given,
-// so no two wire images decode to the same value. That takes strict flag
-// and presence bytes, no trailing bytes, minimal RSA integers and ordered
-// directory records.
+// The wire is canonical: each entry decodes its own encoding, and over the
+// acceptance sweep's damaged inputs (every truncation and single-bit flip
+// among them) whatever a decoder accepts re-encodes to exactly the bytes it
+// was given, so no two wire images decode to the same value. That takes
+// strict flag and presence bytes, no trailing bytes, minimal RSA integers
+// and ordered directory records. Any exception but WireError fails the
+// test.
 TEST(FuzzDecodeTest, AcceptedInputsReencodeToThemselves) {
   for (const AcceptanceEntry& entry : acceptance_corpus()) {
+    EXPECT_NO_THROW(entry.reencode(entry.valid)) << entry.name << " rejects its own encoding";
     for (const Bytes& input : damaged_inputs(entry.valid)) {
       Bytes out;
       try {
@@ -937,6 +835,26 @@ TEST(FuzzDecodeTest, AcceptedInputsReencodeToThemselves) {
         continue;
       }
       EXPECT_EQ(util::to_hex(out), util::to_hex(input)) << entry.name;
+    }
+  }
+}
+
+TEST(FuzzDecodeTest, CorpusEveryEnvelopeBitFlipsGraceful) {
+  // Seeded corruption of 2-4 bits of every corpus entry (the sweep above
+  // covers single flips): succeed or WireError.
+  crypto::SecureRandom rng(0xb17f11b);
+  for (const AcceptanceEntry& entry : acceptance_corpus()) {
+    if (entry.valid.empty()) continue;
+    const Decoder decoder{entry.name.c_str(),
+                          [&entry](util::BytesView b) { (void)entry.reencode(b); }};
+    for (int iter = 0; iter < 150; ++iter) {
+      Bytes mutated = entry.valid;
+      const int flips = 2 + static_cast<int>(rng.uniform(3));
+      for (int f = 0; f < flips; ++f) {
+        const std::size_t pos = static_cast<std::size_t>(rng.uniform(mutated.size()));
+        mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
+      }
+      expect_graceful(decoder, mutated);
     }
   }
 }
