@@ -6,7 +6,7 @@ using core::DrmError;
 
 Peer::Peer(PeerConfig config, crypto::RsaKeyPair keys, crypto::RsaPublicKey cm_key,
            crypto::SecureRandom rng)
-    : config_(config), keys_pair_(std::move(keys)), cm_key_(std::move(cm_key)),
+    : config_(config), keys_pair_(std::move(keys)), cm_key_(cm_key.with_context()),
       rng_(std::move(rng)) {}
 
 core::JoinResponse Peer::handle_join(const core::JoinRequest& req,
