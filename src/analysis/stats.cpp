@@ -42,7 +42,7 @@ std::optional<double> pearson(const std::vector<double>& x,
 }
 
 Reservoir::Reservoir(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), rng_(seed) {
+    : capacity_(capacity), seed_(seed) {
   samples_.reserve(capacity);
 }
 
@@ -52,7 +52,8 @@ void Reservoir::add(double value) {
     samples_.push_back(value);
     return;
   }
-  const std::uint64_t slot = rng_.uniform(seen_);
+  if (!rng_) rng_.emplace(seed_);
+  const std::uint64_t slot = rng_->uniform(seen_);
   if (slot < capacity_) samples_[static_cast<std::size_t>(slot)] = value;
 }
 

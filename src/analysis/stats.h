@@ -51,7 +51,10 @@ class Reservoir {
   std::size_t capacity_;
   std::vector<double> samples_;
   std::uint64_t seen_ = 0;
-  crypto::SecureRandom rng_;
+  /// The replacement generator is seeded (one SHA-256) at the first
+  /// replacement, not at construction: many reservoirs never fill.
+  std::uint64_t seed_;
+  std::optional<crypto::SecureRandom> rng_;
 };
 
 }  // namespace p2pdrm::analysis

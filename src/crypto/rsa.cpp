@@ -15,7 +15,7 @@ constexpr std::uint8_t kSha256Prefix[4] = {'S', '2', '5', '6'};
 
 /// (x ^ e) mod n on the key's context, or on one built for this call.
 BigUInt public_op(const RsaPublicKey& key, const BigUInt& x) {
-  if (key.mont) return key.mont->pow(x, key.e);
+  if (key.mont) return key.mont->get(key.n).pow(x, key.e);
   return BigUInt::mod_pow(x, key.e, key.n);
 }
 
@@ -57,7 +57,7 @@ RsaPublicKey RsaPublicKey::decode(util::BytesView data) {
 RsaPublicKey RsaPublicKey::with_context() const {
   RsaPublicKey out = *this;
   if (!out.mont && !n.is_even() && n >= BigUInt(3)) {
-    out.mont = std::make_shared<const Montgomery>(n);
+    out.mont = std::make_shared<const OnceCell<Montgomery>>();
   }
   return out;
 }
@@ -71,7 +71,7 @@ BigUInt RsaPrivateKey::private_op(const BigUInt& c) const {
   // form makes h one multiply. m2 < q < p for keys from keygen, so m2 % p
   // is a comparison.
   std::optional<RsaCrtContext> local;
-  const RsaCrtContext& ctx = crt ? *crt : local.emplace(*this);
+  const RsaCrtContext& ctx = crt ? crt->get(*this) : local.emplace(*this);
   const BigUInt m1 = ctx.p.pow(c, dp);
   const BigUInt m2 = ctx.q.pow(c, dq);
   const BigUInt m2p = m2 % p;
@@ -106,7 +106,7 @@ RsaKeyPair generate_rsa_keypair(SecureRandom& rng, std::size_t bits) {
     priv.dp = priv.d % p1;
     priv.dq = priv.d % q1;
     priv.qinv = BigUInt::mod_inverse(q, p);
-    priv.crt = std::make_shared<const RsaCrtContext>(priv);
+    priv.crt = std::make_shared<const OnceCell<RsaCrtContext>>();
     return {priv, RsaPublicKey{n, e, nullptr}.with_context()};
   }
 }

@@ -12,7 +12,9 @@
 // 1024/2048-bit keys work and are exercised by dedicated tests and benches.
 #pragma once
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "crypto/bignum.h"
@@ -21,20 +23,47 @@
 
 namespace p2pdrm::crypto {
 
+/// A value built on first use, exactly once however many threads ask at
+/// the same time. Keys hold their contexts in one through a shared_ptr, so
+/// every copy of a key shares the cell and what it has built.
+template <class T>
+class OnceCell {
+ public:
+  /// The value, built as T(args...) by the first call; later and
+  /// concurrent calls get that one.
+  template <class... Args>
+  const T& get(const Args&... args) const {
+    std::call_once(once_, [&] {
+      value_ = std::make_unique<const T>(args...);
+      built_.store(true);
+    });
+    return *value_;
+  }
+  /// Whether get() has built the value.
+  bool built() const { return built_.load(); }
+
+ private:
+  mutable std::once_flag once_;
+  mutable std::unique_ptr<const T> value_;
+  mutable std::atomic<bool> built_{false};
+};
+
 /// RSA keys are values: make them with generate_rsa_keypair or decode, and
 /// replace a key rather than edit its fields. A key from
 /// generate_rsa_keypair, or a public key passed through with_context(),
-/// carries the Montgomery contexts its operations run on, built once and
-/// shared, read-only, by every copy: a key held across calls (the UM key
-/// each CM holds, the CM key each peer holds) does not rebuild them per
-/// call, and threads share one key without a lock. Any other key (decoded
-/// from the wire, or assembled field by field) has none, and its operations
-/// build them per call: most decoded keys are used once or not at all.
+/// carries a cell for the Montgomery contexts its operations run on: its
+/// first operation builds them, once, and every copy shares them,
+/// read-only. A key held across calls (the UM key each CM holds, the CM key
+/// each peer holds) does not rebuild them per call, threads share one key
+/// without a lock, and a key that is never used builds nothing. Any other
+/// key (decoded from the wire, or assembled field by field) has no cell,
+/// and its operations build the contexts per call: most decoded keys are
+/// used once or not at all.
 struct RsaPublicKey {
   BigUInt n;
   BigUInt e;
-  /// Montgomery context for n, or null.
-  std::shared_ptr<const Montgomery> mont;
+  /// Cell for the Montgomery context of n, or null.
+  std::shared_ptr<const OnceCell<Montgomery>> mont;
 
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 
@@ -43,9 +72,9 @@ struct RsaPublicKey {
   util::Bytes encode() const;
   static RsaPublicKey decode(util::BytesView data);
 
-  /// This key with a context for n, for a key that will be used many times:
-  /// the key itself when it has one already or when n is even or below 3,
-  /// which no operation accepts.
+  /// This key with a context cell for n, for a key that will be used many
+  /// times: the key itself when it has one already or when n is even or
+  /// below 3, which no operation accepts.
   RsaPublicKey with_context() const;
 
   /// SHA-256 of the encoding; used as a stable key identity.
@@ -64,7 +93,8 @@ struct RsaPrivateKey {
   BigUInt n, e, d;
   // CRT components.
   BigUInt p, q, dp, dq, qinv;
-  std::shared_ptr<const RsaCrtContext> crt;
+  /// Cell for the CRT contexts, or null.
+  std::shared_ptr<const OnceCell<RsaCrtContext>> crt;
 
   std::size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
 

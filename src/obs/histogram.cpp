@@ -57,9 +57,13 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
 }
 
 void LatencyHistogram::record(std::int64_t value) {
+  std::lock_guard<std::mutex> lk(mu_);
+  record_unlocked(value);
+}
+
+void LatencyHistogram::record_unlocked(std::int64_t value) {
   const std::int64_t clamped = std::max<std::int64_t>(value, 0);
   const std::size_t index = bucket_index(clamped);
-  std::lock_guard<std::mutex> lk(mu_);
   if (index >= buckets_.size()) buckets_.resize(index + 1, 0);
   ++buckets_[index];
   if (count_ == 0) {

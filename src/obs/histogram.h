@@ -12,9 +12,15 @@
 //
 // Thread safety: every operation takes the histogram's own mutex, so
 // concurrent recorders on the live transport (many client loops feeding one
-// "client.round.LOGIN1" histogram) are safe. The only exception is
-// buckets(), which returns a reference into the bucket store — call it only
-// when no recorder is running (exports and tests do).
+// "client.round.LOGIN1" histogram) are safe. There are two exceptions:
+//   - record_unlocked() is the owner-thread path: no lock. Use it only on a
+//     histogram that one thread owns at a time, where any other thread's
+//     later access is ordered after it by some other synchronization (the
+//     macro-sim's shards: a worker records inside a window, the coordinator
+//     reads after the barrier's mutex hand-off). record() is "lock, then
+//     record_unlocked()".
+//   - buckets() returns a reference into the bucket store — call it only
+//     when no recorder is running (exports and tests do).
 #pragma once
 
 #include <cstdint>
@@ -42,6 +48,9 @@ class LatencyHistogram {
   static std::int64_t bucket_upper(std::size_t index);
 
   void record(std::int64_t value);
+  /// record() without the lock, for the one thread that owns the histogram
+  /// (see the thread-safety note above).
+  void record_unlocked(std::int64_t value);
 
   std::uint64_t count() const { std::lock_guard<std::mutex> lk(mu_); return count_; }
   std::int64_t min() const { std::lock_guard<std::mutex> lk(mu_); return count_ == 0 ? 0 : min_; }

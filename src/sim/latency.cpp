@@ -7,8 +7,12 @@
 namespace p2pdrm::sim {
 
 util::SimTime LatencyModel::sample_rtt(crypto::SecureRandom& rng) const {
-  const double mu = std::log(static_cast<double>(median));
-  const double draw = rng.lognormal(mu, sigma);
+  return sample_rtt(rng, std::log(static_cast<double>(median)));
+}
+
+util::SimTime LatencyModel::sample_rtt(crypto::SecureRandom& rng,
+                                       double log_median) const {
+  const double draw = rng.lognormal(log_median, sigma);
   const util::SimTime rtt = floor + static_cast<util::SimTime>(draw);
   return std::min(rtt, cap);
 }

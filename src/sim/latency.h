@@ -22,6 +22,9 @@ struct LatencyModel {
   util::SimTime cap = 30 * util::kSecond;
 
   util::SimTime sample_rtt(crypto::SecureRandom& rng) const;
+  /// The same draw with log(median) passed in, for a caller that draws
+  /// from one model many times and computes it once.
+  util::SimTime sample_rtt(crypto::SecureRandom& rng, double log_median) const;
 };
 
 /// A farm of `servers` identical FIFO servers sharing one queue (one

@@ -304,7 +304,9 @@ void MacroEngine::do_scrape(util::SimTime at, double load) {
   if (cfg_.obs.timeseries != nullptr) {
     cfg_.obs.timeseries->record("load.concurrent", at, load);
     scrape_registry_.reset();
-    for (auto& shard : shards_) scrape_registry_.merge_from(shard->registry());
+    for (auto& shard : shards_) {
+      scrape_registry_.merge_from(shard->folded_registry());
+    }
     scrape_registry_.merge_from(coord_registry_);
     cfg_.obs.timeseries->scrape(scrape_registry_, at);
   }
@@ -383,7 +385,9 @@ MacroSimResult MacroEngine::merge_results() {
 
   // Metrics: shard registries in index order, then the coordinator's.
   result.registry = std::make_shared<obs::Registry>();
-  for (auto& shard : shards_) result.registry->merge_from(shard->registry());
+  for (auto& shard : shards_) {
+    result.registry->merge_from(shard->folded_registry());
+  }
   result.registry->merge_from(coord_registry_);
 
   // Reservoirs: deterministic weighted merge per (round, hour) cell. With

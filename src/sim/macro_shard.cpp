@@ -37,6 +37,9 @@ MacroShard::MacroShard(const MacroSimConfig& cfg,
       um_scale_(slice_scale(um_servers_, num_shards, cfg.user_manager_servers)),
       cm_scale_(slice_scale(cm_servers_, num_shards, cfg.channel_manager_servers)),
       um_(um_servers_), cm_(cm_servers_),
+      manager_net_{&cfg.manager_net,
+                   std::log(static_cast<double>(cfg.manager_net.median))},
+      peer_net_{&cfg.peer_net, std::log(static_cast<double>(cfg.peer_net.median))},
       horizon_(static_cast<util::SimTime>(cfg.days) * util::kDay) {
   trace_enabled_ = cfg_.obs.tracer != nullptr;
   if (trace_enabled_) tracer_.set_capacity(cfg_.obs.tracer->capacity());
@@ -45,8 +48,16 @@ MacroShard::MacroShard(const MacroSimConfig& cfg,
   const double rate = shard_peak_rate();
   if (rate > 0) arrivals_.emplace(cfg_.profile, rate);
 
+  const ServiceCosts& sc = cfg_.costs;
+  const ClientCosts& cc = cfg_.client_costs;
+  const util::SimTime service_medians[] = {sc.login1, sc.login2, sc.switch1,
+                                           sc.switch2, sc.join};
+  const util::SimTime client_medians[] = {cc.login1, cc.login2, cc.switch1,
+                                          cc.switch2, cc.join};
   const std::size_t hours = static_cast<std::size_t>(cfg_.days) * 24;
   for (std::size_t r = 0; r < core::kNumRounds; ++r) {
+    service_log_median_[r] = std::log(static_cast<double>(service_medians[r]));
+    client_log_median_[r] = std::log(static_cast<double>(client_medians[r]));
     RoundTrace& trace = rounds_[r];
     trace.hourly.reserve(hours);
     const std::uint64_t stream = (index_ * core::kNumRounds + r) << 20;
@@ -135,6 +146,36 @@ void MacroShard::finish(util::SimTime horizon) {
   }
 }
 
+const obs::Registry& MacroShard::folded_registry() {
+  // Bucket counts, counts, minima and maxima fold exactly. Each sum is a
+  // sum of integer-valued doubles (microseconds), exact while it stays
+  // below 2^53 us (about 285 years of summed latency), so each aggregate
+  // equals, bit for bit, a histogram that recorded every round directly.
+  //
+  // Rounds complete at now_, which never decreases, so the hours before
+  // now_'s are closed and the ones after it are empty. Closed hours are
+  // folded once, into closed_peak_/closed_offpeak_; each read adds the
+  // open hour to those.
+  const std::size_t open = std::min(static_cast<std::size_t>(now_ / util::kHour),
+                                    hist_hourly_[0].size() - 1);
+  for (std::size_t r = 0; r < core::kNumRounds; ++r) {
+    for (std::size_t h = folded_hours_; h < open; ++h) {
+      (peak_hour(h) ? closed_peak_[r] : closed_offpeak_[r])
+          .merge(*hist_hourly_[r][h]);
+    }
+    obs::LatencyHistogram& peak = *hist_peak_[r];
+    obs::LatencyHistogram& offpeak = *hist_offpeak_[r];
+    obs::LatencyHistogram& all = *hist_all_[r];
+    peak = closed_peak_[r];
+    offpeak = closed_offpeak_[r];
+    (peak_hour(open) ? peak : offpeak).merge(*hist_hourly_[r][open]);
+    all = peak;
+    all.merge(offpeak);
+  }
+  folded_hours_ = open;
+  return registry_;
+}
+
 void MacroShard::schedule(util::SimTime when, std::uint32_t session,
                           Phase phase) {
   queue_.push(Event{when, next_seq_++, session, phase});
@@ -162,36 +203,20 @@ void MacroShard::change_concurrency(int delta) {
   local_peak_ = std::max(local_peak_, static_cast<double>(concurrency_));
 }
 
-util::SimTime MacroShard::lognormal_around(util::SimTime median, double sigma) {
-  const double draw =
-      rng_.lognormal(std::log(static_cast<double>(median)), sigma);
+util::SimTime MacroShard::lognormal_around(double log_median, double sigma) {
+  const double draw = rng_.lognormal(log_median, sigma);
   return std::max<util::SimTime>(1, static_cast<util::SimTime>(draw));
 }
 
 util::SimTime MacroShard::service_time(core::Round r, double scale) {
-  const ServiceCosts& c = cfg_.costs;
-  util::SimTime base = 0;
-  switch (r) {
-    case core::Round::kLogin1: base = c.login1; break;
-    case core::Round::kLogin2: base = c.login2; break;
-    case core::Round::kSwitch1: base = c.switch1; break;
-    case core::Round::kSwitch2: base = c.switch2; break;
-    case core::Round::kJoin: base = c.join; break;
-  }
-  return scaled(lognormal_around(base, c.dispersion), scale);
+  return scaled(lognormal_around(service_log_median_[static_cast<std::size_t>(r)],
+                                 cfg_.costs.dispersion),
+                scale);
 }
 
 util::SimTime MacroShard::client_time(core::Round r) {
-  const ClientCosts& c = cfg_.client_costs;
-  util::SimTime base = 0;
-  switch (r) {
-    case core::Round::kLogin1: base = c.login1; break;
-    case core::Round::kLogin2: base = c.login2; break;
-    case core::Round::kSwitch1: base = c.switch1; break;
-    case core::Round::kSwitch2: base = c.switch2; break;
-    case core::Round::kJoin: base = c.join; break;
-  }
-  return lognormal_around(base, c.dispersion);
+  return lognormal_around(client_log_median_[static_cast<std::size_t>(r)],
+                          cfg_.client_costs.dispersion);
 }
 
 void MacroShard::record(std::uint32_t s, core::Round r,
@@ -199,14 +224,14 @@ void MacroShard::record(std::uint32_t s, core::Round r,
   const std::size_t ri = static_cast<std::size_t>(r);
   RoundTrace& trace = rounds_[ri];
   const double seconds = util::to_seconds(latency);
+  // Rounds complete inside run_window, so now_ < horizon_ and the hour is
+  // always in range.
   const std::size_t hour = static_cast<std::size_t>(now_ / util::kHour);
-  const bool peak = util::hour_of_day(now_) >= 18;
-  if (hour < trace.hourly.size()) trace.hourly[hour].add(seconds);
-  (peak ? trace.peak : trace.offpeak).add(seconds);
+  trace.hourly[hour].add(seconds);
+  (peak_hour(hour) ? trace.peak : trace.offpeak).add(seconds);
   ++trace.count;
-  if (hour < hist_hourly_[ri].size()) hist_hourly_[ri][hour]->record(latency);
-  (peak ? hist_peak_[ri] : hist_offpeak_[ri])->record(latency);
-  hist_all_[ri]->record(latency);
+  // The hourly histogram only: folded_registry() derives the aggregates.
+  hist_hourly_[ri][hour]->record_unlocked(latency);
   // SLO observations are buffered, not delivered: the coordinator replays
   // all shards' buffers in deterministic merged order at the next barrier.
   if (buffer_slo_) slo_buffer_.push_back(SloSample{now_, r, latency});
@@ -218,7 +243,7 @@ void MacroShard::record(std::uint32_t s, core::Round r,
 }
 
 void MacroShard::start_round(std::uint32_t s, core::Round r,
-                             Phase arrive_phase, const LatencyModel& net) {
+                             Phase arrive_phase, const Net& net) {
   Session& session = pool_[s];
   session.round_start = now_;
   const util::SimTime rtt = net.sample_rtt(rng_);
@@ -310,7 +335,7 @@ void MacroShard::dispatch(const Event& ev) {
       record(ev.session, core::Round::kLogin1,
              now_ - pool_[ev.session].round_start);
       start_round(ev.session, core::Round::kLogin2, Phase::kLogin2Arrive,
-                  cfg_.manager_net);
+                  manager_net_);
       return;
     }
     case Phase::kLogin2Arrive:
@@ -327,7 +352,7 @@ void MacroShard::dispatch(const Event& ev) {
       record(ev.session, core::Round::kSwitch1,
              now_ - pool_[ev.session].round_start);
       start_round(ev.session, core::Round::kSwitch2, Phase::kSwitch2Arrive,
-                  cfg_.manager_net);
+                  manager_net_);
       return;
     }
     case Phase::kSwitch2Arrive:
@@ -362,8 +387,7 @@ void MacroShard::on_arrival(bool background, std::uint32_t channel) {
   session.end_time = now_ + cfg_.session.sample_duration(rng_);
   ++totals_.sessions;
   change_concurrency(+1);
-  start_round(s, core::Round::kLogin1, Phase::kLogin1Arrive,
-              cfg_.manager_net);
+  start_round(s, core::Round::kLogin1, Phase::kLogin1Arrive, manager_net_);
 }
 
 void MacroShard::on_login_complete(std::uint32_t s) {
@@ -378,8 +402,7 @@ void MacroShard::on_login_complete(std::uint32_t s) {
   }
   // Fresh login: tune to the first channel.
   session.renewing_ct = false;
-  start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive,
-              cfg_.manager_net);
+  start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive, manager_net_);
 }
 
 void MacroShard::on_switch_complete(std::uint32_t s) {
@@ -394,7 +417,7 @@ void MacroShard::on_switch_complete(std::uint32_t s) {
     return;
   }
   session.join_attempts = 0;
-  start_round(s, core::Round::kJoin, Phase::kJoinArrive, cfg_.peer_net);
+  start_round(s, core::Round::kJoin, Phase::kJoinArrive, peer_net_);
 }
 
 void MacroShard::on_join_arrive(std::uint32_t s) {
@@ -413,7 +436,7 @@ void MacroShard::on_join_arrive(std::uint32_t s) {
           cfg_.max_join_attempts) {
     ++session.join_attempts;
     ++totals_.join_retries;
-    const util::SimTime retry_rtt = cfg_.peer_net.sample_rtt(rng_);
+    const util::SimTime retry_rtt = peer_net_.sample_rtt(rng_);
     if (session.round_span != 0) {
       const obs::SpanId hop = tracer_.begin_span(
           "net", "hop join-retry", s + 1, now_, session.round_span);
@@ -479,8 +502,7 @@ void MacroShard::on_action(std::uint32_t s) {
 
   if (now_ >= ut_renew) {
     session.relogging_in = true;
-    start_round(s, core::Round::kLogin1, Phase::kLogin1Arrive,
-                cfg_.manager_net);
+    start_round(s, core::Round::kLogin1, Phase::kLogin1Arrive, manager_net_);
     return;
   }
   if (now_ >= session.next_switch) {
@@ -488,14 +510,12 @@ void MacroShard::on_action(std::uint32_t s) {
     // (the conditional Zipf draw), then a fresh SWITCH + JOIN.
     session.channel = static_cast<std::uint32_t>(part_.sample(index_, rng_));
     session.renewing_ct = false;
-    start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive,
-                cfg_.manager_net);
+    start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive, manager_net_);
     return;
   }
   if (now_ >= ct_renew) {
     session.renewing_ct = true;
-    start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive,
-                cfg_.manager_net);
+    start_round(s, core::Round::kSwitch1, Phase::kSwitch1Arrive, manager_net_);
     return;
   }
   // Spurious wakeup (state advanced since scheduling): re-arm.

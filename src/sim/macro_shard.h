@@ -24,8 +24,17 @@
 // Allocation: sessions live in an arena-backed segmented pool
 // (util::ArenaVector) — stable addresses, no per-session malloc/free, and
 // the free list recycles slots; the event queue is a flat binary heap.
+//
+// Latency histograms: a finished round is recorded once, into its
+// (round, hour) histogram, through the histogram's owner-thread path (no
+// lock: one thread touches a shard at a time, and the pool's mutex orders
+// the worker's window before the coordinator's barrier). The peak,
+// off-peak and whole-run histograms are not recorded into; the
+// coordinator gets them folded from the hourly ones by folded_registry(),
+// at every scrape and at the end of the run.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <queue>
@@ -70,10 +79,14 @@ class MacroShard {
   /// Observations buffered since the last drain (coordinator clears).
   std::vector<SloSample>& slo_samples() { return slo_buffer_; }
 
+  /// The shard's registry, with the peak/off-peak/all histograms folded
+  /// from the hourly ones first (exactly; see macro_shard.cpp). Call it
+  /// whenever the registry is read: at a scrape, or after finish().
+  const obs::Registry& folded_registry();
+
   // --- results (read after finish()) ---
 
   std::uint64_t events() const { return events_; }
-  const obs::Registry& registry() const { return registry_; }
   obs::Tracer& tracer() { return tracer_; }
   const RoundTrace& round(std::size_t r) const { return rounds_[r]; }
   /// Time-weighted concurrency integral per sim hour (additive across
@@ -147,13 +160,24 @@ class MacroShard {
   void flush_concurrency(util::SimTime upto);
   void change_concurrency(int delta);
 
-  util::SimTime lognormal_around(util::SimTime median, double sigma);
+  /// A latency model with the log of its median computed once.
+  struct Net {
+    const LatencyModel* model;
+    double log_median;
+    util::SimTime sample_rtt(crypto::SecureRandom& rng) const {
+      return model->sample_rtt(rng, log_median);
+    }
+  };
+  /// The paper's peak is 18:00-24:00.
+  static bool peak_hour(std::size_t hour) { return hour % 24 >= 18; }
+
+  util::SimTime lognormal_around(double log_median, double sigma);
   util::SimTime service_time(core::Round r, double scale);
   util::SimTime client_time(core::Round r);
   void record(std::uint32_t s, core::Round r, util::SimTime latency);
 
   void start_round(std::uint32_t s, core::Round r, Phase arrive_phase,
-                   const LatencyModel& net);
+                   const Net& net);
   void serve_and_respond(std::uint32_t s, core::Round r,
                          QueueStation& station, double scale,
                          Phase resp_phase);
@@ -188,6 +212,11 @@ class MacroShard {
   double cm_scale_;
   QueueStation um_;
   QueueStation cm_;
+  Net manager_net_;
+  Net peer_net_;
+  /// log() of each round's service and client-think medians.
+  std::array<double, core::kNumRounds> service_log_median_ = {};
+  std::array<double, core::kNumRounds> client_log_median_ = {};
   util::SimTime horizon_;
   util::SimTime now_ = 0;
 
@@ -206,11 +235,17 @@ class MacroShard {
   std::array<RoundTrace, core::kNumRounds> rounds_;
   obs::Registry registry_;
   /// Cached pointers into registry_ — record() is far too hot for name
-  /// lookups.
+  /// lookups. record() writes hist_hourly_; folded_registry() derives the
+  /// other three from it.
   std::array<std::vector<obs::LatencyHistogram*>, core::kNumRounds> hist_hourly_;
   std::array<obs::LatencyHistogram*, core::kNumRounds> hist_peak_ = {};
   std::array<obs::LatencyHistogram*, core::kNumRounds> hist_offpeak_ = {};
   std::array<obs::LatencyHistogram*, core::kNumRounds> hist_all_ = {};
+  /// Peak and off-peak folds of the hours before folded_hours_, which
+  /// no round can land in any more.
+  std::array<obs::LatencyHistogram, core::kNumRounds> closed_peak_;
+  std::array<obs::LatencyHistogram, core::kNumRounds> closed_offpeak_;
+  std::size_t folded_hours_ = 0;
 
   Totals totals_;
   std::vector<SloSample> slo_buffer_;

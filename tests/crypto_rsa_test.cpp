@@ -278,6 +278,72 @@ TEST(RsaContextTest, OneKeyPairSharedAcrossThreads) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+/// Counts its constructions, to check that OnceCell builds once.
+struct CountedBuild {
+  static inline std::atomic<int> builds{0};
+  explicit CountedBuild(int v) : value(v) { ++builds; }
+  int value;
+};
+
+TEST(RsaContextTest, ContextsAreBuiltOnFirstUseAndOnlyOnce) {
+  // A fresh key pair holds empty cells; its first operation builds the
+  // context that operation needs, and the cell is shared with copies.
+  SecureRandom rng(0x1a2b);
+  const RsaKeyPair kp = generate_rsa_keypair(rng, 512);
+  ASSERT_NE(kp.pub.mont, nullptr);
+  ASSERT_NE(kp.priv.crt, nullptr);
+  EXPECT_FALSE(kp.pub.mont->built());
+  EXPECT_FALSE(kp.priv.crt->built());
+  const RsaKeyPair copy = kp;
+  const Bytes msg = bytes_of("first use");
+  const Bytes sig = rsa_sign(copy.priv, msg);
+  EXPECT_TRUE(kp.priv.crt->built());
+  EXPECT_FALSE(kp.pub.mont->built());
+  EXPECT_TRUE(rsa_verify(kp.pub, msg, sig));
+  EXPECT_TRUE(copy.pub.mont->built());
+
+  // A first use from 4 threads at once builds exactly one value, and every
+  // thread gets it.
+  constexpr int kThreads = 4;
+  const OnceCell<CountedBuild> cell;
+  std::atomic<int> ready{0};
+  std::vector<const CountedBuild*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[static_cast<std::size_t>(t)] = &cell.get(7);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(CountedBuild::builds.load(), 1);
+  EXPECT_TRUE(cell.built());
+  for (const CountedBuild* v : seen) {
+    EXPECT_EQ(v, seen[0]);
+    EXPECT_EQ(v->value, 7);
+  }
+
+  // The same through a fresh key pair's operations: every thread signs and
+  // verifies first, and every result matches.
+  const RsaKeyPair fresh = generate_rsa_keypair(rng, 512);
+  std::atomic<int> mismatches{0};
+  ready = 0;
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const Bytes s = rsa_sign(fresh.priv, msg);
+      if (!rsa_verify(fresh.pub, msg, s)) ++mismatches;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(fresh.priv.crt->built());
+  EXPECT_TRUE(fresh.pub.mont->built());
+}
+
 // Byte identity at the deployed key size: managers sign tickets with
 // 1024-bit keys. Values recorded before the 64-bit Montgomery kernel; any
 // change to keygen, padding or the private operation shows here.

@@ -117,6 +117,44 @@ TEST(HistogramTest, MergeMatchesCombinedRecording) {
   EXPECT_DOUBLE_EQ(a.p95(), combined.p95());
 }
 
+TEST(HistogramTest, FoldOfUnlockedPartsEqualsRecordingEverything) {
+  // The macro-sim's bookkeeping: each value goes into one of 24 "hourly"
+  // histograms through the owner-thread path, and the aggregates are
+  // folded from them afterwards. The fold must equal recording every value
+  // into each aggregate, bit for bit (the sums are sums of integers, exact
+  // below 2^53).
+  std::vector<LatencyHistogram> hourly(24);
+  LatencyHistogram direct_peak, direct_offpeak, direct_all;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 20000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const std::size_t hour = static_cast<std::size_t>(i) * 24 / 20000;
+    const std::int64_t v =
+        i % 97 == 0 ? -5 : static_cast<std::int64_t>(x >> 39);
+    hourly[hour].record_unlocked(v);
+    (hour >= 18 ? direct_peak : direct_offpeak).record(v);
+    direct_all.record(v);
+  }
+  LatencyHistogram peak, offpeak, all;
+  for (std::size_t h = 0; h < hourly.size(); ++h) {
+    (h >= 18 ? peak : offpeak).merge(hourly[h]);
+  }
+  all.merge(peak);
+  all.merge(offpeak);
+  const auto expect_same = [](const LatencyHistogram& a,
+                              const LatencyHistogram& b) {
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    EXPECT_EQ(a.sum(), b.sum());
+    EXPECT_EQ(a.buckets(), b.buckets());
+  };
+  expect_same(peak, direct_peak);
+  expect_same(offpeak, direct_offpeak);
+  expect_same(all, direct_all);
+  EXPECT_EQ(all.min(), 0);  // negatives clamp on both paths
+}
+
 TEST(HistogramTest, SelfMergeDoubles) {
   LatencyHistogram h;
   h.record(10);

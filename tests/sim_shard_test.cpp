@@ -12,11 +12,13 @@
 #include <stdexcept>
 #include <utility>
 
+#include "crypto/sha256.h"
 #include "obs/export.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/macro_sim.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -178,6 +180,32 @@ TEST(ShardedEngineTest, ObservabilityIdenticalAcrossThreadCounts) {
   EXPECT_EQ(trace1, trace8);
   EXPECT_FALSE(trace1.empty());
   EXPECT_NE(csv1.find("load.concurrent"), std::string::npos);
+}
+
+TEST(ShardedEngineTest, ScrapedObservabilityPinned) {
+  // The scrape path's bytes, pinned: a 2-thread run with the time series
+  // and SLO monitor on. The thread-count test above only compares runs
+  // with each other; this one catches a change that moves what every
+  // scrape sees (the peak/off-peak/all histograms must be current at each
+  // tick, not only at the end of the run).
+  MacroSimConfig cfg = sharded_config();
+  cfg.threads = 2;
+  obs::TimeSeries ts;
+  obs::SloMonitor slo({{"LOGIN2", 3000000, 8000000, 6 * util::kHour},
+                       {"JOIN", 5000000, 13000000, 6 * util::kHour}});
+  cfg.obs.timeseries = &ts;
+  cfg.obs.slo = &slo;
+  const MacroSimResult result = run_macro_sim(cfg);
+  const auto digest = [](const std::string& s) {
+    return util::to_hex(crypto::sha256(util::bytes_of(s)));
+  };
+  EXPECT_EQ(digest(ts.to_csv()),
+            "e3d44e285761ce1bee7cda9b5d9f610b00caf3a816c40ed14925104a72f4f4f2");
+  EXPECT_EQ(digest(slo.report()),
+            "75f6e76819ad2c079cce1c787c26c4094ac586a3ecfe7b71dca7fb3c81d7116f");
+  ASSERT_NE(result.registry, nullptr);
+  EXPECT_EQ(digest(result.registry->to_string()),
+            "32161a64a8ca1fcab7070f89b48d4455563c8134bb42d956625034053b321b62");
 }
 
 TEST(ShardedEngineTest, ShardCountChangesStreamsButKeepsStatistics) {
