@@ -13,12 +13,12 @@
 namespace p2pdrm::crypto {
 
 namespace {
-constexpr std::uint64_t kBase = 1ull << 32;
-}
+using Limb = std::uint64_t;
+using Wide = unsigned __int128;
+}  // namespace
 
 BigUInt::BigUInt(std::uint64_t v) {
-  if (v != 0) limbs_.push_back(static_cast<std::uint32_t>(v));
-  if (v >> 32) limbs_.push_back(static_cast<std::uint32_t>(v >> 32));
+  if (v != 0) limbs_.push_back(v);
 }
 
 void BigUInt::trim() {
@@ -27,11 +27,11 @@ void BigUInt::trim() {
 
 BigUInt BigUInt::from_bytes_be(util::BytesView bytes) {
   BigUInt out;
-  out.limbs_.assign((bytes.size() + 3) / 4, 0);
+  out.limbs_.assign((bytes.size() + 7) / 8, 0);
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     // bytes[size-1-i] is the i-th least significant byte.
     const std::uint8_t b = bytes[bytes.size() - 1 - i];
-    out.limbs_[i / 4] |= static_cast<std::uint32_t>(b) << (8 * (i % 4));
+    out.limbs_[i / 8] |= static_cast<Limb>(b) << (8 * (i % 8));
   }
   out.trim();
   return out;
@@ -50,7 +50,7 @@ util::Bytes BigUInt::to_bytes_be(std::size_t min_len) const {
   out.assign(total, 0);
   for (std::size_t i = 0; i < nbytes; ++i) {
     out[total - 1 - i] =
-        static_cast<std::uint8_t>(limbs_[i / 4] >> (8 * (i % 4)));
+        static_cast<std::uint8_t>(limbs_[i / 8] >> (8 * (i % 8)));
   }
   return out;
 }
@@ -64,22 +64,17 @@ std::string BigUInt::to_hex() const {
 
 std::size_t BigUInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  return 32 * (limbs_.size() - 1) +
-         (32 - static_cast<std::size_t>(std::countl_zero(limbs_.back())));
+  return 64 * (limbs_.size() - 1) +
+         (64 - static_cast<std::size_t>(std::countl_zero(limbs_.back())));
 }
 
 bool BigUInt::bit(std::size_t i) const {
-  const std::size_t limb = i / 32;
+  const std::size_t limb = i / 64;
   if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1;
+  return (limbs_[limb] >> (i % 64)) & 1;
 }
 
-std::uint64_t BigUInt::low_u64() const {
-  std::uint64_t v = 0;
-  if (!limbs_.empty()) v = limbs_[0];
-  if (limbs_.size() > 1) v |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-  return v;
-}
+std::uint64_t BigUInt::low_u64() const { return limbs_.empty() ? 0 : limbs_[0]; }
 
 std::strong_ordering operator<=>(const BigUInt& a, const BigUInt& b) {
   if (a.limbs_.size() != b.limbs_.size()) {
@@ -95,15 +90,15 @@ BigUInt BigUInt::add_impl(const BigUInt& a, const BigUInt& b) {
   BigUInt out;
   const std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
   out.limbs_.resize(n);
-  std::uint64_t carry = 0;
+  Limb carry = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t sum = carry;
+    Wide sum = carry;
     if (i < a.limbs_.size()) sum += a.limbs_[i];
     if (i < b.limbs_.size()) sum += b.limbs_[i];
-    out.limbs_[i] = static_cast<std::uint32_t>(sum);
-    carry = sum >> 32;
+    out.limbs_[i] = static_cast<Limb>(sum);
+    carry = static_cast<Limb>(sum >> 64);
   }
-  if (carry) out.limbs_.push_back(static_cast<std::uint32_t>(carry));
+  if (carry) out.limbs_.push_back(carry);
   return out;
 }
 
@@ -111,17 +106,12 @@ BigUInt BigUInt::sub_impl(const BigUInt& a, const BigUInt& b) {
   if (a < b) throw std::underflow_error("BigUInt: negative subtraction result");
   BigUInt out;
   out.limbs_.resize(a.limbs_.size());
-  std::int64_t borrow = 0;
+  Limb borrow = 0;
   for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a.limbs_[i]) - borrow;
+    Wide diff = static_cast<Wide>(a.limbs_[i]) - borrow;
     if (i < b.limbs_.size()) diff -= b.limbs_[i];
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.limbs_[i] = static_cast<std::uint32_t>(diff);
+    out.limbs_[i] = static_cast<Limb>(diff);
+    borrow = static_cast<Limb>(diff >> 64) & 1;
   }
   out.trim();
   return out;
@@ -135,15 +125,15 @@ BigUInt BigUInt::operator*(const BigUInt& rhs) const {
   BigUInt out;
   out.limbs_.assign(limbs_.size() + rhs.limbs_.size(), 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = limbs_[i];
+    Limb carry = 0;
+    const Limb ai = limbs_[i];
     for (std::size_t j = 0; j < rhs.limbs_.size(); ++j) {
-      const std::uint64_t cur = static_cast<std::uint64_t>(out.limbs_[i + j]) +
-                                ai * rhs.limbs_[j] + carry;
-      out.limbs_[i + j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+      // At most (2^64 - 1)^2 + 2 (2^64 - 1) = 2^128 - 1.
+      const Wide cur = static_cast<Wide>(ai) * rhs.limbs_[j] + out.limbs_[i + j] + carry;
+      out.limbs_[i + j] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
     }
-    out.limbs_[i + rhs.limbs_.size()] += static_cast<std::uint32_t>(carry);
+    out.limbs_[i + rhs.limbs_.size()] = carry;
   }
   out.trim();
   return out;
@@ -151,15 +141,14 @@ BigUInt BigUInt::operator*(const BigUInt& rhs) const {
 
 BigUInt BigUInt::operator<<(std::size_t n) const {
   if (is_zero() || n == 0) return *this;
-  const std::size_t limb_shift = n / 32;
-  const std::size_t bit_shift = n % 32;
+  const std::size_t limb_shift = n / 64;
+  const std::size_t bit_shift = n % 64;
   BigUInt out;
   out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
     out.limbs_[i + limb_shift] |= limbs_[i] << bit_shift;
     if (bit_shift != 0) {
-      out.limbs_[i + limb_shift + 1] |=
-          static_cast<std::uint32_t>(limbs_[i] >> (32 - bit_shift));
+      out.limbs_[i + limb_shift + 1] |= limbs_[i] >> (64 - bit_shift);
     }
   }
   out.trim();
@@ -167,15 +156,15 @@ BigUInt BigUInt::operator<<(std::size_t n) const {
 }
 
 BigUInt BigUInt::operator>>(std::size_t n) const {
-  const std::size_t limb_shift = n / 32;
+  const std::size_t limb_shift = n / 64;
   if (limb_shift >= limbs_.size()) return BigUInt{};
-  const std::size_t bit_shift = n % 32;
+  const std::size_t bit_shift = n % 64;
   BigUInt out;
   out.limbs_.assign(limbs_.size() - limb_shift, 0);
   for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
     out.limbs_[i] = limbs_[i + limb_shift] >> bit_shift;
     if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
-      out.limbs_[i] |= limbs_[i + limb_shift + 1] << (32 - bit_shift);
+      out.limbs_[i] |= limbs_[i + limb_shift + 1] << (64 - bit_shift);
     }
   }
   out.trim();
@@ -188,100 +177,86 @@ DivModResult BigUInt::divmod(const BigUInt& u, const BigUInt& v) {
 
   // Single-limb divisor fast path.
   if (v.limbs_.size() == 1) {
-    const std::uint64_t d = v.limbs_[0];
+    const Limb d = v.limbs_[0];
     BigUInt q;
     q.limbs_.assign(u.limbs_.size(), 0);
-    std::uint64_t rem = 0;
+    Limb rem = 0;
     for (std::size_t i = u.limbs_.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | u.limbs_[i];
-      q.limbs_[i] = static_cast<std::uint32_t>(cur / d);
-      rem = cur % d;
+      const Wide cur = (static_cast<Wide>(rem) << 64) | u.limbs_[i];
+      q.limbs_[i] = static_cast<Limb>(cur / d);
+      rem = static_cast<Limb>(cur % d);
     }
     q.trim();
     return {q, BigUInt(rem)};
   }
 
-  // Knuth TAOCP vol. 2, algorithm D (adapted from Hacker's Delight divmnu).
+  // Knuth TAOCP vol. 2, algorithm D (adapted from Hacker's Delight divmnu),
+  // on 64-bit digits. A shift by s = 0 must not become a shift by 64.
   const std::size_t n = v.limbs_.size();
   const std::size_t m = u.limbs_.size();
   const int s = std::countl_zero(v.limbs_[n - 1]);
 
-  std::vector<std::uint32_t> vn(n);
+  std::vector<Limb> vn(n);
   for (std::size_t i = n; i-- > 1;) {
-    vn[i] = (v.limbs_[i] << s) |
-            (s ? static_cast<std::uint32_t>(
-                     static_cast<std::uint64_t>(v.limbs_[i - 1]) >> (32 - s))
-               : 0);
+    vn[i] = (v.limbs_[i] << s) | (s ? v.limbs_[i - 1] >> (64 - s) : 0);
   }
   vn[0] = v.limbs_[0] << s;
 
-  std::vector<std::uint32_t> un(m + 1);
-  un[m] = s ? static_cast<std::uint32_t>(
-                  static_cast<std::uint64_t>(u.limbs_[m - 1]) >> (32 - s))
-            : 0;
+  std::vector<Limb> un(m + 1);
+  un[m] = s ? u.limbs_[m - 1] >> (64 - s) : 0;
   for (std::size_t i = m; i-- > 1;) {
-    un[i] = (u.limbs_[i] << s) |
-            (s ? static_cast<std::uint32_t>(
-                     static_cast<std::uint64_t>(u.limbs_[i - 1]) >> (32 - s))
-               : 0);
+    un[i] = (u.limbs_[i] << s) | (s ? u.limbs_[i - 1] >> (64 - s) : 0);
   }
   un[0] = u.limbs_[0] << s;
 
   BigUInt q;
   q.limbs_.assign(m - n + 1, 0);
 
+  constexpr Wide kBase = static_cast<Wide>(1) << 64;
   for (std::size_t j = m - n + 1; j-- > 0;) {
-    std::uint64_t qhat =
-        ((static_cast<std::uint64_t>(un[j + n]) << 32) | un[j + n - 1]) /
-        vn[n - 1];
-    std::uint64_t rhat =
-        ((static_cast<std::uint64_t>(un[j + n]) << 32) | un[j + n - 1]) %
-        vn[n - 1];
-    while (qhat >= kBase ||
-           qhat * vn[n - 2] > ((rhat << 32) | un[j + n - 2])) {
+    const Wide top = (static_cast<Wide>(un[j + n]) << 64) | un[j + n - 1];
+    Wide qhat = top / vn[n - 1];
+    Wide rhat = top - qhat * vn[n - 1];
+    // qhat < 2^64 and rhat < 2^64 wherever the product test is reached.
+    while (qhat >= kBase || qhat * vn[n - 2] > ((rhat << 64) | un[j + n - 2])) {
       --qhat;
       rhat += vn[n - 1];
       if (rhat >= kBase) break;
     }
+    auto digit = static_cast<Limb>(qhat);
 
     // Multiply and subtract.
-    std::int64_t borrow = 0;
-    std::uint64_t carry = 0;
+    Limb borrow = 0;
+    Limb carry = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t p = qhat * vn[i] + carry;
-      carry = p >> 32;
-      const std::int64_t t = static_cast<std::int64_t>(un[i + j]) -
-                             borrow -
-                             static_cast<std::int64_t>(p & 0xffffffffull);
-      un[i + j] = static_cast<std::uint32_t>(t);
-      borrow = (t < 0) ? 1 : 0;
+      const Wide p = static_cast<Wide>(digit) * vn[i] + carry;
+      carry = static_cast<Limb>(p >> 64);
+      const Wide t = static_cast<Wide>(un[i + j]) - borrow - static_cast<Limb>(p);
+      un[i + j] = static_cast<Limb>(t);
+      borrow = static_cast<Limb>(t >> 64) & 1;
     }
-    const std::int64_t t = static_cast<std::int64_t>(un[j + n]) - borrow -
-                           static_cast<std::int64_t>(carry);
-    un[j + n] = static_cast<std::uint32_t>(t);
+    // Within [-2^64, 2^64): negative exactly when its high half is set.
+    const Wide t = static_cast<Wide>(un[j + n]) - borrow - carry;
+    un[j + n] = static_cast<Limb>(t);
 
-    if (t < 0) {
-      // qhat was one too large: add v back.
-      --qhat;
-      std::uint64_t c = 0;
+    if (static_cast<Limb>(t >> 64) != 0) {
+      // The digit was one too large: add v back.
+      --digit;
+      Limb c = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t sum =
-            static_cast<std::uint64_t>(un[i + j]) + vn[i] + c;
-        un[i + j] = static_cast<std::uint32_t>(sum);
-        c = sum >> 32;
+        const Wide sum = static_cast<Wide>(un[i + j]) + vn[i] + c;
+        un[i + j] = static_cast<Limb>(sum);
+        c = static_cast<Limb>(sum >> 64);
       }
-      un[j + n] = static_cast<std::uint32_t>(un[j + n] + c);
+      un[j + n] += c;
     }
-    q.limbs_[j] = static_cast<std::uint32_t>(qhat);
+    q.limbs_[j] = digit;
   }
 
   BigUInt r;
   r.limbs_.assign(n, 0);
   for (std::size_t i = 0; i < n - 1; ++i) {
-    r.limbs_[i] = (un[i] >> s) |
-                  (s ? static_cast<std::uint32_t>(
-                           static_cast<std::uint64_t>(un[i + 1]) << (32 - s))
-                     : 0);
+    r.limbs_[i] = (un[i] >> s) | (s ? un[i + 1] << (64 - s) : 0);
   }
   r.limbs_[n - 1] = un[n - 1] >> s;
 
@@ -300,9 +275,11 @@ BigUInt BigUInt::operator%(const BigUInt& rhs) const {
 
 std::uint32_t BigUInt::mod_u32(std::uint32_t m) const {
   if (m == 0) throw std::domain_error("BigUInt: mod by zero");
+  // Each limb in two 32-bit steps, so that every dividend fits in 64 bits.
   std::uint64_t rem = 0;
   for (std::size_t i = limbs_.size(); i-- > 0;) {
-    rem = ((rem << 32) | limbs_[i]) % m;
+    rem = ((rem << 32) | (limbs_[i] >> 32)) % m;
+    rem = ((rem << 32) | (limbs_[i] & 0xffffffffu)) % m;
   }
   return static_cast<std::uint32_t>(rem);
 }
@@ -401,44 +378,6 @@ BigUInt BigUInt::random_below(SecureRandom& rng, const BigUInt& bound) {
 
 namespace {
 
-using Limb = std::uint64_t;
-using Wide = unsigned __int128;
-
-/// `count` little-endian 32-bit limbs -> k little-endian 64-bit limbs,
-/// zero-filled; count <= 2k.
-void pack_limbs(const std::uint32_t* in, std::size_t count, Limb* out, std::size_t k) {
-  std::fill_n(out, k, Limb{0});
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i / 2] |= static_cast<Limb>(in[i]) << (32 * (i % 2));
-  }
-}
-
-void pack_limbs(const std::vector<std::uint32_t>& in, Limb* out, std::size_t k) {
-  pack_limbs(in.data(), in.size(), out, k);
-}
-
-std::vector<std::uint32_t> unpack_limbs(const std::uint64_t* in, std::size_t k) {
-  std::vector<std::uint32_t> out(2 * k);
-  for (std::size_t i = 0; i < k; ++i) {
-    out[2 * i] = static_cast<std::uint32_t>(in[i]);
-    out[2 * i + 1] = static_cast<std::uint32_t>(in[i] >> 32);
-  }
-  return out;
-}
-
-/// Bits [pos, pos + w) of a little-endian 32-bit-limb number; pos must be
-/// below its bit length.
-std::uint32_t window_at(const std::vector<std::uint32_t>& e, std::size_t pos,
-                        unsigned w) {
-  const std::size_t limb = pos / 32;
-  const std::size_t shift = pos % 32;
-  std::uint64_t v = e[limb] >> shift;
-  if (shift + w > 32 && limb + 1 < e.size()) {
-    v |= static_cast<std::uint64_t>(e[limb + 1]) << (32 - shift);
-  }
-  return static_cast<std::uint32_t>(v) & ((1u << w) - 1);
-}
-
 /// a * b + c + carry, which fits in 128 bits: returns the low limb and
 /// leaves the high one in carry. c and carry are added as limbs with
 /// explicit carry-outs rather than as 128-bit sums, which keeps GCC from
@@ -521,14 +460,15 @@ class Fios {
 /// brings it below R, which is all a multiply needs of its first operand.
 /// `chunk` is k limbs of scratch.
 template <class Mul>
-void fold_to_montgomery(Limb* out, Limb* chunk, const std::vector<std::uint32_t>& x,
-                        const Limb* n, const Limb* r2, std::size_t k, Mul& mul) {
-  const std::size_t per_chunk = 2 * k;  // 32-bit limbs
-  std::size_t chunks = std::max<std::size_t>(1, (x.size() + per_chunk - 1) / per_chunk);
+void fold_to_montgomery(Limb* out, Limb* chunk, const std::vector<Limb>& x, const Limb* n,
+                        const Limb* r2, std::size_t k, Mul& mul) {
+  std::size_t chunks = std::max<std::size_t>(1, (x.size() + k - 1) / k);
   std::fill_n(out, k, Limb{0});
   while (chunks-- > 0) {
-    const std::size_t first = chunks * per_chunk;
-    pack_limbs(x.data() + first, std::min(per_chunk, x.size() - first), chunk, k);
+    const std::size_t first = chunks * k;
+    const std::size_t count = std::min(k, x.size() - first);
+    std::copy_n(x.data() + first, count, chunk);
+    std::fill_n(chunk + count, k - count, Limb{0});
     Limb carry = 0;
     for (std::size_t i = 0; i < k; ++i) {
       const Wide sum = static_cast<Wide>(chunk[i]) + out[i] + carry;
@@ -996,42 +936,42 @@ detail::MontSqrKernel sqr_kernel_for_width() {
 
 BigUInt Montgomery::from_limbs(const Limb* in, std::size_t k) {
   BigUInt out;
-  out.limbs_ = unpack_limbs(in, k);
+  out.limbs_.assign(in, in + k);
   out.trim();
   return out;
 }
 
-Montgomery::Montgomery(const BigUInt& mod)
-    : n_(mod), n64_((mod.limbs_.size() + 1) / 2), k_(n64_.size()), r2_(k_) {
+Montgomery::Montgomery(const BigUInt& mod) : n_(mod), k_(mod.limbs_.size()) {
   if (mod.is_even() || mod < BigUInt(3)) {
     throw std::domain_error("Montgomery: modulus must be odd and >= 3");
   }
-  pack_limbs(mod.limbs_, n64_.data(), k_);
   // n' = -n^{-1} mod 2^64 by Newton iteration: 1 is n's inverse to one bit,
   // and each step doubles the correct bits.
   Limb inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - n64_[0] * inv;
+  for (int i = 0; i < 6; ++i) inv *= 2 - n_.limbs_[0] * inv;
   n_prime_ = ~inv + 1;  // == -inv mod 2^64
 
   // R^2 mod n with R = 2^(64k).
-  pack_limbs(((BigUInt(1) << (128 * k_)) % n_).limbs_, r2_.data(), k_);
+  r2_ = ((BigUInt(1) << (128 * k_)) % n_).limbs_;
+  r2_.resize(k_);
 }
 
 BigUInt Montgomery::to_montgomery(const BigUInt& x) const {
   std::vector<Limb> buf(2 * k_);
-  Fios<0> mul(n64_.data(), n_prime_, k_);
-  fold_to_montgomery(buf.data(), buf.data() + k_, x.limbs_, n64_.data(), r2_.data(), k_, mul);
+  Fios<0> mul(n_.limbs_.data(), n_prime_, k_);
+  fold_to_montgomery(buf.data(), buf.data() + k_, x.limbs_, n_.limbs_.data(), r2_.data(), k_,
+                     mul);
   return from_limbs(buf.data(), k_);
 }
 
 BigUInt Montgomery::mul(const BigUInt& a, const BigUInt& b) const {
-  if (a.limbs_.size() > 2 * k_ || b >= n_) {
+  if (a.limbs_.size() > k_ || b >= n_) {
     throw std::domain_error("Montgomery::mul: operand out of range");
   }
   std::vector<Limb> buf(2 * k_);
-  pack_limbs(a.limbs_, buf.data(), k_);
-  pack_limbs(b.limbs_, buf.data() + k_, k_);
-  Fios<0>(n64_.data(), n_prime_, k_)(buf.data(), buf.data(), buf.data() + k_);
+  std::copy(a.limbs_.begin(), a.limbs_.end(), buf.data());
+  std::copy(b.limbs_.begin(), b.limbs_.end(), buf.data() + k_);
+  Fios<0>(n_.limbs_.data(), n_prime_, k_)(buf.data(), buf.data(), buf.data() + k_);
   return from_limbs(buf.data(), k_);
 }
 
@@ -1060,7 +1000,7 @@ BigUInt Montgomery::pow(const BigUInt& base, const BigUInt& exp) const {
 template <std::size_t K>
 BigUInt Montgomery::pow_width(const BigUInt& base, const BigUInt& exp) const {
   const std::size_t k = K != 0 ? K : k_;
-  const Limb* n = n64_.data();
+  const Limb* n = n_.limbs_.data();
   auto mul = [&] {
     if constexpr (K == 0) {
       return Fios<0>(n, n_prime_, k_);
@@ -1106,7 +1046,8 @@ BigUInt Montgomery::pow_width(const BigUInt& base, const BigUInt& exp) const {
     std::size_t low = i + 1 >= w ? i + 1 - w : 0;
     while (!exp.bit(low)) ++low;
     const auto width = static_cast<unsigned>(i - low + 1);
-    const std::uint32_t v = window_at(exp.limbs_, low, width);
+    std::uint32_t v = 0;
+    for (std::size_t j = i + 1; j-- > low;) v = (v << 1) | (exp.bit(j) ? 1u : 0u);
     if (seeded) {
       for (unsigned s = 0; s < width; ++s) sqr(acc);
       mul(acc, acc, entry(v));

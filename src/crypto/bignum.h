@@ -1,11 +1,11 @@
 // Arbitrary-precision unsigned integers, from scratch, sized for RSA:
 // schoolbook multiply, Knuth algorithm-D division, Montgomery modular
-// exponentiation, extended-Euclid inverse. BigUInt stores 32-bit limbs with
-// 64-bit intermediates so the general arithmetic is portable and easy to
-// audit. The Montgomery kernels, which are nearly all of an RSA private
-// operation, work on 64-bit limbs; on x86-64 CPUs with BMI2 and ADX they
-// multiply and square with mulx and two carry chains, elsewhere with
-// portable 128-bit products.
+// exponentiation, extended-Euclid inverse. One limb width throughout:
+// BigUInt stores 64-bit limbs with unsigned __int128 intermediates, and the
+// Montgomery kernels, which are nearly all of an RSA private operation, read
+// those limbs in place; on x86-64 CPUs with BMI2 and ADX they multiply and
+// square with mulx and two carry chains, elsewhere with portable 128-bit
+// products.
 #pragma once
 
 #include <compare>
@@ -88,7 +88,7 @@ class BigUInt {
   static BigUInt sub_impl(const BigUInt& a, const BigUInt& b);
 
   // Little-endian limbs, most significant limb last, no trailing zeros.
-  std::vector<std::uint32_t> limbs_;
+  std::vector<std::uint64_t> limbs_;
 
   friend class Montgomery;
 };
@@ -191,8 +191,7 @@ class Montgomery {
   BigUInt pow_width(const BigUInt& base, const BigUInt& exp) const;
   static BigUInt from_limbs(const Limb* in, std::size_t k);
 
-  BigUInt n_;
-  std::vector<Limb> n64_;  // n in k_ 64-bit limbs
+  BigUInt n_;              // k_ limbs, the top one nonzero
   std::size_t k_;
   Limb n_prime_;           // -n^{-1} mod 2^64
   std::vector<Limb> r2_;   // R^2 mod n in k_ limbs

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "crypto/bignum.h"
@@ -24,6 +25,12 @@ TEST(BigUIntTest, U64Construction) {
   EXPECT_EQ(v.to_hex(), "123456789abcdef");
   EXPECT_EQ(v.bit_length(), 57u);
   EXPECT_TRUE(v.is_odd());
+  // At 63, 64 and 65 bits, on either side of the 64-bit limb boundary.
+  EXPECT_EQ(BigUInt::from_hex("7fffffffffffffff").low_u64(), 0x7fffffffffffffffull);
+  EXPECT_EQ(BigUInt(~0ull).low_u64(), ~0ull);
+  EXPECT_EQ(BigUInt(~0ull).to_hex(), "ffffffffffffffff");
+  EXPECT_EQ(BigUInt::from_hex("1fedcba9876543210").low_u64(), 0xfedcba9876543210ull);
+  EXPECT_EQ(BigUInt::from_hex("10000000000000000").low_u64(), 0u);
 }
 
 TEST(BigUIntTest, BytesRoundTrip) {
@@ -32,6 +39,18 @@ TEST(BigUIntTest, BytesRoundTrip) {
   EXPECT_EQ(v.to_hex(), "ffee010203");
   EXPECT_EQ(util::to_hex(v.to_bytes_be(6)), "00ffee010203");
   EXPECT_EQ(util::to_hex(v.to_bytes_be()), "ffee010203");
+  // 7, 8 and 9 bytes: one short of a limb, one limb, one byte into the next.
+  for (const char* hex : {"81828384858687", "8182838485868788", "818283848586878889"}) {
+    const util::Bytes bytes = util::from_hex(hex);
+    const BigUInt w = BigUInt::from_bytes_be(bytes);
+    EXPECT_EQ(w.to_hex(), hex);
+    EXPECT_EQ(w.bit_length(), 8 * bytes.size());
+    EXPECT_EQ(w.to_bytes_be(), bytes);
+    EXPECT_EQ(util::to_hex(w.to_bytes_be(bytes.size() + 1)), std::string("00") + hex);
+    util::Bytes padded(2, 0);
+    padded.insert(padded.end(), bytes.begin(), bytes.end());
+    EXPECT_EQ(BigUInt::from_bytes_be(padded), w);
+  }
 }
 
 TEST(BigUIntTest, HexRoundTrip) {
@@ -81,6 +100,20 @@ TEST(BigUIntTest, Shifts) {
   EXPECT_EQ((v << 0), v);
   EXPECT_EQ((v >> 0), v);
   EXPECT_EQ(((v << 100) >> 100), v);
+  // Shifts by 63, 64 and 65 bits: within a limb, by a whole limb, and past one.
+  const BigUInt w = BigUInt::from_hex("fedcba9876543210f");
+  EXPECT_EQ((w << 63).to_hex(), "7f6e5d4c3b2a190878000000000000000");
+  EXPECT_EQ((w << 64).to_hex(), "fedcba9876543210f0000000000000000");
+  EXPECT_EQ((w << 65).to_hex(), "1fdb97530eca86421e0000000000000000");
+  const BigUInt x = BigUInt::from_hex("0123456789abcdeffedcba9876543210");
+  EXPECT_EQ((x >> 63).to_hex(), "2468acf13579bdf");
+  EXPECT_EQ((x >> 64).to_hex(), "123456789abcdef");
+  EXPECT_EQ((x >> 65).to_hex(), "91a2b3c4d5e6f7");
+  for (const std::size_t n : {63u, 64u, 65u}) {
+    EXPECT_EQ(((x << n) >> n), x) << n;
+    EXPECT_EQ((BigUInt(1) << n).bit_length(), n + 1) << n;
+    EXPECT_EQ((BigUInt(1) << n) >> n, BigUInt(1)) << n;
+  }
 }
 
 TEST(BigUIntTest, BitAccess) {
@@ -89,6 +122,18 @@ TEST(BigUIntTest, BitAccess) {
   EXPECT_FALSE(v.bit(1));
   EXPECT_TRUE(v.bit(2));
   EXPECT_FALSE(v.bit(100));
+  // Bits 62-66 of 2^63 + 2^64 + 2^66, across the limb boundary.
+  const BigUInt w = BigUInt::from_hex("58000000000000000");
+  EXPECT_FALSE(w.bit(62));
+  EXPECT_TRUE(w.bit(63));
+  EXPECT_TRUE(w.bit(64));
+  EXPECT_FALSE(w.bit(65));
+  EXPECT_TRUE(w.bit(66));
+  EXPECT_FALSE(w.bit(67));
+  EXPECT_EQ(w.bit_length(), 67u);
+  EXPECT_EQ(BigUInt::from_hex("7fffffffffffffff").bit_length(), 63u);
+  EXPECT_EQ(BigUInt::from_hex("ffffffffffffffff").bit_length(), 64u);
+  EXPECT_EQ(BigUInt::from_hex("10000000000000000").bit_length(), 65u);
 }
 
 TEST(BigUIntTest, DivisionBySmall) {
@@ -123,6 +168,14 @@ TEST(BigUIntTest, ModU32) {
   EXPECT_EQ(a.mod_u32(97), (a % BigUInt(97)).low_u64());
   EXPECT_EQ(BigUInt().mod_u32(5), 0u);
   EXPECT_THROW(a.mod_u32(0), std::domain_error);
+  // Random widths from 1 to 17 limbs, against the division's remainder.
+  SecureRandom rng(64);
+  for (std::size_t limbs = 1; limbs <= 17; ++limbs) {
+    const BigUInt x = BigUInt::random_with_bits(rng, 64 * limbs - rng.uniform(64));
+    for (const std::uint32_t m : {3u, 1999u, 65537u, 0x80000001u, 0xfffffffbu, 0xffffffffu}) {
+      EXPECT_EQ(x.mod_u32(m), (x % BigUInt(m)).low_u64()) << limbs << " limbs mod " << m;
+    }
+  }
 }
 
 // Property sweep: q*v + r == u and r < v for deterministic pseudo-random
@@ -148,7 +201,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{256, 128}, std::pair{256, 255},
                       std::pair{512, 256}, std::pair{512, 33},
                       std::pair{1024, 512}, std::pair{1024, 1023},
-                      std::pair{96, 65}, std::pair{160, 96}));
+                      std::pair{96, 65}, std::pair{160, 96}, std::pair{128, 65},
+                      std::pair{129, 64}, std::pair{192, 128}));
 
 // Algorithm-D "add back" step is rare; force coverage with a known trigger
 // pattern (Hacker's Delight test case family).
@@ -158,6 +212,30 @@ TEST(BigUIntTest, DivisionAddBackCase) {
   const auto dm = BigUInt::divmod(u, v);
   EXPECT_EQ(dm.quotient * v + dm.remainder, u);
   EXPECT_LT(dm.remainder, v);
+}
+
+// The same pattern at 64-bit digits, whose add-back the operands above no
+// longer reach; and a pair whose first quotient-digit estimate exits its
+// correction loop early, when rhat reaches the digit base.
+TEST(BigUIntTest, DivisionAddBackAndEarlyExitAt64BitDigits) {
+  struct Case {
+    const char* u;
+    const char* v;
+    const char* q;
+    const char* r;
+  };
+  const Case cases[] = {
+      {"7fffffffffffffff800000000000000100000000000000000000000000000000",
+       "800000000000000080000000000000020000000000000005", "fffffffffffffffd",
+       "80000000000000008000000000000001000000000000000f"},
+      {"80000000000000018000000000000000", "1ffffffffffffffff", "4000000000000000",
+       "1c000000000000000"},
+  };
+  for (const Case& c : cases) {
+    const auto dm = BigUInt::divmod(BigUInt::from_hex(c.u), BigUInt::from_hex(c.v));
+    EXPECT_EQ(dm.quotient.to_hex(), c.q) << c.u;
+    EXPECT_EQ(dm.remainder.to_hex(), c.r) << c.u;
+  }
 }
 
 TEST(BigUIntTest, ModPowSmallNumbers) {
@@ -228,8 +306,8 @@ TEST(MontgomeryTest, WindowWidthThresholds) {
   EXPECT_EQ(Montgomery::window_bits(2048), 5u);
 }
 
-// The kernel packs 32-bit limbs into 64-bit ones, so moduli with an odd
-// 32-bit limb count (96, 544, 1056 bits) leave a half-empty top limb.
+// Moduli of 96, 544 and 1056 bits (an odd multiple of 32) leave the top
+// 64-bit limb half empty.
 // Exponents sit one bit below, at and above each window threshold; all-ones
 // exponents hit the last table entry in every window.
 TEST(MontgomeryTest, MatchesReferenceAcrossLimbCountsAndWindows) {
