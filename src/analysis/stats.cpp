@@ -42,13 +42,14 @@ std::optional<double> pearson(const std::vector<double>& x,
 }
 
 Reservoir::Reservoir(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), seed_(seed) {
-  samples_.reserve(capacity);
-}
+    : capacity_(capacity), seed_(seed) {}
 
 void Reservoir::add(double value) {
   ++seen_;
   if (samples_.size() < capacity_) {
+    // Reserve the whole capacity at once, at the first sample: many
+    // reservoirs never see one, and growing by doubling would overshoot.
+    if (samples_.size() == samples_.capacity()) samples_.reserve(capacity_);
     samples_.push_back(value);
     return;
   }
@@ -72,6 +73,7 @@ Reservoir Reservoir::merged(std::size_t capacity, std::uint64_t seed,
     total_samples += p->samples_.size();
   }
   out.seen_ = total_seen;
+  out.samples_.reserve(std::min(capacity, total_samples));
   if (total_samples <= capacity) {
     // Everything retained fits: concatenation in parts order is exact.
     for (const Reservoir* p : parts) {
@@ -81,6 +83,7 @@ Reservoir Reservoir::merged(std::size_t capacity, std::uint64_t seed,
     }
     return out;
   }
+  if (capacity == 0) return out;
   // Efraimidis–Spirakis weighted sampling without replacement: a retained
   // sample from a reservoir that saw N items but kept k stands for N/k
   // stream items, so its key is log(u)/ (N/k) (the log form of u^(1/w));
@@ -90,40 +93,57 @@ Reservoir Reservoir::merged(std::size_t capacity, std::uint64_t seed,
   // sample's index in the concatenation of the parts): a strict total
   // order, so selecting the top `capacity` and sorting only those gives
   // exactly the prefix a stable sort of every key would.
+  //
+  // The candidates live in a buffer of at most 2×capacity entries. When it
+  // fills, the best `capacity` are kept; from then on a key is admitted only
+  // if it beats the worst of those (`bar`). A key that does not has
+  // `capacity` better keys before it and cannot survive, and one dropped at
+  // a compaction has as many, so the survivors are the same as keying every
+  // sample at once.
   struct Keyed {
     double key;
     std::size_t pos;
   };
+  const auto before = [](const Keyed& a, const Keyed& b) {
+    return a.key > b.key || (a.key == b.key && a.pos < b.pos);
+  };
+  const std::size_t bound = std::min(2 * capacity, total_samples);
   std::vector<Keyed> keyed;
-  keyed.reserve(total_samples);
+  keyed.reserve(bound);
+  // Worse than every real key (keys are finite) until the first compaction.
+  Keyed bar{-std::numeric_limits<double>::infinity(), total_samples};
+  const auto keep_best = [&] {
+    const auto worst = keyed.begin() + static_cast<std::ptrdiff_t>(capacity - 1);
+    std::nth_element(keyed.begin(), worst, keyed.end(), before);
+    keyed.resize(capacity);
+    bar = keyed.back();
+  };
   std::vector<const Reservoir*> sources;  // the non-empty parts, in order
   std::vector<std::size_t> ends;          // their cumulative sample counts
   crypto::SecureRandom key_rng(seed);
+  std::size_t pos = 0;
   for (const Reservoir* p : parts) {
     if (p == nullptr || p->samples_.empty()) continue;
     const double weight = static_cast<double>(p->seen_) /
                           static_cast<double>(p->samples_.size());
-    for (std::size_t i = 0; i < p->samples_.size(); ++i) {
+    for (std::size_t i = 0; i < p->samples_.size(); ++i, ++pos) {
       double u = key_rng.uniform_real();
       if (u <= 0.0) u = std::numeric_limits<double>::min();
-      keyed.push_back({std::log(u) / weight, keyed.size()});
+      const Keyed k{std::log(u) / weight, pos};
+      if (!before(k, bar)) continue;
+      keyed.push_back(k);
+      if (keyed.size() == bound) keep_best();
     }
     sources.push_back(p);
-    ends.push_back(keyed.size());
+    ends.push_back(pos);
   }
-  const auto before = [](const Keyed& a, const Keyed& b) {
-    return a.key > b.key || (a.key == b.key && a.pos < b.pos);
-  };
-  const std::size_t take = std::min(capacity, keyed.size());
-  const auto last = keyed.begin() + static_cast<std::ptrdiff_t>(take);
-  std::nth_element(keyed.begin(), last, keyed.end(), before);
-  std::sort(keyed.begin(), last, before);
-  out.samples_.reserve(take);
-  for (auto it = keyed.begin(); it != last; ++it) {
+  if (keyed.size() > capacity) keep_best();
+  std::sort(keyed.begin(), keyed.end(), before);
+  for (const Keyed& k : keyed) {
     const std::size_t part = static_cast<std::size_t>(
-        std::upper_bound(ends.begin(), ends.end(), it->pos) - ends.begin());
+        std::upper_bound(ends.begin(), ends.end(), k.pos) - ends.begin());
     const std::size_t start = part == 0 ? 0 : ends[part - 1];
-    out.samples_.push_back(sources[part]->samples_[it->pos - start]);
+    out.samples_.push_back(sources[part]->samples_[k.pos - start]);
   }
   return out;
 }

@@ -24,7 +24,9 @@ std::optional<double> pearson(const std::vector<double>& x,
 
 /// Fixed-size uniform reservoir over an unbounded stream (Vitter's R).
 /// Keeps week-scale latency streams bounded in memory while preserving the
-/// distribution for quantiles and CDFs.
+/// distribution for quantiles and CDFs. Storage for `capacity` samples is
+/// reserved at the first add(), not at construction: a macro-sim engine
+/// builds a thousand reservoirs, and many of them never see a sample.
 class Reservoir {
  public:
   explicit Reservoir(std::size_t capacity, std::uint64_t seed = 1);
@@ -43,7 +45,9 @@ class Reservoir {
   /// otherwise each retained sample is weighted by the stream count it
   /// represents (seen/kept for its source) and `capacity` survivors are
   /// drawn without replacement, seeded by `seed` — so the result depends
-  /// only on (parts order, seed), never on thread scheduling.
+  /// only on (parts order, seed), never on thread scheduling. The result
+  /// reserves exactly min(capacity, retained samples), and the weighted
+  /// draw holds at most 2×capacity candidate keys at a time.
   static Reservoir merged(std::size_t capacity, std::uint64_t seed,
                           const std::vector<const Reservoir*>& parts);
 

@@ -395,32 +395,37 @@ MacroSimResult MacroEngine::merge_results() {
   std::vector<const analysis::Reservoir*> parts(shards_.size());
   const std::size_t hours = static_cast<std::size_t>(cfg_.days) * 24;
   for (std::size_t r = 0; r < core::kNumRounds; ++r) {
+    // The round's shard traces, freed at the end of this iteration, once
+    // merged: the merged result reuses their memory instead of adding to it.
+    std::vector<RoundTrace> taken;
+    taken.reserve(shards_.size());
+    for (auto& shard : shards_) taken.push_back(shard->take_round(r));
     RoundTrace& trace = result.rounds[r];
     trace.hourly.reserve(hours);
     const std::uint64_t stream = static_cast<std::uint64_t>(r) << 20;
     for (std::size_t h = 0; h < hours; ++h) {
       for (std::size_t s = 0; s < shards_.size(); ++s) {
-        parts[s] = &shards_[s]->round(r).hourly[h];
+        parts[s] = &taken[s].hourly[h];
       }
       trace.hourly.push_back(analysis::Reservoir::merged(
           cfg_.reservoir_per_hour,
           util::split_seed(cfg_.seed, util::lane::kMerge + stream + h), parts));
     }
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      parts[s] = &shards_[s]->round(r).peak;
+      parts[s] = &taken[s].peak;
     }
     trace.peak = analysis::Reservoir::merged(
         cfg_.reservoir_cdf,
         util::split_seed(cfg_.seed, util::lane::kMerge + stream + 0xFFFFF),
         parts);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      parts[s] = &shards_[s]->round(r).offpeak;
+      parts[s] = &taken[s].offpeak;
     }
     trace.offpeak = analysis::Reservoir::merged(
         cfg_.reservoir_cdf,
         util::split_seed(cfg_.seed, util::lane::kMerge + stream + 0xFFFFE),
         parts);
-    for (auto& shard : shards_) trace.count += shard->round(r).count;
+    for (const RoundTrace& t : taken) trace.count += t.count;
   }
 
   // The per-hour concurrency integral is additive, so the merged diurnal

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <optional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.h"
@@ -88,7 +89,9 @@ class MacroShard {
 
   std::uint64_t events() const { return events_; }
   obs::Tracer& tracer() { return tracer_; }
-  const RoundTrace& round(std::size_t r) const { return rounds_[r]; }
+  /// Moves round r's trace out of the shard (merge_results takes each
+  /// round once, to free it as soon as it is merged).
+  RoundTrace take_round(std::size_t r) { return std::move(rounds_[r]); }
   /// Time-weighted concurrency integral per sim hour (additive across
   /// shards, so the merged hourly curve is exact).
   const std::vector<double>& concurrency_integral() const {

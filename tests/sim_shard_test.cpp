@@ -405,6 +405,12 @@ TEST(ReservoirMergedTest, MatchesStableSortOracle) {
       capacities.push_back(total);
       capacities.push_back(total - 1);
     }
+    // Small capacities make the merge's 2x-capacity buffer fill and
+    // compact several times.
+    if (total >= 2) {
+      capacities.push_back(total / 5);
+      capacities.push_back(total / 2 - 1);
+    }
     for (const std::size_t capacity : capacities) {
       if (capacity == 0) continue;  // Reservoir capacity is at least 1
       const std::uint64_t seed = 7 + static_cast<std::uint64_t>(round);
@@ -412,6 +418,24 @@ TEST(ReservoirMergedTest, MatchesStableSortOracle) {
       ASSERT_EQ(m.samples(), stable_sort_merge(capacity, seed, parts))
           << "round " << round << ", capacity " << capacity << " of " << total;
     }
+  }
+
+  // The best keys sit in the last part: it saw 1000 times what it kept, so
+  // its samples weigh 1000 against 1 for the three never-full parts before
+  // it, whose keys fill the merge's buffer first and must then give way.
+  std::vector<std::unique_ptr<analysis::Reservoir>> owned;
+  std::vector<const analysis::Reservoir*> parts;
+  for (std::size_t i = 0; i < 3; ++i) {
+    owned.push_back(std::make_unique<analysis::Reservoir>(100, 50 + i));
+    for (int k = 0; k < 100; ++k) owned.back()->add(static_cast<double>(k));
+  }
+  owned.push_back(std::make_unique<analysis::Reservoir>(40, 53));
+  for (int k = 0; k < 40000; ++k) owned.back()->add(1000.0 + k);
+  for (const auto& r : owned) parts.push_back(r.get());
+  for (const std::size_t capacity : {1, 7, 20, 40, 41, 100, 339}) {
+    const analysis::Reservoir m = analysis::Reservoir::merged(capacity, 99, parts);
+    ASSERT_EQ(m.samples(), stable_sort_merge(capacity, 99, parts))
+        << "last part best, capacity " << capacity;
   }
 }
 

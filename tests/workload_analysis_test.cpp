@@ -206,6 +206,18 @@ TEST(ReservoirTest, BoundedAndUnbiased) {
   EXPECT_NEAR(r.median(), 500.0, 50.0);
 }
 
+TEST(ReservoirTest, StorageReservedOnFirstSampleOnly) {
+  // A reservoir that never sees a sample holds no storage; the first sample
+  // reserves exactly the capacity, which never grows after.
+  analysis::Reservoir r(250, 4);
+  EXPECT_EQ(r.samples().capacity(), 0u);
+  r.add(1.0);
+  EXPECT_EQ(r.samples().capacity(), 250u);
+  for (int i = 0; i < 2500; ++i) r.add(i);
+  EXPECT_EQ(r.samples().size(), 250u);
+  EXPECT_EQ(r.samples().capacity(), 250u);
+}
+
 TEST(ReservoirTest, EmptyQuantileIsZero) {
   const analysis::Reservoir r(10, 3);
   EXPECT_TRUE(r.empty());
