@@ -44,6 +44,18 @@ std::optional<double> pearson(const std::vector<double>& x,
 Reservoir::Reservoir(std::size_t capacity, std::uint64_t seed)
     : capacity_(capacity), seed_(seed) {}
 
+Reservoir::Reservoir(const Reservoir& other)
+    : capacity_(other.capacity_),
+      samples_(other.samples_),
+      seen_(other.seen_),
+      seed_(other.seed_),
+      rng_(other.rng_ ? std::make_unique<crypto::SecureRandom>(*other.rng_) : nullptr) {}
+
+Reservoir& Reservoir::operator=(const Reservoir& other) {
+  if (this != &other) *this = Reservoir(other);
+  return *this;
+}
+
 void Reservoir::add(double value) {
   ++seen_;
   if (samples_.size() < capacity_) {
@@ -53,7 +65,7 @@ void Reservoir::add(double value) {
     samples_.push_back(value);
     return;
   }
-  if (!rng_) rng_.emplace(seed_);
+  if (!rng_) rng_ = std::make_unique<crypto::SecureRandom>(seed_);
   const std::uint64_t slot = rng_->uniform(seen_);
   if (slot < capacity_) samples_[static_cast<std::size_t>(slot)] = value;
 }
@@ -118,6 +130,14 @@ Reservoir Reservoir::merged(std::size_t capacity, std::uint64_t seed,
     keyed.resize(capacity);
     bar = keyed.back();
   };
+  // A u below exp(bar.key × weight) gives a key below the bar's, so it is
+  // rejected without its log. The threshold is lowered by a relative 2^-30,
+  // far above the rounding error of log and exp, so every u it rejects
+  // would fail the admission test too; u at or above it takes that test.
+  double reject_below = 0;
+  const auto set_threshold = [&](double weight) {
+    reject_below = std::exp(bar.key * weight) * (1 - 0x1p-30);
+  };
   std::vector<const Reservoir*> sources;  // the non-empty parts, in order
   std::vector<std::size_t> ends;          // their cumulative sample counts
   crypto::SecureRandom key_rng(seed);
@@ -126,13 +146,18 @@ Reservoir Reservoir::merged(std::size_t capacity, std::uint64_t seed,
     if (p == nullptr || p->samples_.empty()) continue;
     const double weight = static_cast<double>(p->seen_) /
                           static_cast<double>(p->samples_.size());
+    set_threshold(weight);
     for (std::size_t i = 0; i < p->samples_.size(); ++i, ++pos) {
       double u = key_rng.uniform_real();
       if (u <= 0.0) u = std::numeric_limits<double>::min();
+      if (u < reject_below) continue;
       const Keyed k{std::log(u) / weight, pos};
       if (!before(k, bar)) continue;
       keyed.push_back(k);
-      if (keyed.size() == bound) keep_best();
+      if (keyed.size() == bound) {
+        keep_best();
+        set_threshold(weight);
+      }
     }
     sources.push_back(p);
     ends.push_back(pos);

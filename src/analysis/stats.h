@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,6 +31,12 @@ std::optional<double> pearson(const std::vector<double>& x,
 class Reservoir {
  public:
   explicit Reservoir(std::size_t capacity, std::uint64_t seed = 1);
+  /// A copy has its own replacement generator, in the original's state:
+  /// both keep the same samples when fed the same further values.
+  Reservoir(const Reservoir& other);
+  Reservoir& operator=(const Reservoir& other);
+  Reservoir(Reservoir&&) noexcept = default;
+  Reservoir& operator=(Reservoir&&) noexcept = default;
 
   void add(double value);
   std::uint64_t seen() const { return seen_; }
@@ -55,10 +62,11 @@ class Reservoir {
   std::size_t capacity_;
   std::vector<double> samples_;
   std::uint64_t seen_ = 0;
-  /// The replacement generator is seeded (one SHA-256) at the first
-  /// replacement, not at construction: many reservoirs never fill.
+  /// The replacement generator is seeded (one SHA-256) and allocated at
+  /// the first replacement, not at construction: many reservoirs never
+  /// fill, and a generator carries a 1 KiB keystream buffer.
   std::uint64_t seed_;
-  std::optional<crypto::SecureRandom> rng_;
+  std::unique_ptr<crypto::SecureRandom> rng_;
 };
 
 }  // namespace p2pdrm::analysis

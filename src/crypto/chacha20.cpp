@@ -1,8 +1,10 @@
 #include "crypto/chacha20.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "crypto/sha256.h"
 
@@ -10,71 +12,187 @@ namespace p2pdrm::crypto {
 
 namespace {
 
-// Word i of the four lanes' states: lane j's word i is element j. GCC and
-// Clang vector extensions, so the round function below is the scalar one
-// and compiles to whatever SIMD the target has.
-typedef std::uint32_t Lanes __attribute__((vector_size(16)));
-static_assert(sizeof(Lanes) == detail::kChaChaLanes * sizeof(std::uint32_t));
+using detail::kChaChaLanes;
 
-inline Lanes rotl(Lanes x, int n) { return (x << n) | (x >> (32 - n)); }
+// Word i of W consecutive blocks' states: block j's word i is lane j. GCC
+// and Clang vector extensions, and a plain word for one block, so the
+// round function below is the scalar one and compiles to whatever SIMD the
+// calling kernel's target has. The helpers take vectors by reference and
+// are always inlined: a 32- or 64-byte vector passed by value would have a
+// different ABI under each target.
+template <std::size_t W>
+struct LanesOf {
+  typedef std::uint32_t type __attribute__((vector_size(4 * W)));
+};
+template <>
+struct LanesOf<1> {
+  using type = std::uint32_t;
+};
 
-inline void quarter_round(Lanes& a, Lanes& b, Lanes& c, Lanes& d) {
-  a += b; d ^= a; d = rotl(d, 16);
-  c += d; b ^= c; b = rotl(b, 12);
-  a += b; d ^= a; d = rotl(d, 8);
-  c += d; b ^= c; b = rotl(b, 7);
+template <class V>
+[[gnu::always_inline]] inline void rotl(V& x, int n) {
+  x = (x << n) | (x >> (32 - n));
 }
 
-inline Lanes broadcast(std::uint32_t v) { return Lanes{v, v, v, v}; }
+template <class V>
+[[gnu::always_inline]] inline void quarter_round(V& a, V& b, V& c, V& d) {
+  a += b; d ^= a; rotl(d, 16);
+  c += d; b ^= c; rotl(b, 12);
+  a += b; d ^= a; rotl(d, 8);
+  c += d; b ^= c; rotl(b, 7);
+}
+
+// Word k of a two-vector shuffle that interleaves a and b within each
+// 16-byte chunk, `width` words at a time, from the chunks' low (half 0) or
+// high half: SSE2's punpck{l,h}{dq,qdq} at any vector width.
+constexpr int unpack_index(std::size_t k, std::size_t lanes, std::size_t width,
+                           std::size_t half) {
+  const std::size_t p = k % 4;
+  const std::size_t from_b = p / width % 2;
+  const std::size_t word = 2 * half + (width == 1 ? p / 2 : p % 2);
+  return static_cast<int>(from_b * lanes + k / 4 * 4 + word);
+}
+
+template <std::size_t Width, std::size_t Half, class V, std::size_t... K>
+[[gnu::always_inline]] inline void unpack(V& out, const V& a, const V& b,
+                                          std::index_sequence<K...>) {
+  out = __builtin_shufflevector(a, b, unpack_index(K, sizeof...(K), Width, Half)...);
+}
+
+// Blocks counter .. counter + blocks - 1 into out, W at a time (blocks is
+// a multiple of W, at most kChaChaLanes).
+template <std::size_t W>
+[[gnu::always_inline]] inline void chacha20_lanes(const ChaChaKey& key,
+                                                  const ChaChaNonce& nonce,
+                                                  std::uint32_t counter,
+                                                  std::size_t blocks,
+                                                  std::uint8_t* out) {
+  using V = typename LanesOf<W>::type;
+  const std::uint32_t constants[4] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+  // Words 12-15 of each block: its counter, and the nonce, rolled in the
+  // blocks past the counter wrap.
+  std::uint32_t lane_words[4][kChaChaLanes];
+  std::uint32_t n[3];
+  for (int i = 0; i < 3; ++i) n[i] = util::load_le32(nonce.data() + 4 * i);
+  for (std::uint32_t j = 0; j < blocks; ++j) {
+    const std::uint32_t c = counter + j;
+    if (j > 0 && c == 0) {
+      if (++n[0] == 0 && ++n[1] == 0) ++n[2];
+    }
+    lane_words[0][j] = c;
+    for (int i = 0; i < 3; ++i) lane_words[1 + i][j] = n[i];
+  }
+
+  for (std::size_t first = 0; first < blocks; first += W) {
+    V state[16];
+    for (int i = 0; i < 4; ++i) state[i] = V{} + constants[i];
+    for (int i = 0; i < 8; ++i) state[4 + i] = V{} + util::load_le32(key.data() + 4 * i);
+    for (int i = 0; i < 4; ++i) std::memcpy(&state[12 + i], lane_words[i] + first, sizeof(V));
+
+    V w[16];
+    for (int i = 0; i < 16; ++i) w[i] = state[i];
+    for (int i = 0; i < 10; ++i) {
+      quarter_round(w[0], w[4], w[8], w[12]);
+      quarter_round(w[1], w[5], w[9], w[13]);
+      quarter_round(w[2], w[6], w[10], w[14]);
+      quarter_round(w[3], w[7], w[11], w[15]);
+      quarter_round(w[0], w[5], w[10], w[15]);
+      quarter_round(w[1], w[6], w[11], w[12]);
+      quarter_round(w[2], w[7], w[8], w[13]);
+      quarter_round(w[3], w[4], w[9], w[14]);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) w[i] += state[i];
+    if constexpr (W >= 4 && std::endian::native == std::endian::little) {
+      // Transpose in 4x4 tiles of words: after the two unpack steps, r[k]'s
+      // 16-byte chunk c holds words 4g .. 4g + 3 of block first + 4c + k.
+      constexpr auto lanes = std::make_index_sequence<W>{};
+#pragma GCC unroll 4
+      for (int g = 0; g < 4; ++g) {
+        const V* a = w + 4 * g;
+        V t[4], r[4];
+        unpack<1, 0>(t[0], a[0], a[1], lanes);
+        unpack<1, 1>(t[1], a[0], a[1], lanes);
+        unpack<1, 0>(t[2], a[2], a[3], lanes);
+        unpack<1, 1>(t[3], a[2], a[3], lanes);
+        unpack<2, 0>(r[0], t[0], t[2], lanes);
+        unpack<2, 1>(r[1], t[0], t[2], lanes);
+        unpack<2, 0>(r[2], t[1], t[3], lanes);
+        unpack<2, 1>(r[3], t[1], t[3], lanes);
+#pragma GCC unroll 4
+        for (std::size_t c = 0; c < W / 4; ++c) {
+#pragma GCC unroll 4
+          for (std::size_t k = 0; k < 4; ++k) {
+            std::memcpy(out + kChaChaBlockSize * (first + 4 * c + k) + 16 * g,
+                        reinterpret_cast<const std::uint8_t*>(&r[k]) + 16 * c, 16);
+          }
+        }
+      }
+    } else {
+      alignas(sizeof(V)) std::uint32_t words[16][W];
+      for (int i = 0; i < 16; ++i) std::memcpy(words[i], &w[i], sizeof(V));
+      for (std::size_t j = 0; j < W; ++j) {
+        for (int i = 0; i < 16; ++i) {
+          util::store_le32(out + kChaChaBlockSize * (first + j) + 4 * i, words[i][j]);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 
-void detail::chacha20_blocks(const ChaChaKey& key, const ChaChaNonce& nonce,
-                             std::uint32_t counter,
-                             std::uint8_t out[kChaChaLanes * kChaChaBlockSize]) {
-  Lanes state[16];
-  state[0] = broadcast(0x61707865);
-  state[1] = broadcast(0x3320646e);
-  state[2] = broadcast(0x79622d32);
-  state[3] = broadcast(0x6b206574);
-  for (int i = 0; i < 8; ++i) state[4 + i] = broadcast(util::load_le32(key.data() + 4 * i));
-  std::uint32_t n[3];
-  for (int i = 0; i < 3; ++i) n[i] = util::load_le32(nonce.data() + 4 * i);
-  for (std::uint32_t j = 0; j < kChaChaLanes; ++j) {
-    const std::uint32_t c = counter + j;
-    if (j > 0 && c == 0) {
-      // This lane is past the counter wrap: roll the nonce.
-      if (++n[0] == 0 && ++n[1] == 0) ++n[2];
-    }
-    state[12][j] = c;
-    for (int i = 0; i < 3; ++i) state[13 + i][j] = n[i];
-  }
+namespace detail {
 
-  Lanes w[16];
-  for (int i = 0; i < 16; ++i) w[i] = state[i];
-  for (int i = 0; i < 10; ++i) {
-    quarter_round(w[0], w[4], w[8], w[12]);
-    quarter_round(w[1], w[5], w[9], w[13]);
-    quarter_round(w[2], w[6], w[10], w[14]);
-    quarter_round(w[3], w[7], w[11], w[15]);
-    quarter_round(w[0], w[5], w[10], w[15]);
-    quarter_round(w[1], w[6], w[11], w[12]);
-    quarter_round(w[2], w[7], w[8], w[13]);
-    quarter_round(w[3], w[4], w[9], w[14]);
-  }
-  for (int i = 0; i < 16; ++i) {
-    const Lanes sum = w[i] + state[i];
-    for (std::size_t j = 0; j < kChaChaLanes; ++j) {
-      util::store_le32(out + kChaChaBlockSize * j + 4 * i, sum[j]);
-    }
-  }
+void chacha20_blocks_portable(const ChaChaKey& key, const ChaChaNonce& nonce,
+                              std::uint32_t counter, std::uint8_t* out) {
+  chacha20_lanes<4>(key, nonce, counter, kChaChaLanes, out);
 }
+
+#if defined(__x86_64__)
+bool cpu_has_avx2() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+}
+
+__attribute__((target("avx2"))) void chacha20_blocks_avx2(const ChaChaKey& key,
+                                                          const ChaChaNonce& nonce,
+                                                          std::uint32_t counter,
+                                                          std::uint8_t* out) {
+  chacha20_lanes<8>(key, nonce, counter, kChaChaLanes, out);
+}
+
+bool cpu_has_avx512f() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+}
+
+__attribute__((target("avx512f"))) void chacha20_blocks_avx512(const ChaChaKey& key,
+                                                              const ChaChaNonce& nonce,
+                                                              std::uint32_t counter,
+                                                              std::uint8_t* out) {
+  chacha20_lanes<16>(key, nonce, counter, kChaChaLanes, out);
+}
+#endif
+
+void chacha20_blocks(const ChaChaKey& key, const ChaChaNonce& nonce,
+                     std::uint32_t counter,
+                     std::uint8_t out[kChaChaLanes * kChaChaBlockSize]) {
+  static const ChaChaKernel kernel = [] {
+#if defined(__x86_64__)
+    if (cpu_has_avx512f()) return &chacha20_blocks_avx512;
+    if (cpu_has_avx2()) return &chacha20_blocks_avx2;
+#endif
+    return &chacha20_blocks_portable;
+  }();
+  kernel(key, nonce, counter, out);
+}
+
+}  // namespace detail
 
 void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
                     std::uint32_t counter, std::uint8_t out[kChaChaBlockSize]) {
-  std::uint8_t blocks[detail::kChaChaLanes * kChaChaBlockSize];
-  detail::chacha20_blocks(key, nonce, counter, blocks);
-  std::memcpy(out, blocks, kChaChaBlockSize);
+  chacha20_lanes<1>(key, nonce, counter, 1, out);
 }
 
 SecureRandom::SecureRandom(std::uint64_t seed) {

@@ -20,21 +20,42 @@ using ChaChaNonce = std::array<std::uint8_t, kChaChaNonceSize>;
 
 namespace detail {
 
-/// Blocks per run of the ChaCha20 core.
-constexpr std::size_t kChaChaLanes = 4;
+/// Blocks per run of the ChaCha20 core, and so per DRBG refill (1 KiB).
+constexpr std::size_t kChaChaLanes = 16;
 
-/// The one ChaCha20 core: four consecutive keystream blocks in one pass of
-/// the round function, one block per vector lane. Lane j is the block at
-/// counter + j; a lane past the 2^32 counter wrap runs with the nonce
-/// incremented (as a 96-bit little-endian integer), which is where the DRBG
-/// rolls its nonce. Lane j's block goes to out[64 j, 64 j + 64).
+/// The ChaCha20 core: kChaChaLanes consecutive keystream blocks. Lane j is
+/// the block at counter + j; a lane past the 2^32 counter wrap runs with
+/// the nonce incremented (as a 96-bit little-endian integer), which is
+/// where the DRBG rolls its nonce. Lane j's block goes to
+/// out[64 j, 64 j + 64). Runs the widest kernel the CPU has, picked once
+/// per process.
 void chacha20_blocks(const ChaChaKey& key, const ChaChaNonce& nonce,
                      std::uint32_t counter,
                      std::uint8_t out[kChaChaLanes * kChaChaBlockSize]);
 
+/// The kernels behind it: one template of the round function, run over
+/// vectors of 4, 8 or 16 blocks until all kChaChaLanes are done. Every
+/// kernel writes the same bytes as chacha20_blocks.
+using ChaChaKernel = void (*)(const ChaChaKey& key, const ChaChaNonce& nonce,
+                              std::uint32_t counter, std::uint8_t* out);
+/// Four blocks at a time (16-byte vectors, SSE2 on x86-64).
+void chacha20_blocks_portable(const ChaChaKey& key, const ChaChaNonce& nonce,
+                              std::uint32_t counter, std::uint8_t* out);
+#if defined(__x86_64__)
+bool cpu_has_avx2();
+/// Eight blocks at a time. Requires cpu_has_avx2().
+void chacha20_blocks_avx2(const ChaChaKey& key, const ChaChaNonce& nonce,
+                          std::uint32_t counter, std::uint8_t* out);
+bool cpu_has_avx512f();
+/// Sixteen blocks at a time. Requires cpu_has_avx512f().
+void chacha20_blocks_avx512(const ChaChaKey& key, const ChaChaNonce& nonce,
+                            std::uint32_t counter, std::uint8_t* out);
+#endif
+
 }  // namespace detail
 
-/// Compute one 64-byte ChaCha20 keystream block.
+/// Compute one 64-byte ChaCha20 keystream block (the same round function on
+/// one block, without vectors).
 void chacha20_block(const ChaChaKey& key, const ChaChaNonce& nonce,
                     std::uint32_t counter, std::uint8_t out[kChaChaBlockSize]);
 

@@ -6,16 +6,26 @@
 namespace p2pdrm::store {
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: t[0] is the byte-wise table, and t[k][b] advances
+// the CRC register over byte b and then k zero bytes, so eight bytes fold
+// into the CRC with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
 
 void append_le32(util::Bytes& out, std::uint32_t v) {
@@ -44,13 +54,20 @@ std::uint64_t read_le64(const std::uint8_t* p) {
 
 }  // namespace
 
-std::uint32_t crc32(util::BytesView data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xffffffffu;
-  for (std::uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
+std::uint32_t crc32(util::BytesView data, std::uint32_t crc) {
+  static const CrcTables t = make_crc_tables();
+  crc = ~crc;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ read_le32(p);
+    const std::uint32_t hi = read_le32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^ t[5][(lo >> 16) & 0xffu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+          t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
   }
-  return crc ^ 0xffffffffu;
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
+  return ~crc;
 }
 
 namespace {
@@ -59,12 +76,11 @@ namespace {
 // in the sequence field would otherwise decode cleanly and silently shift
 // replication watermarks.
 std::uint32_t record_crc(std::uint64_t seq, util::BytesView payload) {
-  util::Bytes buf;
-  buf.reserve(12 + payload.size());
-  append_le64(buf, seq);
-  append_le32(buf, static_cast<std::uint32_t>(payload.size()));
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  return crc32(buf);
+  std::uint8_t header[12];
+  util::store_le32(header, static_cast<std::uint32_t>(seq));
+  util::store_le32(header + 4, static_cast<std::uint32_t>(seq >> 32));
+  util::store_le32(header + 8, static_cast<std::uint32_t>(payload.size()));
+  return crc32(payload, crc32(util::BytesView(header, sizeof(header))));
 }
 
 }  // namespace

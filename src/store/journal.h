@@ -24,8 +24,10 @@
 
 namespace p2pdrm::store {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`.
-std::uint32_t crc32(util::BytesView data);
+/// CRC-32 (IEEE 802.3 polynomial, reflected) over `data`, continuing from
+/// `crc`, the CRC of the bytes before it: crc32(b, crc32(a)) is the CRC of
+/// a followed by b.
+std::uint32_t crc32(util::BytesView data, std::uint32_t crc = 0);
 
 class Journal {
  public:

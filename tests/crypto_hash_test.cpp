@@ -329,7 +329,7 @@ TEST(ChaCha20Test, Rfc8439Encryption) {
   std::copy(nonce_bytes.begin(), nonce_bytes.end(), nonce.begin());
 
   // RFC 8439 section 2.4.2: the keystream from counter 1, XORed into the
-  // 114-byte plaintext (two blocks of the four-lane core).
+  // 114-byte plaintext (the first two blocks of one run of the core).
   Bytes text = bytes_of(
       "Ladies and Gentlemen of the class of '99: If I could offer you "
       "only one tip for the future, sunscreen would be it.");
@@ -344,33 +344,40 @@ TEST(ChaCha20Test, Rfc8439Encryption) {
             "5af90bbf74a35be6b40b8eedf2785e42874d");
 }
 
-TEST(ChaCha20Test, FourLaneCoreEqualsOneBlockAtATime) {
+TEST(ChaCha20Test, EveryKernelEqualsOneBlockAtATime) {
   ChaChaKey key;
   for (int i = 0; i < 32; ++i) key[i] = static_cast<std::uint8_t>(3 * i + 1);
   // The low nonce word is all ones, so rolling it carries into the next.
   ChaChaNonce nonce{0xff, 0xff, 0xff, 0xff, 0x09, 0, 0, 0, 0x4a, 0, 0, 0};
   ChaChaNonce rolled{0, 0, 0, 0, 0x0a, 0, 0, 0, 0x4a, 0, 0, 0};
 
+  std::vector<std::pair<const char*, detail::ChaChaKernel>> kernels = {
+      {"dispatched", &detail::chacha20_blocks},
+      {"portable", &detail::chacha20_blocks_portable}};
+#if defined(__x86_64__)
+  if (detail::cpu_has_avx2()) kernels.emplace_back("avx2", &detail::chacha20_blocks_avx2);
+  if (detail::cpu_has_avx512f()) {
+    kernels.emplace_back("avx512", &detail::chacha20_blocks_avx512);
+  }
+#endif
+  static_assert(detail::kChaChaLanes == 16);
   std::uint8_t lanes[detail::kChaChaLanes * kChaChaBlockSize];
   std::uint8_t block[kChaChaBlockSize];
-  detail::chacha20_blocks(key, nonce, 0, lanes);
-  for (std::uint32_t j = 0; j < detail::kChaChaLanes; ++j) {
-    chacha20_block(key, nonce, j, block);
-    EXPECT_EQ(to_hex(util::BytesView(lanes + kChaChaBlockSize * j, kChaChaBlockSize)),
-              to_hex(util::BytesView(block, kChaChaBlockSize)))
-        << "counter " << j;
-  }
-
-  // Across the wrap: 0xfffffffe, 0xffffffff, then counters 0 and 1 under
-  // the rolled nonce, as the DRBG's stream continues.
-  const std::pair<std::uint32_t, const ChaChaNonce*> expected[] = {
-      {0xfffffffe, &nonce}, {0xffffffff, &nonce}, {0, &rolled}, {1, &rolled}};
-  detail::chacha20_blocks(key, nonce, 0xfffffffe, lanes);
-  for (std::size_t j = 0; j < detail::kChaChaLanes; ++j) {
-    chacha20_block(key, *expected[j].second, expected[j].first, block);
-    EXPECT_EQ(to_hex(util::BytesView(lanes + kChaChaBlockSize * j, kChaChaBlockSize)),
-              to_hex(util::BytesView(block, kChaChaBlockSize)))
-        << "lane " << j;
+  for (const auto& [name, kernel] : kernels) {
+    // From counter 0, then with the 2^32 counter wrap at lane 1, 2, 8 and
+    // 15: the lanes from the wrap on are counters 0, 1, ... under the
+    // rolled nonce, as the DRBG's stream continues.
+    for (const std::uint32_t wrap_lane : {0u, 1u, 2u, 8u, 15u}) {
+      const std::uint32_t first = 0u - wrap_lane;
+      kernel(key, nonce, first, lanes);
+      for (std::uint32_t j = 0; j < detail::kChaChaLanes; ++j) {
+        const bool past_wrap = wrap_lane > 0 && j >= wrap_lane;
+        chacha20_block(key, past_wrap ? rolled : nonce, first + j, block);
+        EXPECT_EQ(to_hex(util::BytesView(lanes + kChaChaBlockSize * j, kChaChaBlockSize)),
+                  to_hex(util::BytesView(block, kChaChaBlockSize)))
+            << name << " kernel from counter " << first << ", lane " << j;
+      }
+    }
   }
 }
 

@@ -437,6 +437,28 @@ TEST(ReservoirMergedTest, MatchesStableSortOracle) {
     ASSERT_EQ(m.samples(), stable_sort_merge(capacity, 99, parts))
         << "last part best, capacity " << capacity;
   }
+
+  // Twelve parts whose weights rise and fall (1 to 400 stream items per
+  // sample), so each part's rejection threshold differs from the last
+  // one's; capacities far below the 6,000 samples make the bar move many
+  // times within every part.
+  owned.clear();
+  parts.clear();
+  const std::size_t weights[] = {1, 50, 2, 400, 1, 7, 300, 3, 1, 120, 9, 1};
+  for (std::size_t i = 0; i < 12; ++i) {
+    owned.push_back(std::make_unique<analysis::Reservoir>(500, 60 + i));
+    for (std::size_t k = 0; k < 500 * weights[i]; ++k) {
+      owned.back()->add(static_cast<double>(1000 * i + k % 1000));
+    }
+    parts.push_back(owned.back().get());
+  }
+  for (const std::size_t capacity : {1, 3, 10, 64, 500, 2999}) {
+    for (const std::uint64_t seed : {5u, 6u, 7u}) {
+      const analysis::Reservoir m = analysis::Reservoir::merged(capacity, seed, parts);
+      ASSERT_EQ(m.samples(), stable_sort_merge(capacity, seed, parts))
+          << "unequal weights, capacity " << capacity << ", seed " << seed;
+    }
+  }
 }
 
 TEST(ChannelPartitionTest, CoversAllChannelsAndSharesSumToOne) {

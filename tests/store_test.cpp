@@ -29,6 +29,35 @@ TEST(JournalTest, Crc32MatchesReferenceVector) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
+TEST(JournalTest, Crc32MatchesByteWiseLoopAtEveryOffset) {
+  // The reference: one byte at a time through the reflected polynomial.
+  const auto bytewise = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
+  };
+  Bytes data(308);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + (i >> 3) * 7 + 1);
+  }
+  // Every start offset modulo the eight bytes the CRC folds at a time.
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const util::BytesView view(data.data() + start, len);
+      const std::uint32_t want = bytewise(view.data(), len);
+      ASSERT_EQ(crc32(view), want) << "start " << start << ", length " << len;
+      // Continued across a split, as a record's CRC runs over its header
+      // and then its payload.
+      const std::size_t split = len / 3;
+      ASSERT_EQ(crc32(view.subspan(split), crc32(view.first(split))), want)
+          << "start " << start << ", length " << len << ", split " << split;
+    }
+  }
+}
+
 TEST(JournalTest, AppendSyncReplayRoundTrips) {
   Journal j;
   EXPECT_EQ(j.append(bytes_of("alpha")), 1u);

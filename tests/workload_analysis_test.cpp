@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/stats.h"
@@ -216,6 +217,29 @@ TEST(ReservoirTest, StorageReservedOnFirstSampleOnly) {
   for (int i = 0; i < 2500; ++i) r.add(i);
   EXPECT_EQ(r.samples().size(), 250u);
   EXPECT_EQ(r.samples().capacity(), 250u);
+}
+
+TEST(ReservoirTest, CopyKeepsReplacingAsTheOriginal) {
+  // Copied after replacement has begun, a reservoir carries on with its
+  // own generator in the original's state: fed the same further values,
+  // the two keep the same samples. So does one assigned over another.
+  analysis::Reservoir r(64, 6);
+  for (int i = 0; i < 1000; ++i) r.add(i);
+  analysis::Reservoir copy(r);
+  analysis::Reservoir assigned(8, 99);
+  assigned.add(-1.0);
+  assigned = r;
+  for (int i = 1000; i < 5000; ++i) {
+    r.add(i);
+    copy.add(i);
+    assigned.add(i);
+  }
+  EXPECT_EQ(copy.samples(), r.samples());
+  EXPECT_EQ(copy.seen(), r.seen());
+  EXPECT_EQ(assigned.samples(), r.samples());
+  EXPECT_EQ(assigned.seen(), r.seen());
+  // The values added after the copy did replace samples.
+  EXPECT_GT(*std::max_element(r.samples().begin(), r.samples().end()), 999.0);
 }
 
 TEST(ReservoirTest, EmptyQuantileIsZero) {
